@@ -139,18 +139,19 @@ def _parse_triple(args) -> BrieskornTriple:
 def cmd_d(args, cache: ResultCache) -> int:
     triple = _parse_triple(args)
     key = _canonical_key("d", triple=list(triple.as_tuple()))
-
-    def compute() -> dict:
+    hit = cache.lookup(key)
+    # the key has no guard in it, so a rank-guard failure is never stored
+    # (an entry without "d" is one that an older version stored)
+    if hit is not None and "d" in hit["value"]:
+        value = hit["value"]
+    else:
         try:
             res = d_from_plumbing(negdef_plumbing(triple), rank_guard=args.rank_guard)
         except RankGuardExceededError as exc:
-            return {"error": "rank-guard", "message": str(exc)}
-        return {"d": _fmt(res.value), "certificate": list(res.vector)}
-
-    value = cache.get_or_compute(key, compute)
-    if value.get("error") == "rank-guard":
-        print(f"error: {value['message']}", file=sys.stderr)
-        return EXIT_RANK_GUARD
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RANK_GUARD
+        value = {"d": _fmt(res.value), "certificate": list(res.vector)}
+        cache.store(key, value)
     if args.json:
         print(json.dumps({"command": "d", "triple": list(triple.as_tuple()), **value}, sort_keys=True))
     else:
@@ -195,7 +196,7 @@ def cmd_mubar(args, cache: ResultCache) -> int:
         try:
             with open(args.graph, "r", encoding="utf-8") as fh:
                 G = PlumbingGraph.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"error: cannot read graph file: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
         key = _canonical_key("mubar-graph", weights=list(G.weights), edges=[list(e) for e in G.edges])

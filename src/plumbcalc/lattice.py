@@ -1,10 +1,14 @@
 """Exact integral-lattice engine.
 
 A lattice is stored as its Gram matrix (symmetric, integer).  All operations
-are exact: determinants by fraction-free Bareiss elimination, signatures by
-congruent diagonalization over the rationals, vector searches by a
-Fincke-Pohst style enumeration driven by an exact rational LDL^T
-decomposition.  Nothing here ever touches a float.
+are exact, and all rational elimination goes through one kernel,
+``_eliminate``: symmetric LDL^T elimination over the rationals in
+minimum-degree order, which on plumbing trees is leaves first and creates no
+fill-in.  Its pivots give the determinant (their product) and the inertia
+(their signs, by Sylvester's law), which decide signature and definiteness;
+its factors give exact solves and drive the Fincke-Pohst style vector
+enumeration.  The Wu class is a separate solve over GF(2).  Nothing here
+ever touches a float.
 
 Conventions used by several operations:
 
@@ -21,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from heapq import heapify, heappop, heappush
+from math import isqrt, prod
 from typing import Callable, NamedTuple, Optional, Sequence
 
 
@@ -134,72 +139,7 @@ def e8_gram(sign: int = 1) -> GramLattice:
 
 
 # ---------------------------------------------------------------------------
-# Determinant, leading minors, signature
-
-
-def determinant(L: GramLattice) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination; empty -> 1."""
-    n = L.rank
-    if n == 0:
-        return 1
-    m = [list(row) for row in L.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
-            m[r][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _no_swap_minors(L: GramLattice) -> Optional[list[int]]:
-    """Leading principal minors D_1..D_n via Bareiss, or None on a zero pivot.
-
-    Definite matrices never hit a zero pivot (all leading minors nonzero),
-    which is all the definiteness test below needs.
-    """
-    n = L.rank
-    m = [list(row) for row in L.rows]
-    minors: list[int] = []
-    prev = 1
-    for k in range(n):
-        if k > 0:
-            for r in range(k, n):
-                for c in range(k, n):
-                    m[r][c] = (m[r][c] * m[k - 1][k - 1] - m[r][k - 1] * m[k - 1][c]) // prev
-            prev = m[k - 1][k - 1]
-        if m[k][k] == 0:
-            return None
-        minors.append(m[k][k])
-    return minors
-
-
-def definiteness_sign(L: GramLattice) -> Optional[int]:
-    """+1 / -1 when L is positive / negative definite, else None.
-
-    Sylvester's criterion on exact leading principal minors; rank 0 counts
-    as definite of either sign and returns +1.
-    """
-    if L.rank == 0:
-        return 1
-    minors = _no_swap_minors(L)
-    if minors is None:
-        return None
-    if all(d > 0 for d in minors):
-        return 1
-    if all((d < 0) == (k % 2 == 0) for k, d in enumerate(minors)):
-        return -1
-    return None
+# The elimination kernel: determinant, inertia, solves
 
 
 class Signature(NamedTuple):
@@ -212,59 +152,167 @@ class Signature(NamedTuple):
         return self.n_plus - self.n_minus
 
 
-def signature(L: GramLattice) -> Signature:
-    """Counts of positive/negative/zero eigenvalues by exact congruent
-    diagonalization over the rationals (no floating point).
+def _min_degree_order(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Greedy minimum-degree elimination order on the sparsity graph.
+
+    Plumbing Gram matrices are trees, for which this order (leaves first)
+    eliminates with zero fill-in, so the LDL^T factor stays one-nonzero-per-row
+    and the enumeration over it runs in constant work per node.
     """
-    n = L.rank
-    m = [[Fraction(x) for x in row] for row in L.rows]
-    n_plus = n_minus = n_zero = 0
-    k = 0
-    while k < n:
-        pivot_row = None
-        for i in range(k, n):
-            if m[i][i] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            # all remaining diagonal entries vanish: either everything is
-            # zero, or we symmetrically add a row/col to create a pivot
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                n_zero += n - k
-                break
-            i, j = off
-            for c in range(n):
-                m[i][c] += m[j][c]
-            for r in range(n):
-                m[r][i] += m[r][j]
+    # adj[v] holds the uneliminated neighbours of v in the filled graph; the
+    # heap holds (degree, vertex) pairs, stale once that degree has changed
+    adj = [{j for j, x in enumerate(row) if x and j != i} for i, row in enumerate(rows)]
+    heap = [(len(a), v) for v, a in enumerate(adj)]
+    heapify(heap)
+    order: list[int] = []
+    done = [False] * len(rows)
+    while heap:
+        deg, v = heappop(heap)
+        if done[v] or deg != len(adj[v]):
             continue
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            for r in range(n):
-                m[r][k], m[r][pivot_row] = m[r][pivot_row], m[r][k]
-        d = m[k][k]
-        if d > 0:
-            n_plus += 1
-        else:
-            n_minus += 1
-        # row operations alone give the correct (and symmetric) trailing
-        # block of the congruent matrix because m is symmetric with the
-        # pivot entries m[r][k] = f_r * d
-        for r in range(k + 1, n):
-            if m[r][k] != 0:
-                f = m[r][k] / d
-                for c in range(k, n):
-                    m[r][c] -= f * m[k][c]
-        k += 1
-    return Signature(n_plus, n_minus, n_zero)
+        order.append(v)
+        done[v] = True
+        nbrs = adj[v]
+        for a in nbrs:
+            adj[a].discard(v)
+            adj[a] |= nbrs - {a}
+            heappush(heap, (len(adj[a]), a))
+    return order
+
+
+class _Elimination(NamedTuple):
+    """A congruence G ~ diag(pivots) (+) 0 in positional coordinates.
+
+    ``order[p]`` is the vertex at position p: the pivots in elimination order,
+    then the null block.  ``rows[p]`` lists the (q, u) with q > p of the unit
+    factor, so a definite G has x^T G x = sum_p pivots[p] (x_p + sum u x_q)^2.
+    ``adds`` lists each basis change (step, i, j) made before pivot ``step``:
+    basis vector j added to basis vector i.
+    """
+
+    order: list[int]
+    pivots: list[Fraction]
+    rows: list[list[tuple[int, Fraction]]]
+    adds: list[tuple[int, int, int]]
+
+    def det(self) -> int:
+        return int(prod(self.pivots)) if len(self.pivots) == len(self.order) else 0
+
+    def inertia(self) -> Signature:
+        plus = sum(d > 0 for d in self.pivots)
+        return Signature(plus, len(self.pivots) - plus, len(self.order) - len(self.pivots))
+
+    def sign(self) -> Optional[int]:
+        """+1 / -1 when G is positive / negative definite, else None."""
+        plus, minus, zero = self.inertia()
+        if zero or (plus and minus):
+            return None
+        return -1 if minus else 1
+
+    def solve(self, rhs: Sequence) -> list[Fraction]:
+        """The x with G x = rhs (G nonsingular), by substitution on the factors."""
+        n = len(self.order)
+        if len(self.pivots) < n:
+            raise ZeroDivisionError("the Gram matrix is singular")
+        adds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for step, i, j in self.adds:
+            adds[step].append((i, j))
+        b = [Fraction(rhs[v]) for v in self.order]
+        for p, row in enumerate(self.rows):
+            for i, j in adds[p]:
+                b[i] += b[j]
+            for q, u in row:
+                b[q] -= u * b[p]
+        x = [Fraction(0)] * n
+        for p in reversed(range(n)):
+            x[p] = b[p] / self.pivots[p] - sum(u * x[q] for q, u in self.rows[p])
+            for i, j in reversed(adds[p]):
+                x[j] += x[i]
+        out = [Fraction(0)] * n
+        for p, v in enumerate(self.order):
+            out[v] = x[p]
+        return out
+
+
+def _eliminate(rows: Sequence[Sequence[int]]) -> _Elimination:
+    """Symmetric exact elimination of a Gram matrix, in one pass.
+
+    Vertices are pivoted in ``_min_degree_order``, skipping ahead to the next
+    one whose current diagonal is nonzero.  When every remaining diagonal
+    vanishes but some m_ij does not, adding basis vector j to i (a unimodular
+    congruence) creates the pivot 2 m_ij; a remaining block that is all zero
+    is the null part.  So det is the product of the pivots and the inertia is
+    their sign counts (Sylvester's law of inertia).
+    """
+    m = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    pending = _min_degree_order(rows)
+    order: list[int] = []
+    pivots: list[Fraction] = []
+    factors: list[list[tuple[int, Fraction]]] = []
+    adds: list[tuple[int, int, int]] = []
+    while pending:
+        k = next((v for v in pending if v in m[v]), None)
+        if k is None:
+            i = next((v for v in pending if m[v]), None)
+            if i is None:
+                break
+            j = min(m[i])
+            adds.append((len(pivots), i, j))
+            row = dict(m[i])
+            for c, x in m[j].items():
+                row[c] = row.get(c, 0) + x
+            row[i] += row[j]
+            m[i] = {c: x for c, x in row.items() if x}
+            for c, x in row.items():
+                if c != i:
+                    if x:
+                        m[c][i] = x
+                    else:
+                        m[c].pop(i, None)
+            continue
+        pending.remove(k)
+        row = m[k]
+        d = Fraction(row.pop(k))
+        factor = []
+        for r, x in row.items():
+            f, mr = x / d, m[r]
+            factor.append((r, f))
+            del mr[k]
+            for c, y in row.items():
+                v = mr.get(c, 0) - f * y
+                if v:
+                    mr[c] = v
+                else:
+                    del mr[c]
+        order.append(k)
+        pivots.append(d)
+        factors.append(factor)
+    order += pending
+    pos = {v: p for p, v in enumerate(order)}
+    return _Elimination(
+        order,
+        pivots,
+        [sorted((pos[c], u) for c, u in f) for f in factors],
+        [(s, pos[i], pos[j]) for s, i, j in adds],
+    )
+
+
+def determinant(L: GramLattice) -> int:
+    """Exact determinant, the product of the kernel's pivots; empty -> 1."""
+    return _eliminate(L.rows).det()
+
+
+def definiteness_sign(L: GramLattice) -> Optional[int]:
+    """+1 / -1 when L is positive / negative definite, else None.
+
+    Rank 0 counts as definite of either sign and returns +1.
+    """
+    return _eliminate(L.rows).sign()
+
+
+def signature(L: GramLattice) -> Signature:
+    """Counts of positive/negative/zero eigenvalues: the kernel's inertia."""
+    return _eliminate(L.rows).inertia()
 
 
 class Definiteness(Enum):
@@ -291,7 +339,8 @@ def classify(L: GramLattice) -> Classification:
     Even means every diagonal entry is even; unimodular means |det| = 1.
     The empty lattice classifies as positive definite, even, unimodular.
     """
-    sig = signature(L)
+    elim = _eliminate(L.rows)
+    sig = elim.inertia()
     if sig.n_zero > 0:
         d = Definiteness.DEGENERATE
     elif sig.n_minus == 0:
@@ -301,7 +350,7 @@ def classify(L: GramLattice) -> Classification:
     else:
         d = Definiteness.INDEFINITE
     parity = Parity.EVEN if all(x % 2 == 0 for x in L.diagonal()) else Parity.ODD
-    return Classification(d, parity, abs(determinant(L)) == 1)
+    return Classification(d, parity, abs(elim.det()) == 1)
 
 
 def recognize_e8(L: GramLattice) -> Optional[int]:
@@ -315,12 +364,8 @@ def recognize_e8(L: GramLattice) -> Optional[int]:
         return None
     if any(x % 2 for x in L.diagonal()):
         return None
-    sign = definiteness_sign(L)
-    if sign is None:
-        return None
-    if abs(determinant(L)) != 1:
-        return None
-    return sign
+    elim = _eliminate(L.rows)
+    return elim.sign() if abs(elim.det()) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -370,55 +415,6 @@ def wu_class(L: GramLattice) -> tuple[int, ...]:
 # Exact quadratic-form enumeration (Fincke-Pohst with rational LDL^T)
 
 
-def _min_degree_order(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Greedy minimum-degree elimination order on the sparsity graph.
-
-    Plumbing Gram matrices are trees, for which this order (leaves first)
-    eliminates with zero fill-in, so the LDL^T below stays one-nonzero-per-row
-    and the enumeration over it runs in constant work per node.
-    """
-    n = len(rows)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and rows[i][j] != 0:
-                adj[i].add(j)
-    alive = set(range(n))
-    order = []
-    while alive:
-        v = min(alive, key=lambda t: (len(adj[t] & alive), t))
-        order.append(v)
-        alive.discard(v)
-        nbrs = adj[v] & alive
-        for a in nbrs:
-            adj[a] |= nbrs - {a}
-    return order
-
-
-def _ldl(rows: Sequence[Sequence[int]]) -> tuple[list[Fraction], list[list[tuple[int, Fraction]]]]:
-    """LDL^T data of a positive definite integer matrix.
-
-    Returns (d, u) with Q(x) = sum_i d[i] * (x_i + sum_{j>i} u_ij x_j)^2,
-    where u is stored per row as a list of (j, u_ij) nonzeros.
-    """
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    d: list[Fraction] = []
-    u: list[list[tuple[int, Fraction]]] = []
-    for i in range(n):
-        di = m[i][i]
-        if di <= 0:
-            raise NotDefiniteError("matrix is not positive definite")
-        d.append(di)
-        row_nz = [(j, m[i][j] / di) for j in range(i + 1, n) if m[i][j] != 0]
-        u.append(row_nz)
-        for rj, urj in row_nz:
-            for cj, ucj in row_nz:
-                if cj >= rj:
-                    m[rj][cj] -= urj * ucj * di
-    return d, u
-
-
 def _floor_sqrt_ratio(num: int, den: int) -> int:
     """floor(sqrt(num/den)) for num >= 0, den > 0, exactly."""
     return isqrt(num * den) // den
@@ -442,17 +438,18 @@ def _floor_z_plus_sqrt(z: Fraction, t: Fraction) -> int:
 class _Enumerator:
     """Shared exact enumeration over Q(x - center) for x in Z^n.
 
-    Q is given by its (sparse) LDL^T data.  Enumeration is depth-first from
-    the last coordinate, visiting candidate values of each coordinate outward
-    from the real-valued minimizer, which makes the first full assignment the
-    Babai nearest point and gives strong exact pruning.
+    Q = sign * G is positive definite and is read off the elimination of G,
+    in its positional coordinates.  Enumeration is depth-first from the last
+    coordinate, visiting candidate values of each coordinate outward from the
+    real-valued minimizer, which makes the first full assignment the Babai
+    nearest point and gives strong exact pruning.
     """
 
-    def __init__(self, d: list[Fraction], u: list[list[tuple[int, Fraction]]], center: Sequence[Fraction]):
-        self.d = d
-        self.u = u
+    def __init__(self, elim: _Elimination, sign: int, center: Sequence[Fraction]):
+        self.d = [sign * p for p in elim.pivots]
+        self.u = elim.rows
         self.center = [Fraction(c) for c in center]
-        self.n = len(d)
+        self.n = len(self.d)
 
     def _coordinate_window(self, z: Fraction, di: Fraction, budget: Fraction) -> tuple[int, int]:
         """Integer range [lo, hi] with d*(x-z)^2 <= budget; may be empty."""
@@ -525,66 +522,22 @@ class _Enumerator:
         descend(n - 1, Fraction(0))
 
 
-def _permute_matrix(A: Sequence[Sequence[int]], order: Sequence[int]) -> list[list[int]]:
-    return [[A[order[i]][order[j]] for j in range(len(order))] for i in range(len(order))]
-
-
-def _vectors_with_norm_at_most(
-    A: Sequence[Sequence[int]], bound: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """All nonzero x (one per +-pair) with x^T A x <= bound; A posdef."""
-    n = len(A)
-    if n == 0:
-        return []
-    order = _min_degree_order(A)
-    Ap = _permute_matrix(A, order)
-    d, u = _ldl(Ap)
-    enum = _Enumerator(d, u, [Fraction(0)] * n)
-    found: list[tuple[tuple[int, ...], int]] = []
-
-    def on_leaf(xp: list[int], value: Fraction):
-        x = [0] * n
-        for i in range(n):
-            x[order[i]] = xp[i]
-        if all(v == 0 for v in x):
-            return None
-        for v in x:
-            if v != 0:
-                if v < 0:
-                    return None  # keep the +-pair representative with first nonzero > 0
-                break
-        found.append((tuple(x), int(value)))
-        return None
-
-    enum.run(Fraction(bound), on_leaf)
-    found.sort(key=lambda pair: (pair[1], pair[0]))
-    return found
-
-
-def _closest_point(
-    A: Sequence[Sequence[int]], center: Sequence[Fraction]
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Minimize (x - center)^T A (x - center) over integer x; A posdef.
+def _closest_point(elim: _Elimination, sign: int, center: Sequence[Fraction]) -> tuple[Fraction, tuple[int, ...]]:
+    """Minimize (x - center)^T Q (x - center) over integer x, for Q = sign * G
+    positive definite and ``elim`` the elimination of G.
 
     Returns (minimum value, first minimizer in the deterministic search
     order).  The first leaf visited is the Babai nearest-plane point, so the
     search self-seeds.
     """
-    n = len(A)
-    if n == 0:
-        return Fraction(0), ()
-    order = _min_degree_order(A)
-    Ap = _permute_matrix(A, order)
-    centerp = [Fraction(center[order[i]]) for i in range(n)]
-    d, u = _ldl(Ap)
-    enum = _Enumerator(d, u, centerp)
+    order = elim.order
+    n = len(order)
+    enum = _Enumerator(elim, sign, [center[v] for v in order])
+    centerp = enum.center
     # safe initial bound: the value at the coordinatewise rounding of center
     x0 = [(2 * c.numerator + c.denominator) // (2 * c.denominator) for c in centerp]
-    diff = [Fraction(x0[i]) - centerp[i] for i in range(n)]
-    bound = Fraction(0)
-    for i in range(n):
-        row = Ap[i]
-        bound += diff[i] * sum(row[j] * diff[j] for j in range(n))
+    diff = [x0[i] - centerp[i] for i in range(n)]
+    bound = sum((di * (diff[i] + sum(u * diff[j] for j, u in enum.u[i])) ** 2 for i, di in enumerate(enum.d)), Fraction(0))
     best: list = [bound, tuple(x0)]
 
     def on_leaf(xp: list[int], value: Fraction):
@@ -612,21 +565,31 @@ def short_vectors(L: GramLattice, norm_target: int) -> list[tuple[int, ...]]:
     Requires L definite with norm_target of the matching sign (0 targets are
     rejected: definite forms have no nonzero null vectors).
     """
-    sign = definiteness_sign(L)
+    elim = _eliminate(L.rows)
+    sign = elim.sign()
     if sign is None:
         raise NotDefiniteError("short_vectors requires a definite lattice")
-    if L.rank == 0:
-        return []
-    if norm_target == 0 or (norm_target > 0) != (sign > 0):
-        return []
-    A = L.rows if sign > 0 else L.negate().rows
-    hits = _vectors_with_norm_at_most(A, abs(norm_target))
-    return sorted(v for v, q in hits if q == abs(norm_target))
+    return _short_vectors(elim, sign, norm_target)
 
 
-def _solve_mod2_characteristic(L: GramLattice) -> tuple[int, ...]:
-    """Some integer characteristic vector; unique mod 2L iff det is odd."""
-    return wu_class(L)
+def _short_vectors(elim: _Elimination, sign: int, norm_target: int) -> list[tuple[int, ...]]:
+    """``short_vectors`` on the elimination of a lattice of definiteness sign."""
+    if not elim.order or norm_target == 0 or (norm_target > 0) != (sign > 0):
+        return []
+    order, target = elim.order, abs(norm_target)
+    found: list[tuple[int, ...]] = []
+
+    def on_leaf(xp: list[int], value: Fraction):
+        if value == target:
+            x = [0] * len(order)
+            for i, v in enumerate(order):
+                x[v] = xp[i]
+            if next(v for v in x if v) > 0:  # the +-pair representative
+                found.append(tuple(x))
+        return None
+
+    _Enumerator(elim, sign, [Fraction(0)] * len(order)).run(Fraction(target), on_leaf)
+    return sorted(found)
 
 
 class CharMax(NamedTuple):
@@ -634,16 +597,16 @@ class CharMax(NamedTuple):
     vector: tuple[int, ...]
 
 
-def _max_char_square_core(L: GramLattice) -> CharMax:
+def _max_char_square_core(L: GramLattice, elim: _Elimination) -> CharMax:
     """Characteristic maximum by exact closest-vector enumeration over the
-    coset c0 + 2Z^n (L negative definite, unimodular, already minimal)."""
+    coset c0 + 2Z^n (L negative definite, unimodular, already minimal, and
+    ``elim`` its elimination)."""
     n = L.rank
     if n == 0:
         return CharMax(0, ())
-    c0 = _solve_mod2_characteristic(L)
-    A = L.negate().rows
+    c0 = wu_class(L)
     center = [Fraction(-c, 2) for c in c0]
-    val, v = _closest_point(A, center)
+    val, v = _closest_point(elim, -1, center)
     # c = c0 + 2v, and c^T(-G)c = 4 * value
     cert = tuple(c0[i] + 2 * v[i] for i in range(n))
     square = -4 * val
@@ -663,17 +626,18 @@ def max_char_square(L: GramLattice) -> CharMax:
     part is finished by exact closest-vector enumeration over its coset
     c0 + 2Z^n.  Agreement with literal box searches is property-tested.
     """
-    if definiteness_sign(L) != -1 and L.rank > 0:
+    elim = _eliminate(L.rows)
+    if elim.sign() != -1 and L.rank > 0:
         raise NotNegativeDefiniteError("max_char_square requires a negative definite lattice")
-    if abs(determinant(L)) != 1:
+    if abs(elim.det()) != 1:
         raise NotUnimodularError("max_char_square requires |det| = 1")
     n = L.rank
     if n == 0:
         return CharMax(0, ())
     split = minimalize(L)
     if split.minus_ones == 0:
-        return _max_char_square_core(L)
-    core = _max_char_square_core(split.minimal)
+        return _max_char_square_core(L, elim)
+    core = _max_char_square_core(split.minimal, _eliminate(split.minimal.rows))
     block_vec = list(core.vector) + [1] * split.minus_ones
     B = split.basis_change
     cert = tuple(sum(B[r][j] * block_vec[j] for j in range(n)) for r in range(n))
@@ -792,7 +756,8 @@ def minimalize(
     property tests exercise), extends it to a basis splitting <+-1>
     orthogonally, and recurses on the complement.
     """
-    sign = definiteness_sign(L)
+    elim = _eliminate(L.rows)
+    sign = elim.sign()
     if sign is None:
         raise NotDefiniteError("minimalize requires a definite lattice")
     n = L.rank
@@ -801,8 +766,7 @@ def minimalize(
     split_plus: list[list[int]] = []
     split_minus: list[list[int]] = []
     while len(cur) > 0:
-        lat = GramLattice(tuple(tuple(r) for r in cur))
-        vecs = short_vectors(lat, sign)
+        vecs = _short_vectors(elim, sign, sign)
         if not vecs:
             break
         v = chooser(vecs) if chooser is not None else min(vecs)
@@ -822,6 +786,7 @@ def minimalize(
         else:
             split_minus.append(split_col)
         cur = [row[1:] for row in G2[1:]]
+        elim = _eliminate(cur)
         cur_to_orig = [
             [sum(cur_to_orig[r][t] * U[t][j] for t in range(m)) for j in range(1, m)] for r in range(n)
         ]
@@ -851,16 +816,13 @@ def isometric(L1: GramLattice, L2: GramLattice, max_rank: int = 12) -> Optional[
         raise RankTooLargeError(f"isometric is limited to rank <= {max_rank}")
     if L1.rank != L2.rank:
         return None
-    s1, s2 = definiteness_sign(L1), definiteness_sign(L2)
+    e1, e2 = _eliminate(L1.rows), _eliminate(L2.rows)
+    s1, s2 = e1.sign(), e2.sign()
     if s1 is None or s2 is None:
         raise NotDefiniteError("isometric requires definite lattices")
-    if s1 != s2:
+    if s1 != s2 or e1.det() != e2.det():
         return None
-    if determinant(L1) != determinant(L2):
-        return None
-    if (Parity.EVEN if all(x % 2 == 0 for x in L1.diagonal()) else Parity.ODD) != (
-        Parity.EVEN if all(x % 2 == 0 for x in L2.diagonal()) else Parity.ODD
-    ):
+    if all(x % 2 == 0 for x in L1.diagonal()) != all(x % 2 == 0 for x in L2.diagonal()):
         return None
     n = L1.rank
     if n == 0:
@@ -868,9 +830,8 @@ def isometric(L1: GramLattice, L2: GramLattice, max_rank: int = 12) -> Optional[
     targets = L2.diagonal()
     candidates: dict[int, list[tuple[int, ...]]] = {}
     for t in set(targets):
-        reps = short_vectors(L1, t)
-        signed = [v for v in reps]
-        signed += [tuple(-x for x in v) for v in reps]
+        reps = _short_vectors(e1, s1, t)
+        signed = reps + [tuple(-x for x in v) for v in reps]
         candidates[t] = signed
         if not signed:
             return None

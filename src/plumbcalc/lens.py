@@ -47,14 +47,8 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .arith import NotCoprimeError, hj_expand, mod_inverse
-from .lattice import (
-    NotNegativeDefiniteError,
-    NotUnimodularError,
-    _closest_point,
-    definiteness_sign,
-    max_char_square,
-)
-from .plumbing import ChainDiagram, PlumbingGraph, chain_to_gram, graph_to_gram, plumbing_to_seifert, tree_determinant
+from .lattice import _closest_point, _eliminate, max_char_square
+from .plumbing import ChainDiagram, PlumbingGraph, chain_to_gram, graph_to_gram, plumbing_to_seifert
 
 
 class RankGuardExceededError(ValueError):
@@ -143,22 +137,6 @@ def _chain_route(p: int, q: int) -> tuple[tuple[int, ...], bool]:
     return word, negate
 
 
-def _solve_fraction(rows: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact solve of a nonsingular integer system by rational elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [rhs[i]] for i, row in enumerate(rows)]
-    for k in range(n):
-        piv = next(r for r in range(k, n) if m[r][k] != 0)
-        m[k], m[piv] = m[piv], m[k]
-        d = m[k][k]
-        for r in range(n):
-            if r != k and m[r][k] != 0:
-                f = m[r][k] / d
-                for c in range(k, n + 1):
-                    m[r][c] -= f * m[k][c]
-    return [m[i][n] / m[i][i] for i in range(n)]
-
-
 def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
     """Correction terms of L(p, q) from a negative-definite chain plumbing.
 
@@ -177,12 +155,11 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
     chain = ChainDiagram(weights)
     G = chain_to_gram(chain)
     n = G.rank
-    A = G.negate().rows  # positive definite
-    rows = [list(r) for r in G.rows]
-    det = abs(_chain_determinant(weights))
+    elim = _eliminate(G.rows)  # negative definite
+    det = abs(elim.det())
     assert det == p
     # canonical coset functional: phi(u) = <a, u> mod p with a = det * G^{-1} e0
-    a_vec = _solve_fraction(rows, [Fraction(det if i == 0 else 0) for i in range(n)])
+    a_vec = elim.solve([det if i == 0 else 0 for i in range(n)])
     a_int = []
     for x in a_vec:
         assert x.denominator == 1
@@ -196,21 +173,13 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
         u = [0] * n
         u[m_idx] = (s * inv_am) % p
         t0 = [diag[i] + 2 * u[i] for i in range(n)]
-        kappa = _solve_fraction(rows, [Fraction(t) for t in t0])
+        kappa = elim.solve(t0)
         center = [-x / 2 for x in kappa]
-        val, _ = _closest_point(A, center)
+        val, _ = _closest_point(elim, -1, center)
         min_p = 4 * val  # minimum of c^T(-G)c over the coset
         d_val = (-min_p + n) / 4
         out[s] = -d_val if negate else d_val
     return out
-
-
-def _chain_determinant(weights: tuple[int, ...]) -> int:
-    """Determinant of a plain chain Gram via the tridiagonal recurrence."""
-    d_prev, d_cur = 1, weights[0]
-    for w in weights[1:]:
-        d_prev, d_cur = d_cur, w * d_cur - d_prev
-    return d_cur
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +253,13 @@ def d_from_plumbing(G: PlumbingGraph, rank_guard: int = 40) -> DFromPlumbing:
     """d = (max (c,c) + rank)/4 over characteristic vectors of the plumbing.
 
     Requires a star-shaped negative-definite unimodular plumbing (a Seifert
-    homology sphere) and enforces a rank guard on the exact enumeration.
+    homology sphere) and enforces a rank guard on the exact enumeration;
+    ``max_char_square`` raises on a Gram that is not negative definite or
+    not unimodular.
     """
     if G.rank > rank_guard:
         raise RankGuardExceededError(f"rank {G.rank} exceeds guard {rank_guard}")
     plumbing_to_seifert(G)  # star-shape check
     gram = graph_to_gram(G)
-    if definiteness_sign(gram) != -1:
-        raise NotNegativeDefiniteError("plumbing is not negative definite")
-    if abs(tree_determinant(G)) != 1:
-        raise NotUnimodularError("plumbing is not unimodular")
     cm = max_char_square(gram)
     return DFromPlumbing(Fraction(cm.square + gram.rank, 4), cm.vector)

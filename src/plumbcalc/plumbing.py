@@ -23,13 +23,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import NotCoprimeError, NotExpandableError, cf_eval, hj_expand, hj_expand_negative, mod_inverse
-from .lattice import (
-    GramLattice,
-    definiteness_sign,
-    determinant,
-    signature,
-    wu_class,
-)
+from .lattice import GramLattice, _eliminate, _Elimination, wu_class
 
 
 class NotStarShapedError(ValueError):
@@ -148,49 +142,6 @@ def star_graph(center_weight: int, legs: Sequence[Sequence[int]]) -> PlumbingGra
             edges.append((prev, len(weights) - 1))
             prev = len(weights) - 1
     return PlumbingGraph(tuple(weights), tuple(edges))
-
-
-def _tree_det(G: PlumbingGraph) -> int:
-    """Exact determinant of a tree Gram by leaf contraction, O(n) fractions."""
-    n = G.rank
-    if n == 1:
-        return G.weights[0]
-    adj = {i: set() for i in range(n)}
-    for a, b in G.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    # Multiply out det = prod of pivots from eliminating leaves inward.
-    # Eliminating leaf v with current value x_v updates its neighbor u by
-    # x_u -= 1/x_v; a zero pivot forces a fallback to Bareiss.
-    vals = [Fraction(w) for w in G.weights]
-    order = [v for v in range(n) if len(adj[v]) == 1]
-    det = Fraction(1)
-    removed = [False] * n
-    queue = list(order)
-    while queue:
-        v = queue.pop()
-        if removed[v] or not adj[v]:
-            continue
-        (u,) = adj[v]
-        if vals[v] == 0:
-            # zero pivot: fall back to exact Bareiss on the full matrix
-            return determinant(graph_to_gram(G))
-        det *= vals[v]
-        vals[u] -= 1 / vals[v]
-        removed[v] = True
-        adj[u].discard(v)
-        adj[v] = set()
-        if len(adj[u]) == 1:
-            queue.append(u)
-    root = next(v for v in range(n) if not removed[v])
-    det *= vals[root]
-    assert det.denominator == 1
-    return int(det)
-
-
-def tree_determinant(G: PlumbingGraph) -> int:
-    """Determinant of the plumbing Gram matrix (fast tree contraction)."""
-    return _tree_det(G)
 
 
 # ---------------------------------------------------------------------------
@@ -461,32 +412,13 @@ def negdef_plumbing(T: BrieskornTriple, post_check: bool = True) -> PlumbingGrap
     shifted = SeifertData(data.e - len(data.branches), tuple((a, b - a) for a, b in data.branches))
     G = seifert_to_plumbing(shifted)
     if post_check:
-        det = _tree_det(G)
+        elim = _eliminate(graph_to_gram(G).rows)
+        det = elim.det()
         if abs(det) != 1:
             raise AssertionError(f"plumbing of {T.as_tuple()} has |det| = {abs(det)}, expected 1")
-        if not _star_negdef(shifted):
+        if elim.sign() != -1:
             raise AssertionError(f"plumbing of {T.as_tuple()} is not negative definite")
     return G
-
-
-def _star_negdef(S: SeifertData) -> bool:
-    """Negative definiteness of the star plumbing of S, via leg continuants
-    and the Schur complement of the center (exact, linear time)."""
-    head = Fraction(S.e)
-    for a, b in S.branches:
-        if a == 1:
-            head -= b
-            continue
-        value = Fraction(a, b)
-        if value >= -1:
-            return False
-        word = hj_expand_negative(value)
-        # leg determinant ratio det(leg minus first)/det(leg) equals the
-        # continued-fraction tail 1/value of the leg read inward
-        head -= 1 / value
-        if any(c > -2 for c in word):
-            return False
-    return head < 0
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +432,12 @@ def mubar(G: PlumbingGraph) -> Fraction:
     the value is an integer for homology spheres.
     """
     gram = graph_to_gram(G)
+    return _mubar(gram, _eliminate(gram.rows))
+
+
+def _mubar(gram: GramLattice, elim: _Elimination) -> Fraction:
     w = wu_class(gram)  # raises SingularMod2Error on even determinant
-    sign = definiteness_sign(gram)
-    if sign is not None:
-        sigma = sign * gram.rank
-    else:
-        sigma = signature(gram).sigma
-    wsq = gram.norm(w)
-    return Fraction(sigma - wsq, 8)
+    return Fraction(elim.inertia().sigma - gram.norm(w), 8)
 
 
 def rohlin(G: PlumbingGraph) -> int:
@@ -532,9 +462,10 @@ def ue_spin_bound(G: PlumbingGraph) -> SpinBound:
     """
     gram = graph_to_gram(G)
     plumbing_to_seifert(G)  # raises NotStarShapedError if not a star
-    if abs(_tree_det(G)) != 1:
+    elim = _eliminate(gram.rows)
+    if abs(elim.det()) != 1:
         raise ValueError("spin bound applies to homology-sphere plumbings (|det| = 1)")
-    m = mubar(G)
+    m = _mubar(gram, elim)
     assert m.denominator == 1
     ub = -8 * int(m)
     return SpinBound(max(0, ub), ub % 16)

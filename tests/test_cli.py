@@ -37,6 +37,12 @@ class TestDCommand:
         code, _, err = run(capsys, "d", "2", "3", "125", "--rank-guard", "10")
         assert code == 3 and "guard" in err
 
+    def test_rank_guard_failure_is_not_cached(self, capsys, cache_path):
+        code, _, err = run(capsys, "d", "2", "3", "5", "--rank-guard", "5")
+        assert code == 3 and "guard" in err
+        code, out, _ = run(capsys, "d", "2", "3", "5")
+        assert code == 0 and out.strip() == "2"
+
     def test_json_output(self, capsys, cache_path):
         code, out, _ = run(capsys, "--json", "d", "2", "3", "5")
         payload = json.loads(out)
@@ -93,6 +99,17 @@ class TestMubarCommand:
         path.write_text(json.dumps(g.to_json()))
         code, out, _ = run(capsys, "mubar", "--graph", str(path))
         assert code == 0 and out.strip() == "1"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[{"id": 0, "weight": -2}], {"vertices": [{"id": 0, "weight": None}], "edges": []}],
+        ids=["top-level-list", "null-weight"],
+    )
+    def test_malformed_graph_file_exits_2(self, capsys, cache_path, tmp_path, payload):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "mubar", "--graph", str(path))
+        assert code == 2 and "cannot read graph file" in err and "Traceback" not in err
 
     def test_missing_args(self, capsys, cache_path):
         code, _, err = run(capsys, "mubar")

@@ -13,7 +13,6 @@ from plumbcalc.plumbing import (
     graph_to_gram,
     negdef_plumbing,
     seifert_to_plumbing,
-    tree_determinant,
 )
 from plumbcalc.families import (
     FAMILY_IDS,
@@ -145,8 +144,8 @@ class TestSurgeryParameters:
         for fam in ("i", "ii", "iii", "iv"):
             for n in range(1, 7):
                 sp = surgery_parameters(fam, n)
-                assert abs(tree_determinant(surgery_presentation(fam, n, 0))) == sp.r
-                assert abs(tree_determinant(surgery_presentation(fam, n, 1))) == sp.p
+                assert abs(determinant(graph_to_gram(surgery_presentation(fam, n, 0)))) == sp.r
+                assert abs(determinant(graph_to_gram(surgery_presentation(fam, n, 1)))) == sp.p
 
 
 class TestVerifyTheoremMain:

@@ -23,6 +23,8 @@ from plumbcalc.lattice import (
     RankTooLargeError,
     Signature,
     SingularMod2Error,
+    _eliminate,
+    _min_degree_order,
     check_os_bound,
     classify,
     determinant,
@@ -169,11 +171,38 @@ def test_determinant_e8_chain_minors():
     assert determinant(GramLattice(tuple(tuple(r) for r in rows))) == 1
 
 
+def random_lattices(seed):
+    """200 random dense symmetric matrices, 200 random trees whose weights
+    lie in [-3, 3], and 50 dense matrices with zero diagonal.  Zero-weight
+    leaves make the kernel skip zero pivots; all-zero remaining diagonals
+    make it add basis vectors."""
+    rng = random.Random(seed)
+    lattices = [random_symmetric(rng, rng.randint(1, 6)) for _ in range(200)]
+    rng = random.Random(seed + 1000)
+    lattices += [random_tree_gram(rng, rng.randint(1, 7), -3, 3) for _ in range(200)]
+    for _ in range(50):
+        rows = [list(r) for r in random_symmetric(rng, rng.randint(2, 6)).rows]
+        lattices.append(GramLattice(tuple(tuple(0 if i == j else x for j, x in enumerate(r)) for i, r in enumerate(rows))))
+    return lattices
+
+
 def test_determinant_vs_cofactor_oracle():
     rng = random.Random(404)
-    for _ in range(200):
-        L = random_symmetric(rng, rng.randint(1, 6))
-        assert determinant(L) == det_oracle([list(r) for r in L.rows])
+    paths = {"skip": 0, "add": 0, "null": 0, "solved": 0}
+    for L in random_lattices(404):
+        rows = [list(r) for r in L.rows]
+        det = det_oracle(rows)
+        assert determinant(L) == det
+        elim = _eliminate(L.rows)
+        paths["skip"] += elim.order != _min_degree_order(L.rows)
+        paths["add"] += bool(elim.adds)
+        paths["null"] += len(elim.pivots) < L.rank
+        if det != 0:
+            rhs = [rng.randint(-4, 4) for _ in range(L.rank)]
+            assert elim.solve(rhs) == solve_rational(rows, rhs)
+            paths["solved"] += bool(elim.adds)
+    # every zero-pivot path of the kernel ran, solves across basis changes too
+    assert all(paths.values()), paths
 
 
 def test_signature_examples():
@@ -185,9 +214,7 @@ def test_signature_examples():
 
 
 def test_signature_vs_charpoly_oracle():
-    rng = random.Random(405)
-    for _ in range(200):
-        L = random_symmetric(rng, rng.randint(1, 6))
+    for L in random_lattices(405):
         assert signature(L) == signature_oracle([list(r) for r in L.rows])
 
 

@@ -34,7 +34,6 @@ from plumbcalc.plumbing import (
     rohlin,
     seifert_to_plumbing,
     star_graph,
-    tree_determinant,
     twist_reduce,
     ue_spin_bound,
 )
@@ -67,7 +66,6 @@ class TestGraphToGram:
         # determinant against an independently computed value:
         # det(-1; three -2 legs) = (-2)^3 * (-1 - 3*(1/-2)) = -8 * 1/2 = -4
         assert determinant(gram) == -4
-        assert tree_determinant(g) == -4
 
     def test_rejects_non_trees(self):
         with pytest.raises(ValueError):
