@@ -1,4 +1,4 @@
-"""Command-line front end with a persistent JSON-lines result cache.
+"""Command-line front end; ``d`` results persist in a JSON-lines cache.
 
 Commands
 --------
@@ -13,10 +13,11 @@ All printed rationals are exact strings ("2", "81/46"); no decimals are ever
 produced.  Exit codes: 0 success, 1 verification clause failure, 2 invalid
 input, 3 rank guard exceeded.
 
-The cache is an append-only JSON-lines file (env PLUMBCALC_CACHE, default
-./.plumbcalc-cache.jsonl).  Keys canonicalize the request (triples sorted
-ascending, arguments ordered); hits are byte-identical to recomputation, and
-corrupt lines are skipped with a warning.  Writes take an advisory lock.
+Only ``d`` is cached (its enumeration is exponential in rank; ``lens-d`` and
+``mubar`` compute faster than a cache scan), in an append-only JSON-lines
+file (env PLUMBCALC_CACHE, default ./.plumbcalc-cache.jsonl) keyed by the
+sorted triple.  Hits are byte-identical to recomputation; corrupt lines and
+an unusable file only draw a warning.  Writes take an advisory lock.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .families import (
 )
 from .lens import (
     RankGuardExceededError,
+    check_rank_guard,
     d_from_plumbing,
     lens_d,
     lens_d_all,
@@ -68,33 +70,32 @@ def _fmt(value) -> str:
 
 
 class ResultCache:
-    """Append-only JSON-lines cache keyed by canonical request strings."""
+    """Append-only JSON-lines cache of ``d`` results keyed by canonical request strings."""
 
-    def __init__(self, path: Optional[str], enabled: bool = True):
-        self.path = path or os.environ.get("PLUMBCALC_CACHE", DEFAULT_CACHE)
-        self.enabled = enabled
+    def __init__(self):
+        self.path = os.environ.get("PLUMBCALC_CACHE", DEFAULT_CACHE)
 
     def lookup(self, key: str) -> Optional[dict]:
-        if not self.enabled or not os.path.exists(self.path):
+        if not os.path.exists(self.path):
             return None
         hit = None
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    print(f"warning: skipping corrupt cache line in {self.path}", file=sys.stderr)
-                    continue
-                if entry.get("key") == key and entry.get("tool_version") == __version__:
-                    hit = entry  # last write wins
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                for line in fh:
+                    if not line.strip():
+                        continue
+                    try:
+                        entry = json.loads(line)
+                    except json.JSONDecodeError:
+                        print(f"warning: skipping corrupt cache line in {self.path}", file=sys.stderr)
+                        continue
+                    if entry.get("key") == key and entry.get("tool_version") == __version__:
+                        hit = entry  # last write wins
+        except OSError as exc:
+            print(f"warning: cannot read cache file: {exc}", file=sys.stderr)
         return hit
 
     def store(self, key: str, value: dict) -> None:
-        if not self.enabled:
-            return
         entry = {
             "key": key,
             "value": value,
@@ -102,26 +103,17 @@ class ResultCache:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         line = json.dumps(entry, sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            try:
-                import fcntl
+        try:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                try:
+                    import fcntl
 
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            except (ImportError, OSError):
-                pass
-            fh.write(line + "\n")
-
-    def get_or_compute(self, key: str, compute) -> dict:
-        hit = self.lookup(key)
-        if hit is not None:
-            return hit["value"]
-        value = compute()
-        self.store(key, value)
-        return value
-
-
-def _canonical_key(command: str, **kwargs) -> str:
-    return json.dumps({"command": command, **kwargs}, sort_keys=True)
+                    fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+                except (ImportError, OSError):
+                    pass
+                fh.write(line + "\n")
+        except OSError as exc:
+            print(f"warning: cannot write cache file: {exc}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -136,22 +128,25 @@ def _parse_triple(args) -> BrieskornTriple:
         raise SystemExit(EXIT_BAD_INPUT)
 
 
-def cmd_d(args, cache: ResultCache) -> int:
+def cmd_d(args) -> int:
     triple = _parse_triple(args)
-    key = _canonical_key("d", triple=list(triple.as_tuple()))
-    hit = cache.lookup(key)
-    # the key has no guard in it, so a rank-guard failure is never stored
-    # (an entry without "d" is one that an older version stored)
+    G = negdef_plumbing(triple)
+    try:
+        check_rank_guard(G, args.rank_guard)
+    except RankGuardExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RANK_GUARD
+    cache = None if args.no_cache else ResultCache()
+    key = json.dumps({"command": "d", "triple": list(triple.as_tuple())}, sort_keys=True)
+    hit = cache.lookup(key) if cache else None
+    # an entry without "d" is a rank-guard failure that an older version stored
     if hit is not None and "d" in hit["value"]:
         value = hit["value"]
     else:
-        try:
-            res = d_from_plumbing(negdef_plumbing(triple), rank_guard=args.rank_guard)
-        except RankGuardExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RANK_GUARD
+        res = d_from_plumbing(G, rank_guard=args.rank_guard)
         value = {"d": _fmt(res.value), "certificate": list(res.vector)}
-        cache.store(key, value)
+        if cache:
+            cache.store(key, value)
     if args.json:
         print(json.dumps({"command": "d", "triple": list(triple.as_tuple()), **value}, sort_keys=True))
     else:
@@ -159,39 +154,32 @@ def cmd_d(args, cache: ResultCache) -> int:
     return EXIT_OK
 
 
-def cmd_lens_d(args, cache: ResultCache) -> int:
+def cmd_lens_d(args) -> int:
     p, q = args.p, args.q
     try:
         if args.i is None or args.all:
             fn = lens_d_oracle if args.oracle else lens_d_all
-            key = _canonical_key("lens-d-all", p=p, q=q % max(p, 1), oracle=bool(args.oracle))
-            value = cache.get_or_compute(key, lambda: {"values": {str(i): _fmt(v) for i, v in sorted(fn(p, q).items())}})
+            values = {str(i): _fmt(v) for i, v in sorted(fn(p, q).items())}
             if args.json:
-                print(json.dumps({"command": "lens-d", "p": p, "q": q, **value}, sort_keys=True))
-            elif args.all:
-                for i, v in value["values"].items():
-                    print(f"{i}: {v}")
+                print(json.dumps({"command": "lens-d", "p": p, "q": q, "values": values}, sort_keys=True))
             else:
-                # bare values, one per label: `lens-d 1 1` prints just 0
-                for v in value["values"].values():
-                    print(v)
+                # without --all the values are bare, one per label: `lens-d 1 1` prints just 0
+                for i, v in values.items():
+                    print(f"{i}: {v}" if args.all else v)
         else:
             if args.oracle:
                 print("error: --oracle reports all labels (its labeling is method-internal)", file=sys.stderr)
                 return EXIT_BAD_INPUT
-            key = _canonical_key("lens-d", p=p, q=q % max(p, 1), i=args.i)
-            value = cache.get_or_compute(key, lambda: {"d": _fmt(lens_d(p, q, args.i))})
-            if args.json:
-                print(json.dumps({"command": "lens-d", "p": p, "q": q, "i": args.i, **value}, sort_keys=True))
-            else:
-                print(value["d"])
+            d = _fmt(lens_d(p, q, args.i))
+            payload = {"command": "lens-d", "p": p, "q": q, "i": args.i, "d": d}
+            print(json.dumps(payload, sort_keys=True) if args.json else d)
     except (NotCoprimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     return EXIT_OK
 
 
-def cmd_mubar(args, cache: ResultCache) -> int:
+def cmd_mubar(args) -> int:
     if args.graph:
         try:
             with open(args.graph, "r", encoding="utf-8") as fh:
@@ -199,23 +187,17 @@ def cmd_mubar(args, cache: ResultCache) -> int:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"error: cannot read graph file: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        key = _canonical_key("mubar-graph", weights=list(G.weights), edges=[list(e) for e in G.edges])
     elif args.p and args.q and args.r:
-        triple = _parse_triple(args)
-        G = negdef_plumbing(triple)
-        key = _canonical_key("mubar", triple=list(triple.as_tuple()))
+        G = negdef_plumbing(_parse_triple(args))
     else:
         print("error: give a triple or --graph FILE", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        value = cache.get_or_compute(key, lambda: {"mubar": _fmt(mubar(G))})
+        value = _fmt(mubar(G))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.json:
-        print(json.dumps({"command": "mubar", **value}, sort_keys=True))
-    else:
-        print(value["mubar"])
+    print(json.dumps({"command": "mubar", "mubar": value}, sort_keys=True) if args.json else value)
     return EXIT_OK
 
 
@@ -237,7 +219,7 @@ def _parse_range(spec: str) -> list[int]:
     return [int(x) for x in spec.split(",") if x.strip()]
 
 
-def cmd_verify(args, cache: ResultCache) -> int:
+def cmd_verify(args) -> int:
     task = args.task
     reports = []
     failed = False
@@ -313,7 +295,11 @@ def cmd_verify(args, cache: ResultCache) -> int:
         return EXIT_BAD_INPUT
 
     if args.report and reports:
-        write_reports(reports, args.report)
+        try:
+            write_reports(reports, args.report)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         print(f"report written: {args.report}")
     return EXIT_CLAUSE_FAILED if failed else EXIT_OK
 
@@ -327,9 +313,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # SUPPRESS defaults) so the flags work on either side of the subcommand
     kw = {"default": argparse.SUPPRESS} if suppress else {"default": False}
     parser.add_argument("--json", action="store_true", help="print machine-readable JSON", **kw)
-    parser.add_argument("--no-cache", action="store_true", help="bypass the result cache", **kw)
-    kw = {"default": argparse.SUPPRESS} if suppress else {"default": None}
-    parser.add_argument("--cache-file", help="cache path (default $PLUMBCALC_CACHE)", **kw)
+    parser.add_argument("--no-cache", action="store_true", help="bypass the d result cache", **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cache = ResultCache(args.cache_file, enabled=not args.no_cache)
-        return args.fn(args, cache)
+        return args.fn(args)
     except SystemExit as exc:
         # argparse errors and internal bail-outs both surface as return codes
         return int(exc.code) if exc.code is not None else 0

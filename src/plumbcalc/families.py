@@ -524,7 +524,7 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
 
     The standard-orientation plumbing is negative definite; the reversed
     orientation gives the positive star.  Both are tested; rank != 8 short
-    circuits before any determinant work.
+    circuits before any Gram matrix is built.
     """
     if bound > 100:
         raise ValueError("classification scan is guarded at bound <= 100")
@@ -538,10 +538,10 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
                     continue
                 triple = BrieskornTriple(p, q, r)
                 G = negdef_plumbing(triple, post_check=False)
-                hit = recognize_e8(graph_to_gram(G)) == -1
+                hit = G.rank == 8 and recognize_e8(graph_to_gram(G)) == -1
                 if not hit:
                     rev = seifert_to_plumbing(brieskorn_seifert(triple, reversed_orientation=True))
-                    hit = recognize_e8(graph_to_gram(rev)) == 1
+                    hit = rev.rank == 8 and recognize_e8(graph_to_gram(rev)) == 1
                 if hit:
                     out.append((p, q, r))
     return out

@@ -249,6 +249,12 @@ class DFromPlumbing(NamedTuple):
     vector: tuple[int, ...]
 
 
+def check_rank_guard(G: PlumbingGraph, rank_guard: int) -> None:
+    """Raise :class:`RankGuardExceededError` when G is too large to enumerate."""
+    if G.rank > rank_guard:
+        raise RankGuardExceededError(f"rank {G.rank} exceeds guard {rank_guard}")
+
+
 def d_from_plumbing(G: PlumbingGraph, rank_guard: int = 40) -> DFromPlumbing:
     """d = (max (c,c) + rank)/4 over characteristic vectors of the plumbing.
 
@@ -257,8 +263,7 @@ def d_from_plumbing(G: PlumbingGraph, rank_guard: int = 40) -> DFromPlumbing:
     ``max_char_square`` raises on a Gram that is not negative definite or
     not unimodular.
     """
-    if G.rank > rank_guard:
-        raise RankGuardExceededError(f"rank {G.rank} exceeds guard {rank_guard}")
+    check_rank_guard(G, rank_guard)
     plumbing_to_seifert(G)  # star-shape check
     gram = graph_to_gram(G)
     cm = max_char_square(gram)

@@ -115,7 +115,9 @@ class PlumbingGraph:
             raise ValueError("duplicate vertex ids")
         weights = [0] * len(ids)
         for v in data["vertices"]:
-            weights[order[v["id"]]] = int(v["weight"])
+            if type(v["weight"]) is not int:  # not a bool (an int subclass), not a float
+                raise ValueError(f"vertex {v['id']} has weight {v['weight']!r}, not an integer")
+            weights[order[v["id"]]] = v["weight"]
         edges = [(order[a], order[b]) for a, b in data["edges"]]
         return cls(tuple(weights), tuple(edges))
 

@@ -1,8 +1,11 @@
 import json
 import os
+import random
 
 import pytest
 
+import plumbcalc.cli
+from plumbcalc import __version__
 from plumbcalc.cli import main
 from plumbcalc.plumbing import PlumbingGraph, star_graph
 
@@ -42,6 +45,12 @@ class TestDCommand:
         assert code == 3 and "guard" in err
         code, out, _ = run(capsys, "d", "2", "3", "5")
         assert code == 0 and out.strip() == "2"
+
+    def test_cached_d_honours_rank_guard(self, capsys, cache_path):
+        code, out, _ = run(capsys, "d", "2", "3", "5")
+        assert code == 0 and out.strip() == "2"
+        code, out, err = run(capsys, "d", "2", "3", "5", "--rank-guard", "5")
+        assert code == 3 and out == "" and "rank 8 exceeds guard 5" in err
 
     def test_json_output(self, capsys, cache_path):
         code, out, _ = run(capsys, "--json", "d", "2", "3", "5")
@@ -102,8 +111,13 @@ class TestMubarCommand:
 
     @pytest.mark.parametrize(
         "payload",
-        [[{"id": 0, "weight": -2}], {"vertices": [{"id": 0, "weight": None}], "edges": []}],
-        ids=["top-level-list", "null-weight"],
+        [
+            [{"id": 0, "weight": -2}],
+            {"vertices": [{"id": 0, "weight": None}], "edges": []},
+            {"vertices": [{"id": 0, "weight": -1.5}], "edges": []},
+            {"vertices": [{"id": 0, "weight": True}], "edges": []},
+        ],
+        ids=["top-level-list", "null-weight", "float-weight", "bool-weight"],
     )
     def test_malformed_graph_file_exits_2(self, capsys, cache_path, tmp_path, payload):
         path = tmp_path / "g.json"
@@ -147,6 +161,11 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "thm9.9")
         assert code == 2
 
+    def test_unwritable_report_exits_2(self, capsys, cache_path, tmp_path):
+        report = tmp_path / "missing" / "out.jsonl"
+        code, _, err = run(capsys, "verify", "thm1.2", "--families", "i", "--n", "1", "--report", str(report))
+        assert code == 2 and err.startswith("error: cannot write report") and "Traceback" not in err
+
 
 class TestCache:
     def test_hit_is_byte_identical(self, capsys, cache_path):
@@ -174,3 +193,95 @@ class TestCache:
         assert set(entry) == {"key", "value", "tool_version", "timestamp"}
         key = json.loads(entry["key"])
         assert key["triple"] == [2, 3, 5]
+
+    @pytest.mark.parametrize(
+        "name, warnings",
+        [("missing/cache.jsonl", ["write"]), (".", ["read", "write"])],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unusable_cache_only_warns(self, capsys, tmp_path, monkeypatch, name, warnings):
+        monkeypatch.setenv("PLUMBCALC_CACHE", str(tmp_path / name))
+        code, out, err = run(capsys, "d", "2", "3", "5")
+        assert code == 0 and out == "2\n"
+        assert [line.split()[2] for line in err.splitlines()] == warnings
+        assert all(line.startswith("warning: cannot") for line in err.splitlines())
+
+    def test_only_d_is_cached(self, capsys, cache_path, tmp_path, monkeypatch):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(star_graph(-1, [[-2], [-3], [-7]]).to_json()))
+        for argv in (
+            ["lens-d", "23", "2", "1"],
+            ["lens-d", "23", "2", "--all"],
+            ["lens-d", "23", "2", "--all", "--oracle"],
+            ["mubar", "2", "3", "7"],
+            ["mubar", "--graph", str(graph)],
+        ):
+            code, _, _ = run(capsys, *argv)
+            assert code == 0 and not cache_path.exists(), argv
+        run(capsys, "d", "2", "3", "5")
+        (line,) = cache_path.read_text().splitlines()
+        entry = json.loads(line)
+        assert entry["key"] == '{"command": "d", "triple": [2, 3, 5]}'
+        assert entry["value"] == {"certificate": [0] * 8, "d": "2"}
+
+        # an entry as earlier versions wrote it still serves d, with no recomputation
+        cache_path.write_text(
+            '{"key": "{\\"command\\": \\"d\\", \\"triple\\": [2, 3, 5]}", "timestamp": "2026-01-01T00:00:00Z", '
+            f'"tool_version": "{__version__}", "value": {{"certificate": [0, 0, 0, 0, 0, 0, 0, 0], "d": "2"}}}}\n'
+        )
+        monkeypatch.setattr(plumbcalc.cli, "d_from_plumbing", None)
+        code, out, _ = run(capsys, "--json", "d", "5", "3", "2")
+        assert code == 0
+        assert json.loads(out) == {"command": "d", "triple": [2, 3, 5], "d": "2", "certificate": [0] * 8}
+
+    def test_repeated_lens_query_is_identical(self, capsys, cache_path):
+        outs = [run(capsys, "lens-d", "12", "5")[1] for _ in range(2)]
+        assert outs[0] == outs[1] and outs[0].split("\n")[:3] == ["5/12", "1/6", "3/4"]
+
+
+# Malformed command lines: every one must end in a clean exit code, never in
+# an exception.  All of them finish in milliseconds.
+FUZZ_TABLE = [
+    ["d", "2", "4", "9"],
+    ["d", "6", "10", "35"],
+    ["lens-d", "6", "4"],
+    ["lens-d", "5", "2", "5"],
+    ["lens-d", "5", "2", "-1"],
+    ["lens-d", "5", "2", "1", "--oracle"],
+    ["mubar", "3", "9", "10"],
+    ["verify", "thm1.2", "--families", "zz"],
+    ["verify", "thm1.2", "--families", "i..zz"],
+    ["verify", "rmk1.4", "--families", "xiii", "--n", "1"],
+    ["verify", "thm1.2", "--families", "i", "--n", "a..b"],
+    ["verify", "thm1.2", "--families", "i", "--n", "0"],
+    ["verify", "thm1.3", "--families", "i", "--n", "-1..1"],
+    ["verify", "cor1.6", "--families", "i", "--n", "1..x"],
+    ["verify", "classify-e8", "--bound", "101"],
+    ["verify", "thm1.2", "--families", "i", "--n", "1", "--report", "{missing}"],
+    ["verify", "thm9.9"],
+    ["bogus"],
+    [],
+]
+FUZZ_VALUES = ["0", "-1", "-7", "x", "2.5", "1e3", ""]  # none is a valid size
+FUZZ_TEMPLATES = [
+    ["d", None, None, None],
+    ["d", "2", "3", None, "--rank-guard", None],
+    ["lens-d", None, None],
+    ["lens-d", None, "1", None],
+    ["lens-d", None, None, "--all", "--oracle"],
+    ["mubar", None, None, None],
+    ["verify", "thm1.2", "--families", "i", "--n", None],
+    ["verify", "cor1.6", "--families", "i", "--n", None],
+    ["verify", "classify-e8", "--bound", None],
+]
+
+
+def test_malformed_argv_exits_cleanly(capsys, cache_path, tmp_path):
+    rng = random.Random(20181)
+    templates = [rng.choice(FUZZ_TEMPLATES) for _ in range(150)]
+    cases = FUZZ_TABLE + [[rng.choice(FUZZ_VALUES) if a is None else a for a in t] for t in templates]
+    missing = str(tmp_path / "missing" / "out.jsonl")
+    for argv in cases:
+        argv = [missing if a == "{missing}" else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2, 3) and "Traceback" not in err, argv
