@@ -87,11 +87,13 @@ class ResultCache:
                     try:
                         entry = json.loads(line)
                     except json.JSONDecodeError:
+                        entry = None
+                    if not (isinstance(entry, dict) and isinstance(entry.get("value"), dict)):
                         print(f"warning: skipping corrupt cache line in {self.path}", file=sys.stderr)
                         continue
                     if entry.get("key") == key and entry.get("tool_version") == __version__:
                         hit = entry  # last write wins
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"warning: cannot read cache file: {exc}", file=sys.stderr)
         return hit
 
@@ -229,6 +231,13 @@ def cmd_verify(args) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if args.report:
+        # a bad report path fails before any work; the reports are written at the end
+        try:
+            open(args.report, "w", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
 
     try:
         if task == "thm1.2":
@@ -299,7 +308,7 @@ def cmd_verify(args) -> int:
             write_reports(reports, args.report)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            return EXIT_CLAUSE_FAILED if failed else EXIT_BAD_INPUT
         print(f"report written: {args.report}")
     return EXIT_CLAUSE_FAILED if failed else EXIT_OK
 

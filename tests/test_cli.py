@@ -7,6 +7,7 @@ import pytest
 import plumbcalc.cli
 from plumbcalc import __version__
 from plumbcalc.cli import main
+from plumbcalc.families import VerificationReport
 from plumbcalc.plumbing import PlumbingGraph, star_graph
 
 
@@ -21,6 +22,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# the cache line for `d 2 3 5` exactly as earlier versions wrote it
+D235_ENTRY = (
+    '{"key": "{\\"command\\": \\"d\\", \\"triple\\": [2, 3, 5]}", "timestamp": "2026-01-01T00:00:00Z", '
+    f'"tool_version": "{__version__}", "value": {{"certificate": [0, 0, 0, 0, 0, 0, 0, 0], "d": "2"}}}}\n'
+).encode()
 
 
 class TestDCommand:
@@ -161,10 +169,26 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "thm9.9")
         assert code == 2
 
-    def test_unwritable_report_exits_2(self, capsys, cache_path, tmp_path):
+    def test_unwritable_report_exits_2(self, capsys, cache_path, tmp_path, monkeypatch):
+        monkeypatch.setattr(plumbcalc.cli, "verify_theorem_main", None)  # no task may run
         report = tmp_path / "missing" / "out.jsonl"
-        code, _, err = run(capsys, "verify", "thm1.2", "--families", "i", "--n", "1", "--report", str(report))
-        assert code == 2 and err.startswith("error: cannot write report") and "Traceback" not in err
+        code, out, err = run(capsys, "verify", "thm1.2", "--families", "i", "--n", "1", "--report", str(report))
+        assert code == 2 and out == "" and err.startswith("error: cannot write report") and "Traceback" not in err
+
+    def test_failed_clause_outranks_late_report_error(self, capsys, cache_path, tmp_path, monkeypatch):
+        def failing(fam, n):
+            return VerificationReport("theorem-main", fam, n, checks={"mubar": False})
+
+        def unwritable(reports, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(plumbcalc.cli, "verify_theorem_main", failing)
+        monkeypatch.setattr(plumbcalc.cli, "write_reports", unwritable)
+        code, out, err = run(
+            capsys, "verify", "thm1.2", "--families", "i", "--n", "1", "--report", str(tmp_path / "out.jsonl")
+        )
+        assert code == 1 and out == "thm1.2 (i, n=1): FAIL\n"
+        assert err.splitlines() == ["  failing clause: mubar", "error: cannot write report: disk full"]
 
 
 class TestCache:
@@ -195,16 +219,24 @@ class TestCache:
         assert key["triple"] == [2, 3, 5]
 
     @pytest.mark.parametrize(
-        "name, warnings",
-        [("missing/cache.jsonl", ["write"]), (".", ["read", "write"])],
-        ids=["missing-directory", "directory"],
+        "name, content, warnings",
+        [
+            ("missing/cache.jsonl", None, ["cannot write"]),
+            (".", None, ["cannot read", "cannot write"]),
+            ("cache.jsonl", b"\xff\xfe\n", ["cannot read"]),
+            ("cache.jsonl", b"1\n[]\n" + D235_ENTRY.split(b'"value"')[0] + b'"value": 2}\n', ["skipping corrupt"] * 3),
+        ],
+        ids=["missing-directory", "directory", "not-utf8", "not-an-object"],
     )
-    def test_unusable_cache_only_warns(self, capsys, tmp_path, monkeypatch, name, warnings):
-        monkeypatch.setenv("PLUMBCALC_CACHE", str(tmp_path / name))
+    def test_unusable_cache_only_warns(self, capsys, tmp_path, monkeypatch, name, content, warnings):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        monkeypatch.setenv("PLUMBCALC_CACHE", str(path))
         code, out, err = run(capsys, "d", "2", "3", "5")
         assert code == 0 and out == "2\n"
-        assert [line.split()[2] for line in err.splitlines()] == warnings
-        assert all(line.startswith("warning: cannot") for line in err.splitlines())
+        assert [" ".join(line.split()[1:3]) for line in err.splitlines()] == warnings
+        assert all(line.startswith("warning: ") for line in err.splitlines())
 
     def test_only_d_is_cached(self, capsys, cache_path, tmp_path, monkeypatch):
         graph = tmp_path / "g.json"
@@ -225,10 +257,7 @@ class TestCache:
         assert entry["value"] == {"certificate": [0] * 8, "d": "2"}
 
         # an entry as earlier versions wrote it still serves d, with no recomputation
-        cache_path.write_text(
-            '{"key": "{\\"command\\": \\"d\\", \\"triple\\": [2, 3, 5]}", "timestamp": "2026-01-01T00:00:00Z", '
-            f'"tool_version": "{__version__}", "value": {{"certificate": [0, 0, 0, 0, 0, 0, 0, 0], "d": "2"}}}}\n'
-        )
+        cache_path.write_bytes(D235_ENTRY)
         monkeypatch.setattr(plumbcalc.cli, "d_from_plumbing", None)
         code, out, _ = run(capsys, "--json", "d", "5", "3", "2")
         assert code == 0
