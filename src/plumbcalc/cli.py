@@ -1,4 +1,4 @@
-"""Command-line front end; ``d`` results persist in a JSON-lines cache.
+"""Command-line front end.
 
 Commands
 --------
@@ -11,26 +11,18 @@ verify TASK        batch verification (thm1.2, thm1.3, cor1.6, rmk1.4,
 
 All printed rationals are exact strings ("2", "81/46"); no decimals are ever
 produced.  Exit codes: 0 success, 1 verification clause failure, 2 invalid
-input, 3 rank guard exceeded.
-
-Only ``d`` is cached (its enumeration is exponential in rank; ``lens-d`` and
-``mubar`` compute faster than a cache scan), in an append-only JSON-lines
-file (env PLUMBCALC_CACHE, default ./.plumbcalc-cache.jsonl) keyed by the
-sorted triple.  Hits are byte-identical to recomputation; corrupt lines and
-an unusable file only draw a warning.  Writes take an advisory lock.
+input, 3 work guard exceeded (the tau-scan length of ``d``).  Every command
+computes its answer afresh; nothing is cached between runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from fractions import Fraction
 from typing import Optional
 
-from . import __version__
 from .arith import NotCoprimeError
 from .families import (
     FAMILY_IDS,
@@ -42,8 +34,7 @@ from .families import (
     write_reports,
 )
 from .lens import (
-    RankGuardExceededError,
-    check_rank_guard,
+    ScanGuardExceededError,
     d_from_plumbing,
     lens_d,
     lens_d_all,
@@ -54,68 +45,13 @@ from .plumbing import BrieskornTriple, PlumbingGraph, mubar, negdef_plumbing
 EXIT_OK = 0
 EXIT_CLAUSE_FAILED = 1
 EXIT_BAD_INPUT = 2
-EXIT_RANK_GUARD = 3
-
-DEFAULT_CACHE = ".plumbcalc-cache.jsonl"
+EXIT_WORK_GUARD = 3
 
 
 def _fmt(value) -> str:
     """Exact rational formatting: integers bare, otherwise num/den."""
     f = Fraction(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-# ---------------------------------------------------------------------------
-# Cache
-
-
-class ResultCache:
-    """Append-only JSON-lines cache of ``d`` results keyed by canonical request strings."""
-
-    def __init__(self):
-        self.path = os.environ.get("PLUMBCALC_CACHE", DEFAULT_CACHE)
-
-    def lookup(self, key: str) -> Optional[dict]:
-        if not os.path.exists(self.path):
-            return None
-        hit = None
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        entry = None
-                    if not (isinstance(entry, dict) and isinstance(entry.get("value"), dict)):
-                        print(f"warning: skipping corrupt cache line in {self.path}", file=sys.stderr)
-                        continue
-                    if entry.get("key") == key and entry.get("tool_version") == __version__:
-                        hit = entry  # last write wins
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"warning: cannot read cache file: {exc}", file=sys.stderr)
-        return hit
-
-    def store(self, key: str, value: dict) -> None:
-        entry = {
-            "key": key,
-            "value": value,
-            "tool_version": __version__,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        line = json.dumps(entry, sort_keys=True)
-        try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                try:
-                    import fcntl
-
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-                except (ImportError, OSError):
-                    pass
-                fh.write(line + "\n")
-        except OSError as exc:
-            print(f"warning: cannot write cache file: {exc}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +68,13 @@ def _parse_triple(args) -> BrieskornTriple:
 
 def cmd_d(args) -> int:
     triple = _parse_triple(args)
-    G = negdef_plumbing(triple)
     try:
-        check_rank_guard(G, args.rank_guard)
-    except RankGuardExceededError as exc:
+        # d_from_plumbing checks definiteness and unimodularity itself
+        res = d_from_plumbing(negdef_plumbing(triple, post_check=False))
+    except ScanGuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK_GUARD
-    cache = None if args.no_cache else ResultCache()
-    key = json.dumps({"command": "d", "triple": list(triple.as_tuple())}, sort_keys=True)
-    hit = cache.lookup(key) if cache else None
-    # an entry without "d" is a rank-guard failure that an older version stored
-    if hit is not None and "d" in hit["value"]:
-        value = hit["value"]
-    else:
-        res = d_from_plumbing(G, rank_guard=args.rank_guard)
-        value = {"d": _fmt(res.value), "certificate": list(res.vector)}
-        if cache:
-            cache.store(key, value)
+        return EXIT_WORK_GUARD
+    value = {"d": _fmt(res.value), "certificate": list(res.vector)}
     if args.json:
         print(json.dumps({"command": "d", "triple": list(triple.as_tuple()), **value}, sort_keys=True))
     else:
@@ -205,12 +131,13 @@ def cmd_mubar(args) -> int:
 
 def _parse_families(spec: str) -> list[str]:
     spec = spec.strip().lower()
+    names = [f.strip() for f in (spec.split("..", 1) if ".." in spec else spec.split(","))]
+    for f in names:
+        if f not in FAMILY_IDS:
+            raise ValueError(f"unknown family {f!r}; expected one of {', '.join(FAMILY_IDS)}")
     if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        i0 = FAMILY_IDS.index(lo.strip())
-        i1 = FAMILY_IDS.index(hi.strip())
-        return list(FAMILY_IDS[i0 : i1 + 1])
-    return [f.strip() for f in spec.split(",") if f.strip()]
+        return list(FAMILY_IDS[FAMILY_IDS.index(names[0]) : FAMILY_IDS.index(names[1]) + 1])
+    return names
 
 
 def _parse_range(spec: str) -> list[int]:
@@ -228,10 +155,22 @@ def cmd_verify(args) -> int:
     try:
         families = _parse_families(args.families)
         ns = _parse_range(args.n)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if task in ("thm1.3", "cor1.6"):
+        families = [f for f in families if f in FAMILY_IDS[:4]]  # the families with surgery tables
+    if task != "classify-e8":
+        if any(n < 1 for n in ns):
+            print("error: family parameter n must be >= 1", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        if not (families and ns):
+            print(f"error: --families {args.families} --n {args.n} leaves nothing for {task} to run", file=sys.stderr)
+            return EXIT_BAD_INPUT
     if args.report:
+        if task in ("rmk1.4", "classify-e8"):
+            print(f"error: verify {task} writes no report; drop --report", file=sys.stderr)
+            return EXIT_BAD_INPUT
         # a bad report path fails before any work; the reports are written at the end
         try:
             open(args.report, "w", encoding="utf-8").close()
@@ -254,8 +193,6 @@ def cmd_verify(args) -> int:
                                 print(f"  failing clause: {name}", file=sys.stderr)
         elif task == "thm1.3":
             for fam in families:
-                if fam not in ("i", "ii", "iii", "iv"):
-                    continue
                 for n in ns:
                     rep = verify_correction_bound(fam, n)
                     reports.append(rep)
@@ -268,10 +205,8 @@ def cmd_verify(args) -> int:
                                 print(f"  failing clause: {name}", file=sys.stderr)
         elif task == "cor1.6":
             for fam in families:
-                if fam not in ("i", "ii", "iii", "iv"):
-                    continue
                 for n in ns:
-                    rep = verify_unbounded_gap(fam, n, rank_guard=args.rank_guard)
+                    rep = verify_unbounded_gap(fam, n)
                     reports.append(rep)
                     status = "pass" if rep.passed else "FAIL"
                     print(
@@ -282,7 +217,7 @@ def cmd_verify(args) -> int:
                         failed = True
         elif task == "rmk1.4":
             for fam in families:
-                rows = conjecture_scan(fam, ns, rank_guard=args.rank_guard)
+                rows = conjecture_scan(fam, ns)
                 for row in rows:
                     mark = "match" if row.get("matches") else ("skip" if "status" in row else "DIFFERS")
                     print(
@@ -296,14 +231,14 @@ def cmd_verify(args) -> int:
         else:
             print(f"error: unknown verify task {task!r}", file=sys.stderr)
             return EXIT_BAD_INPUT
-    except RankGuardExceededError as exc:
+    except ScanGuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK_GUARD
+        return EXIT_WORK_GUARD
     except (NotCoprimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    if args.report and reports:
+    if args.report:
         try:
             write_reports(reports, args.report)
         except OSError as exc:
@@ -319,10 +254,9 @@ def cmd_verify(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # registered on the main parser and again on every subparser (with
-    # SUPPRESS defaults) so the flags work on either side of the subcommand
+    # SUPPRESS defaults) so --json works on either side of the subcommand
     kw = {"default": argparse.SUPPRESS} if suppress else {"default": False}
     parser.add_argument("--json", action="store_true", help="print machine-readable JSON", **kw)
-    parser.add_argument("--no-cache", action="store_true", help="bypass the d result cache", **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("p", type=int)
     d.add_argument("q", type=int)
     d.add_argument("r", type=int)
-    d.add_argument("--rank-guard", type=int, default=40)
     d.set_defaults(fn=cmd_d)
 
     ld = sub.add_parser("lens-d", help="correction terms of a lens space")
@@ -364,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--families", default="i..xii")
     vf.add_argument("--n", default="1..3")
     vf.add_argument("--bound", type=int, default=60, help="scan bound for classify-e8")
-    vf.add_argument("--rank-guard", type=int, default=40)
     vf.add_argument("--report", default=None, help="write JSON-lines report here")
     vf.set_defaults(fn=cmd_verify)
     return ap

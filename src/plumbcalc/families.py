@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 from .arith import hj_expand
 from .lattice import GramLattice, minimalize, recognize_e8
 from .lens import (
-    RankGuardExceededError,
+    ScanGuardExceededError,
     SurgeryDescriptor,
     d_from_plumbing,
     d_surgery,
@@ -42,7 +42,6 @@ from .plumbing import (
     brieskorn_seifert,
     chain_to_gram,
     graph_to_gram,
-    mubar,
     negdef_plumbing,
     seifert_to_plumbing,
     star_graph,
@@ -343,17 +342,15 @@ def verify_theorem_main(fam: str, n: int) -> VerificationReport:
     rep = VerificationReport("theorem-main", fam, n)
     rep.values["triple"] = triple.as_tuple()
 
-    G = negdef_plumbing(triple)
-    mb = mubar(G)
-    rep.values["mubar"] = mb
-    rep.checks["mubar_is_minus_one"] = mb == -1
+    bound = ue_spin_bound(negdef_plumbing(triple))
+    rep.values["mubar"] = bound.mubar
+    rep.checks["mubar_is_minus_one"] = bound.mubar == -1
 
     final = family_final_lattice(fam, n)
     sign = recognize_e8(final)
     rep.values["final_lattice_e8_sign"] = sign
     rep.checks["final_lattice_is_plus_e8"] = sign == 1
 
-    bound = ue_spin_bound(G)
     rep.values["spin_b2_cap"] = bound.max_b2
     rep.values["spin_b2_mod16"] = bound.b2_mod16
     rep.checks["spin_cap_is_8"] = bound.max_b2 == 8 and bound.b2_mod16 == 8
@@ -421,7 +418,7 @@ def verify_correction_bound(fam: str, n: int) -> VerificationReport:
     return rep
 
 
-def verify_unbounded_gap(fam: str, n: int, rank_guard: int = 40) -> VerificationReport:
+def verify_unbounded_gap(fam: str, n: int) -> VerificationReport:
     """Check rank(minimal part) >= 4 d, the lower-bound engine for the
     unbounded gap between the minimal-sublattice rank and the even-filling
     cap of 8 coming from the E8-filling.
@@ -430,7 +427,7 @@ def verify_unbounded_gap(fam: str, n: int, rank_guard: int = 40) -> Verification
     rep = VerificationReport("unbounded-gap", fam, n)
     G = negdef_plumbing(family_triple(fam, n))
     gram = graph_to_gram(G)
-    d = d_from_plumbing(G, rank_guard=rank_guard)
+    d = d_from_plumbing(G)
     split = minimalize(gram)
     bound = theorem_bound(fam, n)
     o_lower = split.minimal.rank
@@ -470,13 +467,13 @@ def conjecture_scan(
     fam: str,
     n_range: Iterable[int],
     include_nonpositive: bool = False,
-    rank_guard: int = 40,
 ) -> list[dict]:
     """Compare computed correction terms against the conjectured values.
 
     Output rows are reports, never assertions: a mismatch is flagged, not
-    raised (these are conjectures).  Entries that exceed the rank guard are
-    marked skipped.  With ``include_nonpositive`` the scan also evaluates
+    raised (these are conjectures).  An entry whose tau-scan exceeds the
+    scan guard is computed by the surgery formula for families (i)-(iv) and
+    marked skipped otherwise.  With ``include_nonpositive`` the scan also evaluates
     n <= 0 parameters (triples taken by absolute value, conjectured d = 2),
     still as conjecture-tagged output only.
     """
@@ -500,14 +497,14 @@ def conjecture_scan(
             row["predicted"] = conjectured_d(fam, n)
         row["triple"] = triple.as_tuple()
         try:
-            d_val = d_from_plumbing(negdef_plumbing(triple), rank_guard=rank_guard).value
+            d_val = d_from_plumbing(negdef_plumbing(triple)).value
             row["method"] = "plumbing"
-        except RankGuardExceededError:
+        except ScanGuardExceededError:
             if fam in _SURGERY_TABLE and n >= 1:
                 d_val = d_surgery(surgery_parameters(fam, n).descriptor()).value
                 row["method"] = "surgery"
             else:
-                row["status"] = "skipped: rank guard"
+                row["status"] = "skipped: scan guard"
                 rows.append(row)
                 continue
         row["computed"] = d_val

@@ -597,23 +597,6 @@ class CharMax(NamedTuple):
     vector: tuple[int, ...]
 
 
-def _max_char_square_core(L: GramLattice, elim: _Elimination) -> CharMax:
-    """Characteristic maximum by exact closest-vector enumeration over the
-    coset c0 + 2Z^n (L negative definite, unimodular, already minimal, and
-    ``elim`` its elimination)."""
-    n = L.rank
-    if n == 0:
-        return CharMax(0, ())
-    c0 = wu_class(L)
-    center = [Fraction(-c, 2) for c in c0]
-    val, v = _closest_point(elim, -1, center)
-    # c = c0 + 2v, and c^T(-G)c = 4 * value
-    cert = tuple(c0[i] + 2 * v[i] for i in range(n))
-    square = -4 * val
-    assert square.denominator == 1
-    return CharMax(int(square), cert)
-
-
 def max_char_square(L: GramLattice) -> CharMax:
     """Maximum of (c, c) over characteristic vectors c, with a witness.
 
@@ -625,6 +608,8 @@ def max_char_square(L: GramLattice) -> CharMax:
     direct-sum additivity of the characteristic maximum) and the minimal
     part is finished by exact closest-vector enumeration over its coset
     c0 + 2Z^n.  Agreement with literal box searches is property-tested.
+    This enumeration is exponential in rank; it is the tests' oracle for
+    ``lens.d_from_plumbing``.
     """
     elim = _eliminate(L.rows)
     if elim.sign() != -1 and L.rank > 0:
@@ -632,18 +617,16 @@ def max_char_square(L: GramLattice) -> CharMax:
     if abs(elim.det()) != 1:
         raise NotUnimodularError("max_char_square requires |det| = 1")
     n = L.rank
-    if n == 0:
-        return CharMax(0, ())
     split = minimalize(L)
-    if split.minus_ones == 0:
-        return _max_char_square_core(L, elim)
-    core = _max_char_square_core(split.minimal, _eliminate(split.minimal.rows))
-    block_vec = list(core.vector) + [1] * split.minus_ones
+    c0 = wu_class(split.minimal)
+    val, v = _closest_point(_eliminate(split.minimal.rows), -1, [Fraction(-c, 2) for c in c0])
+    # c = c0 + 2v on the minimal part, where c^T(-G)c = 4 * val, and 1 on each <-1>
+    block_vec = [c + 2 * x for c, x in zip(c0, v)] + [1] * split.minus_ones
     B = split.basis_change
     cert = tuple(sum(B[r][j] * block_vec[j] for j in range(n)) for r in range(n))
-    square = core.square - split.minus_ones
-    assert L.norm(cert) == square
-    return CharMax(square, cert)
+    square = -4 * val - split.minus_ones
+    assert square.denominator == 1 and L.norm(cert) == square
+    return CharMax(int(square), cert)
 
 
 def check_os_bound(L: GramLattice, d) -> bool:

@@ -36,6 +36,10 @@ negative-definite linear plumbing for the lens space (choosing the shortest
 of the four available continued-fraction routes) and maximizes
 (c^2 + rank)/4 over each coset of characteristic covectors by exact
 closest-vector enumeration.
+
+Plumbed spheres.  ``d_from_plumbing`` uses Nemethi's tau-function, an
+integer scan, with a re-checked certificate; the characteristic-vector
+enumeration ``lattice.max_char_square`` is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -43,16 +47,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import accumulate, count, cycle, islice
+from math import gcd, prod
+from operator import mul, sub
 from typing import NamedTuple, Optional
 
 from .arith import NotCoprimeError, hj_expand, mod_inverse
-from .lattice import _closest_point, _eliminate, max_char_square
-from .plumbing import ChainDiagram, PlumbingGraph, chain_to_gram, graph_to_gram, plumbing_to_seifert
+from .lattice import NotNegativeDefiniteError, NotUnimodularError, _closest_point, _eliminate
+from .plumbing import ChainDiagram, PlumbingGraph, chain_to_gram, graph_to_gram, star_legs
 
 
-class RankGuardExceededError(ValueError):
-    """The plumbing rank exceeds the configured enumeration guard."""
+class ScanGuardExceededError(ValueError):
+    """The tau-function scan of ``d_from_plumbing`` would exceed ``SCAN_GUARD``."""
+
+
+# Longest tau-function scan d_from_plumbing runs, about a second of work; the
+# largest member of rmk1.4 at n <= 10, family (xii) at n = 10, needs 954804.
+SCAN_GUARD = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +260,77 @@ class DFromPlumbing(NamedTuple):
     vector: tuple[int, ...]
 
 
-def check_rank_guard(G: PlumbingGraph, rank_guard: int) -> None:
-    """Raise :class:`RankGuardExceededError` when G is too large to enumerate."""
-    if G.rank > rank_guard:
-        raise RankGuardExceededError(f"rank {G.rank} exceeds guard {rank_guard}")
+def _leg_continuants(weights: list[int]) -> list[int]:
+    """m_0, ..., m_k for a leg of weights -b_1, ..., -b_k read from the center:
+    m_j is the continuant of [b_{j+1}, ..., b_k], so alpha/omega = m_0/m_1."""
+    m = [1, 0]  # m_k, m_{k+1}
+    for w in reversed(weights):
+        if w > -2:
+            raise ValueError(f"leg weight {w} is above -2")
+        m.insert(0, -w * m[0] - m[1])
+    return m[:-1]
 
 
-def d_from_plumbing(G: PlumbingGraph, rank_guard: int = 40) -> DFromPlumbing:
-    """d = (max (c,c) + rank)/4 over characteristic vectors of the plumbing.
+def _scan_length(branches: list[tuple[int, int]]) -> int:
+    """An n past which tau never decreases, at least A = prod alpha_i.
 
-    Requires a star-shaped negative-definite unimodular plumbing (a Seifert
-    homology sphere) and enforces a rank guard on the exact enumeration;
-    ``max_char_square`` raises on a Gram that is not negative definite or
-    not unimodular.
+    ceil(x) <= x + 1 - 1/alpha_i and e0 + sum omega_i/alpha_i = -1/A give
+    Delta(n) >= 0 for n > A (nu - 2 - sum 1/alpha_i), which is below A for
+    nu <= 3 legs; more legs can push it past A.
     """
-    check_rank_guard(G, rank_guard)
-    plumbing_to_seifert(G)  # star-shape check
+    A = prod(a for a, _ in branches)
+    return max(A, (len(branches) - 2) * A - sum(A // a for a, _ in branches) + 1)
+
+
+def _tau_min(e0: int, branches: list[tuple[int, int]], length: int) -> tuple[int, int]:
+    """(min tau(n), its first n) over 0 <= n <= length, where tau(0) = 0,
+    tau(n+1) = tau(n) + Delta(n) and Delta(n) = 1 - e0 n - sum ceil(n omega_i/alpha_i)."""
+    # ceil(n omega/alpha) as a running sum of its steps, which repeat with period alpha
+    ceils = [
+        accumulate(cycle([(-r * w) // a - (-(r + 1) * w) // a for r in range(a)]), initial=0)
+        for a, w in branches
+    ]
+    deltas = map(sub, count(1, -e0), map(sum, zip(*ceils)))
+    return min(zip(islice(accumulate(deltas, initial=0), length + 1), count()))
+
+
+def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
+    """d of a negative-definite star-shaped plumbed homology sphere, with a
+    characteristic vector c such that (c, c) + rank = 4d.
+
+    Nemethi (Geom. Topol. 9, 2005), as in Can-Karakurt (Pacific J. Math.
+    267, 2014): with center weight e0 and legs alpha_i/omega_i (weights
+    <= -2), d = (K^2 + rank)/4 - 2 min tau, K = G^{-1} k, k_v = -w_v - 2.
+    The certificate c = K + 2 x(n*) has x = n* at the center and
+    ceil(n* m_j/alpha) on a leg vertex, m_j the continuant of the leg beyond
+    it.  Raises :class:`ScanGuardExceededError` for a scan longer than
+    ``SCAN_GUARD``, and ``NotNegativeDefiniteError``/``NotUnimodularError``.
+    """
+    center, legs = star_legs(G)
+    conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
+    branches = [(m[0], m[1]) for m in conts]
+    length = _scan_length(branches)
+    if length > SCAN_GUARD:
+        raise ScanGuardExceededError(f"tau-scan length {length} exceeds the scan guard {SCAN_GUARD}")
+
     gram = graph_to_gram(G)
-    cm = max_char_square(gram)
-    return DFromPlumbing(Fraction(cm.square + gram.rank, 4), cm.vector)
+    elim = _eliminate(gram.rows)
+    if elim.sign() != -1:
+        raise NotNegativeDefiniteError("d_from_plumbing requires a negative definite plumbing")
+    if abs(elim.det()) != 1:
+        raise NotUnimodularError("d_from_plumbing requires |det| = 1")
+    k = [-w - 2 for w in G.weights]
+    K = [int(x) for x in elim.solve(k)]  # integral: G is unimodular
+    best, n_star = _tau_min(G.weights[center], branches, length)
+    d = Fraction(sum(map(mul, k, K)) + G.rank, 4) - 2 * best
+
+    x = [0] * G.rank
+    x[center] = n_star
+    for leg, m in zip(legs, conts):
+        for v, mj in zip(leg, m[1:]):
+            x[v] = -(-n_star * mj // m[0])
+    c = tuple(a + 2 * b for a, b in zip(K, x))
+    gc = [sum(map(mul, row, c)) for row in gram.rows]
+    if any((g - w) % 2 for g, w in zip(gc, G.weights)) or sum(map(mul, c, gc)) + G.rank != 4 * d:
+        raise AssertionError(f"the tau-scan certificate of d = {d} fails its re-check")
+    return DFromPlumbing(d, c)

@@ -311,13 +311,11 @@ def seifert_to_plumbing(S: SeifertData) -> PlumbingGraph:
     return star_graph(e, legs)
 
 
-def plumbing_to_seifert(G: PlumbingGraph) -> SeifertData:
-    """Read Seifert data off a star-shaped graph.
+def star_legs(G: PlumbingGraph) -> tuple[int, list[list[int]]]:
+    """The center of a star-shaped graph and its legs, each read outward.
 
     The center is the unique vertex of degree > 2 (for paths: the
-    lowest-index endpoint; a single vertex gives S(m) with no branches).
-    Each leg, read from the center outward, contributes the pair
-    (|num|, sign(num) * den) of its continued-fraction value.
+    lowest-index endpoint; a single vertex has no legs).
     """
     n = G.rank
     degrees = [G.degree(v) for v in range(n)]
@@ -327,10 +325,10 @@ def plumbing_to_seifert(G: PlumbingGraph) -> SeifertData:
     if big:
         center = big[0]
     elif n == 1:
-        return SeifertData(G.weights[0], ())
+        return 0, []
     else:
         center = min(v for v in range(n) if degrees[v] == 1)
-    branches = []
+    legs = []
     for first in G.neighbors(center):
         leg = [first]
         prev, cur = center, first
@@ -342,6 +340,19 @@ def plumbing_to_seifert(G: PlumbingGraph) -> SeifertData:
                 raise NotStarShapedError("branch vertex of degree > 2 off-center")
             prev, cur = cur, nxt[0]
             leg.append(cur)
+        legs.append(leg)
+    return center, legs
+
+
+def plumbing_to_seifert(G: PlumbingGraph) -> SeifertData:
+    """Read Seifert data off a star-shaped graph (center as in ``star_legs``).
+
+    Each leg, read from the center outward, contributes the pair
+    (|num|, sign(num) * den) of its continued-fraction value.
+    """
+    center, legs = star_legs(G)
+    branches = []
+    for leg in legs:
         value = cf_eval([G.weights[v] for v in leg])
         a = abs(value.numerator)
         b = value.denominator if value.numerator > 0 else -value.denominator
@@ -453,6 +464,7 @@ def rohlin(G: PlumbingGraph) -> int:
 class SpinBound(NamedTuple):
     max_b2: int
     b2_mod16: int
+    mubar: Fraction
 
 
 def ue_spin_bound(G: PlumbingGraph) -> SpinBound:
@@ -460,7 +472,8 @@ def ue_spin_bound(G: PlumbingGraph) -> SpinBound:
 
     For a Seifert homology sphere the bound is b2 <= -8 mu-bar with
     b2 == -8 mu-bar mod 16.  When mu-bar >= 0 the cap is reported as 0: no
-    spin negative-definite filling with positive b2 is certified.
+    spin negative-definite filling with positive b2 is certified.  The
+    mu-bar the cap comes from is returned with it.
     """
     gram = graph_to_gram(G)
     plumbing_to_seifert(G)  # raises NotStarShapedError if not a star
@@ -470,4 +483,4 @@ def ue_spin_bound(G: PlumbingGraph) -> SpinBound:
     m = _mubar(gram, elim)
     assert m.denominator == 1
     ub = -8 * int(m)
-    return SpinBound(max(0, ub), ub % 16)
+    return SpinBound(max(0, ub), ub % 16, m)

@@ -19,7 +19,6 @@ def test_demos_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
-    env["PLUMBCALC_CACHE"] = str(tmp_path / "cache.jsonl")
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )

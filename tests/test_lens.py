@@ -6,16 +6,17 @@ spheres surgered to lens spaces), and the oracle equality pins the orientation
 conventions of the chain plumbings.
 """
 
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from plumbcalc.arith import NotCoprimeError
-from plumbcalc.lattice import check_os_bound
+from plumbcalc.lattice import check_os_bound, max_char_square
 from plumbcalc.lens import (
     LensSpace,
-    RankGuardExceededError,
+    ScanGuardExceededError,
     SurgeryDescriptor,
     d_from_plumbing,
     d_surgery,
@@ -24,14 +25,19 @@ from plumbcalc.lens import (
     lens_d_all,
     lens_d_oracle,
     _d_rec,
+    _scan_length,
+    _tau_min,
 )
 from plumbcalc.plumbing import (
     BrieskornTriple,
     ChainDiagram,
+    PlumbingGraph,
+    SeifertData,
     chain_to_gram,
     graph_to_gram,
     mubar,
     negdef_plumbing,
+    plumbing_to_seifert,
     seifert_to_plumbing,
     star_graph,
 )
@@ -176,6 +182,36 @@ class TestSurgeryMaximum:
             SurgeryDescriptor(10, 3, 5)
 
 
+def _random_triples(rng: random.Random, count: int, max_rank: int) -> list[tuple[int, int, int]]:
+    """Seeded pairwise-coprime Brieskorn triples whose plumbing has rank <= max_rank."""
+    found: set[tuple[int, int, int]] = set()
+    while len(found) < count:
+        p, q, r = sorted(rng.sample(range(2, 60), 3))
+        if gcd(p, q) == gcd(p, r) == gcd(q, r) == 1:
+            if negdef_plumbing(BrieskornTriple(p, q, r), post_check=False).rank <= max_rank:
+                found.add((p, q, r))
+    return sorted(found)
+
+
+def _seifert_sphere(alphas: tuple[int, ...]) -> PlumbingGraph:
+    """The negative-definite star of the Seifert homology sphere with
+    multiplicities ``alphas`` (pairwise coprime), euler number -1/prod(alphas)."""
+    A = prod(alphas)
+    omegas = [-pow(A // a, -1, a) % a for a in alphas]
+    e0 = -(1 + sum(w * (A // a) for a, w in zip(alphas, omegas))) // A
+    return seifert_to_plumbing(SeifertData(e0, tuple((a, -w) for a, w in zip(alphas, omegas))))
+
+
+def _tau_data(g: PlumbingGraph) -> tuple[int, list[tuple[int, int]]]:
+    """(e0, [(alpha_i, omega_i)]) of a negative-definite star."""
+    data = plumbing_to_seifert(g)
+    return data.e, [(a, -b) for a, b in data.branches]
+
+
+# seeded pairwise-coprime triples for the tau-scan tests (multiplicities < 60)
+TRIPLES = _random_triples(random.Random(2005), 200, max_rank=16)
+
+
 class TestDFromPlumbing:
     def test_poincare(self):
         g = negdef_plumbing(BrieskornTriple(2, 3, 5))
@@ -195,9 +231,52 @@ class TestDFromPlumbing:
             assert not check_os_bound(gram, d - Fraction(1, 4))
 
     def test_rank_guard(self):
-        g = negdef_plumbing(BrieskornTriple(2, 3, 125))
-        with pytest.raises(RankGuardExceededError):
-            d_from_plumbing(g, rank_guard=10)
+        # the one work guard is on the tau-scan length, here 101 * 103 * 10007
+        g = negdef_plumbing(BrieskornTriple(101, 103, 10007))
+        with pytest.raises(ScanGuardExceededError, match="tau-scan length 104102821 exceeds the scan guard"):
+            d_from_plumbing(g)
+
+    def test_leg_weight_above_minus_two(self):
+        with pytest.raises(ValueError, match="above -2"):
+            d_from_plumbing(star_graph(-2, [[-2], [-1], [-3]]))
+
+    def test_agrees_with_enumeration(self):
+        """The tau-scan against the characteristic-vector enumeration."""
+        for t in TRIPLES + [(3, 5, 7, 8, 13)]:
+            g = negdef_plumbing(BrieskornTriple(*t)) if len(t) == 3 else _seifert_sphere(t)
+            gram = graph_to_gram(g)
+            res = d_from_plumbing(g)
+            assert res.value == Fraction(max_char_square(gram).square + gram.rank, 4), t
+            gc = [sum(x * c for x, c in zip(row, res.vector)) for row in gram.rows]
+            assert all((x - row[i]) % 2 == 0 for i, (x, row) in enumerate(zip(gc, gram.rows))), t
+            assert gram.norm(res.vector) + gram.rank == 4 * res.value, t
+
+    def test_scan_length_reaches_the_minimum(self):
+        """min tau over [0, L] is the minimum over [0, 2L]; L = prod(alpha)
+        for three legs, and five legs can need more."""
+        cases = [negdef_plumbing(BrieskornTriple(*t)) for t in TRIPLES]
+        cases += [_seifert_sphere(alphas) for alphas in ((2, 3, 5, 7), (3, 4, 5, 7), (3, 5, 7, 8, 13))]
+        for g in cases:
+            e0, branches = _tau_data(g)
+            length = _scan_length(branches)
+            _, first_minimizer = _tau_min(e0, branches, 2 * length)
+            assert first_minimizer <= length, branches
+            if len(branches) == 3:
+                assert length == prod(a for a, _ in branches)
+        e0, branches = _tau_data(_seifert_sphere((3, 5, 7, 8, 13)))
+        assert _tau_min(e0, branches, 3 * 5 * 7 * 8 * 13) != _tau_min(e0, branches, _scan_length(branches))
+
+    def test_tau_scan_matches_the_plain_recursion(self):
+        cases = [negdef_plumbing(BrieskornTriple(*t)) for t in TRIPLES[:20]]
+        cases += [_seifert_sphere(alphas) for alphas in ((2, 3, 5, 7), (3, 4, 5, 7), (3, 5, 7, 8, 13))]
+        for g in cases:
+            e0, branches = _tau_data(g)
+            length = _scan_length(branches)
+            tau, taus = 0, [0]
+            for n in range(length):
+                tau += 1 - e0 * n - sum(-(-n * w // a) for a, w in branches)
+                taus.append(tau)
+            assert _tau_min(e0, branches, length) == (min(taus), taus.index(min(taus))), branches
 
     def test_requires_star(self):
         from plumbcalc.plumbing import NotStarShapedError, PlumbingGraph

@@ -307,11 +307,11 @@ class TestMuBar:
 
 class TestUeSpinBound:
     def test_sigma235(self):
-        assert ue_spin_bound(minus_e8_tree()) == (8, 8)
+        assert ue_spin_bound(minus_e8_tree()) == (8, 8, -1)
 
     def test_family_i_n2(self):
         g = negdef_plumbing(BrieskornTriple(2, 13, 23))
-        assert ue_spin_bound(g) == (8, 8)
+        assert ue_spin_bound(g) == (8, 8, -1)
 
     def test_sigma237_no_positive_cap(self):
         bound = ue_spin_bound(negdef_plumbing(BrieskornTriple(2, 3, 7)))
