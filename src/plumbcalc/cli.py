@@ -11,7 +11,7 @@ verify TASK        batch verification (thm1.2, thm1.3, cor1.6, rmk1.4,
 
 All printed rationals are exact strings ("2", "81/46"); no decimals are ever
 produced.  Exit codes: 0 success, 1 verification clause failure, 2 invalid
-input, 3 work guard exceeded (the tau-scan length of ``d``).  Every command
+input, 3 work guard exceeded (tau-scan length of ``d``, lens order).  Every command
 computes its answer afresh; nothing is cached between runs.
 """
 
@@ -101,6 +101,9 @@ def cmd_lens_d(args) -> int:
             d = _fmt(lens_d(p, q, args.i))
             payload = {"command": "lens-d", "p": p, "q": q, "i": args.i, "d": d}
             print(json.dumps(payload, sort_keys=True) if args.json else d)
+    except ScanGuardExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORK_GUARD
     except (NotCoprimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -473,9 +473,9 @@ def conjecture_scan(
     Output rows are reports, never assertions: a mismatch is flagged, not
     raised (these are conjectures).  An entry whose tau-scan exceeds the
     scan guard is computed by the surgery formula for families (i)-(iv) and
-    marked skipped otherwise.  With ``include_nonpositive`` the scan also evaluates
-    n <= 0 parameters (triples taken by absolute value, conjectured d = 2),
-    still as conjecture-tagged output only.
+    skipped otherwise, or past the label guard.  With ``include_nonpositive``
+    the scan also evaluates n <= 0 parameters (triples taken by absolute
+    value, conjectured d = 2), still as conjecture-tagged output only.
     """
     fam = _check_family(fam)
     rows: list[dict] = []
@@ -497,16 +497,18 @@ def conjecture_scan(
             row["predicted"] = conjectured_d(fam, n)
         row["triple"] = triple.as_tuple()
         try:
-            d_val = d_from_plumbing(negdef_plumbing(triple)).value
-            row["method"] = "plumbing"
-        except ScanGuardExceededError:
-            if fam in _SURGERY_TABLE and n >= 1:
+            try:
+                d_val = d_from_plumbing(negdef_plumbing(triple)).value
+                row["method"] = "plumbing"
+            except ScanGuardExceededError:
+                if fam not in _SURGERY_TABLE or n < 1:
+                    raise
                 d_val = d_surgery(surgery_parameters(fam, n).descriptor()).value
                 row["method"] = "surgery"
-            else:
-                row["status"] = "skipped: scan guard"
-                rows.append(row)
-                continue
+        except ScanGuardExceededError as exc:
+            row["status"] = f"skipped: {exc}"
+            rows.append(row)
+            continue
         row["computed"] = d_val
         row["matches"] = d_val == row["predicted"]
         if fam in ("i", "ii", "iii", "iv") and n >= 1:

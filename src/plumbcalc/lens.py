@@ -7,7 +7,8 @@ Recursion.  The engine is the classical exact descent
 for 0 <= j < p + q with R(1, 0, 0) = 0, whose labels j restricted to
 0 <= j < p enumerate the p spin^c structures (R is p-periodic on the
 overhang j in [p, p+q), which the tests verify).  In these labels
-R(p, 1, j) = ((2j - p)^2 - p) / (4p).
+R(p, 1, j) = ((2j - p)^2 - p) / (4p).  Each call recomputes the integers 4p R,
+with no memo; all-labels work stops at lens orders above ``LABEL_GUARD``.
 
 Labeling convention (pinned, recorded).  The public ``lens_d(p, q, i)``
 uses the surgery-style labeling in which the familiar affine
@@ -46,11 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, count, cycle, islice
 from math import gcd, prod
 from operator import mul, sub
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .arith import NotCoprimeError, hj_expand, mod_inverse
 from .lattice import NotNegativeDefiniteError, NotUnimodularError, _closest_point, _eliminate
@@ -58,12 +58,17 @@ from .plumbing import ChainDiagram, PlumbingGraph, chain_to_gram, graph_to_gram,
 
 
 class ScanGuardExceededError(ValueError):
-    """The tau-function scan of ``d_from_plumbing`` would exceed ``SCAN_GUARD``."""
+    """A work guard would be exceeded: ``SCAN_GUARD`` on the tau-function scan
+    of ``d_from_plumbing``, or ``LABEL_GUARD`` on all-labels lens work."""
 
 
 # Longest tau-function scan d_from_plumbing runs, about a second of work; the
 # largest member of rmk1.4 at n <= 10, family (xii) at n = 10, needs 954804.
 SCAN_GUARD = 2_000_000
+
+# Largest lens order p of lens_d_all and d_surgery, about 2 s of work; the
+# largest thm1.3 member at n <= 50, family (iii) at n = 50, has p = 523958.
+LABEL_GUARD = 600_000
 
 
 # ---------------------------------------------------------------------------
@@ -90,22 +95,36 @@ class LensSpace:
         object.__setattr__(self, "q", q)
 
 
-@lru_cache(maxsize=None)
-def _d_rec(p: int, q: int, j: int) -> Fraction:
-    """The exact recursion on its own labels 0 <= j < p + q."""
-    if p == 1:
-        return Fraction(0)
-    num = (2 * j + 1 - p - q) ** 2 - p * q
-    return Fraction(num, 4 * p * q) - _d_rec(q, p % q, j % q)
+def _descent(p: int, q: int, js: Iterable[int]) -> dict[int, int]:
+    """{j: 4p R(p, q, j)} for recursion labels j in ``js``, 0 <= j < p + q.
 
-
-def descent_chain(p: int, q: int) -> list[tuple[int, int]]:
-    """The (p, q) pairs visited by the recursion: pure Euclidean descent."""
-    out = [(p, q)]
+    The labels {j mod q} go down the Euclidean chain (p, q) -> (q, p mod q);
+    N = 4p R comes back up by N(p, q, j) = ((2j + 1 - p - q)^2 - p q
+    - p N(q, p mod q, j mod q)) / q from N(1, 0, 0) = 0, an exact division
+    because 4p d(L(p, q)) is an integer (c^2 lies in Z/p on a plumbing of
+    determinant p).
+    """
+    levels = []
     while p != 1:
+        levels.append((p, q, js))
+        js = {j % q for j in js}
         p, q = q, p % q
-        out.append((p, q))
-    return out
+    num = {0: 0}
+    for p, q, js in reversed(levels):
+        below, num = num, {}
+        for j in js:
+            num[j], rem = divmod((2 * j + 1 - p - q) ** 2 - p * q - p * below[j % q], q)
+            if rem:
+                raise AssertionError(f"4p R({p}, {q}, {j}) is not an integer")
+    return num
+
+
+def _numerators(p: int, q: int) -> list[int]:
+    """[4p lens_d(p, q, i) for 0 <= i < p] for a normalized L(p, q)."""
+    if p > LABEL_GUARD:
+        raise ScanGuardExceededError(f"lens order {p} exceeds the label guard {LABEL_GUARD}")
+    num = _descent(p, q, range(p))
+    return [num[(q * (i + 1) - 1) % p] for i in range(p)]
 
 
 def lens_d(p: int, q: int, i: int) -> Fraction:
@@ -113,18 +132,14 @@ def lens_d(p: int, q: int, i: int) -> Fraction:
     L = LensSpace(p, q)
     if not (0 <= i < L.p):
         raise ValueError(f"label {i} out of range for p = {L.p}")
-    if L.p == 1:
-        return Fraction(0)
     j = (L.q * (i + 1) - 1) % L.p
-    return _d_rec(L.p, L.q, j)
+    return Fraction(_descent(L.p, L.q, (j,))[j], 4 * L.p)
 
 
 def lens_d_all(p: int, q: int) -> dict[int, Fraction]:
     """All p correction terms of L(p, q), keyed by spin^c label."""
     L = LensSpace(p, q)
-    if L.p == 1:
-        return {0: Fraction(0)}
-    return {i: lens_d(L.p, L.q, i) for i in range(L.p)}
+    return {i: Fraction(n, 4 * L.p) for i, n in enumerate(_numerators(L.p, L.q))}
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +214,9 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
 
 @dataclass(frozen=True)
 class SurgeryDescriptor:
-    """Lens surgery data: slope p, lens parameter q, dual class k, and the
-    affine constant c = (k+1+p)(k-1)/2 mod p (recomputed when omitted)."""
+    """Lens surgery data: slope p, lens parameter q (reduced mod p), dual
+    class k, and the affine constant c = (k+1+p)(k-1)/2 mod p (recomputed
+    when omitted)."""
 
     p: int
     q: int
@@ -208,17 +224,13 @@ class SurgeryDescriptor:
     c: Optional[int] = None
 
     def __post_init__(self):
-        p, q, k = int(self.p), int(self.q), int(self.k)
+        p, k = int(self.p), int(self.k)
         if gcd(k, p) != 1:
             raise NotCoprimeError("dual class k must be coprime to p")
-        LensSpace(p, q)  # validates the lens parameters
-        c_formula = (((k + 1 + p) * (k - 1)) // 2) % p
-        c = self.c if self.c is not None else c_formula
-        c = int(c) % p
+        object.__setattr__(self, "q", LensSpace(p, self.q).q)  # validated, 0 <= q < p
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", int(self.c_from_formula if self.c is None else self.c) % p)
 
     @property
     def c_from_formula(self) -> int:
@@ -237,18 +249,12 @@ def d_surgery(desc: SurgeryDescriptor) -> SurgeryResult:
     The L-space hypotheses behind the formula are the caller's
     responsibility; this evaluates the full maximum (never just a witness).
     """
-    p, q, k, c = desc.p, desc.q, desc.k, desc.c
-    best: Optional[Fraction] = None
-    winners: list[int] = []
-    for i in range(p):
-        v = lens_d(p, q, (k * i + c) % p) - lens_d(p, 1, i)
-        if best is None or v > best:
-            best = v
-            winners = [i]
-        elif v == best:
-            winners.append(i)
-    assert best is not None
-    return SurgeryResult(best, winners[0], tuple(winners))
+    p, k, c = desc.p, desc.k, desc.c
+    top, bottom = _numerators(p, desc.q), _numerators(p, 1)
+    gaps = [top[(k * i + c) % p] - b for i, b in enumerate(bottom)]
+    best = max(gaps)
+    winners = [i for i, g in enumerate(gaps) if g == best]
+    return SurgeryResult(Fraction(best, 4 * p), winners[0], tuple(winners))
 
 
 # ---------------------------------------------------------------------------

@@ -89,18 +89,6 @@ class PlumbingGraph:
     def rank(self) -> int:
         return len(self.weights)
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def to_json(self) -> dict:
         return {
             "vertices": [{"id": i, "weight": w} for i, w in enumerate(self.weights)],
@@ -318,7 +306,11 @@ def star_legs(G: PlumbingGraph) -> tuple[int, list[list[int]]]:
     lowest-index endpoint; a single vertex has no legs).
     """
     n = G.rank
-    degrees = [G.degree(v) for v in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in G.edges:  # sorted, so every adjacency list is sorted
+        adj[a].append(b)
+        adj[b].append(a)
+    degrees = [len(nbrs) for nbrs in adj]
     big = [v for v in range(n) if degrees[v] > 2]
     if len(big) > 1:
         raise NotStarShapedError("more than one vertex of degree > 2")
@@ -329,18 +321,12 @@ def star_legs(G: PlumbingGraph) -> tuple[int, list[list[int]]]:
     else:
         center = min(v for v in range(n) if degrees[v] == 1)
     legs = []
-    for first in G.neighbors(center):
-        leg = [first]
-        prev, cur = center, first
-        while True:
-            nxt = [w for w in G.neighbors(cur) if w != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                raise NotStarShapedError("branch vertex of degree > 2 off-center")
-            prev, cur = cur, nxt[0]
-            leg.append(cur)
-        legs.append(leg)
+    for first in adj[center]:
+        leg = [center, first]
+        while degrees[leg[-1]] == 2:  # every vertex off the center has degree <= 2
+            a, b = adj[leg[-1]]
+            leg.append(b if a == leg[-2] else a)
+        legs.append(leg[1:])
     return center, legs
 
 

@@ -130,10 +130,10 @@ def test_criterion_06_correction_term_bounds_n_1_to_6():
 
 
 def test_criterion_07_cross_method_surgery_equals_plumbing():
-    """d_surgery == d_from_plumbing exactly for (i)-(iv), n = 1..2, in 2 min."""
+    """d_surgery == d_from_plumbing exactly for (i)-(iv), n = 1..10, in 2 min."""
     t0 = time.monotonic()
     for fam in ("i", "ii", "iii", "iv"):
-        for n in (1, 2):
+        for n in range(1, 11):
             sp = surgery_parameters(fam, n)
             via_surgery = d_surgery(sp.descriptor()).value
             via_plumbing = d_from_plumbing(negdef_plumbing(family_triple(fam, n))).value

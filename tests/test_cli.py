@@ -87,6 +87,21 @@ class TestLensCommand:
         _, out, _ = run(capsys, "lens-d", "12", "5", "--all")
         assert "." not in out
 
+    @pytest.mark.parametrize(
+        "argv, p",
+        [
+            (["lens-d", "1000000007", "2", "--all"], 1000000007),
+            (["verify", "thm1.3", "--families", "iii", "--n", "1000"], 208079008),
+        ],
+        ids=["lens-d-all", "thm1.3"],
+    )
+    def test_label_guard_exits_3_quickly(self, capsys, argv, p):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == f"error: lens order {p} exceeds the label guard 600000\n"
+        assert time.monotonic() - t0 < 5.0
+
 
 class TestMubarCommand:
     def test_triples(self, capsys):
@@ -212,6 +227,13 @@ class TestVerifyCommand:
         assert err.splitlines() == ["  failing clause: mubar", "error: cannot write report: disk full"]
 
 
+def _fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
 # Malformed command lines: every one must end in a clean exit code, never in
 # an exception.  All of them finish in milliseconds.
 FUZZ_TABLE = [
@@ -222,6 +244,8 @@ FUZZ_TABLE = [
     ["lens-d", "5", "2", "5"],
     ["lens-d", "5", "2", "-1"],
     ["lens-d", "5", "2", "1", "--oracle"],
+    ["lens-d", "1000000007", "2", "--all"],
+    ["lens-d", str(_fibonacci(1501)), str(_fibonacci(1500)), "0"],  # a descent chain 1500 levels deep
     ["mubar", "3", "9", "10"],
     ["verify", "thm1.2", "--families", "zz"],
     ["verify", "thm1.2", "--families", "i..zz"],
@@ -229,6 +253,7 @@ FUZZ_TABLE = [
     ["verify", "thm1.2", "--families", "i", "--n", "a..b"],
     ["verify", "thm1.2", "--families", "i", "--n", "0"],
     ["verify", "thm1.3", "--families", "i", "--n", "-1..1"],
+    ["verify", "thm1.3", "--families", "iii", "--n", "1000"],
     ["verify", "cor1.6", "--families", "i", "--n", "1..x"],
     ["verify", "classify-e8", "--bound", "101"],
     ["verify", "thm1.2", "--families", "i", "--n", "1", "--report", "{missing}"],

@@ -7,6 +7,7 @@ conventions of the chain plumbings.
 """
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd, prod
 
@@ -14,17 +15,19 @@ import pytest
 
 from plumbcalc.arith import NotCoprimeError
 from plumbcalc.lattice import check_os_bound, max_char_square
+from plumbcalc.families import conjecture_scan, surgery_parameters
 from plumbcalc.lens import (
+    LABEL_GUARD,
     LensSpace,
     ScanGuardExceededError,
     SurgeryDescriptor,
+    SurgeryResult,
     d_from_plumbing,
     d_surgery,
-    descent_chain,
     lens_d,
     lens_d_all,
     lens_d_oracle,
-    _d_rec,
+    _descent,
     _scan_length,
     _tau_min,
 )
@@ -42,6 +45,13 @@ from plumbcalc.plumbing import (
     star_graph,
 )
 from plumbcalc.arith import hj_expand
+
+
+def _reference_r(p: int, q: int, j: int) -> Fraction:
+    """The descent recursion R(p, q, j) as written, over Fractions, unmemoized."""
+    if p == 1:
+        return Fraction(0)
+    return Fraction((2 * j + 1 - p - q) ** 2 - p * q, 4 * p * q) - _reference_r(q, p % q, j % q)
 
 
 class TestLensSpaceType:
@@ -64,19 +74,46 @@ class TestRecursion:
     def test_l31(self):
         assert sorted(lens_d_all(3, 1).values()) == [Fraction(-1, 6), Fraction(-1, 6), Fraction(1, 2)]
 
-    def test_descent_chain_is_euclidean(self):
-        assert descent_chain(23, 2) == [(23, 2), (2, 1), (1, 0)]
-        chain = descent_chain(2064, 157)
-        assert chain[-1][0] == 1
-        for (p, q), (p2, q2) in zip(chain, chain[1:]):
-            assert (p2, q2) == (q, p % q)
-
     def test_overhang_periodicity(self):
         # the recursion window 0 <= j < p + q duplicates the first q labels:
         # R(p, q, j + p) == R(p, q, j), so restriction to [0, p) is honest
         for (p, q) in [(5, 2), (5, 3), (7, 3), (23, 2), (12, 5), (40, 17)]:
             for j in range(q):
-                assert _d_rec(p, q, j) == _d_rec(p, q, j + p)
+                num = _descent(p, q, (j, j + p))
+                assert num[j] == num[j + p]
+
+    def test_descent_matches_the_fraction_recursion(self):
+        """The integer descent against the plain recursion R over Fractions:
+        every label of every L(p, q) with p <= 60, then seeded labels at p < 10^6."""
+        for p in range(1, 61):
+            for q in range(1, p) if p > 1 else (0,):
+                if gcd(p, q) != 1:
+                    continue
+                assert _descent(p, q, range(p + q)) == {j: 4 * p * _reference_r(p, q, j) for j in range(p + q)}
+                public = lens_d_all(p, q)
+                assert public == {i: _reference_r(p, q, (q * (i + 1) - 1) % p) for i in range(p)}
+                assert all(lens_d(p, q, i) == v for i, v in public.items())
+        rng = random.Random(2003)
+        for _ in range(200):
+            p, q = rng.randrange(2, 10**6), 0
+            while gcd(p, q) != 1:
+                q = rng.randrange(1, p)
+            i = rng.randrange(p)
+            assert lens_d(p, q, i) == _reference_r(p, q, (q * (i + 1) - 1) % p), (p, q, i)
+
+    def test_deep_descent_chain(self):
+        # consecutive Fibonacci numbers F(1501), F(1500) descend one level at a
+        # time, 1500 levels: deeper than the interpreter's default recursion limit
+        q, p = 1, 1
+        for _ in range(1499):
+            q, p = p, q + p
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 2000)  # for the reference only
+        try:
+            expected = _reference_r(p, q, (q - 1) % p)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert lens_d(p, q, 0) == expected
 
     def test_published_value_l23_2(self):
         # the odd-n closed form (224n^3+8n^2-95n+25)/(4p) at n = 1 evaluates
@@ -175,11 +212,45 @@ class TestSurgeryMaximum:
         assert res.value == 0
         assert res.witnesses == tuple(range(7))
 
+    def test_matches_the_reference_maximum(self):
+        """d_surgery against the maximum over reference values, families
+        (i)-(iv) at n = 1..3, witnesses included."""
+        for fam in ("i", "ii", "iii", "iv"):
+            for n in (1, 2, 3):
+                desc = surgery_parameters(fam, n).descriptor()
+                p, q, k, c = desc.p, desc.q, desc.k, desc.c
+                gaps = [
+                    _reference_r(p, q, (q * ((k * i + c) % p + 1) - 1) % p) - _reference_r(p, 1, i) for i in range(p)
+                ]
+                best = max(gaps)
+                winners = tuple(i for i, g in enumerate(gaps) if g == best)
+                assert d_surgery(desc) == SurgeryResult(best, winners[0], winners), (fam, n)
+
+    def test_q_is_reduced(self):
+        assert SurgeryDescriptor(23, 25, 9) == SurgeryDescriptor(23, 2, 9)
+        assert d_surgery(SurgeryDescriptor(23, 25, 9)).value == 2
+
     def test_c_recomputable(self):
         desc = SurgeryDescriptor(23, 2, 9, 17)
         assert desc.c_from_formula == 17
         with pytest.raises(NotCoprimeError):
             SurgeryDescriptor(10, 3, 5)
+
+
+class TestLabelGuard:
+    def test_all_labels_past_the_guard_raise(self):
+        p = LABEL_GUARD + 1
+        with pytest.raises(ScanGuardExceededError, match=f"lens order {p} exceeds the label guard {LABEL_GUARD}"):
+            lens_d_all(p, 1)
+        with pytest.raises(ScanGuardExceededError, match="label guard"):
+            d_surgery(SurgeryDescriptor(p, 1, 1))
+        assert lens_d(p, 1, 0) == Fraction(p * p - p, 4 * p)  # a single label is not guarded
+
+    def test_conjecture_scan_skips_past_both_guards(self):
+        # family (iii) at n = 60: tau-scan 2 * 963 * 1565 > SCAN_GUARD, p = 753548 > LABEL_GUARD
+        (row,) = conjecture_scan("iii", [60])
+        assert row["status"] == "skipped: lens order 753548 exceeds the label guard 600000"
+        assert "computed" not in row
 
 
 def _random_triples(rng: random.Random, count: int, max_rank: int) -> list[tuple[int, int, int]]:
