@@ -35,7 +35,6 @@ from .lattice import (
     RankTooLargeError,
     Signature,
     SingularMod2Error,
-    check_os_bound,
     classify,
     definiteness_sign,
     determinant,

@@ -463,45 +463,31 @@ def conjectured_d(fam: str, n: int) -> int:
     return _CONJECTURED[_check_family(fam)](n)
 
 
-def conjecture_scan(
-    fam: str,
-    n_range: Iterable[int],
-    include_nonpositive: bool = False,
-) -> list[dict]:
+def conjecture_scan(fam: str, n_range: Iterable[int]) -> list[dict]:
     """Compare computed correction terms against the conjectured values.
 
     Output rows are reports, never assertions: a mismatch is flagged, not
     raised (these are conjectures).  An entry whose tau-scan exceeds the
     scan guard is computed by the surgery formula for families (i)-(iv) and
-    skipped otherwise, or past the label guard.  With ``include_nonpositive``
-    the scan also evaluates n <= 0 parameters (triples taken by absolute
-    value, conjectured d = 2), still as conjecture-tagged output only.
+    skipped otherwise, or past the label guard.
     """
     fam = _check_family(fam)
     rows: list[dict] = []
     for n in n_range:
-        row: dict[str, object] = {"family": fam, "n": n, "conjecture": True}
-        if n < 1:
-            if not include_nonpositive:
-                continue
-            coords = tuple(abs(a * n + b) for a, b in _TRIPLES[fam])
-            row["predicted"] = 2
-            try:
-                triple = BrieskornTriple(*sorted(coords))
-            except ValueError as exc:
-                row["status"] = f"skipped: {exc}"
-                rows.append(row)
-                continue
-        else:
-            triple = family_triple(fam, n)
-            row["predicted"] = conjectured_d(fam, n)
-        row["triple"] = triple.as_tuple()
+        triple = family_triple(fam, n)
+        row: dict[str, object] = {
+            "family": fam,
+            "n": n,
+            "conjecture": True,
+            "predicted": conjectured_d(fam, n),
+            "triple": triple.as_tuple(),
+        }
         try:
             try:
                 d_val = d_from_plumbing(negdef_plumbing(triple)).value
                 row["method"] = "plumbing"
             except ScanGuardExceededError:
-                if fam not in _SURGERY_TABLE or n < 1:
+                if fam not in _SURGERY_TABLE:
                     raise
                 d_val = d_surgery(surgery_parameters(fam, n).descriptor()).value
                 row["method"] = "surgery"
@@ -511,7 +497,7 @@ def conjecture_scan(
             continue
         row["computed"] = d_val
         row["matches"] = d_val == row["predicted"]
-        if fam in ("i", "ii", "iii", "iv") and n >= 1:
+        if fam in ("i", "ii", "iii", "iv"):
             row["meets_theorem_bound"] = d_val >= theorem_bound(fam, n)
         rows.append(row)
     return rows

@@ -7,8 +7,11 @@ minimum-degree order, which on plumbing trees is leaves first and creates no
 fill-in.  Its pivots give the determinant (their product) and the inertia
 (their signs, by Sylvester's law), which decide signature and definiteness;
 its factors give exact solves and drive the Fincke-Pohst style vector
-enumeration.  The Wu class is a separate solve over GF(2).  Nothing here
-ever touches a float.
+enumeration.  The kernel reads sparse rows, one ``{column: entry}`` dict of
+nonzero entries per basis vector: a dense Gram matrix converts once through
+``_sparse``, and a plumbing tree builds its rows from its edges.  The Wu class
+is one more solve on the same elimination.  Nothing here ever touches a
+float.
 
 Conventions used by several operations:
 
@@ -94,12 +97,6 @@ class GramLattice:
             rows.append((0,) * n + other.rows[i])
         return GramLattice(tuple(rows))
 
-    def permuted(self, perm: Sequence[int]) -> "GramLattice":
-        """Gram matrix in the basis reordered by ``perm``."""
-        return GramLattice(
-            tuple(tuple(self.rows[perm[i]][perm[j]] for j in range(self.rank)) for i in range(self.rank))
-        )
-
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> int:
         """The bilinear form v^T G w (exact integer)."""
         total = 0
@@ -152,8 +149,14 @@ class Signature(NamedTuple):
         return self.n_plus - self.n_minus
 
 
-def _min_degree_order(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Greedy minimum-degree elimination order on the sparsity graph.
+def _sparse(rows: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """The kernel's input format for a dense matrix: the nonzeros of each row."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _min_degree_order(rows: Sequence[dict[int, int]]) -> list[int]:
+    """Greedy minimum-degree elimination order on the sparsity graph of the
+    sparse rows (``{column: nonzero entry}`` per vertex).
 
     Plumbing Gram matrices are trees, for which this order (leaves first)
     eliminates with zero fill-in, so the LDL^T factor stays one-nonzero-per-row
@@ -161,7 +164,7 @@ def _min_degree_order(rows: Sequence[Sequence[int]]) -> list[int]:
     """
     # adj[v] holds the uneliminated neighbours of v in the filled graph; the
     # heap holds (degree, vertex) pairs, stale once that degree has changed
-    adj = [{j for j, x in enumerate(row) if x and j != i} for i, row in enumerate(rows)]
+    adj = [row.keys() - {i} for i, row in enumerate(rows)]
     heap = [(len(a), v) for v, a in enumerate(adj)]
     heapify(heap)
     order: list[int] = []
@@ -234,8 +237,11 @@ class _Elimination(NamedTuple):
         return out
 
 
-def _eliminate(rows: Sequence[Sequence[int]]) -> _Elimination:
+def _eliminate(rows: Sequence[dict[int, int]]) -> _Elimination:
     """Symmetric exact elimination of a Gram matrix, in one pass.
+
+    ``rows[i]`` maps each column j with a nonzero entry m_ij to that entry;
+    the rows are not modified.
 
     Vertices are pivoted in ``_min_degree_order``, skipping ahead to the next
     one whose current diagonal is nonzero.  When every remaining diagonal
@@ -244,7 +250,7 @@ def _eliminate(rows: Sequence[Sequence[int]]) -> _Elimination:
     is the null part.  So det is the product of the pivots and the inertia is
     their sign counts (Sylvester's law of inertia).
     """
-    m = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    m = [dict(row) for row in rows]
     pending = _min_degree_order(rows)
     order: list[int] = []
     pivots: list[Fraction] = []
@@ -299,7 +305,7 @@ def _eliminate(rows: Sequence[Sequence[int]]) -> _Elimination:
 
 def determinant(L: GramLattice) -> int:
     """Exact determinant, the product of the kernel's pivots; empty -> 1."""
-    return _eliminate(L.rows).det()
+    return _eliminate(_sparse(L.rows)).det()
 
 
 def definiteness_sign(L: GramLattice) -> Optional[int]:
@@ -307,12 +313,12 @@ def definiteness_sign(L: GramLattice) -> Optional[int]:
 
     Rank 0 counts as definite of either sign and returns +1.
     """
-    return _eliminate(L.rows).sign()
+    return _eliminate(_sparse(L.rows)).sign()
 
 
 def signature(L: GramLattice) -> Signature:
     """Counts of positive/negative/zero eigenvalues: the kernel's inertia."""
-    return _eliminate(L.rows).inertia()
+    return _eliminate(_sparse(L.rows)).inertia()
 
 
 class Definiteness(Enum):
@@ -339,7 +345,7 @@ def classify(L: GramLattice) -> Classification:
     Even means every diagonal entry is even; unimodular means |det| = 1.
     The empty lattice classifies as positive definite, even, unimodular.
     """
-    elim = _eliminate(L.rows)
+    elim = _eliminate(_sparse(L.rows))
     sig = elim.inertia()
     if sig.n_zero > 0:
         d = Definiteness.DEGENERATE
@@ -364,12 +370,12 @@ def recognize_e8(L: GramLattice) -> Optional[int]:
         return None
     if any(x % 2 for x in L.diagonal()):
         return None
-    elim = _eliminate(L.rows)
+    elim = _eliminate(_sparse(L.rows))
     return elim.sign() if abs(elim.det()) == 1 else None
 
 
 # ---------------------------------------------------------------------------
-# GF(2) solver and Wu classes
+# Wu classes
 
 
 def wu_class(L: GramLattice) -> tuple[int, ...]:
@@ -378,37 +384,20 @@ def wu_class(L: GramLattice) -> tuple[int, ...]:
     Raises :class:`SingularMod2Error` when det(G) is even (the mod-2 system
     is then singular and the solution is not unique).
     """
-    n = L.rank
-    # rows as bitmasks, bit j = coefficient of eps_j, bit n = RHS
-    rows = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if L.rows[i][j] % 2:
-                mask |= 1 << j
-        if L.rows[i][i] % 2:
-            mask |= 1 << n
-        rows.append(mask)
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, n):
-            if rows[i] & (1 << col):
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularMod2Error("Gram matrix is singular mod 2")
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(n):
-            if i != r and rows[i] & (1 << col):
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-    eps = [0] * n
-    for r, col in enumerate(pivots):
-        eps[col] = (rows[r] >> n) & 1
-    return tuple(eps)
+    return _wu(_eliminate(_sparse(L.rows)), L.diagonal())
+
+
+def _wu(elim: _Elimination, diag: Sequence[int]) -> tuple[int, ...]:
+    """``wu_class`` of the Gram matrix that ``elim`` eliminates, whose
+    diagonal is ``diag``.
+
+    For odd det the solution x of G x = diag(G) has odd denominators, so
+    reducing it mod 2 solves G eps == diag(G) (mod 2) with eps the numerators
+    of x mod 2.
+    """
+    if elim.det() % 2 == 0:
+        raise SingularMod2Error("Gram matrix is singular mod 2")
+    return tuple(x.numerator % 2 for x in elim.solve(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +554,7 @@ def short_vectors(L: GramLattice, norm_target: int) -> list[tuple[int, ...]]:
     Requires L definite with norm_target of the matching sign (0 targets are
     rejected: definite forms have no nonzero null vectors).
     """
-    elim = _eliminate(L.rows)
+    elim = _eliminate(_sparse(L.rows))
     sign = elim.sign()
     if sign is None:
         raise NotDefiniteError("short_vectors requires a definite lattice")
@@ -611,15 +600,16 @@ def max_char_square(L: GramLattice) -> CharMax:
     This enumeration is exponential in rank; it is the tests' oracle for
     ``lens.d_from_plumbing``.
     """
-    elim = _eliminate(L.rows)
+    elim = _eliminate(_sparse(L.rows))
     if elim.sign() != -1 and L.rank > 0:
         raise NotNegativeDefiniteError("max_char_square requires a negative definite lattice")
     if abs(elim.det()) != 1:
         raise NotUnimodularError("max_char_square requires |det| = 1")
     n = L.rank
     split = minimalize(L)
-    c0 = wu_class(split.minimal)
-    val, v = _closest_point(_eliminate(split.minimal.rows), -1, [Fraction(-c, 2) for c in c0])
+    minimal = _eliminate(_sparse(split.minimal.rows))
+    c0 = _wu(minimal, split.minimal.diagonal())
+    val, v = _closest_point(minimal, -1, [Fraction(-c, 2) for c in c0])
     # c = c0 + 2v on the minimal part, where c^T(-G)c = 4 * val, and 1 on each <-1>
     block_vec = [c + 2 * x for c, x in zip(c0, v)] + [1] * split.minus_ones
     B = split.basis_change
@@ -627,11 +617,6 @@ def max_char_square(L: GramLattice) -> CharMax:
     square = -4 * val - split.minus_ones
     assert square.denominator == 1 and L.norm(cert) == square
     return CharMax(int(square), cert)
-
-
-def check_os_bound(L: GramLattice, d) -> bool:
-    """Whether max (c,c) + rank <= 4d holds for the negative definite L."""
-    return max_char_square(L).square + L.rank <= 4 * Fraction(d)
 
 
 # ---------------------------------------------------------------------------
@@ -720,14 +705,6 @@ class Minimalization:
     minus_ones: int
     basis_change: tuple[tuple[int, ...], ...]
 
-    def block_form(self) -> GramLattice:
-        blocks = self.minimal
-        for _ in range(self.plus_ones):
-            blocks = blocks.direct_sum(GramLattice.diag(1))
-        for _ in range(self.minus_ones):
-            blocks = blocks.direct_sum(GramLattice.diag(-1))
-        return blocks
-
 
 def minimalize(
     L: GramLattice, chooser: Optional[Callable[[list[tuple[int, ...]]], tuple[int, ...]]] = None
@@ -739,7 +716,7 @@ def minimalize(
     property tests exercise), extends it to a basis splitting <+-1>
     orthogonally, and recurses on the complement.
     """
-    elim = _eliminate(L.rows)
+    elim = _eliminate(_sparse(L.rows))
     sign = elim.sign()
     if sign is None:
         raise NotDefiniteError("minimalize requires a definite lattice")
@@ -769,7 +746,7 @@ def minimalize(
         else:
             split_minus.append(split_col)
         cur = [row[1:] for row in G2[1:]]
-        elim = _eliminate(cur)
+        elim = _eliminate(_sparse(cur))
         cur_to_orig = [
             [sum(cur_to_orig[r][t] * U[t][j] for t in range(m)) for j in range(1, m)] for r in range(n)
         ]
@@ -799,7 +776,7 @@ def isometric(L1: GramLattice, L2: GramLattice, max_rank: int = 12) -> Optional[
         raise RankTooLargeError(f"isometric is limited to rank <= {max_rank}")
     if L1.rank != L2.rank:
         return None
-    e1, e2 = _eliminate(L1.rows), _eliminate(L2.rows)
+    e1, e2 = _eliminate(_sparse(L1.rows)), _eliminate(_sparse(L2.rows))
     s1, s2 = e1.sign(), e2.sign()
     if s1 is None or s2 is None:
         raise NotDefiniteError("isometric requires definite lattices")

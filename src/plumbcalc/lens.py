@@ -53,8 +53,8 @@ from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import NotCoprimeError, hj_expand, mod_inverse
-from .lattice import NotNegativeDefiniteError, NotUnimodularError, _closest_point, _eliminate
-from .plumbing import ChainDiagram, PlumbingGraph, chain_to_gram, graph_to_gram, star_legs
+from .lattice import NotNegativeDefiniteError, NotUnimodularError, _closest_point, _eliminate, _sparse
+from .plumbing import ChainDiagram, PlumbingGraph, _tree_rows, chain_to_gram, star_legs
 
 
 class ScanGuardExceededError(ValueError):
@@ -181,7 +181,7 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
     chain = ChainDiagram(weights)
     G = chain_to_gram(chain)
     n = G.rank
-    elim = _eliminate(G.rows)  # negative definite
+    elim = _eliminate(_sparse(G.rows))  # negative definite
     det = abs(elim.det())
     assert det == p
     # canonical coset functional: phi(u) = <a, u> mod p with a = det * G^{-1} e0
@@ -269,12 +269,12 @@ class DFromPlumbing(NamedTuple):
 def _leg_continuants(weights: list[int]) -> list[int]:
     """m_0, ..., m_k for a leg of weights -b_1, ..., -b_k read from the center:
     m_j is the continuant of [b_{j+1}, ..., b_k], so alpha/omega = m_0/m_1."""
-    m = [1, 0]  # m_k, m_{k+1}
+    m = [0, 1]  # m_{k+1}, m_k, ..., m_0 as they are computed
     for w in reversed(weights):
         if w > -2:
             raise ValueError(f"leg weight {w} is above -2")
-        m.insert(0, -w * m[0] - m[1])
-    return m[:-1]
+        m.append(-w * m[-1] - m[-2])
+    return m[:0:-1]
 
 
 def _scan_length(branches: list[tuple[int, int]]) -> int:
@@ -319,8 +319,8 @@ def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
     if length > SCAN_GUARD:
         raise ScanGuardExceededError(f"tau-scan length {length} exceeds the scan guard {SCAN_GUARD}")
 
-    gram = graph_to_gram(G)
-    elim = _eliminate(gram.rows)
+    rows = _tree_rows(G)
+    elim = _eliminate(rows)
     if elim.sign() != -1:
         raise NotNegativeDefiniteError("d_from_plumbing requires a negative definite plumbing")
     if abs(elim.det()) != 1:
@@ -336,7 +336,7 @@ def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
         for v, mj in zip(leg, m[1:]):
             x[v] = -(-n_star * mj // m[0])
     c = tuple(a + 2 * b for a, b in zip(K, x))
-    gc = [sum(map(mul, row, c)) for row in gram.rows]
+    gc = [sum(e * c[j] for j, e in row.items()) for row in rows]
     if any((g - w) % 2 for g, w in zip(gc, G.weights)) or sum(map(mul, c, gc)) + G.rank != 4 * d:
         raise AssertionError(f"the tau-scan certificate of d = {d} fails its re-check")
     return DFromPlumbing(d, c)

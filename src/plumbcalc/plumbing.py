@@ -23,7 +23,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import NotCoprimeError, NotExpandableError, cf_eval, hj_expand, hj_expand_negative, mod_inverse
-from .lattice import GramLattice, _eliminate, _Elimination, wu_class
+from .lattice import GramLattice, _eliminate, _Elimination, _wu
 
 
 class NotStarShapedError(ValueError):
@@ -119,6 +119,15 @@ def graph_to_gram(G: PlumbingGraph) -> GramLattice:
     for a, b in G.edges:
         rows[a][b] = rows[b][a] = 1
     return GramLattice(tuple(tuple(r) for r in rows))
+
+
+def _tree_rows(G: PlumbingGraph) -> list[dict[int, int]]:
+    """The intersection form as the elimination kernel's sparse rows, in
+    O(rank): the nonzero weight on the diagonal, 1 per edge."""
+    rows = [{v: w} if w else {} for v, w in enumerate(G.weights)]
+    for a, b in G.edges:
+        rows[a][b] = rows[b][a] = 1
+    return rows
 
 
 def star_graph(center_weight: int, legs: Sequence[Sequence[int]]) -> PlumbingGraph:
@@ -411,7 +420,7 @@ def negdef_plumbing(T: BrieskornTriple, post_check: bool = True) -> PlumbingGrap
     shifted = SeifertData(data.e - len(data.branches), tuple((a, b - a) for a, b in data.branches))
     G = seifert_to_plumbing(shifted)
     if post_check:
-        elim = _eliminate(graph_to_gram(G).rows)
+        elim = _eliminate(_tree_rows(G))
         det = elim.det()
         if abs(det) != 1:
             raise AssertionError(f"plumbing of {T.as_tuple()} has |det| = {abs(det)}, expected 1")
@@ -430,13 +439,14 @@ def mubar(G: PlumbingGraph) -> Fraction:
     Requires the tree to have odd determinant so the Wu class is unique;
     the value is an integer for homology spheres.
     """
-    gram = graph_to_gram(G)
-    return _mubar(gram, _eliminate(gram.rows))
+    return _mubar(G, _eliminate(_tree_rows(G)))
 
 
-def _mubar(gram: GramLattice, elim: _Elimination) -> Fraction:
-    w = wu_class(gram)  # raises SingularMod2Error on even determinant
-    return Fraction(elim.inertia().sigma - gram.norm(w), 8)
+def _mubar(G: PlumbingGraph, elim: _Elimination) -> Fraction:
+    """``mubar`` of G from ``elim``, the elimination of its sparse rows."""
+    w = _wu(elim, G.weights)  # raises SingularMod2Error on even determinant
+    square = sum(x * wv for x, wv in zip(G.weights, w)) + 2 * sum(w[a] * w[b] for a, b in G.edges)  # w is 0/1
+    return Fraction(elim.inertia().sigma - square, 8)
 
 
 def rohlin(G: PlumbingGraph) -> int:
@@ -461,12 +471,11 @@ def ue_spin_bound(G: PlumbingGraph) -> SpinBound:
     spin negative-definite filling with positive b2 is certified.  The
     mu-bar the cap comes from is returned with it.
     """
-    gram = graph_to_gram(G)
-    plumbing_to_seifert(G)  # raises NotStarShapedError if not a star
-    elim = _eliminate(gram.rows)
+    star_legs(G)  # raises NotStarShapedError if not a star
+    elim = _eliminate(_tree_rows(G))
     if abs(elim.det()) != 1:
         raise ValueError("spin bound applies to homology-sphere plumbings (|det| = 1)")
-    m = _mubar(gram, elim)
+    m = _mubar(G, elim)
     assert m.denominator == 1
     ub = -8 * int(m)
     return SpinBound(max(0, ub), ub % 16, m)

@@ -166,6 +166,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "conjecture" in out
 
+    def test_rmk14_scan_guard_skips_quickly(self, capsys):
+        # rank 5011: the post-check and the guard run in time linear in rank
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "verify", "rmk1.4", "--families", "v", "--n", "200")
+        assert code == 0
+        assert out == "rmk1.4 (v, n=200): predicted 1200 computed - [skip] (conjecture)\n"
+        assert time.monotonic() - t0 < 5.0
+
     def test_bad_task(self, capsys):
         code, _, err = run(capsys, "verify", "thm9.9")
         assert code == 2

@@ -231,11 +231,6 @@ class TestConjectures:
         assert conjectured_d("xi", 2) == 8
         assert conjectured_d("vi", 2) == 12
 
-    def test_nonpositive_n_flagged(self):
-        rows = conjecture_scan("i", [0], include_nonpositive=True)
-        assert rows and rows[0]["predicted"] == 2
-        assert rows[0]["conjecture"] is True
-
 
 class TestUnboundedGap:
     def test_family_i_n1(self):

@@ -25,7 +25,7 @@ from plumbcalc.lattice import (
     SingularMod2Error,
     _eliminate,
     _min_degree_order,
-    check_os_bound,
+    _sparse,
     classify,
     determinant,
     e8_gram,
@@ -193,8 +193,8 @@ def test_determinant_vs_cofactor_oracle():
         rows = [list(r) for r in L.rows]
         det = det_oracle(rows)
         assert determinant(L) == det
-        elim = _eliminate(L.rows)
-        paths["skip"] += elim.order != _min_degree_order(L.rows)
+        elim = _eliminate(_sparse(L.rows))
+        paths["skip"] += elim.order != _min_degree_order(_sparse(L.rows))
         paths["add"] += bool(elim.adds)
         paths["null"] += len(elim.pivots) < L.rank
         if det != 0:
@@ -306,6 +306,84 @@ def test_wu_class_on_200_random_odd_determinant_trees():
             assert sols == [tuple(w)]
 
 
+def wu_class_gf2(L: GramLattice) -> tuple[int, ...]:
+    """Oracle: the Wu class by dense bitmask elimination over GF(2), sharing
+    no code with the package's rational kernel."""
+    n = L.rank
+    # rows as bitmasks, bit j = coefficient of eps_j, bit n = RHS
+    rows = []
+    for i in range(n):
+        mask = 0
+        for j in range(n):
+            if L.rows[i][j] % 2:
+                mask |= 1 << j
+        if L.rows[i][i] % 2:
+            mask |= 1 << n
+        rows.append(mask)
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot = None
+        for i in range(r, n):
+            if rows[i] & (1 << col):
+                pivot = i
+                break
+        if pivot is None:
+            raise SingularMod2Error("Gram matrix is singular mod 2")
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(n):
+            if i != r and rows[i] & (1 << col):
+                rows[i] ^= rows[r]
+        pivots.append(col)
+        r += 1
+    eps = [0] * n
+    for r, col in enumerate(pivots):
+        eps[col] = (rows[r] >> n) & 1
+    return tuple(eps)
+
+
+def test_wu_class_vs_gf2_oracle():
+    """200 odd-determinant dense matrices and 200 odd-determinant trees.
+
+    A third of the dense matrices have zero diagonal and a third have
+    entries in [-1, 1], where eliminating some pivots sometimes zeroes every
+    remaining diagonal: both send the kernel down its basis-vector add
+    path, the second with a nonzero right-hand side.  Even determinants,
+    0 included, are rejected by both solvers.
+    """
+    rng = random.Random(4242)
+    counts = {"dense": 0, "tree": 0, "even": 0, "added": 0, "added_nonzero": 0}
+    while counts["dense"] < 200:
+        kind = counts["dense"] % 3
+        L = random_symmetric(rng, rng.randint(1, 7), *((-1, 1) if kind == 2 else (-5, 5)))
+        if kind == 1:
+            L = GramLattice(tuple(tuple(0 if i == j else x for j, x in enumerate(r)) for i, r in enumerate(L.rows)))
+        if determinant(L) % 2 == 0:
+            counts["even"] += 1
+            with pytest.raises(SingularMod2Error):
+                wu_class(L)
+            with pytest.raises(SingularMod2Error):
+                wu_class_gf2(L)
+            continue
+        counts["dense"] += 1
+        w = wu_class(L)
+        assert w == wu_class_gf2(L), L
+        if _eliminate(_sparse(L.rows)).adds:
+            counts["added"] += 1
+            counts["added_nonzero"] += any(w)
+    while counts["tree"] < 200:
+        L = random_tree_gram(rng, rng.randint(1, 9))
+        if determinant(L) % 2 == 0:
+            with pytest.raises(SingularMod2Error):
+                wu_class(L)
+            with pytest.raises(SingularMod2Error):
+                wu_class_gf2(L)
+            continue
+        counts["tree"] += 1
+        assert wu_class(L) == wu_class_gf2(L), L
+    assert all(counts.values()), counts
+
+
 # ---------------------------------------------------------------------------
 # minimalize
 
@@ -342,7 +420,11 @@ def test_minimalize_idempotent_and_certified():
             [sum(B[r][i] * sum(L.rows[r][c] * B[c][j] for c in range(n_)) for r in range(n_)) for j in range(n_)]
             for i in range(n_)
         ]
-        assert conj == [list(r) for r in res.block_form().rows]
+        # B^T G B is minimal (+) <+1>^plus_ones (+) <-1>^minus_ones
+        k = res.minimal.rank
+        units = [1] * res.plus_ones + [-1] * res.minus_ones
+        block = [[res.minimal.rows[i][j] if i < k and j < k else (units[i - k] if i == j else 0) for j in range(n_)] for i in range(n_)]
+        assert conj == block
         again = minimalize(res.minimal)
         assert again.minimal == res.minimal and again.plus_ones == again.minus_ones == 0
 
@@ -438,10 +520,12 @@ def test_max_char_square_direct_sum_additivity():
 
 
 def test_check_os_bound():
-    assert check_os_bound(MINUS_E8, 2)
-    assert max_char_square(MINUS_E8).square + 8 == 4 * 2  # equality
-    assert check_os_bound(GramLattice.diag(-1), 0)
-    assert not check_os_bound(MINUS_E8, 1)
+    # the Ozsvath-Szabo bound max (c, c) + rank <= 4d
+    top = max_char_square(MINUS_E8).square + MINUS_E8.rank
+    assert top <= 4 * 2
+    assert top == 4 * 2  # equality
+    assert max_char_square(GramLattice.diag(-1)).square + 1 <= 4 * 0
+    assert not top <= 4 * 1
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +534,7 @@ def test_check_os_bound():
 
 def test_isometric_permuted_e8():
     perm = [3, 1, 0, 2, 4, 7, 6, 5]
-    other = MINUS_E8.permuted(perm)
+    other = GramLattice(tuple(tuple(MINUS_E8.rows[perm[i]][perm[j]] for j in range(8)) for i in range(8)))
     U = isometric(MINUS_E8, other)
     assert U is not None
     n = 8

@@ -14,7 +14,7 @@ from math import gcd, prod
 import pytest
 
 from plumbcalc.arith import NotCoprimeError
-from plumbcalc.lattice import check_os_bound, max_char_square
+from plumbcalc.lattice import max_char_square
 from plumbcalc.families import conjecture_scan, surgery_parameters
 from plumbcalc.lens import (
     LABEL_GUARD,
@@ -298,8 +298,9 @@ class TestDFromPlumbing:
             g = negdef_plumbing(BrieskornTriple(*triple))
             gram = graph_to_gram(g)
             d = d_from_plumbing(g).value
-            assert check_os_bound(gram, d)
-            assert not check_os_bound(gram, d - Fraction(1, 4))
+            top = max_char_square(gram).square + gram.rank
+            assert top <= 4 * d
+            assert not top <= 4 * (d - Fraction(1, 4))
 
     def test_rank_guard(self):
         # the one work guard is on the tau-scan length, here 101 * 103 * 10007

@@ -5,9 +5,11 @@ from math import gcd
 
 import pytest
 
+import plumbcalc.plumbing
 from plumbcalc.arith import NotExpandableError
 from plumbcalc.lattice import (
     Definiteness,
+    GramLattice,
     classify,
     definiteness_sign,
     determinant,
@@ -37,6 +39,7 @@ from plumbcalc.plumbing import (
     twist_reduce,
     ue_spin_bound,
 )
+from plumbcalc.lens import d_from_plumbing
 
 
 def minus_e8_tree() -> PlumbingGraph:
@@ -317,3 +320,19 @@ class TestUeSpinBound:
         bound = ue_spin_bound(negdef_plumbing(BrieskornTriple(2, 3, 7)))
         assert bound.max_b2 == 0
         assert bound.b2_mod16 == 8
+
+
+def test_plumbing_invariants_build_no_dense_gram(monkeypatch):
+    """mu-bar, the spin bound, the negdef post-check and d read the tree's
+    sparse rows: building any dense Gram matrix fails the test."""
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense Gram matrix was built")
+
+    monkeypatch.setattr(plumbcalc.plumbing, "graph_to_gram", dense)
+    monkeypatch.setattr(GramLattice, "__post_init__", dense)
+    g = negdef_plumbing(BrieskornTriple(2, 13, 23), post_check=True)
+    assert mubar(g) == -1
+    assert ue_spin_bound(g) == (8, 8, -1)
+    assert d_from_plumbing(g).value == 2
+    assert mubar(negdef_plumbing(BrieskornTriple(5, 3498, 4997))) == -1  # family (v), n = 100: rank 2511
