@@ -18,7 +18,6 @@ convention is deliberately not implemented.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
 
 __all__ = [
     "Fraction",
@@ -101,15 +100,18 @@ def hj_expand(value) -> tuple[int, ...]:
     v = Fraction(value)
     if v <= 1:
         raise NotExpandableError(f"{v} has no all->=2 expansion (need value > 1)")
+    return _hj_word(v.numerator, v.denominator)
+
+
+def _hj_word(a: int, b: int) -> tuple[int, ...]:
+    """``hj_expand(a/b)`` for integers a > b >= 1: c = ceil(a/b), (a, b) <- (b, c b - a)."""
     out: list[int] = []
-    while True:
-        c = ceil(v)
+    while b:
+        c = -(-a // b)
         out.append(c)
-        if v == c:
-            return tuple(out)
-        # 0 < c - v < 1, so the next value is again > 1 and the
-        # denominator strictly drops: termination is Euclidean.
-        v = 1 / (c - v)
+        # 0 <= c b - a < b, so the denominator strictly drops
+        a, b = b, c * b - a
+    return tuple(out)
 
 
 def hj_expand_negative(value) -> tuple[int, ...]:

@@ -39,6 +39,7 @@ from .plumbing import (
     ChainDiagram,
     PlumbingGraph,
     SeifertData,
+    brieskorn_rank,
     brieskorn_seifert,
     chain_to_gram,
     graph_to_gram,
@@ -58,10 +59,12 @@ class TableInvariantError(ValueError):
     """A stored family table row violates one of its structural invariants."""
 
 
-def _check_family(fam: str) -> str:
+def _check_family(fam: str, n: int = 1) -> str:
     fam = fam.strip().lower().lstrip("(").rstrip(")")
     if fam not in FAMILY_IDS:
         raise ValueError(f"unknown family {fam!r}; expected one of {FAMILY_IDS}")
+    if n < 1:
+        raise ValueError("family parameter n must be >= 1")
     return fam
 
 
@@ -84,9 +87,7 @@ _TRIPLES: dict[str, tuple[tuple[int, int], tuple[int, int], tuple[int, int]]] = 
 
 def family_triple(fam: str, n: int) -> BrieskornTriple:
     """The Brieskorn multiplicities of family ``fam`` at parameter n >= 1."""
-    fam = _check_family(fam)
-    if n < 1:
-        raise ValueError("family parameter n must be >= 1")
+    fam = _check_family(fam, n)
     coords = tuple(a * n + b for a, b in _TRIPLES[fam])
     try:
         return BrieskornTriple(*coords)
@@ -119,9 +120,7 @@ def family_seifert(fam: str, n: int) -> SeifertData:
     with ``brieskorn_seifert(family_triple(fam, n))`` in its standard
     orientation, which ``verify_theorem_main`` checks.
     """
-    fam = _check_family(fam)
-    if n < 1:
-        raise ValueError("family parameter n must be >= 1")
+    fam = _check_family(fam, n)
     p1, pair2, pair3 = _SEIFERT_ROWS[fam]
     a2 = pair2[0][0] * n + pair2[0][1]
     b2 = pair2[1][0] * n + pair2[1][1]
@@ -139,11 +138,9 @@ def family_chain(fam: str, n: int) -> ChainDiagram:
     link; families (i)-(iv) only.  ``twist_reduce`` collapses it to the
     rank-8 endpoint chain independent of n.
     """
-    fam = _check_family(fam)
+    fam = _check_family(fam, n)
     if fam not in ("i", "ii", "iii", "iv"):
         raise ValueError("chain presentations exist for families (i)-(iv) only")
-    if n < 1:
-        raise ValueError("family parameter n must be >= 1")
     if fam == "i":
         # 2^[6] . n . 0 .(2) (4-4n) . 2
         framings = (2, 2, 2, 2, 2, 2, n, 0, 4 - 4 * n, 2)
@@ -229,15 +226,13 @@ def _poly2(coeffs: tuple[int, int, int], n: int) -> int:
 def surgery_parameters(fam: str, n: int) -> SurgeryParameters:
     """The (r, s, p, q, k, c, witness) row for families (i)-(iv) at n >= 1.
 
-    Structural invariants are enforced: p = r + 1, coprimality of both lens
-    pairs, gcd(k, p) = 1 and k^2 q == 1 mod p (the dual-class normalization),
+    p = r + 1 by construction; enforced are coprimality of both lens pairs,
+    gcd(k, p) = 1 and k^2 q == 1 mod p (the dual-class normalization),
     witness_i = floor((q+1)/2) - n.
     """
-    fam = _check_family(fam)
+    fam = _check_family(fam, n)
     if fam not in _SURGERY_TABLE:
         raise ValueError("surgery parameters exist for families (i)-(iv) only")
-    if n < 1:
-        raise ValueError("family parameter n must be >= 1")
     row = _SURGERY_TABLE[fam]
     r = _poly2(row["r"], n)
     s = _poly2(row["s"], n)
@@ -247,8 +242,6 @@ def surgery_parameters(fam: str, n: int) -> SurgeryParameters:
     c = (((k + 1 + p) * (k - 1)) // 2) % p
     witness = (q + 1) // 2 - n
     params = SurgeryParameters(fam, n, r, s, p, q, k, c, witness)
-    if p != r + 1:
-        raise TableInvariantError("p != r + 1")
     if gcd(r, s) != 1 or gcd(p, q) != 1:
         raise TableInvariantError(f"({fam}, {n}): lens parameters not coprime")
     if gcd(k, p) != 1 or (k * k * q) % p != 1 % p:
@@ -508,8 +501,9 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
     plumbing Gram is (+/-)E8 on the nose.
 
     The standard-orientation plumbing is negative definite; the reversed
-    orientation gives the positive star.  Both are tested; rank != 8 short
-    circuits before any Gram matrix is built.
+    orientation gives the positive star.  Both are tested; rank != 8, read
+    off in integers by ``brieskorn_rank``, short circuits before any graph
+    is built.
     """
     if bound > 100:
         raise ValueError("classification scan is guarded at bound <= 100")
@@ -519,14 +513,13 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
             if gcd(p, q) != 1:
                 continue
             for r in range(q + 1, bound + 1):
-                if gcd(p, r) != 1 or gcd(q, r) != 1:
+                if gcd(p, r) != 1 or gcd(q, r) != 1 or brieskorn_rank(p, q, r) != 8:
                     continue
                 triple = BrieskornTriple(p, q, r)
-                G = negdef_plumbing(triple, post_check=False)
-                hit = G.rank == 8 and recognize_e8(graph_to_gram(G)) == -1
+                hit = recognize_e8(graph_to_gram(negdef_plumbing(triple, post_check=False))) == -1
                 if not hit:
                     rev = seifert_to_plumbing(brieskorn_seifert(triple, reversed_orientation=True))
-                    hit = rev.rank == 8 and recognize_e8(graph_to_gram(rev)) == 1
+                    hit = recognize_e8(graph_to_gram(rev)) == 1
                 if hit:
                     out.append((p, q, r))
     return out

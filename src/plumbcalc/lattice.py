@@ -363,8 +363,7 @@ def recognize_e8(L: GramLattice) -> Optional[int]:
     """+1 for the E8 form, -1 for -E8, None otherwise.
 
     Uses the classification of definite even unimodular rank-8 forms: rank 8,
-    even, |det| = 1 and definiteness determine the form.  The rank test runs
-    first so the scan over thousands of candidate lattices stays cheap.
+    even, |det| = 1 and definiteness determine the form.
     """
     if L.rank != 8:
         return None

@@ -58,8 +58,8 @@ from .plumbing import ChainDiagram, PlumbingGraph, _tree_rows, chain_to_gram, st
 
 
 class ScanGuardExceededError(ValueError):
-    """A work guard would be exceeded: ``SCAN_GUARD`` on the tau-function scan
-    of ``d_from_plumbing``, or ``LABEL_GUARD`` on all-labels lens work."""
+    """A work guard would be exceeded: ``SCAN_GUARD`` on the tau-function scan of
+    ``d_from_plumbing``, ``LABEL_GUARD`` on all-labels lens work, ``ORACLE_GUARD`` on ``lens_d_oracle``."""
 
 
 # Longest tau-function scan d_from_plumbing runs, about a second of work; the
@@ -69,6 +69,12 @@ SCAN_GUARD = 2_000_000
 # Largest lens order p of lens_d_all and d_surgery, about 2 s of work; the
 # largest thm1.3 member at n <= 50, family (iii) at n = 50, has p = 523958.
 LABEL_GUARD = 600_000
+
+# Largest lens order p of lens_d_oracle.  Cost follows the chain's rank, not p
+# (L(400, 7) 48 s, L(800, 7) 4.3 s); the worst q at each p <= 90 takes at most
+# 1.4 s (L(89, 8), Python 3.11 on one Xeon core), L(100, 9) 3 s.  The tests
+# and the benchmark stay at p <= 60.
+ORACLE_GUARD = 90
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +160,8 @@ def _chain_route(p: int, q: int) -> tuple[tuple[int, ...], bool]:
     directly, x = q (or its inverse) gives -L(p, q), requiring negation of
     the resulting correction terms.
     """
-    candidates = []
-    for x, negate in ((p - q, False), (mod_inverse(p - q, p), False), (q, True), (mod_inverse(q, p), True)):
-        word = hj_expand(Fraction(p, x))
-        candidates.append((len(word), word, negate))
-    candidates.sort(key=lambda t: (t[0], t[2]))
-    _, word, negate = candidates[0]
-    return word, negate
+    xs = ((p - q, False), (mod_inverse(p - q, p), False), (q, True), (mod_inverse(q, p), True))
+    return min(((hj_expand(Fraction(p, x)), negate) for x, negate in xs), key=lambda t: (len(t[0]), t[1]))
 
 
 def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
@@ -171,25 +172,24 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
     d = (max c^2 + rank)/4 on the chain boundary.  Labels are the oracle's
     own canonical coset indices; only the multiset is comparable with
     ``lens_d_all`` (the two methods share no conventions, and no code).
+    Raises :class:`ScanGuardExceededError` for p above ``ORACLE_GUARD``.
     """
     L = LensSpace(p, q)
     p, q = L.p, L.q
+    if p > ORACLE_GUARD:
+        raise ScanGuardExceededError(f"lens order {p} exceeds the oracle guard {ORACLE_GUARD}")
     if p == 1:
         return {0: Fraction(0)}
     word, negate = _chain_route(p, q)
-    weights = tuple(-c for c in word)
-    chain = ChainDiagram(weights)
-    G = chain_to_gram(chain)
+    G = chain_to_gram(ChainDiagram(tuple(-c for c in word)))
     n = G.rank
     elim = _eliminate(_sparse(G.rows))  # negative definite
     det = abs(elim.det())
     assert det == p
     # canonical coset functional: phi(u) = <a, u> mod p with a = det * G^{-1} e0
     a_vec = elim.solve([det if i == 0 else 0 for i in range(n)])
-    a_int = []
-    for x in a_vec:
-        assert x.denominator == 1
-        a_int.append(int(x))
+    assert all(x.denominator == 1 for x in a_vec)
+    a_int = [int(x) for x in a_vec]
     # an index where the functional is invertible mod p
     m_idx = next(i for i, x in enumerate(a_int) if gcd(x % p, p) == 1)
     inv_am = mod_inverse(a_int[m_idx], p)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import NotCoprimeError, NotExpandableError, cf_eval, hj_expand, hj_expand_negative, mod_inverse
+from .arith import NotCoprimeError, NotExpandableError, _hj_word, cf_eval, hj_expand, hj_expand_negative, mod_inverse
 from .lattice import GramLattice, _eliminate, _Elimination, _wu
 
 
@@ -406,6 +406,12 @@ def brieskorn_seifert(T: BrieskornTriple, reversed_orientation: bool = False) ->
         assert data.euler_number() == Fraction(1, p * q * r)
         return data
     return data.normalized()
+
+
+def brieskorn_rank(p: int, q: int, r: int) -> int:
+    """Rank of both orientations' plumbings of Sigma(p,q,r), in integers: a branch a with
+    residue b = (product of the other two)^{-1} mod a is the leg HJ(a/(a - b)) in both."""
+    return 1 + sum(len(_hj_word(a, a - mod_inverse(x * y, a))) for a, x, y in ((p, q, r), (q, p, r), (r, p, q)))
 
 
 def negdef_plumbing(T: BrieskornTriple, post_check: bool = True) -> PlumbingGraph:

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 
@@ -40,7 +40,36 @@ class TestCfEval:
             cf_eval([])
 
 
+def fraction_hj_expand(value) -> tuple[int, ...]:
+    """Reference expansion in Fraction arithmetic, the oracle for
+    ``hj_expand``'s integer loop: c = ceil(v), then v <- 1/(c - v) until v is
+    an integer."""
+    v = Fraction(value)
+    if v <= 1:
+        raise NotExpandableError(f"{v} has no all->=2 expansion (need value > 1)")
+    out: list[int] = []
+    while True:
+        c = ceil(v)
+        out.append(c)
+        if v == c:
+            return tuple(out)
+        v = 1 / (c - v)
+
+
 class TestExpansion:
+    def test_integer_loop_matches_fraction_oracle(self):
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            word = tuple(rng.randint(2, 40) for _ in range(rng.randint(1, 8)))
+            value = cf_eval(word)
+            assert fraction_hj_expand(value) == word
+            assert hj_expand(value) == word
+        for bad in (1, 0, -5, Fraction(1, 2), Fraction(-7, 3)):
+            with pytest.raises(NotExpandableError):
+                fraction_hj_expand(bad)
+            with pytest.raises(NotExpandableError):
+                hj_expand(bad)
+
     def test_four_thirds(self):
         assert hj_expand(Fraction(4, 3)) == (2, 2, 2)
 

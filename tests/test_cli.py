@@ -102,6 +102,19 @@ class TestLensCommand:
         assert err == f"error: lens order {p} exceeds the label guard 600000\n"
         assert time.monotonic() - t0 < 5.0
 
+    @pytest.mark.parametrize("p", [91, 400, 1000000007])
+    def test_oracle_guard_exits_3_quickly(self, capsys, p):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "lens-d", str(p), "3", "--all", "--oracle")
+        assert code == 3 and out == ""
+        assert err == f"error: lens order {p} exceeds the oracle guard 90\n"
+        assert time.monotonic() - t0 < 5.0
+
+    def test_oracle_guard_admits_p_60(self, capsys):
+        # the benchmark's --oracle items reach p = 60
+        code, out, _ = run(capsys, "lens-d", "60", "7", "--all", "--oracle")
+        assert code == 0 and len(out.strip().split("\n")) == 60
+
 
 class TestMubarCommand:
     def test_triples(self, capsys):

@@ -27,6 +27,7 @@ from plumbcalc.plumbing import (
     PatternNotFoundError,
     PlumbingGraph,
     SeifertData,
+    brieskorn_rank,
     brieskorn_seifert,
     chain_to_gram,
     graph_to_gram,
@@ -274,6 +275,24 @@ class TestBrieskorn:
                     negdef_plumbing(BrieskornTriple(p, q, r))
                     count += 1
         assert count > 4000
+
+    def test_integer_rank_matches_both_orientations_up_to_45(self):
+        # brieskorn_rank is classify-e8's pre-test: it must equal the rank of
+        # the negative-definite plumbing and of the reversed star
+        count = 0
+        for p in range(2, 46):
+            for q in range(p + 1, 46):
+                if gcd(p, q) != 1:
+                    continue
+                for r in range(q + 1, 46):
+                    if gcd(p, r) != 1 or gcd(q, r) != 1:
+                        continue
+                    T = BrieskornTriple(p, q, r)
+                    rank = brieskorn_rank(p, q, r)
+                    assert rank == negdef_plumbing(T, post_check=False).rank, T
+                    assert rank == seifert_to_plumbing(brieskorn_seifert(T, reversed_orientation=True)).rank, T
+                    count += 1
+        assert count > 3000
 
 
 # ---------------------------------------------------------------------------
