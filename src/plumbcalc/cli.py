@@ -18,6 +18,7 @@ computes its answer afresh; nothing is cached between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -262,7 +263,9 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--json", action="store_true", help="print machine-readable JSON", **kw)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     ap = argparse.ArgumentParser(
         prog="plumbcalc",
         description="Exact invariants of plumbed 3-manifolds and integral lattices.",

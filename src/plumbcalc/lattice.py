@@ -6,12 +6,13 @@ are exact, and all rational elimination goes through one kernel,
 minimum-degree order, which on plumbing trees is leaves first and creates no
 fill-in.  Its pivots give the determinant (their product) and the inertia
 (their signs, by Sylvester's law), which decide signature and definiteness;
-its factors give exact solves and drive the Fincke-Pohst style vector
-enumeration.  The kernel reads sparse rows, one ``{column: entry}`` dict of
-nonzero entries per basis vector: a dense Gram matrix converts once through
-``_sparse``, and a plumbing tree builds its rows from its edges.  The Wu class
-is one more solve on the same elimination.  Nothing here ever touches a
-float.
+its factors give exact solves and drive the Fincke-Pohst vector
+enumeration, which scales them to integers once per elimination and then
+runs in integer arithmetic for any number of centres.  The kernel reads
+sparse rows, one ``{column: entry}`` dict of nonzero entries per basis
+vector: a dense Gram matrix converts once through ``_sparse``, and a plumbing
+tree builds its rows from its edges.  The Wu class is one more solve on the
+same elimination.  Nothing here ever touches a float.
 
 Conventions used by several operations:
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from typing import Callable, NamedTuple, Optional, Sequence
 
 
@@ -400,147 +401,125 @@ def _wu(elim: _Elimination, diag: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact quadratic-form enumeration (Fincke-Pohst with rational LDL^T)
-
-
-def _floor_sqrt_ratio(num: int, den: int) -> int:
-    """floor(sqrt(num/den)) for num >= 0, den > 0, exactly."""
-    return isqrt(num * den) // den
-
-
-def _floor_z_plus_sqrt(z: Fraction, t: Fraction) -> int:
-    """floor(z + sqrt(t)) exactly, for t >= 0.
-
-    Starts from an overshoot and steps down; exits within three steps since
-    floor(sqrt(t)) differs from sqrt(t) by less than 1.
-    """
-    s = _floor_sqrt_ratio(t.numerator, t.denominator)
-    x = (z.numerator // z.denominator) + s + 2
-    while True:
-        diff = x - z
-        if diff <= 0 or diff * diff <= t:
-            return x
-        x -= 1
+# Exact quadratic-form enumeration (Fincke-Pohst in scaled integers)
 
 
 class _Enumerator:
-    """Shared exact enumeration over Q(x - center) for x in Z^n.
+    """Exact enumeration over Q(x - center) for x in Z^n, in integers.
 
     Q = sign * G is positive definite and is read off the elimination of G,
-    in its positional coordinates.  Enumeration is depth-first from the last
-    coordinate, visiting candidate values of each coordinate outward from the
-    real-valued minimizer, which makes the first full assignment the Babai
-    nearest point and gives strong exact pruning.
+    in its positional coordinates: Q(y) = sum_i d_i (y_i + sum_j u_ij y_j)^2
+    with d_i = sign * pivot_i.  It is scaled once per elimination: with Lu
+    the lcm of the denominators of the u_ij and Dd that of the d_i, ``U``
+    holds u_ij Lu and ``W`` holds d_i Dd, all integers.  A run takes a center
+    as integer numerators C over one denominator den; with L = Lu den every
+    value it handles is an integer scaled by S = Dd L^2 (``scale``), so no
+    rational is built per node.
+
+    Enumeration is depth-first from the last coordinate, visiting candidate
+    values of each coordinate outward from the real-valued minimizer, which
+    makes the first full assignment the Babai nearest point and gives strong
+    exact pruning.
     """
 
-    def __init__(self, elim: _Elimination, sign: int, center: Sequence[Fraction]):
-        self.d = [sign * p for p in elim.pivots]
-        self.u = elim.rows
-        self.center = [Fraction(c) for c in center]
-        self.n = len(self.d)
+    def __init__(self, elim: _Elimination, sign: int):
+        self.sign = sign
+        self.order = elim.order
+        self.lu = lcm(*(u.denominator for row in elim.rows for _, u in row))
+        self.dd = lcm(*(d.denominator for d in elim.pivots))
+        self.W = [int(sign * d * self.dd) for d in elim.pivots]
+        self.U = [[(q, int(u * self.lu)) for q, u in row] for row in elim.rows]
 
-    def _coordinate_window(self, z: Fraction, di: Fraction, budget: Fraction) -> tuple[int, int]:
-        """Integer range [lo, hi] with d*(x-z)^2 <= budget; may be empty."""
-        t = budget / di
-        hi = _floor_z_plus_sqrt(z, t)
-        lo = -_floor_z_plus_sqrt(-z, t)
-        return lo, hi
+    def scale(self, den: int) -> int:
+        """S = Dd (Lu den)^2: a run with denominator den reports Q * S."""
+        return self.dd * (self.lu * den) ** 2
 
-    def run(self, bound: Fraction, on_leaf: Callable[[list[int], Fraction], Optional[Fraction]]):
-        """Visit every x with Q(x - center) <= bound.
+    def run(self, center: Sequence[int], den: int, bound: int, on_leaf: Callable[[list[int], int], Optional[int]]):
+        """Visit every x with Q(x - center/den) * S <= bound, S = scale(den).
 
-        ``on_leaf(x, value)`` may return a new (smaller) bound to shrink the
-        search on the fly, or None to keep the current bound.
+        ``center`` is in positional coordinates.  ``on_leaf(x, value)`` gets
+        the scaled value and may return a new (smaller) scaled bound to
+        shrink the search on the fly, or None to keep the current bound.
         """
-        n = self.n
+        n = len(self.W)
         if n == 0:
-            new = on_leaf([], Fraction(0))
+            on_leaf([], 0)
             return
-        d, u, center = self.d, self.u, self.center
+        W, U, L = self.W, self.U, self.lu * den
+        CL = [c * self.lu for c in center]
         x = [0] * n
-        y = [Fraction(0)] * n  # y_i = x_i - center_i
-
+        Y = [0] * n  # Y_j = x_j den - C_j = (x_j - center_j) den
         state_bound = bound
 
-        def descend(i: int, partial: Fraction):
+        def descend(i: int, partial: int):
             nonlocal state_bound
-            # shifted center for coordinate i given the choices above it
-            s_i = Fraction(0)
-            for j, uij in u[i]:
-                if y[j]:
-                    s_i += uij * y[j]
-            z = center[i] - s_i
             budget = state_bound - partial
             if budget < 0:
                 return
-            lo, hi = self._coordinate_window(z, d[i], budget)
+            # shifted center z = Z/L for coordinate i given the choices above it
+            Z = CL[i]
+            for j, uij in U[i]:
+                Z -= uij * Y[j]
+            # W (x L - Z)^2 <= budget  <=>  |x L - Z| <= s, as (x L - Z)^2 is an integer
+            w = W[i]
+            s = isqrt(budget // w)
+            lo, hi = -((s - Z) // L), (Z + s) // L
             if lo > hi:
                 return
-            # zigzag outward from the nearest integer, lower value first on ties
-            base = (2 * z.numerator + z.denominator) // (2 * z.denominator)  # floor(z + 1/2)
-            base = min(max(base, lo), hi)
+            # zigzag outward from the nearest integer floor(z + 1/2), lower value first on ties
+            base = min(max((2 * Z + L) // (2 * L), lo), hi)
             order = [base]
-            step = 1
-            while True:
-                added = False
+            for step in range(1, max(base - lo, hi - base) + 1):
                 if base - step >= lo:
                     order.append(base - step)
-                    added = True
                 if base + step <= hi:
                     order.append(base + step)
-                    added = True
-                if not added:
-                    break
-                step += 1
+            c = center[i]
             for xi in order:
-                term = d[i] * (xi - z) ** 2
-                total = partial + term
+                t = xi * L - Z
+                total = partial + w * t * t
                 if total > state_bound:
                     continue
                 x[i] = xi
-                y[i] = xi - center[i]
+                Y[i] = xi * den - c
                 if i == 0:
                     new = on_leaf(x, total)
                     if new is not None and new < state_bound:
                         state_bound = new
                 else:
                     descend(i - 1, total)
-            y[i] = Fraction(0)
 
-        descend(n - 1, Fraction(0))
+        descend(n - 1, 0)
 
 
-def _closest_point(elim: _Elimination, sign: int, center: Sequence[Fraction]) -> tuple[Fraction, tuple[int, ...]]:
-    """Minimize (x - center)^T Q (x - center) over integer x, for Q = sign * G
-    positive definite and ``elim`` the elimination of G.
+def _closest_point(enum: _Enumerator, center: Sequence[int], den: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Minimize Q(x - center/den) over integer x, for the positive definite
+    Q = sign * G that ``enum`` enumerates; ``center`` holds integer
+    numerators in the original coordinates.
 
     Returns (minimum value, first minimizer in the deterministic search
-    order).  The first leaf visited is the Babai nearest-plane point, so the
-    search self-seeds.
+    order).  The initial bound is the value at the coordinatewise rounding
+    of the center, which is also the minimizer until a leaf beats it.
     """
-    order = elim.order
-    n = len(order)
-    enum = _Enumerator(elim, sign, [center[v] for v in order])
-    centerp = enum.center
-    # safe initial bound: the value at the coordinatewise rounding of center
-    x0 = [(2 * c.numerator + c.denominator) // (2 * c.denominator) for c in centerp]
-    diff = [x0[i] - centerp[i] for i in range(n)]
-    bound = sum((di * (diff[i] + sum(u * diff[j] for j, u in enum.u[i])) ** 2 for i, di in enumerate(enum.d)), Fraction(0))
+    order, W, U, lu = enum.order, enum.W, enum.U, enum.lu
+    centerp = [center[v] for v in order]
+    x0 = [(2 * c + den) // (2 * den) for c in centerp]
+    Y = [x * den - c for x, c in zip(x0, centerp)]
+    bound = sum(w * (Y[i] * lu + sum(u * Y[j] for j, u in U[i])) ** 2 for i, w in enumerate(W))
     best: list = [bound, tuple(x0)]
 
-    def on_leaf(xp: list[int], value: Fraction):
+    def on_leaf(xp: list[int], value: int):
         if value < best[0]:
             best[0] = value
             best[1] = tuple(xp)
             return value
         return None
 
-    enum.run(bound, on_leaf)
-    xp = best[1]
-    x = [0] * n
-    for i in range(n):
-        x[order[i]] = xp[i]
-    return best[0], tuple(x)
+    enum.run(centerp, den, bound, on_leaf)
+    x = [0] * len(order)
+    for i, v in enumerate(order):
+        x[v] = best[1][i]
+    return Fraction(best[0], enum.scale(den)), tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +536,18 @@ def short_vectors(L: GramLattice, norm_target: int) -> list[tuple[int, ...]]:
     sign = elim.sign()
     if sign is None:
         raise NotDefiniteError("short_vectors requires a definite lattice")
-    return _short_vectors(elim, sign, norm_target)
+    return _short_vectors(_Enumerator(elim, sign), norm_target)
 
 
-def _short_vectors(elim: _Elimination, sign: int, norm_target: int) -> list[tuple[int, ...]]:
-    """``short_vectors`` on the elimination of a lattice of definiteness sign."""
-    if not elim.order or norm_target == 0 or (norm_target > 0) != (sign > 0):
+def _short_vectors(enum: _Enumerator, norm_target: int) -> list[tuple[int, ...]]:
+    """``short_vectors`` on the lattice that ``enum`` enumerates."""
+    order = enum.order
+    if not order or norm_target == 0 or (norm_target > 0) != (enum.sign > 0):
         return []
-    order, target = elim.order, abs(norm_target)
+    target = abs(norm_target) * enum.scale(1)
     found: list[tuple[int, ...]] = []
 
-    def on_leaf(xp: list[int], value: Fraction):
+    def on_leaf(xp: list[int], value: int):
         if value == target:
             x = [0] * len(order)
             for i, v in enumerate(order):
@@ -576,7 +556,7 @@ def _short_vectors(elim: _Elimination, sign: int, norm_target: int) -> list[tupl
                 found.append(tuple(x))
         return None
 
-    _Enumerator(elim, sign, [Fraction(0)] * len(order)).run(Fraction(target), on_leaf)
+    enum.run([0] * len(order), 1, target, on_leaf)
     return sorted(found)
 
 
@@ -608,7 +588,7 @@ def max_char_square(L: GramLattice) -> CharMax:
     split = minimalize(L)
     minimal = _eliminate(_sparse(split.minimal.rows))
     c0 = _wu(minimal, split.minimal.diagonal())
-    val, v = _closest_point(minimal, -1, [Fraction(-c, 2) for c in c0])
+    val, v = _closest_point(_Enumerator(minimal, -1), [-c for c in c0], 2)
     # c = c0 + 2v on the minimal part, where c^T(-G)c = 4 * val, and 1 on each <-1>
     block_vec = [c + 2 * x for c, x in zip(c0, v)] + [1] * split.minus_ones
     B = split.basis_change
@@ -725,7 +705,7 @@ def minimalize(
     split_plus: list[list[int]] = []
     split_minus: list[list[int]] = []
     while len(cur) > 0:
-        vecs = _short_vectors(elim, sign, sign)
+        vecs = _short_vectors(_Enumerator(elim, sign), sign)
         if not vecs:
             break
         v = chooser(vecs) if chooser is not None else min(vecs)
@@ -787,9 +767,10 @@ def isometric(L1: GramLattice, L2: GramLattice, max_rank: int = 12) -> Optional[
     if n == 0:
         return ()
     targets = L2.diagonal()
+    enum = _Enumerator(e1, s1)
     candidates: dict[int, list[tuple[int, ...]]] = {}
     for t in set(targets):
-        reps = _short_vectors(e1, s1, t)
+        reps = _short_vectors(enum, t)
         signed = reps + [tuple(-x for x in v) for v in reps]
         candidates[t] = signed
         if not signed:

@@ -36,7 +36,8 @@ a method sharing no code path with the recursion: it builds a
 negative-definite linear plumbing for the lens space (choosing the shortest
 of the four available continued-fraction routes) and maximizes
 (c^2 + rank)/4 over each coset of characteristic covectors by exact
-closest-vector enumeration.
+closest-vector enumeration.  The p cosets share one elimination of the chain
+and one integer enumerator built from it; their centres come from two solves.
 
 Plumbed spheres.  ``d_from_plumbing`` uses Nemethi's tau-function, an
 integer scan, with a re-checked certificate; the characteristic-vector
@@ -53,7 +54,7 @@ from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import NotCoprimeError, hj_expand, mod_inverse
-from .lattice import NotNegativeDefiniteError, NotUnimodularError, _closest_point, _eliminate, _sparse
+from .lattice import NotNegativeDefiniteError, NotUnimodularError, _closest_point, _eliminate, _Enumerator, _sparse
 from .plumbing import ChainDiagram, PlumbingGraph, _tree_rows, chain_to_gram, star_legs
 
 
@@ -71,10 +72,10 @@ SCAN_GUARD = 2_000_000
 LABEL_GUARD = 600_000
 
 # Largest lens order p of lens_d_oracle.  Cost follows the chain's rank, not p
-# (L(400, 7) 48 s, L(800, 7) 4.3 s); the worst q at each p <= 90 takes at most
-# 1.4 s (L(89, 8), Python 3.11 on one Xeon core), L(100, 9) 3 s.  The tests
-# and the benchmark stay at p <= 60.
-ORACLE_GUARD = 90
+# (L(400, 7) 2.3 s, L(800, 7) 0.2 s); the worst q at each p <= 144 takes at
+# most 0.9 s (L(133, 11), Python 3.11 on one Xeon core), L(145, 133) 1.6 s and
+# L(197, 183) 15 s.  The tests and the benchmark stay at p <= 60.
+ORACLE_GUARD = 144
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +194,16 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
     # an index where the functional is invertible mod p
     m_idx = next(i for i, x in enumerate(a_int) if gcd(x % p, p) == 1)
     inv_am = mod_inverse(a_int[m_idx], p)
-    diag = list(G.diagonal())
+    # coset s has t = diag(G) + 2 u_s e_m with u_s = s / a_m mod p, and centre
+    # -G^{-1} t / 2 = -(base + u_s col) / (2 det), base and col integral
+    base = [int(det * x) for x in elim.solve(G.diagonal())]
+    col = [int(det * x) for x in elim.solve([2 if i == m_idx else 0 for i in range(n)])]
+    enum = _Enumerator(elim, -1)
     out: dict[int, Fraction] = {}
     for s in range(p):
-        u = [0] * n
-        u[m_idx] = (s * inv_am) % p
-        t0 = [diag[i] + 2 * u[i] for i in range(n)]
-        kappa = elim.solve(t0)
-        center = [-x / 2 for x in kappa]
-        val, _ = _closest_point(elim, -1, center)
-        min_p = 4 * val  # minimum of c^T(-G)c over the coset
-        d_val = (-min_p + n) / 4
+        u = (s * inv_am) % p
+        val, _ = _closest_point(enum, [-(b + u * c) for b, c in zip(base, col)], 2 * det)
+        d_val = (n - 4 * val) / 4  # 4 val is the minimum of c^T(-G)c over the coset
         out[s] = -d_val if negate else d_val
     return out
 

@@ -102,18 +102,19 @@ class TestLensCommand:
         assert err == f"error: lens order {p} exceeds the label guard 600000\n"
         assert time.monotonic() - t0 < 5.0
 
-    @pytest.mark.parametrize("p", [91, 400, 1000000007])
+    @pytest.mark.parametrize("p", [145, 400, 1000000007])
     def test_oracle_guard_exits_3_quickly(self, capsys, p):
         t0 = time.monotonic()
         code, out, err = run(capsys, "lens-d", str(p), "3", "--all", "--oracle")
         assert code == 3 and out == ""
-        assert err == f"error: lens order {p} exceeds the oracle guard 90\n"
+        assert err == f"error: lens order {p} exceeds the oracle guard 144\n"
         assert time.monotonic() - t0 < 5.0
 
-    def test_oracle_guard_admits_p_60(self, capsys):
-        # the benchmark's --oracle items reach p = 60
-        code, out, _ = run(capsys, "lens-d", "60", "7", "--all", "--oracle")
-        assert code == 0 and len(out.strip().split("\n")) == 60
+    def test_oracle_guard_admits_p_144(self, capsys):
+        # the guard itself, and p = 60, which the benchmark's --oracle items reach
+        for p, q in ((144, 7), (60, 7)):
+            code, out, _ = run(capsys, "lens-d", str(p), str(q), "--all", "--oracle")
+            assert code == 0 and len(out.strip().split("\n")) == p
 
 
 class TestMubarCommand:
@@ -304,3 +305,17 @@ def test_malformed_argv_exits_cleanly(capsys, tmp_path):
         argv = [missing if a == "{missing}" else a for a in argv]
         code, _, err = run(capsys, *argv)
         assert code in (0, 2, 3) and "Traceback" not in err, argv
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys):
+    # the parser is built once per process: no run may see the options or the
+    # error of the run before it
+    seq = [["--json", "lens-d", "7", "2"], ["lens-d", "7", "2"], ["d", "2", "3"], ["lens-d", "7", "2", "--json"]]
+    seq += [["d", "2", "3", "5"], ["verify", "thm9.9"], ["mubar", "2", "3", "5"]]
+    shared = [run(capsys, *argv) for argv in seq]
+    fresh = []
+    for argv in seq:
+        plumbcalc.cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert plumbcalc.cli.build_parser() is plumbcalc.cli.build_parser()

@@ -10,6 +10,7 @@ real.
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import isqrt, lcm
 
 import pytest
 
@@ -23,7 +24,9 @@ from plumbcalc.lattice import (
     RankTooLargeError,
     Signature,
     SingularMod2Error,
+    _closest_point,
     _eliminate,
+    _Enumerator,
     _min_degree_order,
     _sparse,
     classify,
@@ -252,6 +255,203 @@ def test_short_vectors_even_lattice_has_no_unit_vectors():
 def test_short_vectors_requires_definite():
     with pytest.raises(NotDefiniteError):
         short_vectors(GramLattice(((0, 1), (1, 0))), 2)
+
+
+# ---------------------------------------------------------------------------
+# closest-vector enumeration: the scaled-integer enumerator against an
+# oracle that runs the same Fincke-Pohst search in Fractions
+
+
+def _floor_sqrt_ratio(num: int, den: int) -> int:
+    """floor(sqrt(num/den)) for num >= 0, den > 0, exactly."""
+    return isqrt(num * den) // den
+
+
+def _floor_z_plus_sqrt(z: Fraction, t: Fraction) -> int:
+    """floor(z + sqrt(t)) exactly, for t >= 0."""
+    s = _floor_sqrt_ratio(t.numerator, t.denominator)
+    x = (z.numerator // z.denominator) + s + 2
+    while True:
+        diff = x - z
+        if diff <= 0 or diff * diff <= t:
+            return x
+        x -= 1
+
+
+class FractionEnumerator:
+    """Depth-first enumeration over Q(x - center) in Fractions, with the
+    zigzag order and the pruning of ``lattice._Enumerator``."""
+
+    def __init__(self, elim, sign, center):
+        self.d = [sign * p for p in elim.pivots]
+        self.u = elim.rows
+        self.center = [Fraction(c) for c in center]
+        self.n = len(self.d)
+
+    def run(self, bound, on_leaf):
+        n = self.n
+        if n == 0:
+            on_leaf([], Fraction(0))
+            return
+        d, u, center = self.d, self.u, self.center
+        x = [0] * n
+        y = [Fraction(0)] * n
+        state_bound = bound
+
+        def descend(i, partial):
+            nonlocal state_bound
+            z = center[i] - sum((uij * y[j] for j, uij in u[i]), Fraction(0))
+            budget = state_bound - partial
+            if budget < 0:
+                return
+            t = budget / d[i]
+            lo, hi = -_floor_z_plus_sqrt(-z, t), _floor_z_plus_sqrt(z, t)
+            if lo > hi:
+                return
+            base = (2 * z.numerator + z.denominator) // (2 * z.denominator)
+            base = min(max(base, lo), hi)
+            order = [base]
+            step = 1
+            while True:
+                added = False
+                if base - step >= lo:
+                    order.append(base - step)
+                    added = True
+                if base + step <= hi:
+                    order.append(base + step)
+                    added = True
+                if not added:
+                    break
+                step += 1
+            for xi in order:
+                total = partial + d[i] * (xi - z) ** 2
+                if total > state_bound:
+                    continue
+                x[i] = xi
+                y[i] = xi - center[i]
+                if i == 0:
+                    new = on_leaf(x, total)
+                    if new is not None and new < state_bound:
+                        state_bound = new
+                else:
+                    descend(i - 1, total)
+            y[i] = Fraction(0)
+
+        descend(n - 1, Fraction(0))
+
+
+def fraction_closest_point(elim, sign, center):
+    """(minimum, first minimizer) of Q(x - center) by ``FractionEnumerator``."""
+    order = elim.order
+    n = len(order)
+    enum = FractionEnumerator(elim, sign, [center[v] for v in order])
+    centerp = enum.center
+    x0 = [(2 * c.numerator + c.denominator) // (2 * c.denominator) for c in centerp]
+    diff = [x0[i] - centerp[i] for i in range(n)]
+    bound = sum(
+        (di * (diff[i] + sum(u * diff[j] for j, u in enum.u[i])) ** 2 for i, di in enumerate(enum.d)), Fraction(0)
+    )
+    best = [bound, tuple(x0)]
+
+    def on_leaf(xp, value):
+        if value < best[0]:
+            best[0], best[1] = value, tuple(xp)
+            return value
+        return None
+
+    enum.run(bound, on_leaf)
+    x = [0] * n
+    for i in range(n):
+        x[order[i]] = best[1][i]
+    return best[0], tuple(x)
+
+
+def fraction_short_vectors(elim, sign, norm_target):
+    order, target = elim.order, abs(norm_target)
+    found = []
+
+    def on_leaf(xp, value):
+        if value == target:
+            x = [0] * len(order)
+            for i, v in enumerate(order):
+                x[v] = xp[i]
+            if next(v for v in x if v) > 0:
+                found.append(tuple(x))
+
+    FractionEnumerator(elim, sign, [Fraction(0)] * len(order)).run(Fraction(target), on_leaf)
+    return sorted(found)
+
+
+def random_definite(rng):
+    """A definite Gram matrix of rank <= 6 and either sign: a dense
+    A^T A + I, or a plumbing-like tree with diagonal of one sign."""
+    n = rng.randint(1, 6)
+    sign = rng.choice((1, -1))
+    if rng.random() < 0.5:
+        A = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        rows = [[sum(A[k][i] * A[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+        return GramLattice(tuple(tuple(sign * x for x in r) for r in rows))
+    while True:
+        L = random_tree_gram(rng, n, 2, 4)
+        if _eliminate(_sparse(L.rows)).sign() == 1:
+            return L if sign > 0 else L.negate()
+
+
+def random_center(rng, n, kind):
+    """Integer numerators over a common denominator: mixed denominators,
+    exact half-integers (every coordinate a rounding tie), or zero."""
+    if kind == "mixed":
+        dens = [rng.choice((1, 2, 3, 4, 5, 7, 12)) for _ in range(n)]
+        return [Fraction(rng.randint(-3 * k, 3 * k), k) for k in dens]
+    if kind == "half":
+        return [Fraction(2 * rng.randint(-3, 3) + 1, 2) for _ in range(n)]
+    return [Fraction(0)] * n
+
+
+def as_numerators(center):
+    den = lcm(*(c.denominator for c in center))
+    return [int(c * den) for c in center], den
+
+
+def test_integer_enumerator_matches_fraction_oracle():
+    # 240 seeded definite lattices of rank <= 6, both signs, three kinds of
+    # centre: the same leaves in the same order with the same values (scaled),
+    # the same closest point and the same short vectors
+    rng = random.Random(8080)
+    signs = set()
+    for trial in range(240):
+        L = random_definite(rng)
+        elim = _eliminate(_sparse(L.rows))
+        sign = elim.sign()
+        signs.add(sign)
+        enum = _Enumerator(elim, sign)
+        order, n = elim.order, L.rank
+        center = random_center(rng, n, ("mixed", "half", "zero")[trial % 3])
+        nums, den = as_numerators(center)
+        S = enum.scale(den)
+        centerp, numsp = [center[v] for v in order], [nums[v] for v in order]
+
+        # a fixed bound visits every leaf; a shrinking one follows the closest-point search
+        fixed = fraction_closest_point(elim, sign, center)[0] + 2
+        for shrink in (False, True):
+            old, new = [], []
+
+            def old_leaf(x, value):
+                old.append((tuple(x), value))
+                return value if shrink else None
+
+            def new_leaf(x, value):
+                new.append((tuple(x), value))
+                return value if shrink else None
+
+            FractionEnumerator(elim, sign, centerp).run(fixed, old_leaf)
+            _Enumerator(elim, sign).run(numsp, den, int(fixed * S), new_leaf)
+            assert new == [(x, v * S) for x, v in old]
+
+        assert _closest_point(enum, nums, den) == fraction_closest_point(elim, sign, center)
+        target = L.rows[trial % n][trial % n]
+        assert short_vectors(L, target) == fraction_short_vectors(elim, sign, target)
+    assert signs == {1, -1}
 
 
 # ---------------------------------------------------------------------------
