@@ -11,7 +11,7 @@ verify TASK        batch verification (thm1.2, thm1.3, cor1.6, rmk1.4,
 
 All printed rationals are exact strings ("2", "81/46"); no decimals are ever
 produced.  Exit codes: 0 success, 1 verification clause failure, 2 invalid
-input, 3 work guard exceeded (tau-scan length of ``d``, lens order).  Every command
+input, 3 work guard exceeded (tau window of ``d``, lens order).  Every command
 computes its answer afresh; nothing is cached between runs.
 """
 
@@ -36,7 +36,7 @@ from .families import (
 )
 from .lens import (
     ScanGuardExceededError,
-    d_from_plumbing,
+    d_brieskorn,
     lens_d,
     lens_d_all,
     lens_d_oracle,
@@ -70,8 +70,7 @@ def _parse_triple(args) -> BrieskornTriple:
 def cmd_d(args) -> int:
     triple = _parse_triple(args)
     try:
-        # d_from_plumbing checks definiteness and unimodularity itself
-        res = d_from_plumbing(negdef_plumbing(triple, post_check=False))
+        res = d_brieskorn(triple)
     except ScanGuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORK_GUARD
@@ -183,42 +182,22 @@ def cmd_verify(args) -> int:
             return EXIT_BAD_INPUT
 
     try:
-        if task == "thm1.2":
+        if task in ("thm1.2", "thm1.3", "cor1.6"):
+            run, summary = {
+                "thm1.2": (verify_theorem_main, lambda v: ""),
+                "thm1.3": (verify_correction_bound, lambda v: f"d = {v['d_surgery']} >= {v['bound']}: "),
+                "cor1.6": (verify_unbounded_gap, lambda v: f"minimal rank {v['minimal_rank']} >= 4d = {4 * Fraction(v['d'])}: "),
+            }[task]
             for fam in families:
                 for n in ns:
-                    rep = verify_theorem_main(fam, n)
+                    rep = run(fam, n)
                     reports.append(rep)
-                    status = "pass" if rep.passed else "FAIL"
-                    print(f"thm1.2 ({fam}, n={n}): {status}")
+                    print(f"{task} ({fam}, n={n}): {summary(rep.values)}{'pass' if rep.passed else 'FAIL'}")
                     if not rep.passed:
                         failed = True
                         for name, ok in rep.checks.items():
                             if not ok:
                                 print(f"  failing clause: {name}", file=sys.stderr)
-        elif task == "thm1.3":
-            for fam in families:
-                for n in ns:
-                    rep = verify_correction_bound(fam, n)
-                    reports.append(rep)
-                    status = "pass" if rep.passed else "FAIL"
-                    print(f"thm1.3 ({fam}, n={n}): d = {rep.values['d_surgery']} >= {rep.values['bound']}: {status}")
-                    if not rep.passed:
-                        failed = True
-                        for name, ok in rep.checks.items():
-                            if not ok:
-                                print(f"  failing clause: {name}", file=sys.stderr)
-        elif task == "cor1.6":
-            for fam in families:
-                for n in ns:
-                    rep = verify_unbounded_gap(fam, n)
-                    reports.append(rep)
-                    status = "pass" if rep.passed else "FAIL"
-                    print(
-                        f"cor1.6 ({fam}, n={n}): minimal rank {rep.values['minimal_rank']}"
-                        f" >= 4d = {4 * Fraction(rep.values['d'])}: {status}"
-                    )
-                    if not rep.passed:
-                        failed = True
         elif task == "rmk1.4":
             for fam in families:
                 rows = conjecture_scan(fam, ns)

@@ -30,6 +30,7 @@ from .lattice import GramLattice, minimalize, recognize_e8
 from .lens import (
     ScanGuardExceededError,
     SurgeryDescriptor,
+    d_brieskorn,
     d_from_plumbing,
     d_surgery,
     lens_d,
@@ -335,7 +336,8 @@ def verify_theorem_main(fam: str, n: int) -> VerificationReport:
     rep = VerificationReport("theorem-main", fam, n)
     rep.values["triple"] = triple.as_tuple()
 
-    bound = ue_spin_bound(negdef_plumbing(triple))
+    # one elimination: ue_spin_bound checks |det| = 1 and negative definiteness
+    bound = ue_spin_bound(negdef_plumbing(triple, post_check=False))
     rep.values["mubar"] = bound.mubar
     rep.checks["mubar_is_minus_one"] = bound.mubar == -1
 
@@ -418,7 +420,7 @@ def verify_unbounded_gap(fam: str, n: int) -> VerificationReport:
     """
     fam = _check_family(fam)
     rep = VerificationReport("unbounded-gap", fam, n)
-    G = negdef_plumbing(family_triple(fam, n))
+    G = negdef_plumbing(family_triple(fam, n), post_check=False)  # d_from_plumbing checks it
     gram = graph_to_gram(G)
     d = d_from_plumbing(G)
     split = minimalize(gram)
@@ -460,9 +462,8 @@ def conjecture_scan(fam: str, n_range: Iterable[int]) -> list[dict]:
     """Compare computed correction terms against the conjectured values.
 
     Output rows are reports, never assertions: a mismatch is flagged, not
-    raised (these are conjectures).  An entry whose tau-scan exceeds the
-    scan guard is computed by the surgery formula for families (i)-(iv) and
-    skipped otherwise, or past the label guard.
+    raised (these are conjectures).  An entry past the scan guard of
+    ``d_brieskorn`` is skipped.
     """
     fam = _check_family(fam)
     rows: list[dict] = []
@@ -476,22 +477,14 @@ def conjecture_scan(fam: str, n_range: Iterable[int]) -> list[dict]:
             "triple": triple.as_tuple(),
         }
         try:
-            try:
-                d_val = d_from_plumbing(negdef_plumbing(triple)).value
-                row["method"] = "plumbing"
-            except ScanGuardExceededError:
-                if fam not in _SURGERY_TABLE:
-                    raise
-                d_val = d_surgery(surgery_parameters(fam, n).descriptor()).value
-                row["method"] = "surgery"
+            d_val = d_brieskorn(triple).value
         except ScanGuardExceededError as exc:
             row["status"] = f"skipped: {exc}"
-            rows.append(row)
-            continue
-        row["computed"] = d_val
-        row["matches"] = d_val == row["predicted"]
-        if fam in ("i", "ii", "iii", "iv"):
-            row["meets_theorem_bound"] = d_val >= theorem_bound(fam, n)
+        else:
+            row["computed"] = d_val
+            row["matches"] = d_val == row["predicted"]
+            if fam in ("i", "ii", "iii", "iv"):
+                row["meets_theorem_bound"] = d_val >= theorem_bound(fam, n)
         rows.append(row)
     return rows
 

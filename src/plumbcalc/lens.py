@@ -39,9 +39,9 @@ of the four available continued-fraction routes) and maximizes
 closest-vector enumeration.  The p cosets share one elimination of the chain
 and one integer enumerator built from it; their centres come from two solves.
 
-Plumbed spheres.  ``d_from_plumbing`` uses Nemethi's tau-function, an
-integer scan, with a re-checked certificate; the characteristic-vector
-enumeration ``lattice.max_char_square`` is the tests' oracle for it.
+Plumbed spheres.  ``d_from_plumbing`` scans Nemethi's tau-function (a convex
+quadratic minus periodic tables) on a provable window around its vertex, with
+a re-checked certificate; ``lattice.max_char_square`` is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -49,22 +49,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, cycle, islice
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import NotCoprimeError, hj_expand, mod_inverse
 from .lattice import NotNegativeDefiniteError, NotUnimodularError, _closest_point, _eliminate, _Enumerator, _sparse
-from .plumbing import ChainDiagram, PlumbingGraph, _tree_rows, chain_to_gram, star_legs
+from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, _tree_rows, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
 
 
 class ScanGuardExceededError(ValueError):
-    """A work guard would be exceeded: ``SCAN_GUARD`` on the tau-function scan of
+    """A work guard would be exceeded: ``SCAN_GUARD`` on the tau window of
     ``d_from_plumbing``, ``LABEL_GUARD`` on all-labels lens work, ``ORACLE_GUARD`` on ``lens_d_oracle``."""
 
 
-# Longest tau-function scan d_from_plumbing runs, about a second of work; the
-# largest member of rmk1.4 at n <= 10, family (xii) at n = 10, needs 954804.
+# Longest tau window d_from_plumbing scans: d of family (v) at n = 263, 1.99M
+# points, takes 1.1 s (Python 3.11, one Xeon core).  Sum alpha bounds the tau
+# tables and the plumbing's rank, and may reach SCAN_GUARD // 50 at about the
+# same cost: Sigma(2, 13333, 26665), rank 26668, takes 1.4 s.
 SCAN_GUARD = 2_000_000
 
 # Largest lens order p of lens_d_all and d_surgery, about 2 s of work; the
@@ -277,27 +279,48 @@ def _leg_continuants(weights: list[int]) -> list[int]:
     return m[:0:-1]
 
 
-def _scan_length(branches: list[tuple[int, int]]) -> int:
-    """An n past which tau never decreases, at least A = prod alpha_i.
+def _tau_window(branches: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """(lo, hi, tau(lo)) with every minimizer n of tau in [lo, hi].
 
-    ceil(x) <= x + 1 - 1/alpha_i and e0 + sum omega_i/alpha_i = -1/A give
-    Delta(n) >= 0 for n > A (nu - 2 - sum 1/alpha_i), which is below A for
-    nu <= 3 legs; more legs can push it past A.
+    A = prod alpha_i and e0 + sum omega_i/alpha_i = -1/A split tau exactly:
+    2A tau(n) = n^2 + b n - sum T_i(n mod alpha_i), b = 2A - 1 - sum A (alpha_i
+    - 1)/alpha_i, T_i the partial sums of the mean-zero period (A/alpha_i)
+    (2 ((-m omega_i) mod alpha_i) - alpha_i + 1).  With U = 2A tau at the
+    vertex, a minimizer has (2n + b)^2 <= b^2 + 4 (U + sum max T_i).  Raises
+    :class:`ScanGuardExceededError` past ``SCAN_GUARD``.
     """
+    size = sum(a for a, _ in branches)
+    if size > SCAN_GUARD // 50:
+        raise ScanGuardExceededError(f"multiplicities summing to {size} exceed the scan guard's bound {SCAN_GUARD // 50}")
     A = prod(a for a, _ in branches)
-    return max(A, (len(branches) - 2) * A - sum(A // a for a, _ in branches) + 1)
+    tables = [list(accumulate(((A // a) * (2 * (-m * w % a) - a + 1) for m in range(a - 1)), initial=0)) for a, w in branches]
+    b = 2 * A - 1 - sum(A - A // a for a, _ in branches)
+
+    def scaled_tau(n: int) -> int:  # 2A tau(n)
+        return n * (n + b) - sum(T[n % a] for T, (a, _) in zip(tables, branches))
+
+    s = isqrt(b * b + 4 * (scaled_tau(max(0, -b // 2)) + sum(map(max, tables))))
+    lo, hi = max(0, -((s + b) // 2)), (s - b) // 2
+    if hi - lo + 1 > SCAN_GUARD:
+        raise ScanGuardExceededError(f"tau window of {hi - lo + 1} points exceeds the scan guard {SCAN_GUARD}")
+    tau_lo, rem = divmod(scaled_tau(lo), 2 * A)
+    if rem:
+        raise AssertionError(f"2A tau({lo}) is not a multiple of 2A = {2 * A}")
+    return lo, hi, tau_lo
 
 
-def _tau_min(e0: int, branches: list[tuple[int, int]], length: int) -> tuple[int, int]:
-    """(min tau(n), its first n) over 0 <= n <= length, where tau(0) = 0,
-    tau(n+1) = tau(n) + Delta(n) and Delta(n) = 1 - e0 n - sum ceil(n omega_i/alpha_i)."""
-    # ceil(n omega/alpha) as a running sum of its steps, which repeat with period alpha
+def _tau_min(e0: int, branches: list[tuple[int, int]]) -> tuple[int, int]:
+    """(min tau(n), its first n) over n >= 0, where tau(0) = 0,
+    tau(n+1) = tau(n) + Delta(n) and Delta(n) = 1 - e0 n - sum ceil(n omega_i/alpha_i),
+    scanning only ``_tau_window``."""
+    lo, hi, tau_lo = _tau_window(branches)
+    # ceil(n omega/alpha) from n = lo on, as a running sum of its steps, which repeat with period alpha
     ceils = [
-        accumulate(cycle([(-r * w) // a - (-(r + 1) * w) // a for r in range(a)]), initial=0)
+        accumulate(islice(cycle([(-r * w) // a - (-(r + 1) * w) // a for r in range(a)]), lo % a, None), initial=-(-lo * w // a))
         for a, w in branches
     ]
-    deltas = map(sub, count(1, -e0), map(sum, zip(*ceils)))
-    return min(zip(islice(accumulate(deltas, initial=0), length + 1), count()))
+    deltas = map(sub, count(1 - e0 * lo, -e0), map(sum, zip(*ceils)))
+    return min(zip(islice(accumulate(deltas, initial=tau_lo), hi - lo + 1), count(lo)))
 
 
 def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
@@ -309,25 +332,20 @@ def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
     <= -2), d = (K^2 + rank)/4 - 2 min tau, K = G^{-1} k, k_v = -w_v - 2.
     The certificate c = K + 2 x(n*) has x = n* at the center and
     ceil(n* m_j/alpha) on a leg vertex, m_j the continuant of the leg beyond
-    it.  Raises :class:`ScanGuardExceededError` for a scan longer than
-    ``SCAN_GUARD``, and ``NotNegativeDefiniteError``/``NotUnimodularError``.
+    it.  Raises ``NotNegativeDefiniteError``/``NotUnimodularError``, then
+    :class:`ScanGuardExceededError` past ``SCAN_GUARD`` (see ``_tau_window``).
     """
     center, legs = star_legs(G)
     conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
-    branches = [(m[0], m[1]) for m in conts]
-    length = _scan_length(branches)
-    if length > SCAN_GUARD:
-        raise ScanGuardExceededError(f"tau-scan length {length} exceeds the scan guard {SCAN_GUARD}")
-
     rows = _tree_rows(G)
     elim = _eliminate(rows)
     if elim.sign() != -1:
         raise NotNegativeDefiniteError("d_from_plumbing requires a negative definite plumbing")
     if abs(elim.det()) != 1:
         raise NotUnimodularError("d_from_plumbing requires |det| = 1")
+    best, n_star = _tau_min(G.weights[center], [(m[0], m[1]) for m in conts])
     k = [-w - 2 for w in G.weights]
     K = [int(x) for x in elim.solve(k)]  # integral: G is unimodular
-    best, n_star = _tau_min(G.weights[center], branches, length)
     d = Fraction(sum(map(mul, k, K)) + G.rank, 4) - 2 * best
 
     x = [0] * G.rank
@@ -338,5 +356,12 @@ def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
     c = tuple(a + 2 * b for a, b in zip(K, x))
     gc = [sum(e * c[j] for j, e in row.items()) for row in rows]
     if any((g - w) % 2 for g, w in zip(gc, G.weights)) or sum(map(mul, c, gc)) + G.rank != 4 * d:
-        raise AssertionError(f"the tau-scan certificate of d = {d} fails its re-check")
+        raise AssertionError(f"the tau-window certificate of d = {d} fails its re-check")
     return DFromPlumbing(d, c)
+
+
+def d_brieskorn(T: BrieskornTriple) -> DFromPlumbing:
+    """``d_from_plumbing`` of Sigma(p, q, r)'s canonical plumbing (legs a/(a - b) for the Seifert
+    branches (a, b)), guarded before it is built; d_from_plumbing checks it, not a post-check."""
+    _tau_window([(a, a - b) for a, b in brieskorn_seifert(T).branches])
+    return d_from_plumbing(negdef_plumbing(T, post_check=False))

@@ -470,7 +470,8 @@ class SpinBound(NamedTuple):
 
 
 def ue_spin_bound(G: PlumbingGraph) -> SpinBound:
-    """Cap on b2 of a negative-definite spin filling of the boundary.
+    """Cap on b2 of a negative-definite spin filling of the boundary of G, a
+    negative-definite star with |det| = 1 (ValueError otherwise).
 
     For a Seifert homology sphere the bound is b2 <= -8 mu-bar with
     b2 == -8 mu-bar mod 16.  When mu-bar >= 0 the cap is reported as 0: no
@@ -479,8 +480,8 @@ def ue_spin_bound(G: PlumbingGraph) -> SpinBound:
     """
     star_legs(G)  # raises NotStarShapedError if not a star
     elim = _eliminate(_tree_rows(G))
-    if abs(elim.det()) != 1:
-        raise ValueError("spin bound applies to homology-sphere plumbings (|det| = 1)")
+    if abs(elim.det()) != 1 or elim.sign() != -1:
+        raise ValueError("spin bound applies to negative-definite homology-sphere plumbings (|det| = 1)")
     m = _mubar(G, elim)
     assert m.denominator == 1
     ub = -8 * int(m)

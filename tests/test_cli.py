@@ -5,6 +5,7 @@ import time
 import pytest
 
 import plumbcalc.cli
+import plumbcalc.lens
 from plumbcalc.cli import main
 from plumbcalc.families import VerificationReport
 from plumbcalc.plumbing import PlumbingGraph, star_graph
@@ -29,12 +30,28 @@ class TestDCommand:
         code, _, err = run(capsys, "d", "2", "3", "4")
         assert code == 2 and "coprime" in err
 
-    def test_scan_guard_exits_3_quickly(self, capsys):
-        t0 = time.monotonic()
-        code, out, err = run(capsys, "d", "101", "103", "10007")
-        assert code == 3 and out == ""
-        assert err == "error: tau-scan length 104102821 exceeds the scan guard 2000000\n"
-        assert time.monotonic() - t0 < 5.0
+    def test_scan_guard_exits_3_quickly(self, capsys, monkeypatch):
+        # the guard is checked on the multiplicities before the plumbing (rank
+        # 1666674 for the first triple) is built
+        def build(*args, **kwargs):
+            raise AssertionError("the plumbing was built")
+
+        monkeypatch.setattr(plumbcalc.lens, "negdef_plumbing", build)
+        for argv, err_want in [
+            (("2", "3", "10000001"), "multiplicities summing to 10000006 exceed the scan guard's bound 40000"),
+            (("2", "3", "100000001"), "multiplicities summing to 100000006 exceed the scan guard's bound 40000"),
+            (("101", "11857", "20298"), "tau window of 4536597 points exceeds the scan guard 2000000"),
+        ]:
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "d", *argv)
+            assert code == 3 and out == ""
+            assert err == f"error: {err_want}\n"
+            assert time.monotonic() - t0 < 2.0
+
+    def test_prod_alpha_past_the_old_scan_guard_computes(self, capsys):
+        # prod alpha = 104102821, but the tau window has 54302 points
+        code, out, _ = run(capsys, "d", "101", "103", "10007")
+        assert code == 0 and out == "10\n"
 
     def test_repeated_json_query_is_identical(self, capsys):
         outs = [run(capsys, "--json", "d", "2", "3", "5")[1] for _ in range(2)]
@@ -181,12 +198,13 @@ class TestVerifyCommand:
         assert "conjecture" in out
 
     def test_rmk14_scan_guard_skips_quickly(self, capsys):
-        # rank 5011: the post-check and the guard run in time linear in rank
+        # a tau window of 3741539 points; the guard is checked before the
+        # plumbing (rank 10011) is built
         t0 = time.monotonic()
-        code, out, _ = run(capsys, "verify", "rmk1.4", "--families", "v", "--n", "200")
+        code, out, _ = run(capsys, "verify", "rmk1.4", "--families", "v", "--n", "400")
         assert code == 0
-        assert out == "rmk1.4 (v, n=200): predicted 1200 computed - [skip] (conjecture)\n"
-        assert time.monotonic() - t0 < 5.0
+        assert out == "rmk1.4 (v, n=400): predicted 2400 computed - [skip] (conjecture)\n"
+        assert time.monotonic() - t0 < 2.0
 
     def test_bad_task(self, capsys):
         code, _, err = run(capsys, "verify", "thm9.9")
@@ -261,7 +279,7 @@ def _fibonacci(n: int) -> int:
 FUZZ_TABLE = [
     ["d", "2", "4", "9"],
     ["d", "6", "10", "35"],
-    ["d", "101", "103", "10007"],
+    ["d", "2", "3", "10000001"],
     ["lens-d", "6", "4"],
     ["lens-d", "5", "2", "5"],
     ["lens-d", "5", "2", "-1"],

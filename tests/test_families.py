@@ -231,6 +231,38 @@ class TestConjectures:
         assert conjectured_d("xi", 2) == 8
         assert conjectured_d("vi", 2) == 12
 
+    def test_remark_1_4_holds_to_n_20_on_every_family(self):
+        """Every closed form of Remark 1.4 at n = 1..20: no row is skipped (the
+        old full tau-scan stopped (v) at n = 15, (vi) at 20, (xi) at 16 and
+        (xii) at 14) and every computed d matches."""
+        for fam in FAMILY_IDS:
+            rows = conjecture_scan(fam, range(1, 21))
+            assert [r["n"] for r in rows] == list(range(1, 21))
+            assert all("status" not in r and r["matches"] for r in rows), fam
+
+
+def test_theorem_main_eliminates_each_tree_once(monkeypatch):
+    """verify_theorem_main takes |det| = 1, definiteness and mu-bar from the one
+    elimination of the spin bound: the plumbing tree is eliminated once (the
+    rank-8 final lattice of the reduction once more)."""
+    import plumbcalc.lattice
+    import plumbcalc.plumbing
+
+    ranks = []
+    kernel = plumbcalc.lattice._eliminate
+
+    def counted(rows):
+        ranks.append(len(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(plumbcalc.plumbing, "_eliminate", counted)
+    monkeypatch.setattr(plumbcalc.lattice, "_eliminate", counted)
+    for fam, n in [("i", 3), ("v", 2), ("xii", 1)]:
+        ranks.clear()
+        rep = verify_theorem_main(fam, n)
+        assert rep.passed
+        assert sorted(ranks) == sorted([8, negdef_plumbing(family_triple(fam, n), post_check=False).rank]), (fam, n)
+
 
 class TestUnboundedGap:
     def test_family_i_n1(self):

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm
+from operator import mul
 
 import pytest
 
@@ -120,23 +121,22 @@ def box_char_max(L: GramLattice, scale: int = 1):
     """Literal pairing-value box search: enumerate all characteristic t with
     scale*m_v <= t_v <= -scale*m_v and t_v = m_v mod 2, maximize t^T G^-1 t.
 
-    The inverse is computed once; for unimodular L the vector G^-1 t is
-    automatically integral, so every box point is a characteristic vector.
+    The inverse is computed once and is integral because L is unimodular
+    (asserted), so the search runs in integers; the vector G^-1 t is then
+    integral too, so every box point is a characteristic vector.
     """
     n = L.rank
     diag = L.diagonal()
     inv_cols = [solve_rational([list(r) for r in L.rows], [1 if i == j else 0 for i in range(n)]) for j in range(n)]
+    assert all(x.denominator == 1 for col in inv_cols for x in col), "box_char_max needs a unimodular lattice"
+    inv_cols = [[int(x) for x in col] for col in inv_cols]
     axes = []
     for m in diag:
         lo, hi = scale * m, -scale * m
         axes.append([t for t in range(lo, hi + 1) if (t - m) % 2 == 0])
     best = None
     for t in product(*axes):
-        val = Fraction(0)
-        for j, tj in enumerate(t):
-            if tj:
-                col = inv_cols[j]
-                val += tj * sum(t[i] * col[i] for i in range(n) if t[i])
+        val = sum(tj * sum(map(mul, t, col)) for tj, col in zip(t, inv_cols) if tj)
         if best is None or val > best:
             best = val
     return best

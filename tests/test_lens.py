@@ -9,7 +9,9 @@ conventions of the chain plumbings.
 import random
 import sys
 from fractions import Fraction
+from itertools import accumulate, count, cycle, islice
 from math import gcd, prod
+from operator import sub
 
 import pytest
 
@@ -22,13 +24,13 @@ from plumbcalc.lens import (
     ScanGuardExceededError,
     SurgeryDescriptor,
     SurgeryResult,
+    d_brieskorn,
     d_from_plumbing,
     d_surgery,
     lens_d,
     lens_d_all,
     lens_d_oracle,
     _descent,
-    _scan_length,
     _tau_min,
 )
 from plumbcalc.plumbing import (
@@ -247,9 +249,10 @@ class TestLabelGuard:
         assert lens_d(p, 1, 0) == Fraction(p * p - p, 4 * p)  # a single label is not guarded
 
     def test_conjecture_scan_skips_past_both_guards(self):
-        # family (iii) at n = 60: tau-scan 2 * 963 * 1565 > SCAN_GUARD, p = 753548 > LABEL_GUARD
-        (row,) = conjecture_scan("iii", [60])
-        assert row["status"] == "skipped: lens order 753548 exceeds the label guard 600000"
+        # family (v) at n = 400: its tau window is past the scan guard, and no
+        # surgery fallback runs (family (v) has no surgery table anyway)
+        (row,) = conjecture_scan("v", [400])
+        assert row["status"] == "skipped: tau window of 3741539 points exceeds the scan guard 2000000"
         assert "computed" not in row
 
 
@@ -279,6 +282,33 @@ def _tau_data(g: PlumbingGraph) -> tuple[int, list[tuple[int, int]]]:
     return data.e, [(a, -b) for a, b in data.branches]
 
 
+def _full_length(branches: list[tuple[int, int]]) -> int:
+    """An n past which tau never decreases: ceil(x) <= x + 1 - 1/alpha and
+    e0 + sum omega_i/alpha_i = -1/A give Delta(n) > -1, so Delta(n) >= 0, for
+    n > A (nu - 2 - sum 1/alpha_i), which (nu - 2) A exceeds (nu >= 3 legs)."""
+    return max(1, len(branches) - 2) * prod(a for a, _ in branches)
+
+
+def _reference_tau_min(e0: int, branches: list[tuple[int, int]], length: int) -> tuple[int, int]:
+    """(min tau(n), its first n) over 0 <= n <= length by the full scan from n = 0."""
+    ceils = [
+        accumulate(cycle([(-r * w) // a - (-(r + 1) * w) // a for r in range(a)]), initial=0)
+        for a, w in branches
+    ]
+    deltas = map(sub, count(1, -e0), map(sum, zip(*ceils)))
+    return min(zip(islice(accumulate(deltas, initial=0), length + 1), count()))
+
+
+def _coprime_sets(rng: random.Random, how_many: int, sizes: tuple[int, ...], top: int, max_product: int):
+    """Seeded distinct sets of pairwise-coprime multiplicities in [2, top)."""
+    found: set[tuple[int, ...]] = set()
+    while len(found) < how_many:
+        alphas = tuple(sorted(rng.sample(range(2, top), rng.choice(sizes))))
+        if prod(alphas) <= max_product and all(gcd(a, b) == 1 for i, a in enumerate(alphas) for b in alphas[i + 1 :]):
+            found.add(alphas)
+    return sorted(found)
+
+
 # seeded pairwise-coprime triples for the tau-scan tests (multiplicities < 60)
 TRIPLES = _random_triples(random.Random(2005), 200, max_rank=16)
 
@@ -303,10 +333,16 @@ class TestDFromPlumbing:
             assert not top <= 4 * (d - Fraction(1, 4))
 
     def test_rank_guard(self):
-        # the one work guard is on the tau-scan length, here 101 * 103 * 10007
-        g = negdef_plumbing(BrieskornTriple(101, 103, 10007))
-        with pytest.raises(ScanGuardExceededError, match="tau-scan length 104102821 exceeds the scan guard"):
+        # the one work guard is on the tau window: Sigma(101, 11857, 20298) has
+        # rank 23 but a window of 4536597 points
+        g = negdef_plumbing(BrieskornTriple(101, 11857, 20298))
+        assert g.rank == 23
+        with pytest.raises(ScanGuardExceededError, match="tau window of 4536597 points exceeds the scan guard 2000000"):
             d_from_plumbing(g)
+        # Sigma(101, 103, 10007) has prod alpha = 104102821 but a window of 54302 points
+        assert d_brieskorn(BrieskornTriple(101, 103, 10007)).value == d_from_plumbing(
+            negdef_plumbing(BrieskornTriple(101, 103, 10007))
+        ).value
 
     def test_leg_weight_above_minus_two(self):
         with pytest.raises(ValueError, match="above -2"):
@@ -323,32 +359,32 @@ class TestDFromPlumbing:
             assert all((x - row[i]) % 2 == 0 for i, (x, row) in enumerate(zip(gc, gram.rows))), t
             assert gram.norm(res.vector) + gram.rank == 4 * res.value, t
 
-    def test_scan_length_reaches_the_minimum(self):
-        """min tau over [0, L] is the minimum over [0, 2L]; L = prod(alpha)
-        for three legs, and five legs can need more."""
-        cases = [negdef_plumbing(BrieskornTriple(*t)) for t in TRIPLES]
-        cases += [_seifert_sphere(alphas) for alphas in ((2, 3, 5, 7), (3, 4, 5, 7), (3, 5, 7, 8, 13))]
+    def test_tau_window_matches_the_full_scan(self):
+        """The windowed minimum against the full scan from n = 0 (first
+        argmin included) on 300 seeded triples and 200 seeded four- and
+        five-leg spheres; Sigma(3, 5, 7, 8, 13) has its minimum past prod alpha."""
+        rng = random.Random(2009)
+        cases = [negdef_plumbing(BrieskornTriple(*t)) for t in _coprime_sets(rng, 300, (3,), 45, 10**6)]
+        cases += [_seifert_sphere(t) for t in _coprime_sets(rng, 200, (4, 5), 20, 20000)]
+        cases.append(_seifert_sphere((3, 5, 7, 8, 13)))
+        assert len({tuple(g.weights) + g.edges for g in cases}) == 501
         for g in cases:
             e0, branches = _tau_data(g)
-            length = _scan_length(branches)
-            _, first_minimizer = _tau_min(e0, branches, 2 * length)
-            assert first_minimizer <= length, branches
-            if len(branches) == 3:
-                assert length == prod(a for a, _ in branches)
+            assert _tau_min(e0, branches) == _reference_tau_min(e0, branches, _full_length(branches)), branches
         e0, branches = _tau_data(_seifert_sphere((3, 5, 7, 8, 13)))
-        assert _tau_min(e0, branches, 3 * 5 * 7 * 8 * 13) != _tau_min(e0, branches, _scan_length(branches))
+        assert _tau_min(e0, branches)[1] > 3 * 5 * 7 * 8 * 13
 
     def test_tau_scan_matches_the_plain_recursion(self):
+        """The windowed minimum against tau written out step by step."""
         cases = [negdef_plumbing(BrieskornTriple(*t)) for t in TRIPLES[:20]]
         cases += [_seifert_sphere(alphas) for alphas in ((2, 3, 5, 7), (3, 4, 5, 7), (3, 5, 7, 8, 13))]
         for g in cases:
             e0, branches = _tau_data(g)
-            length = _scan_length(branches)
             tau, taus = 0, [0]
-            for n in range(length):
+            for n in range(_full_length(branches)):
                 tau += 1 - e0 * n - sum(-(-n * w // a) for a, w in branches)
                 taus.append(tau)
-            assert _tau_min(e0, branches, length) == (min(taus), taus.index(min(taus))), branches
+            assert _tau_min(e0, branches) == (min(taus), taus.index(min(taus))), branches
 
     def test_requires_star(self):
         from plumbcalc.plumbing import NotStarShapedError, PlumbingGraph

@@ -340,6 +340,14 @@ class TestUeSpinBound:
         assert bound.max_b2 == 0
         assert bound.b2_mod16 == 8
 
+    def test_requires_a_negative_definite_unimodular_star(self):
+        # the reversed orientation of Sigma(2, 3, 5) bounds the positive E8 star
+        positive = seifert_to_plumbing(brieskorn_seifert(BrieskornTriple(2, 3, 5), reversed_orientation=True))
+        with pytest.raises(ValueError, match="negative-definite"):
+            ue_spin_bound(positive)
+        with pytest.raises(ValueError, match="negative-definite"):
+            ue_spin_bound(star_graph(-2, [[-2], [-3], [-7]]))  # negative definite, |det| = 43
+
 
 def test_plumbing_invariants_build_no_dense_gram(monkeypatch):
     """mu-bar, the spin bound, the negdef post-check and d read the tree's
