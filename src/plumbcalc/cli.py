@@ -11,7 +11,8 @@ verify TASK        batch verification (thm1.2, thm1.3, cor1.6, rmk1.4,
 
 All printed rationals are exact strings ("2", "81/46"); no decimals are ever
 produced.  Exit codes: 0 success, 1 verification clause failure, 2 invalid
-input, 3 work guard exceeded (tau window of ``d``, lens order).  Every command
+input, 3 work guard exceeded (tau window of ``d``, P+Q+R of ``d`` and
+``mubar``, lens order).  Every command
 computes its answer afresh; nothing is cached between runs.
 """
 
@@ -24,7 +25,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .arith import NotCoprimeError
 from .families import (
     FAMILY_IDS,
     classify_e8_brieskorn,
@@ -36,12 +36,13 @@ from .families import (
 )
 from .lens import (
     ScanGuardExceededError,
+    _multiplicity_guard,
     d_brieskorn,
     lens_d,
     lens_d_all,
     lens_d_oracle,
 )
-from .plumbing import BrieskornTriple, PlumbingGraph, mubar, negdef_plumbing
+from .plumbing import BrieskornTriple, PlumbingGraph, mubar, negdef_plumbing, ue_spin_bound
 
 EXIT_OK = 0
 EXIT_CLAUSE_FAILED = 1
@@ -55,6 +56,12 @@ def _fmt(value) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _error(msg, code: int = EXIT_BAD_INPUT) -> int:
+    """Print ``error: msg`` on stderr and return the exit code."""
+    print(f"error: {msg}", file=sys.stderr)
+    return code
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -62,9 +69,8 @@ def _fmt(value) -> str:
 def _parse_triple(args) -> BrieskornTriple:
     try:
         return BrieskornTriple(*sorted((args.p, args.q, args.r)))
-    except (NotCoprimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
+    except ValueError as exc:
+        raise SystemExit(_error(exc))
 
 
 def cmd_d(args) -> int:
@@ -72,8 +78,7 @@ def cmd_d(args) -> int:
     try:
         res = d_brieskorn(triple)
     except ScanGuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WORK_GUARD
+        return _error(exc, EXIT_WORK_GUARD)
     value = {"d": _fmt(res.value), "certificate": list(res.vector)}
     if args.json:
         print(json.dumps({"command": "d", "triple": list(triple.as_tuple()), **value}, sort_keys=True))
@@ -96,17 +101,14 @@ def cmd_lens_d(args) -> int:
                     print(f"{i}: {v}" if args.all else v)
         else:
             if args.oracle:
-                print("error: --oracle reports all labels (its labeling is method-internal)", file=sys.stderr)
-                return EXIT_BAD_INPUT
+                return _error("--oracle reports all labels (its labeling is method-internal)")
             d = _fmt(lens_d(p, q, args.i))
             payload = {"command": "lens-d", "p": p, "q": q, "i": args.i, "d": d}
             print(json.dumps(payload, sort_keys=True) if args.json else d)
     except ScanGuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WORK_GUARD
-    except (NotCoprimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(exc, EXIT_WORK_GUARD)
+    except ValueError as exc:
+        return _error(exc)
     return EXIT_OK
 
 
@@ -116,18 +118,20 @@ def cmd_mubar(args) -> int:
             with open(args.graph, "r", encoding="utf-8") as fh:
                 G = PlumbingGraph.from_json(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: cannot read graph file: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    elif args.p and args.q and args.r:
-        G = negdef_plumbing(_parse_triple(args))
-    else:
-        print("error: give a triple or --graph FILE", file=sys.stderr)
-        return EXIT_BAD_INPUT
+            return _error(f"cannot read graph file: {exc}")
+    elif not (args.p and args.q and args.r):
+        return _error("give a triple or --graph FILE")
     try:
-        value = _fmt(mubar(G))
+        if args.graph:
+            value = _fmt(mubar(G))
+        else:  # P+Q+R bounds the tree's rank; its one elimination checks |det| = 1 and definiteness
+            triple = _parse_triple(args)
+            _multiplicity_guard(triple.as_tuple())
+            value = _fmt(ue_spin_bound(negdef_plumbing(triple, post_check=False)).mubar)
+    except ScanGuardExceededError as exc:
+        return _error(exc, EXIT_WORK_GUARD)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(exc)
     print(json.dumps({"command": "mubar", "mubar": value}, sort_keys=True) if args.json else value)
     return EXIT_OK
 
@@ -159,27 +163,22 @@ def cmd_verify(args) -> int:
         families = _parse_families(args.families)
         ns = _parse_range(args.n)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(exc)
     if task in ("thm1.3", "cor1.6"):
         families = [f for f in families if f in FAMILY_IDS[:4]]  # the families with surgery tables
     if task != "classify-e8":
         if any(n < 1 for n in ns):
-            print("error: family parameter n must be >= 1", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            return _error("family parameter n must be >= 1")
         if not (families and ns):
-            print(f"error: --families {args.families} --n {args.n} leaves nothing for {task} to run", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            return _error(f"--families {args.families} --n {args.n} leaves nothing for {task} to run")
     if args.report:
         if task in ("rmk1.4", "classify-e8"):
-            print(f"error: verify {task} writes no report; drop --report", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            return _error(f"verify {task} writes no report; drop --report")
         # a bad report path fails before any work; the reports are written at the end
         try:
             open(args.report, "w", encoding="utf-8").close()
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            return _error(f"cannot write report: {exc}")
 
     try:
         if task in ("thm1.2", "thm1.3", "cor1.6"):
@@ -212,21 +211,17 @@ def cmd_verify(args) -> int:
             for t in found:
                 print(f"({t[0]},{t[1]},{t[2]})")
         else:
-            print(f"error: unknown verify task {task!r}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            return _error(f"unknown verify task {task!r}")
     except ScanGuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WORK_GUARD
-    except (NotCoprimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(exc, EXIT_WORK_GUARD)
+    except ValueError as exc:
+        return _error(exc)
 
     if args.report:
         try:
             write_reports(reports, args.report)
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return EXIT_CLAUSE_FAILED if failed else EXIT_BAD_INPUT
+            return _error(f"cannot write report: {exc}", EXIT_CLAUSE_FAILED if failed else EXIT_BAD_INPUT)
         print(f"report written: {args.report}")
     return EXIT_CLAUSE_FAILED if failed else EXIT_OK
 

@@ -122,12 +122,8 @@ def family_seifert(fam: str, n: int) -> SeifertData:
     orientation, which ``verify_theorem_main`` checks.
     """
     fam = _check_family(fam, n)
-    p1, pair2, pair3 = _SEIFERT_ROWS[fam]
-    a2 = pair2[0][0] * n + pair2[0][1]
-    b2 = pair2[1][0] * n + pair2[1][1]
-    a3 = pair3[0][0] * n + pair3[0][1]
-    b3 = pair3[1][0] * n + pair3[1][1]
-    return SeifertData(1, ((p1, 1), (a2, b2), (a3, b3)))
+    p1, *pairs = _SEIFERT_ROWS[fam]
+    return SeifertData(1, ((p1, 1), *(tuple(x * n + y for x, y in pair) for pair in pairs)))
 
 
 # ---------------------------------------------------------------------------

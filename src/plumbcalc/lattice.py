@@ -660,14 +660,7 @@ def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[lis
 
 def _congruent(g: Sequence[Sequence[int]], U: Sequence[Sequence[int]]) -> list[list[int]]:
     """U^T g U for integer matrices."""
-    n = len(g)
-    m = len(U[0]) if U else 0
-    gU = _mat_mul(g, U)
-    out = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            out[i][j] = sum(U[r][i] * gU[r][j] for r in range(n))
-    return out
+    return _mat_mul([list(col) for col in zip(*U)], _mat_mul(g, U))
 
 
 @dataclass(frozen=True)
@@ -730,14 +723,8 @@ def minimalize(
             [sum(cur_to_orig[r][t] * U[t][j] for t in range(m)) for j in range(1, m)] for r in range(n)
         ]
     minimal = GramLattice(tuple(tuple(r) for r in cur))
-    cols: list[list[int]] = []
-    k = len(cur)
-    for j in range(k):
-        cols.append([cur_to_orig[r][j] for r in range(n)])
-    cols.extend(split_plus)
-    cols.extend(split_minus)
-    basis_change = tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
-    return Minimalization(minimal, len(split_plus), len(split_minus), basis_change)
+    cols = [[row[j] for row in cur_to_orig] for j in range(len(cur))] + split_plus + split_minus
+    return Minimalization(minimal, len(split_plus), len(split_minus), tuple(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ Recursion.  The engine is the classical exact descent
 
 for 0 <= j < p + q with R(1, 0, 0) = 0, whose labels j restricted to
 0 <= j < p enumerate the p spin^c structures (R is p-periodic on the
-overhang j in [p, p+q), which the tests verify).  In these labels
-R(p, 1, j) = ((2j - p)^2 - p) / (4p).  Each call recomputes the integers 4p R,
-with no memo; all-labels work stops at lens orders above ``LABEL_GUARD``.
+overhang j in [p, p+q), which the tests verify).  Each call recomputes the
+integers N = 4p R with no memo: one label per level for ``lens_d``, O(log p);
+one flat list per level for all labels, q exact divisions and p - q additions
+(``_level``), up to lens orders ``LABEL_GUARD``.  ``d_surgery`` reads L(p, 1)
+in closed form, 4p R(p, 1, j) = (2j - p)^2 - p.
 
 Labeling convention (pinned, recorded).  The public ``lens_d(p, q, i)``
 uses the surgery-style labeling in which the familiar affine
@@ -48,12 +50,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, cycle, islice
+from itertools import accumulate, compress, count, cycle, islice, repeat
 from math import gcd, isqrt, prod
-from operator import mul, sub
+from operator import add, floordiv, mod, mul, sub
 from typing import Iterable, NamedTuple, Optional
 
-from .arith import NotCoprimeError, hj_expand, mod_inverse
+from .arith import NotCoprimeError, _hj_word, mod_inverse
 from .lattice import NotNegativeDefiniteError, NotUnimodularError, _closest_point, _eliminate, _Enumerator, _sparse
 from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, _tree_rows, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
 
@@ -69,8 +71,9 @@ class ScanGuardExceededError(ValueError):
 # same cost: Sigma(2, 13333, 26665), rank 26668, takes 1.4 s.
 SCAN_GUARD = 2_000_000
 
-# Largest lens order p of lens_d_all and d_surgery, about 2 s of work; the
-# largest thm1.3 member at n <= 50, family (iii) at n = 50, has p = 523958.
+# Largest lens order p of lens_d_all and d_surgery: at p = 599999 d_surgery takes
+# 0.3-0.8 s and lens_d_all 1.5-2.0 s, mostly its p Fractions (Python 3.11, one
+# Xeon core); the largest thm1.3 member at n <= 50, (iii) at n = 50, has p = 523958.
 LABEL_GUARD = 600_000
 
 # Largest lens order p of lens_d_oracle.  Cost follows the chain's rank, not p
@@ -104,51 +107,63 @@ class LensSpace:
         object.__setattr__(self, "q", q)
 
 
-def _descent(p: int, q: int, js: Iterable[int]) -> dict[int, int]:
-    """{j: 4p R(p, q, j)} for recursion labels j in ``js``, 0 <= j < p + q.
-
-    The labels {j mod q} go down the Euclidean chain (p, q) -> (q, p mod q);
-    N = 4p R comes back up by N(p, q, j) = ((2j + 1 - p - q)^2 - p q
-    - p N(q, p mod q, j mod q)) / q from N(1, 0, 0) = 0, an exact division
-    because 4p d(L(p, q)) is an integer (c^2 lies in Z/p on a plumbing of
-    determinant p).
-    """
+def _descent_label(p: int, q: int, j: int) -> int:
+    """N = 4p R(p, q, j) for one label 0 <= j < p + q: N(p, q, j) = ((2j + 1 - p - q)^2
+    - p q - p N(q, p mod q, j mod q)) / q, exact as c^2 lies in Z/p on a plumbing of det p."""
     levels = []
     while p != 1:
-        levels.append((p, q, js))
-        js = {j % q for j in js}
-        p, q = q, p % q
-    num = {0: 0}
-    for p, q, js in reversed(levels):
-        below, num = num, {}
-        for j in js:
-            num[j], rem = divmod((2 * j + 1 - p - q) ** 2 - p * q - p * below[j % q], q)
-            if rem:
-                raise AssertionError(f"4p R({p}, {q}, {j}) is not an integer")
+        levels.append((p, q, j))
+        p, q, j = q, p % q, j % q
+    n = 0
+    for p, q, j in reversed(levels):
+        n, rem = divmod((2 * j + 1 - p - q) ** 2 - p * q - p * n, q)
+        if rem:
+            raise AssertionError(f"4p R({p}, {q}, {j}) is not an integer")
+    return n
+
+
+def _level(p: int, q: int, below: list[int]) -> list[int]:
+    """[N(p, q, j) for 0 <= j < p] from ``below``, the q values N(q, p mod q, r).
+
+    V(j) = q N(j) = (2j + 1 - p - q)^2 - p q - p below[j mod q] has V(j + q) - V(j)
+    = 4q (2j + 1 - p), so V(j) mod q depends on j mod q only: the q divisions of
+    the residues r < q check the exactness of every label.  The rest is additions:
+    N(j + q) = N(j) + 8j + 4 - 4p, summed m times N(j + mq) = N(j) + m (8j + 4 - 4p)
+    + 4q m (m - 1), which doubles the filled prefix (a multiple mq of q) per step.
+    """
+    x = range(1 - p - q, q + 1 - p, 2)  # 2r + 1 - p - q for r < q
+    v = list(map(sub, map(mul, x, x), map(mul, map(add, below, repeat(q)), repeat(p))))
+    for r in compress(count(), map(mod, v, repeat(q))):
+        raise AssertionError(f"4p R({p}, {q}, {r}) is not an integer")
+    num = list(map(floordiv, v, repeat(q)))
+    while len(num) < p:
+        m = len(num) // q
+        start = m * (4 - 4 * p) + 4 * q * m * (m - 1)
+        num += list(map(add, num, range(start, start + 8 * m * (p - len(num)), 8 * m)))
     return num
 
 
-def _numerators(p: int, q: int) -> list[int]:
-    """[4p lens_d(p, q, i) for 0 <= i < p] for a normalized L(p, q)."""
+def _descent_table(p: int, q: int) -> list[int]:
+    """[4p R(p, q, j) for 0 <= j < p], one flat list per level of the Euclidean chain,
+    at most about 1.44 log2(p) deep.  Raises :class:`ScanGuardExceededError` past ``LABEL_GUARD``."""
     if p > LABEL_GUARD:
         raise ScanGuardExceededError(f"lens order {p} exceeds the label guard {LABEL_GUARD}")
-    num = _descent(p, q, range(p))
-    return [num[(q * (i + 1) - 1) % p] for i in range(p)]
+    return [0] if p == 1 else _level(p, q, _descent_table(q, p % q))
 
 
 def lens_d(p: int, q: int, i: int) -> Fraction:
-    """Correction term of L(p, q) at spin^c label ``i`` (surgery labeling)."""
+    """Correction term of L(p, q) at spin^c label ``i`` (surgery labeling), in O(log p)."""
     L = LensSpace(p, q)
     if not (0 <= i < L.p):
         raise ValueError(f"label {i} out of range for p = {L.p}")
-    j = (L.q * (i + 1) - 1) % L.p
-    return Fraction(_descent(L.p, L.q, (j,))[j], 4 * L.p)
+    return Fraction(_descent_label(L.p, L.q, (L.q * (i + 1) - 1) % L.p), 4 * L.p)
 
 
 def lens_d_all(p: int, q: int) -> dict[int, Fraction]:
     """All p correction terms of L(p, q), keyed by spin^c label."""
     L = LensSpace(p, q)
-    return {i: Fraction(n, 4 * L.p) for i, n in enumerate(_numerators(L.p, L.q))}
+    num = _descent_table(L.p, L.q)
+    return {i: Fraction(num[(L.q * (i + 1) - 1) % L.p], 4 * L.p) for i in range(L.p)}
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +179,7 @@ def _chain_route(p: int, q: int) -> tuple[tuple[int, ...], bool]:
     the resulting correction terms.
     """
     xs = ((p - q, False), (mod_inverse(p - q, p), False), (q, True), (mod_inverse(q, p), True))
-    return min(((hj_expand(Fraction(p, x)), negate) for x, negate in xs), key=lambda t: (len(t[0]), t[1]))
+    return min(((_hj_word(p, x), negate) for x, negate in xs), key=lambda t: (len(t[0]), t[1]))
 
 
 def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
@@ -251,12 +266,14 @@ def d_surgery(desc: SurgeryDescriptor) -> SurgeryResult:
     The L-space hypotheses behind the formula are the caller's
     responsibility; this evaluates the full maximum (never just a witness).
     """
-    p, k, c = desc.p, desc.k, desc.c
-    top, bottom = _numerators(p, desc.q), _numerators(p, 1)
-    gaps = [top[(k * i + c) % p] - b for i, b in enumerate(bottom)]
+    p, q, k, c = desc.p, desc.q, desc.k, desc.c
+    # top label k i + c is recursion label a i + b; 4p d(p, 1, i) + p = (2i - p)^2; a = 0 only if p = 1
+    num, a, b, x = _descent_table(p, q), q * k % p or 1, (q * (c + 1) - 1) % p, range(-p, p, 2)
+    top = map(num.__getitem__, map(mod, range(b, b + a * p, a), repeat(p)))
+    gaps = list(map(sub, top, map(mul, x, x)))
     best = max(gaps)
     winners = [i for i, g in enumerate(gaps) if g == best]
-    return SurgeryResult(Fraction(best, 4 * p), winners[0], tuple(winners))
+    return SurgeryResult(Fraction(best + p, 4 * p), winners[0], tuple(winners))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +296,13 @@ def _leg_continuants(weights: list[int]) -> list[int]:
     return m[:0:-1]
 
 
+def _multiplicity_guard(alphas: Iterable[int]) -> None:
+    """Refuse a sum of multiplicities past ``SCAN_GUARD // 50``: it bounds the tau tables and the rank."""
+    size = sum(alphas)
+    if size > SCAN_GUARD // 50:
+        raise ScanGuardExceededError(f"multiplicities summing to {size} exceed the scan guard's bound {SCAN_GUARD // 50}")
+
+
 def _tau_window(branches: list[tuple[int, int]]) -> tuple[int, int, int]:
     """(lo, hi, tau(lo)) with every minimizer n of tau in [lo, hi].
 
@@ -289,9 +313,7 @@ def _tau_window(branches: list[tuple[int, int]]) -> tuple[int, int, int]:
     vertex, a minimizer has (2n + b)^2 <= b^2 + 4 (U + sum max T_i).  Raises
     :class:`ScanGuardExceededError` past ``SCAN_GUARD``.
     """
-    size = sum(a for a, _ in branches)
-    if size > SCAN_GUARD // 50:
-        raise ScanGuardExceededError(f"multiplicities summing to {size} exceed the scan guard's bound {SCAN_GUARD // 50}")
+    _multiplicity_guard(a for a, _ in branches)
     A = prod(a for a, _ in branches)
     tables = [list(accumulate(((A // a) * (2 * (-m * w % a) - a + 1) for m in range(a - 1)), initial=0)) for a, w in branches]
     b = 2 * A - 1 - sum(A - A // a for a, _ in branches)

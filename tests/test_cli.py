@@ -6,6 +6,7 @@ import pytest
 
 import plumbcalc.cli
 import plumbcalc.lens
+import plumbcalc.plumbing
 from plumbcalc.cli import main
 from plumbcalc.families import VerificationReport
 from plumbcalc.plumbing import PlumbingGraph, star_graph
@@ -139,6 +140,26 @@ class TestMubarCommand:
         for triple, expected in ((("2", "3", "5"), "-1"), (("2", "5", "9"), "-1"), (("2", "3", "7"), "1")):
             code, out, _ = run(capsys, "mubar", *triple)
             assert code == 0 and out.strip() == expected
+
+    def test_one_elimination_per_triple(self, capsys, monkeypatch):
+        calls = []
+        eliminate = plumbcalc.plumbing._eliminate
+        monkeypatch.setattr(plumbcalc.plumbing, "_eliminate", lambda rows: calls.append(len(rows)) or eliminate(rows))
+        code, out, _ = run(capsys, "mubar", "2", "3", "11")
+        assert code == 0 and out.strip() == "0"
+        assert calls == [9]  # the rank of the tree
+
+    def test_multiplicity_guard_exits_3_quickly(self, capsys, monkeypatch):
+        # d's bound on P+Q+R is checked before the plumbing (rank 1666674) is built
+        def build(*args, **kwargs):
+            raise AssertionError("the plumbing was built")
+
+        monkeypatch.setattr(plumbcalc.cli, "negdef_plumbing", build)
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "mubar", "2", "3", "10000001")
+        assert code == 3 and out == ""
+        assert err == "error: multiplicities summing to 10000006 exceed the scan guard's bound 40000\n"
+        assert time.monotonic() - t0 < 0.5
 
     def test_graph_file(self, capsys, tmp_path):
         g = star_graph(-1, [[-2], [-3], [-7]])  # Sigma(2,3,7) plumbing

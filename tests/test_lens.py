@@ -30,7 +30,9 @@ from plumbcalc.lens import (
     lens_d,
     lens_d_all,
     lens_d_oracle,
-    _descent,
+    _descent_label,
+    _descent_table,
+    _level,
     _tau_min,
 )
 from plumbcalc.plumbing import (
@@ -54,6 +56,36 @@ def _reference_r(p: int, q: int, j: int) -> Fraction:
     if p == 1:
         return Fraction(0)
     return Fraction((2 * j + 1 - p - q) ** 2 - p * q, 4 * p * q) - _reference_r(q, p % q, j % q)
+
+
+def _dict_descent(p: int, q: int, js) -> dict[int, int]:
+    """{j: 4p R(p, q, j)} for recursion labels j in ``js``, 0 <= j < p + q, by the
+    label sets {j mod q} down the Euclidean chain and one exact division per label
+    back up: the all-labels descent before it became flat tables, kept as an oracle."""
+    levels = []
+    while p != 1:
+        levels.append((p, q, js))
+        js = {j % q for j in js}
+        p, q = q, p % q
+    num = {0: 0}
+    for p, q, js in reversed(levels):
+        below, num = num, {}
+        for j in js:
+            num[j], rem = divmod((2 * j + 1 - p - q) ** 2 - p * q - p * below[j % q], q)
+            if rem:
+                raise AssertionError(f"4p R({p}, {q}, {j}) is not an integer")
+    return num
+
+
+def _coprime_pairs(rng: random.Random, how_many: int, top: int):
+    """Seeded lens parameters (p, q), 2 <= p < top, 0 < q < p coprime to p."""
+    pairs = []
+    while len(pairs) < how_many:
+        p, q = rng.randrange(2, top), 0
+        while gcd(p, q) != 1:
+            q = rng.randrange(1, p)
+        pairs.append((p, q))
+    return pairs
 
 
 class TestLensSpaceType:
@@ -81,17 +113,20 @@ class TestRecursion:
         # R(p, q, j + p) == R(p, q, j), so restriction to [0, p) is honest
         for (p, q) in [(5, 2), (5, 3), (7, 3), (23, 2), (12, 5), (40, 17)]:
             for j in range(q):
-                num = _descent(p, q, (j, j + p))
-                assert num[j] == num[j + p]
+                assert _descent_label(p, q, j) == _descent_label(p, q, j + p)
 
     def test_descent_matches_the_fraction_recursion(self):
-        """The integer descent against the plain recursion R over Fractions:
-        every label of every L(p, q) with p <= 60, then seeded labels at p < 10^6."""
+        """The flat tables, the dict descent and the single-label path against the
+        plain recursion R over Fractions: every label of every L(p, q) with p <= 60
+        (the overhang too), then seeded labels at p < 10^6."""
         for p in range(1, 61):
             for q in range(1, p) if p > 1 else (0,):
                 if gcd(p, q) != 1:
                     continue
-                assert _descent(p, q, range(p + q)) == {j: 4 * p * _reference_r(p, q, j) for j in range(p + q)}
+                reference = {j: 4 * p * _reference_r(p, q, j) for j in range(p + q)}
+                assert _dict_descent(p, q, range(p + q)) == reference
+                assert {j: _descent_label(p, q, j) for j in range(p + q)} == reference
+                assert _descent_table(p, q) == [reference[j] for j in range(p)]
                 public = lens_d_all(p, q)
                 assert public == {i: _reference_r(p, q, (q * (i + 1) - 1) % p) for i in range(p)}
                 assert all(lens_d(p, q, i) == v for i, v in public.items())
@@ -102,6 +137,28 @@ class TestRecursion:
                 q = rng.randrange(1, p)
             i = rng.randrange(p)
             assert lens_d(p, q, i) == _reference_r(p, q, (q * (i + 1) - 1) % p), (p, q, i)
+
+    def test_table_matches_the_single_label_path(self):
+        """The flat table against one label at a time on seeded L(p, q) up to
+        p = 20000, and against the dict descent on a few of them."""
+        for n, (p, q) in enumerate(_coprime_pairs(random.Random(2010), 12, 20000)):
+            table = _descent_table(p, q)
+            assert table == [_descent_label(p, q, j) for j in range(p)], (p, q)
+            if n < 3:
+                oracle = _dict_descent(p, q, range(p))
+                assert table == [oracle[j] for j in range(p)], (p, q)
+        p = 19997  # q = 1, 2: a few long residue classes; q = p - 1: many of length 1 or 2
+        for q in (1, 2, p - 1):
+            assert _descent_table(p, q) == [_descent_label(p, q, j) for j in range(p)], (p, q)
+
+    def test_inconsistent_level_fails_its_exactness_check(self):
+        # the level below (5, 2) is N(2, 1, .) = [2, -2]; a wrong value gives
+        # V(r) = q N(r) that is not a multiple of q = 2 in its residue class
+        assert _level(5, 2, [2, -2]) == [4 * 5 * _reference_r(5, 2, j) for j in range(5)]
+        with pytest.raises(AssertionError, match=r"4p R\(5, 2, 1\) is not an integer"):
+            _level(5, 2, [2, -1])
+        with pytest.raises(AssertionError, match=r"4p R\(7, 3, 0\) is not an integer"):
+            _level(7, 3, [1, 0, 0])
 
     def test_deep_descent_chain(self):
         # consecutive Fibonacci numbers F(1501), F(1500) descend one level at a
@@ -227,6 +284,21 @@ class TestSurgeryMaximum:
                 best = max(gaps)
                 winners = tuple(i for i, g in enumerate(gaps) if g == best)
                 assert d_surgery(desc) == SurgeryResult(best, winners[0], winners), (fam, n)
+
+    def test_matches_the_brute_force_maximum_on_seeded_descriptors(self):
+        """d_surgery against the maximum of reference differences on seeded
+        L(p, q), p <= 200, with random coprime k and random c, witnesses included."""
+        rng = random.Random(2003)
+        for p, q in _coprime_pairs(rng, 60, 201) + [(1, 0), (2, 1)]:
+            k = rng.randrange(1, p + 1)
+            while gcd(k, p) != 1:
+                k = rng.randrange(1, p + 1)
+            desc = SurgeryDescriptor(p, q, k, rng.randrange(p) if rng.random() < 0.7 else None)
+            c = desc.c
+            gaps = [_reference_r(p, q, (q * ((k * i + c) % p + 1) - 1) % p) - _reference_r(p, 1, i) for i in range(p)]
+            best = max(gaps)
+            winners = tuple(i for i, g in enumerate(gaps) if g == best)
+            assert d_surgery(desc) == SurgeryResult(best, winners[0], winners), desc
 
     def test_q_is_reduced(self):
         assert SurgeryDescriptor(23, 25, 9) == SurgeryDescriptor(23, 2, 9)
