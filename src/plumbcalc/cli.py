@@ -23,6 +23,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .families import (
@@ -39,7 +40,7 @@ from .lens import (
     _multiplicity_guard,
     d_brieskorn,
     lens_d,
-    lens_d_all,
+    lens_d_numerators,
     lens_d_oracle,
 )
 from .plumbing import BrieskornTriple, PlumbingGraph, mubar, negdef_plumbing, ue_spin_bound
@@ -50,10 +51,15 @@ EXIT_BAD_INPUT = 2
 EXIT_WORK_GUARD = 3
 
 
-def _fmt(value) -> str:
+def _fmt(value: Fraction) -> str:
     """Exact rational formatting: integers bare, otherwise num/den."""
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return _ratio(value.numerator, value.denominator)
+
+
+def _ratio(num: int, den: int) -> str:
+    """``_fmt`` of num/den (den > 0), reduced by one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _error(msg, code: int = EXIT_BAD_INPUT) -> int:
@@ -91,14 +97,17 @@ def cmd_lens_d(args) -> int:
     p, q = args.p, args.q
     try:
         if args.i is None or args.all:
-            fn = lens_d_oracle if args.oracle else lens_d_all
-            values = {str(i): _fmt(v) for i, v in sorted(fn(p, q).items())}
+            if args.oracle:  # its labels are 0..p-1 too
+                values = [_fmt(v) for _, v in sorted(lens_d_oracle(p, q).items())]
+            else:
+                den, nums = lens_d_numerators(p, q)
+                values = [_ratio(n, den) for n in nums]
             if args.json:
-                print(json.dumps({"command": "lens-d", "p": p, "q": q, "values": values}, sort_keys=True))
+                payload = {"command": "lens-d", "p": p, "q": q, "values": {str(i): v for i, v in enumerate(values)}}
+                print(json.dumps(payload, sort_keys=True))
             else:
                 # without --all the values are bare, one per label: `lens-d 1 1` prints just 0
-                for i, v in values.items():
-                    print(f"{i}: {v}" if args.all else v)
+                print("\n".join(f"{i}: {v}" for i, v in enumerate(values)) if args.all else "\n".join(values))
         else:
             if args.oracle:
                 return _error("--oracle reports all labels (its labeling is method-internal)")

@@ -1,18 +1,19 @@
 """Exact integral-lattice engine.
 
 A lattice is stored as its Gram matrix (symmetric, integer).  All operations
-are exact, and all rational elimination goes through one kernel,
-``_eliminate``: symmetric LDL^T elimination over the rationals in
-minimum-degree order, which on plumbing trees is leaves first and creates no
-fill-in.  Its pivots give the determinant (their product) and the inertia
-(their signs, by Sylvester's law), which decide signature and definiteness;
-its factors give exact solves and drive the Fincke-Pohst vector
-enumeration, which scales them to integers once per elimination and then
-runs in integer arithmetic for any number of centres.  The kernel reads
+are exact, and the rational elimination of a Gram matrix goes through one
+kernel, ``_eliminate``: symmetric LDL^T elimination over the rationals in
+minimum-degree order.  Its pivots give the determinant (their product) and
+the inertia (their signs, by Sylvester's law), which decide signature and
+definiteness; its factors give exact solves and drive the Fincke-Pohst
+vector enumeration, which scales them to integers once per elimination and
+then runs in integer arithmetic for any number of centres.  The kernel reads
 sparse rows, one ``{column: entry}`` dict of nonzero entries per basis
-vector: a dense Gram matrix converts once through ``_sparse``, and a plumbing
-tree builds its rows from its edges.  The Wu class is one more solve on the
-same elimination.  Nothing here ever touches a float.
+vector; a dense Gram matrix converts once through ``_sparse``.  The Wu class
+is one more solve on the same elimination.  Plumbing trees do not come here:
+``plumbing._tree_eliminate`` computes their determinant, inertia, solves and
+Wu class from subtree determinants in integers, and ``_eliminate`` is the
+tests' oracle for it.  Nothing here ever touches a float.
 
 Conventions used by several operations:
 

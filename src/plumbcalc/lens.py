@@ -42,8 +42,10 @@ closest-vector enumeration.  The p cosets share one elimination of the chain
 and one integer enumerator built from it; their centres come from two solves.
 
 Plumbed spheres.  ``d_from_plumbing`` scans Nemethi's tau-function (a convex
-quadratic minus periodic tables) on a provable window around its vertex, with
-a re-checked certificate; ``lattice.max_char_square`` is the tests' oracle.
+quadratic minus periodic tables) on a provable window around its vertex and
+solves for K on the plumbing's integer tree kernel, with a certificate
+re-checked against the tree's edges; ``lattice.max_char_square`` is the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from operator import add, floordiv, mod, mul, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import NotCoprimeError, _hj_word, mod_inverse
-from .lattice import NotNegativeDefiniteError, NotUnimodularError, _closest_point, _eliminate, _Enumerator, _sparse
-from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, _tree_rows, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
+from .lattice import _closest_point, _eliminate, _Enumerator, _sparse
+from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, _negdef_unimodular, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
 
 
 class ScanGuardExceededError(ValueError):
@@ -66,9 +68,11 @@ class ScanGuardExceededError(ValueError):
 
 
 # Longest tau window d_from_plumbing scans: d of family (v) at n = 263, 1.99M
-# points, takes 1.1 s (Python 3.11, one Xeon core).  Sum alpha bounds the tau
-# tables and the plumbing's rank, and may reach SCAN_GUARD // 50 at about the
-# same cost: Sigma(2, 13333, 26665), rank 26668, takes 1.4 s.
+# points, takes 0.7-1.1 s (Python 3.11, one Xeon core), 0.36-0.55 us a point.
+# Sum alpha bounds the tau tables and the plumbing's rank (rank <= sum alpha)
+# and may reach SCAN_GUARD // 15 at about the same cost: on the integer tree
+# kernel a unit of sum alpha costs d at most 4.9-6 us, where the rank is
+# nearly the sum (Sigma(300, 301, 90299), rank 90600, 0.45-0.54 s).
 SCAN_GUARD = 2_000_000
 
 # Largest lens order p of lens_d_all and d_surgery: at p = 599999 d_surgery takes
@@ -159,11 +163,18 @@ def lens_d(p: int, q: int, i: int) -> Fraction:
     return Fraction(_descent_label(L.p, L.q, (L.q * (i + 1) - 1) % L.p), 4 * L.p)
 
 
-def lens_d_all(p: int, q: int) -> dict[int, Fraction]:
-    """All p correction terms of L(p, q), keyed by spin^c label."""
+def lens_d_numerators(p: int, q: int) -> tuple[int, list[int]]:
+    """(4p, [4p d(L(p, q), i) for 0 <= i < p]): all correction terms as unreduced
+    integer numerators over one denominator, by spin^c label."""
     L = LensSpace(p, q)
     num = _descent_table(L.p, L.q)
-    return {i: Fraction(num[(L.q * (i + 1) - 1) % L.p], 4 * L.p) for i in range(L.p)}
+    return 4 * L.p, [num[(L.q * (i + 1) - 1) % L.p] for i in range(L.p)]
+
+
+def lens_d_all(p: int, q: int) -> dict[int, Fraction]:
+    """All p correction terms of L(p, q), keyed by spin^c label."""
+    den, nums = lens_d_numerators(p, q)
+    return {i: Fraction(n, den) for i, n in enumerate(nums)}
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +308,10 @@ def _leg_continuants(weights: list[int]) -> list[int]:
 
 
 def _multiplicity_guard(alphas: Iterable[int]) -> None:
-    """Refuse a sum of multiplicities past ``SCAN_GUARD // 50``: it bounds the tau tables and the rank."""
+    """Refuse a sum of multiplicities past ``SCAN_GUARD // 15``: it bounds the tau tables and the rank."""
     size = sum(alphas)
-    if size > SCAN_GUARD // 50:
-        raise ScanGuardExceededError(f"multiplicities summing to {size} exceed the scan guard's bound {SCAN_GUARD // 50}")
+    if size > SCAN_GUARD // 15:
+        raise ScanGuardExceededError(f"multiplicities summing to {size} exceed the scan guard's bound {SCAN_GUARD // 15}")
 
 
 def _tau_window(branches: list[tuple[int, int]]) -> tuple[int, int, int]:
@@ -359,15 +370,10 @@ def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
     """
     center, legs = star_legs(G)
     conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
-    rows = _tree_rows(G)
-    elim = _eliminate(rows)
-    if elim.sign() != -1:
-        raise NotNegativeDefiniteError("d_from_plumbing requires a negative definite plumbing")
-    if abs(elim.det()) != 1:
-        raise NotUnimodularError("d_from_plumbing requires |det| = 1")
+    elim = _negdef_unimodular(G)
     best, n_star = _tau_min(G.weights[center], [(m[0], m[1]) for m in conts])
     k = [-w - 2 for w in G.weights]
-    K = [int(x) for x in elim.solve(k)]  # integral: G is unimodular
+    K = elim.solve(k)  # integral: G is unimodular
     d = Fraction(sum(map(mul, k, K)) + G.rank, 4) - 2 * best
 
     x = [0] * G.rank
@@ -376,7 +382,10 @@ def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
         for v, mj in zip(leg, m[1:]):
             x[v] = -(-n_star * mj // m[0])
     c = tuple(a + 2 * b for a, b in zip(K, x))
-    gc = [sum(e * c[j] for j, e in row.items()) for row in rows]
+    gc = list(map(mul, G.weights, c))
+    for a, b in G.edges:
+        gc[a] += c[b]
+        gc[b] += c[a]
     if any((g - w) % 2 for g, w in zip(gc, G.weights)) or sum(map(mul, c, gc)) + G.rank != 4 * d:
         raise AssertionError(f"the tau-window certificate of d = {d} fails its re-check")
     return DFromPlumbing(d, c)

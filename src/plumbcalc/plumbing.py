@@ -9,6 +9,13 @@ e - (p'/p + q'/q + r'/r) = -1/pqr, and its canonical negative-definite
 plumbing is obtained by re-presenting every branch fraction below -1 and
 expanding with all entries <= -2.
 
+Determinant, inertia, solves and the Wu class of a plumbing tree come from
+one integer kernel, ``_tree_eliminate``: leaves first, with subtree
+determinants as exact integers and no ``Fraction`` per vertex.  ``mubar``,
+``ue_spin_bound``, ``negdef_plumbing``'s post-check and
+``lens.d_from_plumbing`` all run on it; the homology-sphere callers share
+one check (negative definite, |det| = 1) in ``_negdef_unimodular``.
+
 Chain diagrams model linear surgery presentations with one marked link of
 multiplicity k; ``twist_reduce`` applies, at the Gram-matrix level, the
 reduction that trades a 0-framed component next to the marked link for a
@@ -20,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import NotCoprimeError, NotExpandableError, _hj_word, cf_eval, hj_expand, hj_expand_negative, mod_inverse
-from .lattice import GramLattice, _eliminate, _Elimination, _wu
+from .lattice import GramLattice, NotNegativeDefiniteError, NotUnimodularError, Signature, SingularMod2Error
 
 
 class NotStarShapedError(ValueError):
@@ -121,15 +129,6 @@ def graph_to_gram(G: PlumbingGraph) -> GramLattice:
     return GramLattice(tuple(tuple(r) for r in rows))
 
 
-def _tree_rows(G: PlumbingGraph) -> list[dict[int, int]]:
-    """The intersection form as the elimination kernel's sparse rows, in
-    O(rank): the nonzero weight on the diagonal, 1 per edge."""
-    rows = [{v: w} if w else {} for v, w in enumerate(G.weights)]
-    for a, b in G.edges:
-        rows[a][b] = rows[b][a] = 1
-    return rows
-
-
 def star_graph(center_weight: int, legs: Sequence[Sequence[int]]) -> PlumbingGraph:
     """Star-shaped tree: legs are weight sequences read from the center out."""
     weights = [center_weight]
@@ -141,6 +140,127 @@ def star_graph(center_weight: int, legs: Sequence[Sequence[int]]) -> PlumbingGra
             edges.append((prev, len(weights) - 1))
             prev = len(weights) - 1
     return PlumbingGraph(tuple(weights), tuple(edges))
+
+
+# ---------------------------------------------------------------------------
+# The integer tree kernel: determinant, inertia, solves
+
+
+class _TreeElimination(NamedTuple):
+    """Leaves-first elimination of a plumbing tree's intersection form, in integers.
+
+    ``order`` lists the vertices children first and the root (vertex 0) last;
+    ``parent[v]`` is -1 at the root.  Over its nonzero children c (those with
+    D_c != 0, none of them paired), a vertex v has P_v = prod D_c and the
+    subtree determinant D_v = w_v P_v - sum_c P_c (P_v / D_c), so its pivot is
+    D_v / P_v (Neumann, Trans. AMS 268, 1981).  A child z with D_z = 0 pairs
+    with its parent v, ``pair[v] = z``, into the unimodular block
+    [[0, 1], [1, D_v / P_v]]: one + and one - in the inertia, det times -1, and
+    no term in the grandparent's pivot (Jacobs-Trevisan, Linear Algebra Appl.
+    434, 2011).  A further zero child of v, or a zero root, is a null direction.
+    """
+
+    order: list[int]
+    parent: list[int]
+    D: list[int]
+    P: list[int]
+    pair: list[int]
+    det: int
+    inertia: Signature
+
+    def solve(self, rhs: Sequence[int]) -> list[int]:
+        """The integer x with G x = rhs, for G nonsingular.
+
+        With beta_v = r_v P_v - sum_c beta_c (P_v / D_c), x_root = beta_root /
+        D_root and x_c = (beta_c - x_parent P_c) / D_c; a block (v, z) has x_v =
+        beta_z / P_z and x_z = (beta_v - D_v x_v) / P_v - x_parent.  Every
+        division is checked exact: an AssertionError means G x = rhs has no
+        integral solution.
+        """
+        if not self.det:
+            raise ZeroDivisionError("the Gram matrix is singular")
+        order, parent, D, P, pair = self.order, self.parent, self.D, self.P, self.pair
+        beta = list(map(mul, rhs, P))
+        x = [0] * len(beta)
+        for v in order:
+            u = parent[v]
+            if pair[v] >= 0:
+                z = pair[v]
+                x[v], rem = divmod(beta[z], P[z])
+                if rem:
+                    raise AssertionError(f"G x = rhs has no integral solution (vertex {v})")
+                if u >= 0:
+                    beta[u] -= x[v] * P[u]
+            elif D[v] and u >= 0:
+                beta[u] -= beta[v] * (P[u] // D[v])
+        for v in reversed(order):
+            u = parent[v]
+            xu = x[u] if u >= 0 else 0
+            if pair[v] >= 0:
+                z = pair[v]
+                x[z], rem = divmod(beta[v] - D[v] * x[v] - xu * P[v], P[v])
+            elif D[v]:
+                x[v], rem = divmod(beta[v] - xu * P[v], D[v])
+            else:  # a zero child, solved with its parent's block
+                continue
+            if rem:
+                raise AssertionError(f"G x = rhs has no integral solution (vertex {v})")
+        return x
+
+    def wu(self, weights: Sequence[int]) -> tuple[int, ...]:
+        """The Wu class: for odd det, x = G^{-1} (det diag G) is integral and
+        eps = x mod 2 solves G eps == diag(G) (mod 2)."""
+        if self.det % 2 == 0:
+            raise SingularMod2Error("Gram matrix is singular mod 2")
+        return tuple(x % 2 for x in self.solve([self.det * w for w in weights]))
+
+
+def _tree_eliminate(G: PlumbingGraph) -> _TreeElimination:
+    """The integer elimination of G's intersection form, rooted at vertex 0, in O(rank)."""
+    n = G.rank
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in G.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = [-1] * n
+    order = [0]
+    for v in order:  # breadth first; reversed, every child precedes its parent
+        for c in adj[v]:
+            if c != parent[v]:
+                parent[c] = v
+                order.append(c)
+    order.reverse()
+    D, P, pair = list(G.weights), [1] * n, [-1] * n
+    det, plus, nulls = 1, 0, 0
+    for v in order:
+        u, d = parent[v], D[v]
+        if d and pair[v] < 0:  # the pivot D_v / P_v
+            plus += (d > 0) == (P[v] > 0)
+            if u < 0:
+                det *= d
+            else:
+                D[u] = D[u] * d - P[u] * P[v]
+                P[u] *= d
+            continue
+        det *= P[v]  # v has no pivot of its own, so its children's D_c stay in det
+        if pair[v] >= 0:  # v and its zero child: one +, one -, det times -1
+            det, plus = -det, plus + 1
+        elif u < 0 or pair[u] >= 0:
+            nulls += 1
+        else:
+            pair[u] = v
+    return _TreeElimination(order, parent, D, P, pair, 0 if nulls else det, Signature(plus, n - nulls - plus, nulls))
+
+
+def _negdef_unimodular(G: PlumbingGraph) -> _TreeElimination:
+    """The kernel of G after the check every homology-sphere caller makes: G is negative
+    definite (else NotNegativeDefiniteError) with |det| = 1 (else NotUnimodularError)."""
+    elim = _tree_eliminate(G)
+    if elim.inertia.n_minus != G.rank:
+        raise NotNegativeDefiniteError(f"the plumbing is not negative-definite (inertia {tuple(elim.inertia)})")
+    if abs(elim.det) != 1:
+        raise NotUnimodularError(f"the negative-definite plumbing has |det| = {abs(elim.det)}, not 1")
+    return elim
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +546,10 @@ def negdef_plumbing(T: BrieskornTriple, post_check: bool = True) -> PlumbingGrap
     shifted = SeifertData(data.e - len(data.branches), tuple((a, b - a) for a, b in data.branches))
     G = seifert_to_plumbing(shifted)
     if post_check:
-        elim = _eliminate(_tree_rows(G))
-        det = elim.det()
-        if abs(det) != 1:
-            raise AssertionError(f"plumbing of {T.as_tuple()} has |det| = {abs(det)}, expected 1")
-        if elim.sign() != -1:
-            raise AssertionError(f"plumbing of {T.as_tuple()} is not negative definite")
+        try:
+            _negdef_unimodular(G)
+        except ValueError as exc:
+            raise AssertionError(f"plumbing of {T.as_tuple()}: {exc}") from exc
     return G
 
 
@@ -445,14 +563,14 @@ def mubar(G: PlumbingGraph) -> Fraction:
     Requires the tree to have odd determinant so the Wu class is unique;
     the value is an integer for homology spheres.
     """
-    return _mubar(G, _eliminate(_tree_rows(G)))
+    return _mubar(G, _tree_eliminate(G))
 
 
-def _mubar(G: PlumbingGraph, elim: _Elimination) -> Fraction:
-    """``mubar`` of G from ``elim``, the elimination of its sparse rows."""
-    w = _wu(elim, G.weights)  # raises SingularMod2Error on even determinant
+def _mubar(G: PlumbingGraph, elim: _TreeElimination) -> Fraction:
+    """``mubar`` of G from ``elim``, its tree kernel."""
+    w = elim.wu(G.weights)  # raises SingularMod2Error on even determinant
     square = sum(x * wv for x, wv in zip(G.weights, w)) + 2 * sum(w[a] * w[b] for a, b in G.edges)  # w is 0/1
-    return Fraction(elim.inertia().sigma - square, 8)
+    return Fraction(elim.inertia.sigma - square, 8)
 
 
 def rohlin(G: PlumbingGraph) -> int:
@@ -479,10 +597,7 @@ def ue_spin_bound(G: PlumbingGraph) -> SpinBound:
     mu-bar the cap comes from is returned with it.
     """
     star_legs(G)  # raises NotStarShapedError if not a star
-    elim = _eliminate(_tree_rows(G))
-    if abs(elim.det()) != 1 or elim.sign() != -1:
-        raise ValueError("spin bound applies to negative-definite homology-sphere plumbings (|det| = 1)")
-    m = _mubar(G, elim)
+    m = _mubar(G, _negdef_unimodular(G))
     assert m.denominator == 1
     ub = -8 * int(m)
     return SpinBound(max(0, ub), ub % 16, m)

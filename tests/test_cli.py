@@ -1,6 +1,8 @@
 import json
 import random
 import time
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,7 +11,10 @@ import plumbcalc.lens
 import plumbcalc.plumbing
 from plumbcalc.cli import main
 from plumbcalc.families import VerificationReport
-from plumbcalc.plumbing import PlumbingGraph, star_graph
+from plumbcalc.lattice import determinant, signature, wu_class
+from plumbcalc.lens import lens_d_all
+from plumbcalc.plumbing import PlumbingGraph, _tree_eliminate, graph_to_gram, star_graph
+from test_plumbing import _random_tree
 
 
 def run(capsys, *argv):
@@ -39,8 +44,8 @@ class TestDCommand:
 
         monkeypatch.setattr(plumbcalc.lens, "negdef_plumbing", build)
         for argv, err_want in [
-            (("2", "3", "10000001"), "multiplicities summing to 10000006 exceed the scan guard's bound 40000"),
-            (("2", "3", "100000001"), "multiplicities summing to 100000006 exceed the scan guard's bound 40000"),
+            (("2", "3", "10000001"), "multiplicities summing to 10000006 exceed the scan guard's bound 133333"),
+            (("2", "3", "100000001"), "multiplicities summing to 100000006 exceed the scan guard's bound 133333"),
             (("101", "11857", "20298"), "tau window of 4536597 points exceeds the scan guard 2000000"),
         ]:
             t0 = time.monotonic()
@@ -101,6 +106,16 @@ class TestLensCommand:
         outs = [run(capsys, "lens-d", "12", "5")[1] for _ in range(2)]
         assert outs[0] == outs[1] and outs[0].split("\n")[:3] == ["5/12", "1/6", "3/4"]
 
+    def test_all_labels_print_the_fractions_of_lens_d_all(self, capsys):
+        # the integer numerators are reduced once per label; the text and JSON
+        # outputs equal the formatting of lens_d_all's Fractions for every p <= 60
+        for p in range(1, 61):
+            for q in (q for q in range(1, p + 1) if gcd(p, q) == 1):
+                want = {str(i): str(v) for i, v in lens_d_all(p, q).items()}
+                assert run(capsys, "lens-d", str(p), str(q), "--all")[1] == "".join(f"{i}: {v}\n" for i, v in want.items())
+                payload = {"command": "lens-d", "p": p, "q": q, "values": want}
+                assert run(capsys, "--json", "lens-d", str(p), str(q))[1] == json.dumps(payload, sort_keys=True) + "\n"
+
     def test_no_decimal_output(self, capsys):
         _, out, _ = run(capsys, "lens-d", "12", "5", "--all")
         assert "." not in out
@@ -143,8 +158,8 @@ class TestMubarCommand:
 
     def test_one_elimination_per_triple(self, capsys, monkeypatch):
         calls = []
-        eliminate = plumbcalc.plumbing._eliminate
-        monkeypatch.setattr(plumbcalc.plumbing, "_eliminate", lambda rows: calls.append(len(rows)) or eliminate(rows))
+        eliminate = plumbcalc.plumbing._tree_eliminate
+        monkeypatch.setattr(plumbcalc.plumbing, "_tree_eliminate", lambda G: calls.append(G.rank) or eliminate(G))
         code, out, _ = run(capsys, "mubar", "2", "3", "11")
         assert code == 0 and out.strip() == "0"
         assert calls == [9]  # the rank of the tree
@@ -158,7 +173,7 @@ class TestMubarCommand:
         t0 = time.monotonic()
         code, out, err = run(capsys, "mubar", "2", "3", "10000001")
         assert code == 3 and out == ""
-        assert err == "error: multiplicities summing to 10000006 exceed the scan guard's bound 40000\n"
+        assert err == "error: multiplicities summing to 10000006 exceed the scan guard's bound 133333\n"
         assert time.monotonic() - t0 < 0.5
 
     def test_graph_file(self, capsys, tmp_path):
@@ -167,6 +182,27 @@ class TestMubarCommand:
         path.write_text(json.dumps(g.to_json()))
         code, out, _ = run(capsys, "mubar", "--graph", str(path))
         assert code == 0 and out.strip() == "1"
+
+    def test_graph_with_zero_pivots_matches_the_fraction_kernel(self, capsys, tmp_path):
+        """`mubar --graph` on indefinite trees whose tree elimination meets a
+        zero pivot, against (sigma - w^T G w) / 8 from the lattice module's
+        Fraction kernel: the unimodular path (0, 3, 5, 0) and seeded trees with
+        weights in [-2, 2] and odd determinant."""
+        rng = random.Random(2024)
+        trees = [PlumbingGraph((0, 3, 5, 0), ((0, 1), (1, 2), (2, 3)))]
+        while len(trees) < 80:
+            G = _random_tree(rng, rng.randint(2, 10), -2, 2)
+            if determinant(graph_to_gram(G)) % 2:
+                trees.append(G)
+        path, blocks = tmp_path / "g.json", 0
+        for G in trees:
+            gram = graph_to_gram(G)
+            path.write_text(json.dumps(G.to_json()))
+            code, out, _ = run(capsys, "mubar", "--graph", str(path))
+            assert code == 0 and out == f"{Fraction(signature(gram).sigma - gram.norm(wu_class(gram)), 8)}\n", G
+            blocks += max(_tree_eliminate(G).pair) >= 0
+        assert determinant(graph_to_gram(trees[0])) == 1 and max(_tree_eliminate(trees[0]).pair) >= 0
+        assert blocks >= 20
 
     @pytest.mark.parametrize(
         "payload",

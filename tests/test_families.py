@@ -243,25 +243,22 @@ class TestConjectures:
 
 def test_theorem_main_eliminates_each_tree_once(monkeypatch):
     """verify_theorem_main takes |det| = 1, definiteness and mu-bar from the one
-    elimination of the spin bound: the plumbing tree is eliminated once (the
-    rank-8 final lattice of the reduction once more)."""
+    elimination of the spin bound: the plumbing tree goes through the integer
+    tree kernel once, and only the rank-8 final lattice of the reduction
+    through the dense one."""
     import plumbcalc.lattice
     import plumbcalc.plumbing
 
-    ranks = []
-    kernel = plumbcalc.lattice._eliminate
-
-    def counted(rows):
-        ranks.append(len(rows))
-        return kernel(rows)
-
-    monkeypatch.setattr(plumbcalc.plumbing, "_eliminate", counted)
-    monkeypatch.setattr(plumbcalc.lattice, "_eliminate", counted)
+    ranks = {"tree": [], "dense": []}
+    tree_kernel, dense_kernel = plumbcalc.plumbing._tree_eliminate, plumbcalc.lattice._eliminate
+    monkeypatch.setattr(plumbcalc.plumbing, "_tree_eliminate", lambda G: ranks["tree"].append(G.rank) or tree_kernel(G))
+    monkeypatch.setattr(plumbcalc.lattice, "_eliminate", lambda rows: ranks["dense"].append(len(rows)) or dense_kernel(rows))
     for fam, n in [("i", 3), ("v", 2), ("xii", 1)]:
-        ranks.clear()
+        ranks["tree"].clear()
+        ranks["dense"].clear()
         rep = verify_theorem_main(fam, n)
         assert rep.passed
-        assert sorted(ranks) == sorted([8, negdef_plumbing(family_triple(fam, n), post_check=False).rank]), (fam, n)
+        assert ranks == {"tree": [negdef_plumbing(family_triple(fam, n), post_check=False).rank], "dense": [8]}, (fam, n)
 
 
 class TestUnboundedGap:

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from itertools import accumulate, count, cycle, islice
 from math import gcd, prod
-from operator import sub
+from operator import mul, sub
 
 import pytest
 
@@ -47,6 +47,7 @@ from plumbcalc.plumbing import (
     plumbing_to_seifert,
     seifert_to_plumbing,
     star_graph,
+    _negdef_unimodular,
 )
 from plumbcalc.arith import hj_expand
 
@@ -383,6 +384,43 @@ def _coprime_sets(rng: random.Random, how_many: int, sizes: tuple[int, ...], top
 
 # seeded pairwise-coprime triples for the tau-scan tests (multiplicities < 60)
 TRIPLES = _random_triples(random.Random(2005), 200, max_rank=16)
+
+
+def _dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) for gcd(h, k) = 1 in O(log k) steps, by the reciprocity
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(hk) - 3) / 12 (Rademacher-Grosswald)."""
+    total, sign, h = Fraction(0), 1, h % k
+    while h:
+        total += sign * (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k) - 3) / 12
+        h, k, sign = k % h, h, -sign
+    return total
+
+
+def test_dedekind_sum_by_reciprocity_matches_its_definition():
+    def saw(x: Fraction) -> Fraction:
+        return x - x.numerator // x.denominator - Fraction(1, 2) if x.denominator != 1 else Fraction(0)
+
+    for k in range(1, 30):
+        for h in (h for h in range(2 * k) if gcd(h, k) == 1):
+            assert _dedekind_sum(h, k) == sum(saw(Fraction(i, k)) * saw(Fraction(h * i, k)) for i in range(1, k)), (h, k)
+
+
+def test_k_squared_matches_the_dedekind_sum_formula():
+    """K^2 + rank from the integer tree kernel, with K = G^-1 k and
+    k_v = -w_v - 2 as in d_from_plumbing, against Nemethi-Nicolaescu (Geom.
+    Topol. 6, 2002): K^2 + s = eps^2 e + e + 5 - 12 sum s(omega_i, alpha_i),
+    e = e0 + sum omega_i/alpha_i, eps = (2 - nu + sum 1/alpha_i)/e, on 250
+    seeded triples and 50 seeded four- and five-leg spheres."""
+    rng = random.Random(2011)
+    cases = [negdef_plumbing(BrieskornTriple(*t)) for t in _coprime_sets(rng, 250, (3,), 200, 10**7)]
+    cases += [_seifert_sphere(t) for t in _coprime_sets(rng, 50, (4, 5), 20, 20000)]
+    for g in cases:
+        k = [-w - 2 for w in g.weights]
+        e0, branches = _tau_data(g)
+        e = e0 + sum(Fraction(w, a) for a, w in branches)
+        eps = (2 - len(branches) + sum(Fraction(1, a) for a, _ in branches)) / e
+        want = eps * eps * e + e + 5 - 12 * sum(_dedekind_sum(w, a) for a, w in branches)
+        assert sum(map(mul, k, _negdef_unimodular(g).solve(k))) + g.rank == want, branches
 
 
 class TestDFromPlumbing:

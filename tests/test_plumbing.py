@@ -1,15 +1,23 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import plumbcalc.lattice
+import plumbcalc.lens
 import plumbcalc.plumbing
 from plumbcalc.arith import NotExpandableError
+from plumbcalc.cli import main
 from plumbcalc.lattice import (
     Definiteness,
     GramLattice,
+    SingularMod2Error,
+    _eliminate,
+    _sparse,
+    _wu,
     classify,
     definiteness_sign,
     determinant,
@@ -39,7 +47,9 @@ from plumbcalc.plumbing import (
     star_graph,
     twist_reduce,
     ue_spin_bound,
+    _tree_eliminate,
 )
+from plumbcalc.families import family_triple
 from plumbcalc.lens import d_from_plumbing
 
 
@@ -349,17 +359,90 @@ class TestUeSpinBound:
             ue_spin_bound(star_graph(-2, [[-2], [-3], [-7]]))  # negative definite, |det| = 43
 
 
-def test_plumbing_invariants_build_no_dense_gram(monkeypatch):
-    """mu-bar, the spin bound, the negdef post-check and d read the tree's
-    sparse rows: building any dense Gram matrix fails the test."""
+def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
+    """mu-bar (`mubar --graph` too), the spin bound, the negdef post-check and
+    d run on the integer tree kernel: building a dense Gram matrix or running
+    the Fraction kernel fails the test, and the Fractions a call builds do not
+    grow with the rank."""
 
     def dense(*args, **kwargs):
         raise AssertionError("a dense Gram matrix was built")
 
+    def fraction_kernel(*args, **kwargs):
+        raise AssertionError("the Fraction elimination ran")
+
     monkeypatch.setattr(plumbcalc.plumbing, "graph_to_gram", dense)
     monkeypatch.setattr(GramLattice, "__post_init__", dense)
+    monkeypatch.setattr(plumbcalc.lattice, "_eliminate", fraction_kernel)
+    monkeypatch.setattr(plumbcalc.lens, "_eliminate", fraction_kernel)
     g = negdef_plumbing(BrieskornTriple(2, 13, 23), post_check=True)
     assert mubar(g) == -1
     assert ue_spin_bound(g) == (8, 8, -1)
     assert d_from_plumbing(g).value == 2
     assert mubar(negdef_plumbing(BrieskornTriple(5, 3498, 4997))) == -1  # family (v), n = 100: rank 2511
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(PlumbingGraph((0, 3, 5, 0), ((0, 1), (1, 2), (2, 3))).to_json()))
+    assert main(["mubar", "--graph", str(path)]) == 0 and capsys.readouterr().out == "0\n"
+
+    built = Counter()
+    new = Fraction.__new__
+    for n in (2, 100):  # ranks 61 and 2511
+        calls = {
+            "post-check": lambda: negdef_plumbing(family_triple("v", n)),
+            "mubar": lambda: mubar(g),
+            "ue_spin_bound": lambda: ue_spin_bound(g),
+            "d_from_plumbing": lambda: d_from_plumbing(g),
+        }
+        g = negdef_plumbing(family_triple("v", n), post_check=False)
+        for name, call in calls.items():
+            monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.update([(name, n)]) or new(cls, *a, **k))
+            call()
+            monkeypatch.setattr(Fraction, "__new__", new)
+    for name in calls:
+        assert 0 < built[name, 2] == built[name, 100] < 30, built
+
+
+def _random_tree(rng: random.Random, n: int, lo: int, hi: int) -> PlumbingGraph:
+    """A seeded random tree on n shuffled vertices with weights in [lo, hi]."""
+    perm = rng.sample(range(n), n)
+    return PlumbingGraph(tuple(rng.randint(lo, hi) for _ in range(n)), tuple((perm[rng.randrange(v)], perm[v]) for v in range(1, n)))
+
+
+def test_tree_kernel_matches_the_fraction_kernel():
+    """The integer tree kernel against lattice._eliminate on 1201 seeded trees:
+    det, inertia, solve and the Wu class.  Stars, random trees and trees with
+    weights in [-2, 2], a third of them with a zero-pivot block; in the path
+    (0, 3, 5, 0) every root leaves a zero-weight leaf as a subtree."""
+    rng = random.Random(1111)
+    path = PlumbingGraph((0, 3, 5, 0), ((0, 1), (1, 2), (2, 3)))
+    legs = lambda: [[rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(3, 5))]
+    trees = [path] + [star_graph(rng.randint(-6, 6), legs()) for _ in range(400)]
+    trees += [_random_tree(rng, rng.randint(1, 12), -6, 6) for _ in range(400)]
+    trees += [_random_tree(rng, rng.randint(2, 16), -2, 2) for _ in range(400)]
+    counts = Counter()
+    for G in trees:
+        ref, elim = _eliminate(_sparse(graph_to_gram(G).rows)), _tree_eliminate(G)
+        assert (elim.det, elim.inertia) == (ref.det(), ref.inertia()), G
+        counts["block"] += max(elim.pair) >= 0
+        if not elim.det:
+            counts["singular"] += 1
+            with pytest.raises(ZeroDivisionError):
+                elim.solve(G.weights)
+            continue
+        rhs = [elim.det * rng.randint(-9, 9) for _ in G.weights]
+        assert elim.solve(rhs) == ref.solve(rhs), G
+        if elim.det % 2:
+            counts["odd"] += 1
+            assert elim.wu(G.weights) == _wu(ref, G.weights), G
+        else:
+            with pytest.raises(SingularMod2Error):
+                elim.wu(G.weights)
+    assert (_tree_eliminate(path).det, _tree_eliminate(path).inertia) == (1, (2, 2, 0))
+    assert 3 * counts["block"] >= len(trees) >= 1000 and counts["singular"] and counts["odd"], counts
+
+
+def test_tree_kernel_checks_every_division():
+    # G x = (1, 0) has the solution (-2/3, -1/3) on the det 3 path (-2, -2)
+    with pytest.raises(AssertionError, match="no integral solution"):
+        _tree_eliminate(PlumbingGraph((-2, -2), ((0, 1),))).solve([1, 0])
+    assert _tree_eliminate(PlumbingGraph((-2, -2), ((0, 1),))).solve([3, 0]) == [-2, -1]
