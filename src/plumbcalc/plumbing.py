@@ -150,10 +150,10 @@ class _TreeElimination(NamedTuple):
     """Leaves-first elimination of a plumbing tree's intersection form, in integers.
 
     ``order`` lists the vertices children first and the root (vertex 0) last;
-    ``parent[v]`` is -1 at the root.  Over its nonzero children c (those with
-    D_c != 0, none of them paired), a vertex v has P_v = prod D_c and the
-    subtree determinant D_v = w_v P_v - sum_c P_c (P_v / D_c), so its pivot is
-    D_v / P_v (Neumann, Trans. AMS 268, 1981).  A child z with D_z = 0 pairs
+    ``parent[v]`` is -1 at the root.  Over its children c that carry a pivot
+    (D_c != 0 and no zero child of their own), a vertex v has P_v = prod D_c
+    and the subtree determinant D_v = w_v P_v - sum_c P_c (P_v / D_c), so its
+    pivot is D_v / P_v (Neumann, Trans. AMS 268, 1981).  A child z with D_z = 0 pairs
     with its parent v, ``pair[v] = z``, into the unimodular block
     [[0, 1], [1, D_v / P_v]]: one + and one - in the inertia, det times -1, and
     no term in the grandparent's pivot (Jacobs-Trevisan, Linear Algebra Appl.
