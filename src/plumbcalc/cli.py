@@ -24,7 +24,7 @@ import json
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 from .families import (
     FAMILY_IDS,
@@ -43,7 +43,7 @@ from .lens import (
     lens_d_numerators,
     lens_d_oracle,
 )
-from .plumbing import BrieskornTriple, PlumbingGraph, mubar, negdef_plumbing, ue_spin_bound
+from .plumbing import BrieskornTriple, PlumbingGraph, mubar, negdef_plumbing
 
 EXIT_OK = 0
 EXIT_CLAUSE_FAILED = 1
@@ -131,12 +131,11 @@ def cmd_mubar(args) -> int:
     elif not (args.p and args.q and args.r):
         return _error("give a triple or --graph FILE")
     try:
-        if args.graph:
-            value = _fmt(mubar(G))
-        else:  # P+Q+R bounds the tree's rank; its one elimination checks |det| = 1 and definiteness
+        if not args.graph:  # P+Q+R bounds the tree's rank
             triple = _parse_triple(args)
             _multiplicity_guard(triple.as_tuple())
-            value = _fmt(ue_spin_bound(negdef_plumbing(triple, post_check=False)).mubar)
+            G = negdef_plumbing(triple)
+        value = _fmt(mubar(G))
     except ScanGuardExceededError as exc:
         return _error(exc, EXIT_WORK_GUARD)
     except ValueError as exc:
@@ -156,11 +155,12 @@ def _parse_families(spec: str) -> list[str]:
     return names
 
 
-def _parse_range(spec: str) -> list[int]:
+def _parse_range(spec: str) -> Sequence[int]:
+    """``A..B`` as a lazy range (its least element is its first), else a comma-separated list."""
     spec = spec.strip()
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return [int(x) for x in spec.split(",") if x.strip()]
 
 
@@ -176,7 +176,7 @@ def cmd_verify(args) -> int:
     if task in ("thm1.3", "cor1.6"):
         families = [f for f in families if f in FAMILY_IDS[:4]]  # the families with surgery tables
     if task != "classify-e8":
-        if any(n < 1 for n in ns):
+        if any(n < 1 for n in (ns[:1] if isinstance(ns, range) else ns)):
             return _error("family parameter n must be >= 1")
         if not (families and ns):
             return _error(f"--families {args.families} --n {args.n} leaves nothing for {task} to run")

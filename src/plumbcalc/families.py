@@ -332,8 +332,7 @@ def verify_theorem_main(fam: str, n: int) -> VerificationReport:
     rep = VerificationReport("theorem-main", fam, n)
     rep.values["triple"] = triple.as_tuple()
 
-    # one elimination: ue_spin_bound checks |det| = 1 and negative definiteness
-    bound = ue_spin_bound(negdef_plumbing(triple, post_check=False))
+    bound = ue_spin_bound(negdef_plumbing(triple))
     rep.values["mubar"] = bound.mubar
     rep.checks["mubar_is_minus_one"] = bound.mubar == -1
 
@@ -416,10 +415,9 @@ def verify_unbounded_gap(fam: str, n: int) -> VerificationReport:
     """
     fam = _check_family(fam)
     rep = VerificationReport("unbounded-gap", fam, n)
-    G = negdef_plumbing(family_triple(fam, n), post_check=False)  # d_from_plumbing checks it
-    gram = graph_to_gram(G)
-    d = d_from_plumbing(G)
-    split = minimalize(gram)
+    G = negdef_plumbing(family_triple(fam, n))
+    d = d_from_plumbing(G)  # its tau-window guard fires before the dense Gram is built
+    split = minimalize(graph_to_gram(G))
     bound = theorem_bound(fam, n)
     o_lower = split.minimal.rank
     rep.values["d"] = d.value
@@ -505,7 +503,7 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
                 if gcd(p, r) != 1 or gcd(q, r) != 1 or brieskorn_rank(p, q, r) != 8:
                     continue
                 triple = BrieskornTriple(p, q, r)
-                hit = recognize_e8(graph_to_gram(negdef_plumbing(triple, post_check=False))) == -1
+                hit = recognize_e8(graph_to_gram(negdef_plumbing(triple))) == -1
                 if not hit:
                     rev = seifert_to_plumbing(brieskorn_seifert(triple, reversed_orientation=True))
                     hit = recognize_e8(graph_to_gram(rev)) == 1

@@ -393,6 +393,6 @@ def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
 
 def d_brieskorn(T: BrieskornTriple) -> DFromPlumbing:
     """``d_from_plumbing`` of Sigma(p, q, r)'s canonical plumbing (legs a/(a - b) for the Seifert
-    branches (a, b)), guarded before it is built; d_from_plumbing checks it, not a post-check."""
+    branches (a, b)), guarded before it is built."""
     _tau_window([(a, a - b) for a, b in brieskorn_seifert(T).branches])
-    return d_from_plumbing(negdef_plumbing(T, post_check=False))
+    return d_from_plumbing(negdef_plumbing(T))

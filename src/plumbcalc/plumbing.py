@@ -11,10 +11,11 @@ expanding with all entries <= -2.
 
 Determinant, inertia, solves and the Wu class of a plumbing tree come from
 one integer kernel, ``_tree_eliminate``: leaves first, with subtree
-determinants as exact integers and no ``Fraction`` per vertex.  ``mubar``,
-``ue_spin_bound``, ``negdef_plumbing``'s post-check and
-``lens.d_from_plumbing`` all run on it; the homology-sphere callers share
-one check (negative definite, |det| = 1) in ``_negdef_unimodular``.
+determinants as exact integers and no ``Fraction`` per vertex, on the tree
+rooted at 0 that ``PlumbingGraph`` builds as its connectivity check.  Each
+graph runs it once (``_elimination``); ``negdef_plumbing``'s check (negative
+definite, |det| = 1), ``mubar``, ``ue_spin_bound`` and ``d_from_plumbing``
+all read that one elimination.
 
 Chain diagrams model linear surgery presentations with one marked link of
 multiplicity k; ``twist_reduce`` applies, at the Gram-matrix level, the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
@@ -50,7 +52,10 @@ class PatternNotFoundError(ValueError):
 class PlumbingGraph:
     """A weighted tree on vertices 0..n-1.
 
-    Invariants enforced: connected, |E| = |V| - 1, no self loops.
+    Invariants enforced: |E| = |V| - 1, no self loops, and every vertex
+    reached from vertex 0, which makes it a tree.  That walk is kept as the
+    tree rooted at 0: ``_adj`` (sorted adjacency lists), ``_order`` (breadth
+    first, root first) and ``_parent`` (-1 at the root).
     """
 
     weights: tuple[int, ...]
@@ -62,36 +67,38 @@ class PlumbingGraph:
         if n == 0:
             raise ValueError("plumbing graph needs at least one vertex")
         edges = []
-        seen = set()
         for a, b in self.edges:
             a, b = int(a), int(b)
             if a == b:
                 raise ValueError("self-plumbings are not supported (tree graphs only)")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("edge endpoint out of range")
-            e = (min(a, b), max(a, b))
-            if e in seen:
-                raise ValueError("duplicate edge")
-            seen.add(e)
-            edges.append(e)
+            edges.append((a, b) if a < b else (b, a))
         if len(edges) != n - 1:
             raise ValueError("a tree on n vertices has exactly n-1 edges")
-        # connectivity
-        adj = {i: [] for i in range(n)}
-        for a, b in edges:
+        edges.sort()
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for a, b in edges:  # sorted, so every adjacency list is sorted
             adj[a].append(b)
             adj[b].append(a)
-        stack, visited = [0], {0}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in visited:
-                    visited.add(w)
-                    stack.append(w)
-        if len(visited) != n:
+        parent, order = [-1] + [-2] * (n - 1), [0]  # -2: not reached yet
+        for v in order:
+            for c in adj[v]:
+                if parent[c] == -2:
+                    parent[c] = v
+                    order.append(c)
+        if len(order) != n:  # a repeated edge or a cycle leaves a vertex unreached
             raise ValueError("plumbing graph must be connected")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_parent", parent)
+
+    @cached_property
+    def _elimination(self) -> "_TreeElimination":
+        """``_tree_eliminate(self)``, run once per graph."""
+        return _tree_eliminate(self)
 
     @property
     def rank(self) -> int:
@@ -217,19 +224,8 @@ class _TreeElimination(NamedTuple):
 
 def _tree_eliminate(G: PlumbingGraph) -> _TreeElimination:
     """The integer elimination of G's intersection form, rooted at vertex 0, in O(rank)."""
-    n = G.rank
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in G.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = [-1] * n
-    order = [0]
-    for v in order:  # breadth first; reversed, every child precedes its parent
-        for c in adj[v]:
-            if c != parent[v]:
-                parent[c] = v
-                order.append(c)
-    order.reverse()
+    n, parent = G.rank, G._parent
+    order = G._order[::-1]  # every child precedes its parent
     D, P, pair = list(G.weights), [1] * n, [-1] * n
     det, plus, nulls = 1, 0, 0
     for v in order:
@@ -255,7 +251,7 @@ def _tree_eliminate(G: PlumbingGraph) -> _TreeElimination:
 def _negdef_unimodular(G: PlumbingGraph) -> _TreeElimination:
     """The kernel of G after the check every homology-sphere caller makes: G is negative
     definite (else NotNegativeDefiniteError) with |det| = 1 (else NotUnimodularError)."""
-    elim = _tree_eliminate(G)
+    elim = G._elimination
     if elim.inertia.n_minus != G.rank:
         raise NotNegativeDefiniteError(f"the plumbing is not negative-definite (inertia {tuple(elim.inertia)})")
     if abs(elim.det) != 1:
@@ -434,11 +430,7 @@ def star_legs(G: PlumbingGraph) -> tuple[int, list[list[int]]]:
     The center is the unique vertex of degree > 2 (for paths: the
     lowest-index endpoint; a single vertex has no legs).
     """
-    n = G.rank
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in G.edges:  # sorted, so every adjacency list is sorted
-        adj[a].append(b)
-        adj[b].append(a)
+    n, adj = G.rank, G._adj
     degrees = [len(nbrs) for nbrs in adj]
     big = [v for v in range(n) if degrees[v] > 2]
     if len(big) > 1:
@@ -534,22 +526,23 @@ def brieskorn_rank(p: int, q: int, r: int) -> int:
     return 1 + sum(len(_hj_word(a, a - mod_inverse(x * y, a))) for a, x, y in ((p, q, r), (q, p, r), (r, p, q)))
 
 
-def negdef_plumbing(T: BrieskornTriple, post_check: bool = True) -> PlumbingGraph:
+def negdef_plumbing(T: BrieskornTriple) -> PlumbingGraph:
     """The canonical negative-definite plumbing tree bounding Sigma(p,q,r).
 
     Construction: take the standard data, re-present every branch with
     -a < b < 0 (center absorbs the shifts), and expand the now < -1 branch
-    fractions with all entries <= -2.  Correctness is enforced post hoc
-    (negative definiteness and |det| = 1) rather than trusted.
+    fractions with all entries <= -2.  Correctness is checked, not trusted:
+    the tree's one elimination must show negative definiteness and |det| = 1
+    (an AssertionError naming the triple otherwise), and the graph keeps it
+    for ``mubar``, ``ue_spin_bound`` and ``lens.d_from_plumbing``.
     """
     data = brieskorn_seifert(T)
     shifted = SeifertData(data.e - len(data.branches), tuple((a, b - a) for a, b in data.branches))
     G = seifert_to_plumbing(shifted)
-    if post_check:
-        try:
-            _negdef_unimodular(G)
-        except ValueError as exc:
-            raise AssertionError(f"plumbing of {T.as_tuple()}: {exc}") from exc
+    try:
+        _negdef_unimodular(G)
+    except ValueError as exc:
+        raise AssertionError(f"plumbing of {T.as_tuple()}: {exc}") from exc
     return G
 
 
@@ -563,11 +556,7 @@ def mubar(G: PlumbingGraph) -> Fraction:
     Requires the tree to have odd determinant so the Wu class is unique;
     the value is an integer for homology spheres.
     """
-    return _mubar(G, _tree_eliminate(G))
-
-
-def _mubar(G: PlumbingGraph, elim: _TreeElimination) -> Fraction:
-    """``mubar`` of G from ``elim``, its tree kernel."""
+    elim = G._elimination
     w = elim.wu(G.weights)  # raises SingularMod2Error on even determinant
     square = sum(x * wv for x, wv in zip(G.weights, w)) + 2 * sum(w[a] * w[b] for a, b in G.edges)  # w is 0/1
     return Fraction(elim.inertia.sigma - square, 8)
@@ -597,7 +586,8 @@ def ue_spin_bound(G: PlumbingGraph) -> SpinBound:
     mu-bar the cap comes from is returned with it.
     """
     star_legs(G)  # raises NotStarShapedError if not a star
-    m = _mubar(G, _negdef_unimodular(G))
+    _negdef_unimodular(G)
+    m = mubar(G)
     assert m.denominator == 1
     ub = -8 * int(m)
     return SpinBound(max(0, ub), ub % 16, m)

@@ -7,13 +7,23 @@ from math import gcd
 import pytest
 
 import plumbcalc.cli
+import plumbcalc.families
 import plumbcalc.lens
 import plumbcalc.plumbing
 from plumbcalc.cli import main
 from plumbcalc.families import VerificationReport
 from plumbcalc.lattice import determinant, signature, wu_class
-from plumbcalc.lens import lens_d_all
-from plumbcalc.plumbing import PlumbingGraph, _tree_eliminate, graph_to_gram, star_graph
+from plumbcalc.lens import d_from_plumbing, lens_d_all
+from plumbcalc.plumbing import (
+    BrieskornTriple,
+    PlumbingGraph,
+    _tree_eliminate,
+    graph_to_gram,
+    mubar,
+    negdef_plumbing,
+    star_graph,
+    ue_spin_bound,
+)
 from test_plumbing import _random_tree
 
 
@@ -160,9 +170,16 @@ class TestMubarCommand:
         calls = []
         eliminate = plumbcalc.plumbing._tree_eliminate
         monkeypatch.setattr(plumbcalc.plumbing, "_tree_eliminate", lambda G: calls.append(G.rank) or eliminate(G))
-        code, out, _ = run(capsys, "mubar", "2", "3", "11")
-        assert code == 0 and out.strip() == "0"
-        assert calls == [9]  # the rank of the tree
+        for argv, want in ((("mubar", "2", "3", "11"), "0"), (("d", "2", "3", "11"), "2")):
+            calls.clear()
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.strip() == want
+            assert calls == [9], argv  # the rank of the tree
+        # the library calls share the elimination negdef_plumbing's check ran
+        calls.clear()
+        g = negdef_plumbing(BrieskornTriple(2, 13, 23))
+        assert (mubar(g), ue_spin_bound(g), d_from_plumbing(g).value) == (-1, (8, 8, -1), 2)
+        assert calls == [g.rank]
 
     def test_multiplicity_guard_exits_3_quickly(self, capsys, monkeypatch):
         # d's bound on P+Q+R is checked before the plumbing (rank 1666674) is built
@@ -263,6 +280,18 @@ class TestVerifyCommand:
         assert out == "rmk1.4 (v, n=400): predicted 2400 computed - [skip] (conjecture)\n"
         assert time.monotonic() - t0 < 2.0
 
+    def test_cor16_scan_guard_exits_3_before_the_dense_gram(self, capsys, monkeypatch):
+        # d's tau-window guard fires before minimalize's dense Gram is built
+        def dense(*args, **kwargs):
+            raise AssertionError("the dense Gram was built")
+
+        monkeypatch.setattr(plumbcalc.families, "graph_to_gram", dense)
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "verify", "cor1.6", "--families", "i", "--n", "1647")
+        assert code == 3 and out == ""
+        assert err == "error: tau window of 2000237 points exceeds the scan guard 2000000\n"
+        assert time.monotonic() - t0 < 2.0
+
     def test_bad_task(self, capsys):
         code, _, err = run(capsys, "verify", "thm9.9")
         assert code == 2
@@ -296,6 +325,7 @@ class TestVerifyCommand:
             ("thm1.3", "i", "3..1"),
             ("rmk1.4", "vii", "3..1"),
             ("rmk1.4", "vii", "0"),
+            ("thm1.2", "i", "0..1000000000000000"),  # a lazy range, checked on its first element
         ],
     )
     def test_selection_that_runs_nothing_exits_2(self, capsys, task, families, n):
@@ -349,6 +379,7 @@ FUZZ_TABLE = [
     ["verify", "rmk1.4", "--families", "xiii", "--n", "1"],
     ["verify", "thm1.2", "--families", "i", "--n", "a..b"],
     ["verify", "thm1.2", "--families", "i", "--n", "0"],
+    ["verify", "thm1.2", "--families", "i", "--n", "0..1000000000000000"],
     ["verify", "thm1.3", "--families", "i", "--n", "-1..1"],
     ["verify", "thm1.3", "--families", "iii", "--n", "1000"],
     ["verify", "cor1.6", "--families", "i", "--n", "1..x"],

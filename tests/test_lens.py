@@ -335,7 +335,7 @@ def _random_triples(rng: random.Random, count: int, max_rank: int) -> list[tuple
     while len(found) < count:
         p, q, r = sorted(rng.sample(range(2, 60), 3))
         if gcd(p, q) == gcd(p, r) == gcd(q, r) == 1:
-            if negdef_plumbing(BrieskornTriple(p, q, r), post_check=False).rank <= max_rank:
+            if negdef_plumbing(BrieskornTriple(p, q, r)).rank <= max_rank:
                 found.add((p, q, r))
     return sorted(found)
 

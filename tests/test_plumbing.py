@@ -88,6 +88,11 @@ class TestGraphToGram:
             PlumbingGraph((1, 1), ((0, 0),))  # self-loop
         with pytest.raises(ValueError):
             PlumbingGraph((1, 1, 1, 1), ((0, 1), (2, 3), (1, 2), (0, 3)))
+        # n - 1 edges, but vertex 0 does not reach every vertex
+        with pytest.raises(ValueError, match="connected"):
+            PlumbingGraph((1, 1, 1, 1), ((0, 1), (0, 1), (2, 3)))  # a repeated edge
+        with pytest.raises(ValueError, match="connected"):
+            PlumbingGraph((1, 1, 1, 1), ((0, 1), (1, 2), (0, 2)))  # a cycle and an isolated vertex
 
     def test_json_round_trip(self):
         g = minus_e8_tree()
@@ -281,10 +286,16 @@ class TestBrieskorn:
                     if gcd(p, r) != 1 or gcd(q, r) != 1:
                         continue
                     # negdef_plumbing runs its own |det| = 1 and definiteness
-                    # post-checks; they raise on failure
+                    # checks; they raise on failure
                     negdef_plumbing(BrieskornTriple(p, q, r))
                     count += 1
         assert count > 4000
+
+    def test_negdef_plumbing_check_names_the_triple(self, monkeypatch):
+        # a construction that went wrong: negative definite, but |det| = 43
+        monkeypatch.setattr(plumbcalc.plumbing, "seifert_to_plumbing", lambda S: star_graph(-2, [[-2], [-3], [-7]]))
+        with pytest.raises(AssertionError, match=r"plumbing of \(2, 3, 7\): .*\|det\| = 43"):
+            negdef_plumbing(BrieskornTriple(2, 3, 7))
 
     def test_integer_rank_matches_both_orientations_up_to_45(self):
         # brieskorn_rank is classify-e8's pre-test: it must equal the rank of
@@ -299,7 +310,7 @@ class TestBrieskorn:
                         continue
                     T = BrieskornTriple(p, q, r)
                     rank = brieskorn_rank(p, q, r)
-                    assert rank == negdef_plumbing(T, post_check=False).rank, T
+                    assert rank == negdef_plumbing(T).rank, T
                     assert rank == seifert_to_plumbing(brieskorn_seifert(T, reversed_orientation=True)).rank, T
                     count += 1
         assert count > 3000
@@ -360,7 +371,7 @@ class TestUeSpinBound:
 
 
 def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
-    """mu-bar (`mubar --graph` too), the spin bound, the negdef post-check and
+    """mu-bar (`mubar --graph` too), the spin bound, negdef_plumbing's check and
     d run on the integer tree kernel: building a dense Gram matrix or running
     the Fraction kernel fails the test, and the Fractions a call builds do not
     grow with the rank."""
@@ -375,7 +386,7 @@ def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(GramLattice, "__post_init__", dense)
     monkeypatch.setattr(plumbcalc.lattice, "_eliminate", fraction_kernel)
     monkeypatch.setattr(plumbcalc.lens, "_eliminate", fraction_kernel)
-    g = negdef_plumbing(BrieskornTriple(2, 13, 23), post_check=True)
+    g = negdef_plumbing(BrieskornTriple(2, 13, 23))
     assert mubar(g) == -1
     assert ue_spin_bound(g) == (8, 8, -1)
     assert d_from_plumbing(g).value == 2
@@ -388,12 +399,12 @@ def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
     new = Fraction.__new__
     for n in (2, 100):  # ranks 61 and 2511
         calls = {
-            "post-check": lambda: negdef_plumbing(family_triple("v", n)),
+            "negdef_plumbing": lambda: negdef_plumbing(family_triple("v", n)),
             "mubar": lambda: mubar(g),
             "ue_spin_bound": lambda: ue_spin_bound(g),
             "d_from_plumbing": lambda: d_from_plumbing(g),
         }
-        g = negdef_plumbing(family_triple("v", n), post_check=False)
+        g = negdef_plumbing(family_triple("v", n))
         for name, call in calls.items():
             monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.update([(name, n)]) or new(cls, *a, **k))
             call()
