@@ -6,8 +6,9 @@ d P Q R            correction term of the Brieskorn sphere (exact rational)
 lens-d P Q [I]     correction term(s) of the lens space L(P, Q)
 mubar P Q R        Neumann-Siebenmann invariant of the Brieskorn sphere
 mubar --graph F    the same for an arbitrary odd-determinant plumbing tree
-verify TASK        batch verification (thm1.2, thm1.3, cor1.6, rmk1.4,
-                   classify-e8) with --families / --n / --bound / --report
+verify TASK        batch verification: the family tasks thm1.2, thm1.3,
+                   cor1.6 and rmk1.4 (--families / --n, --report writes one
+                   JSON line per member) and classify-e8 (--bound)
 
 All printed rationals are exact strings ("2", "81/46"); no decimals are ever
 produced.  Exit codes: 0 success, 1 verification clause failure, 2 invalid
@@ -22,14 +23,13 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
 from .families import (
     FAMILY_IDS,
     classify_e8_brieskorn,
-    conjecture_scan,
+    verify_conjecture,
     verify_correction_bound,
     verify_theorem_main,
     verify_unbounded_gap,
@@ -51,13 +51,8 @@ EXIT_BAD_INPUT = 2
 EXIT_WORK_GUARD = 3
 
 
-def _fmt(value: Fraction) -> str:
-    """Exact rational formatting: integers bare, otherwise num/den."""
-    return _ratio(value.numerator, value.denominator)
-
-
 def _ratio(num: int, den: int) -> str:
-    """``_fmt`` of num/den (den > 0), reduced by one gcd."""
+    """``str(Fraction(num, den))`` (den > 0), reduced by one gcd."""
     g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
@@ -85,7 +80,7 @@ def cmd_d(args) -> int:
         res = d_brieskorn(triple)
     except ScanGuardExceededError as exc:
         return _error(exc, EXIT_WORK_GUARD)
-    value = {"d": _fmt(res.value), "certificate": list(res.vector)}
+    value = {"d": str(res.value), "certificate": list(res.vector)}
     if args.json:
         print(json.dumps({"command": "d", "triple": list(triple.as_tuple()), **value}, sort_keys=True))
     else:
@@ -98,7 +93,7 @@ def cmd_lens_d(args) -> int:
     try:
         if args.i is None or args.all:
             if args.oracle:  # its labels are 0..p-1 too
-                values = [_fmt(v) for _, v in sorted(lens_d_oracle(p, q).items())]
+                values = [str(v) for _, v in sorted(lens_d_oracle(p, q).items())]
             else:
                 den, nums = lens_d_numerators(p, q)
                 values = [_ratio(n, den) for n in nums]
@@ -111,7 +106,7 @@ def cmd_lens_d(args) -> int:
         else:
             if args.oracle:
                 return _error("--oracle reports all labels (its labeling is method-internal)")
-            d = _fmt(lens_d(p, q, args.i))
+            d = str(lens_d(p, q, args.i))
             payload = {"command": "lens-d", "p": p, "q": q, "i": args.i, "d": d}
             print(json.dumps(payload, sort_keys=True) if args.json else d)
     except ScanGuardExceededError as exc:
@@ -128,14 +123,14 @@ def cmd_mubar(args) -> int:
                 G = PlumbingGraph.from_json(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             return _error(f"cannot read graph file: {exc}")
-    elif not (args.p and args.q and args.r):
+    elif None in (args.p, args.q, args.r):
         return _error("give a triple or --graph FILE")
     try:
         if not args.graph:  # P+Q+R bounds the tree's rank
             triple = _parse_triple(args)
             _multiplicity_guard(triple.as_tuple())
             G = negdef_plumbing(triple)
-        value = _fmt(mubar(G))
+        value = str(mubar(G))
     except ScanGuardExceededError as exc:
         return _error(exc, EXIT_WORK_GUARD)
     except ValueError as exc:
@@ -164,6 +159,11 @@ def _parse_range(spec: str) -> Sequence[int]:
     return [int(x) for x in spec.split(",") if x.strip()]
 
 
+def _conjecture_summary(v: dict) -> str:
+    mark = "skip" if "computed" not in v else ("match" if v["matches"] else "DIFFERS")
+    return f"predicted {v['predicted']} computed {v.get('computed', '-')} [{mark}] "
+
+
 def cmd_verify(args) -> int:
     task = args.task
     reports = []
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
         if not (families and ns):
             return _error(f"--families {args.families} --n {args.n} leaves nothing for {task} to run")
     if args.report:
-        if task in ("rmk1.4", "classify-e8"):
+        if task == "classify-e8":
             return _error(f"verify {task} writes no report; drop --report")
         # a bad report path fails before any work; the reports are written at the end
         try:
@@ -190,37 +190,29 @@ def cmd_verify(args) -> int:
             return _error(f"cannot write report: {exc}")
 
     try:
-        if task in ("thm1.2", "thm1.3", "cor1.6"):
+        if task == "classify-e8":
+            for t in classify_e8_brieskorn(args.bound):
+                print(f"({t[0]},{t[1]},{t[2]})")
+        else:
+            # each family task: its verify function and the summary it prints per report
             run, summary = {
                 "thm1.2": (verify_theorem_main, lambda v: ""),
                 "thm1.3": (verify_correction_bound, lambda v: f"d = {v['d_surgery']} >= {v['bound']}: "),
-                "cor1.6": (verify_unbounded_gap, lambda v: f"minimal rank {v['minimal_rank']} >= 4d = {4 * Fraction(v['d'])}: "),
+                "cor1.6": (verify_unbounded_gap, lambda v: f"minimal rank {v['minimal_rank']} >= 4d = {4 * v['d']}: "),
+                "rmk1.4": (verify_conjecture, _conjecture_summary),
             }[task]
             for fam in families:
                 for n in ns:
                     rep = run(fam, n)
                     reports.append(rep)
-                    print(f"{task} ({fam}, n={n}): {summary(rep.values)}{'pass' if rep.passed else 'FAIL'}")
+                    # a report without clauses (a conjecture) has no verdict: its line ends in its kind
+                    verdict = ("pass" if rep.passed else "FAIL") if rep.checks else f"({rep.kind})"
+                    print(f"{task} ({fam}, n={n}): {summary(rep.values)}{verdict}")
                     if not rep.passed:
                         failed = True
                         for name, ok in rep.checks.items():
                             if not ok:
                                 print(f"  failing clause: {name}", file=sys.stderr)
-        elif task == "rmk1.4":
-            for fam in families:
-                rows = conjecture_scan(fam, ns)
-                for row in rows:
-                    mark = "match" if row.get("matches") else ("skip" if "status" in row else "DIFFERS")
-                    print(
-                        f"rmk1.4 ({fam}, n={row['n']}): predicted {row.get('predicted')}"
-                        f" computed {row.get('computed', '-')} [{mark}] (conjecture)"
-                    )
-        elif task == "classify-e8":
-            found = classify_e8_brieskorn(args.bound)
-            for t in found:
-                print(f"({t[0]},{t[1]},{t[2]})")
-        else:
-            return _error(f"unknown verify task {task!r}")
     except ScanGuardExceededError as exc:
         return _error(exc, EXIT_WORK_GUARD)
     except ValueError as exc:

@@ -450,47 +450,62 @@ class _Enumerator:
         CL = [c * self.lu for c in center]
         x = [0] * n
         Y = [0] * n  # Y_j = x_j den - C_j = (x_j - center_j) den
+        # the depth-first descent as a loop, so the recursion limit caps no
+        # rank; per level above the leaves: its candidates, the next position,
+        # its shifted center and the partial sum above it
+        cands, pos, Zs, part = [()] * n, [0] * n, [0] * n, [0] * n
         state_bound = bound
-
-        def descend(i: int, partial: int):
-            nonlocal state_bound
-            budget = state_bound - partial
-            if budget < 0:
-                return
-            # shifted center z = Z/L for coordinate i given the choices above it
-            Z = CL[i]
-            for j, uij in U[i]:
-                Z -= uij * Y[j]
-            # W (x L - Z)^2 <= budget  <=>  |x L - Z| <= s, as (x L - Z)^2 is an integer
-            w = W[i]
-            s = isqrt(budget // w)
-            lo, hi = -((s - Z) // L), (Z + s) // L
-            if lo > hi:
-                return
-            # zigzag outward from the nearest integer floor(z + 1/2), lower value first on ties
-            base = min(max((2 * Z + L) // (2 * L), lo), hi)
-            order = [base]
-            for step in range(1, max(base - lo, hi - base) + 1):
-                if base - step >= lo:
-                    order.append(base - step)
-                if base + step <= hi:
-                    order.append(base + step)
-            c = center[i]
-            for xi in order:
-                t = xi * L - Z
-                total = partial + w * t * t
-                if total > state_bound:
+        i, total = n - 1, 0
+        while True:
+            # open level i below the partial sum `total`
+            order, Z, budget = (), 0, state_bound - total
+            if budget >= 0:
+                # shifted center z = Z/L for coordinate i given the choices above it
+                Z = CL[i]
+                for j, uij in U[i]:
+                    Z -= uij * Y[j]
+                # W (x L - Z)^2 <= budget  <=>  |x L - Z| <= s, as (x L - Z)^2 is an integer
+                s = isqrt(budget // W[i])
+                lo, hi = -((s - Z) // L), (Z + s) // L
+                if lo <= hi:
+                    # zigzag outward from the nearest integer floor(z + 1/2), lower value first on ties
+                    base = min(max((2 * Z + L) // (2 * L), lo), hi)
+                    order = [base]
+                    for step in range(1, max(base - lo, hi - base) + 1):
+                        if base - step >= lo:
+                            order.append(base - step)
+                        if base + step <= hi:
+                            order.append(base + step)
+            if i:
+                cands[i], pos[i], Zs[i], part[i] = order, 0, Z, total
+            else:  # the leaves, the busiest level, in one plain loop
+                w = W[0]
+                for xi in order:
+                    t = xi * L - Z
+                    leaf = total + w * t * t
+                    if leaf <= state_bound:
+                        x[0] = xi
+                        new = on_leaf(x, leaf)
+                        if new is not None and new < state_bound:
+                            state_bound = new
+                i = 1
+            # the next candidate within the bound, backing up past exhausted levels
+            while i < n:
+                order, k = cands[i], pos[i]
+                if k == len(order):
+                    i += 1
                     continue
-                x[i] = xi
-                Y[i] = xi * den - c
-                if i == 0:
-                    new = on_leaf(x, total)
-                    if new is not None and new < state_bound:
-                        state_bound = new
-                else:
-                    descend(i - 1, total)
-
-        descend(n - 1, 0)
+                pos[i] = k + 1
+                xi = order[k]
+                t = xi * L - Zs[i]
+                total = part[i] + W[i] * t * t
+                if total <= state_bound:
+                    x[i] = xi
+                    Y[i] = xi * den - center[i]
+                    break
+            else:
+                return
+            i -= 1
 
 
 def _closest_point(enum: _Enumerator, center: Sequence[int], den: int) -> tuple[Fraction, tuple[int, ...]]:
@@ -732,15 +747,18 @@ def minimalize(
 # Isometry testing (small ranks)
 
 
-def isometric(L1: GramLattice, L2: GramLattice, max_rank: int = 12) -> Optional[tuple[tuple[int, ...], ...]]:
+ISOMETRIC_MAX_RANK = 12
+
+
+def isometric(L1: GramLattice, L2: GramLattice) -> Optional[tuple[tuple[int, ...], ...]]:
     """A base change U with U^T G1 U = G2, or None; definite lattices only.
 
     Backtracks over images of L2's basis vectors among vectors of the right
-    norm in L1.  Documented scope is rank <= 12 (raises RankTooLargeError
-    beyond that); invariant mismatches short-circuit to None.
+    norm in L1.  Documented scope is rank <= ``ISOMETRIC_MAX_RANK`` (raises
+    RankTooLargeError beyond that); invariant mismatches short-circuit to None.
     """
-    if L1.rank > max_rank or L2.rank > max_rank:
-        raise RankTooLargeError(f"isometric is limited to rank <= {max_rank}")
+    if L1.rank > ISOMETRIC_MAX_RANK or L2.rank > ISOMETRIC_MAX_RANK:
+        raise RankTooLargeError(f"isometric is limited to rank <= {ISOMETRIC_MAX_RANK}")
     if L1.rank != L2.rank:
         return None
     e1, e2 = _eliminate(_sparse(L1.rows)), _eliminate(_sparse(L2.rows))

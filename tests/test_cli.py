@@ -241,6 +241,11 @@ class TestMubarCommand:
         code, _, err = run(capsys, "mubar")
         assert code == 2
 
+    def test_zero_multiplicity_is_invalid_not_missing(self, capsys):
+        # a 0 is a given multiplicity: rejected as `d 0 3 5` rejects it
+        for cmd in ("mubar", "d"):
+            assert run(capsys, cmd, "0", "3", "5") == (2, "", "error: Brieskorn multiplicities must be >= 2\n")
+
 
 class TestVerifyCommand:
     def test_thm12_subset(self, capsys, tmp_path):
@@ -280,6 +285,31 @@ class TestVerifyCommand:
         assert out == "rmk1.4 (v, n=400): predicted 2400 computed - [skip] (conjecture)\n"
         assert time.monotonic() - t0 < 2.0
 
+    def test_rmk14_report_has_one_conjecture_line_per_member(self, capsys, tmp_path):
+        report = tmp_path / "out.jsonl"
+        code, out, _ = run(capsys, "verify", "rmk1.4", "--families", "v", "--n", "1,400", "--report", str(report))
+        assert code == 0
+        assert out == (
+            "rmk1.4 (v, n=1): predicted 6 computed 6 [match] (conjecture)\n"
+            "rmk1.4 (v, n=400): predicted 2400 computed - [skip] (conjecture)\n"
+            f"report written: {report}\n"
+        )
+        match, skip = [json.loads(line) for line in report.read_text().splitlines()]
+        assert match["kind"] == skip["kind"] == "conjecture"
+        assert match["passed"] and match["checks"] == {} and match["notes"] == []
+        assert match["values"] == {"triple": [5, 33, 47], "predicted": 6, "computed": "6", "matches": True}
+        assert skip["passed"] and "computed" not in skip["values"] and "matches" not in skip["values"]
+        assert skip["notes"] == ["skipped: tau window of 3741539 points exceeds the scan guard 2000000"]
+
+    def test_rmk14_mismatch_is_flagged_not_failed(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(plumbcalc.families, "conjectured_d", lambda fam, n: 99)
+        report = tmp_path / "out.jsonl"
+        code, out, err = run(capsys, "verify", "rmk1.4", "--families", "vii", "--n", "1", "--report", str(report))
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "rmk1.4 (vii, n=1): predicted 99 computed 2 [DIFFERS] (conjecture)"
+        (line,) = [json.loads(line) for line in report.read_text().splitlines()]
+        assert line["passed"] and line["values"]["matches"] is False
+
     def test_cor16_scan_guard_exits_3_before_the_dense_gram(self, capsys, monkeypatch):
         # d's tau-window guard fires before minimalize's dense Gram is built
         def dense(*args, **kwargs):
@@ -296,14 +326,7 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "thm9.9")
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "classify-e8", "--bound", "10"],
-            ["verify", "rmk1.4", "--families", "vii", "--n", "1"],
-        ],
-        ids=["classify-e8", "rmk1.4"],
-    )
+    @pytest.mark.parametrize("argv", [["verify", "classify-e8", "--bound", "10"]], ids=["classify-e8"])
     def test_report_rejected_where_no_report_is_written(self, capsys, tmp_path, argv):
         report = tmp_path / "out.jsonl"
         code, out, err = run(capsys, *argv, "--report", str(report))

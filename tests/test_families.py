@@ -19,7 +19,6 @@ from plumbcalc.families import (
     REDUCED_ENDPOINT_SEIFERT,
     TableInvariantError,
     classify_e8_brieskorn,
-    conjecture_scan,
     conjectured_d,
     family_chain,
     family_final_lattice,
@@ -28,6 +27,7 @@ from plumbcalc.families import (
     surgery_parameters,
     surgery_presentation,
     theorem_bound,
+    verify_conjecture,
     verify_correction_bound,
     verify_theorem_main,
     verify_unbounded_gap,
@@ -210,35 +210,38 @@ class TestVerifyCorrectionBound:
 
 class TestConjectures:
     def test_family_i_small(self):
-        rows = conjecture_scan("i", range(1, 3))
-        assert [r["computed"] for r in rows] == [2, 2]
-        assert all(r["matches"] for r in rows)
-        assert all(r["meets_theorem_bound"] for r in rows)
+        reps = [verify_conjecture("i", n) for n in range(1, 3)]
+        assert [r.values["computed"] for r in reps] == [2, 2]
+        assert all(r.values["matches"] for r in reps)
+        assert all(r.values["computed"] >= theorem_bound("i", r.n) for r in reps)
 
     def test_family_v_reported_not_asserted(self):
-        rows = conjecture_scan("v", [1])
-        assert rows[0]["predicted"] == 6
-        assert "computed" in rows[0]
-        assert rows[0]["conjecture"] is True
+        rep = verify_conjecture("v", 1)
+        assert rep.values["predicted"] == 6
+        assert "computed" in rep.values
+        assert rep.kind == "conjecture" and rep.checks == {} and rep.passed
 
     def test_family_vii(self):
-        rows = conjecture_scan("vii", [1])
-        assert rows[0]["predicted"] == 2
-        assert rows[0]["computed"] == 2
+        rep = verify_conjecture("vii", 1)
+        assert rep.values["predicted"] == 2
+        assert rep.values["computed"] == 2
 
     def test_conjectured_values(self):
         assert conjectured_d("xi", 1) == 6
         assert conjectured_d("xi", 2) == 8
         assert conjectured_d("vi", 2) == 12
+        # Remark 1.4 conjectures equality in the proven bounds for (i)-(iv)
+        for fam in FAMILY_IDS[:4]:
+            assert [conjectured_d(fam, n) for n in range(1, 21)] == [theorem_bound(fam, n) for n in range(1, 21)]
 
     def test_remark_1_4_holds_to_n_20_on_every_family(self):
-        """Every closed form of Remark 1.4 at n = 1..20: no row is skipped (the
-        old full tau-scan stopped (v) at n = 15, (vi) at 20, (xi) at 16 and
-        (xii) at 14) and every computed d matches."""
+        """Every closed form of Remark 1.4 at n = 1..20: no member is skipped
+        (the old full tau-scan stopped (v) at n = 15, (vi) at 20, (xi) at 16
+        and (xii) at 14) and every computed d matches."""
         for fam in FAMILY_IDS:
-            rows = conjecture_scan(fam, range(1, 21))
-            assert [r["n"] for r in rows] == list(range(1, 21))
-            assert all("status" not in r and r["matches"] for r in rows), fam
+            for n in range(1, 21):
+                rep = verify_conjecture(fam, n)
+                assert rep.notes == [] and rep.values["matches"], (fam, n)
 
 
 def test_theorem_main_eliminates_each_tree_once(monkeypatch):

@@ -257,6 +257,13 @@ def test_short_vectors_requires_definite():
         short_vectors(GramLattice(((0, 1), (1, 0))), 2)
 
 
+def test_enumeration_rank_is_not_capped_by_the_recursion_limit():
+    # the descent is a loop, so ranks past the interpreter's recursion limit run
+    L = GramLattice.diag(*[-2] * 1100)
+    assert short_vectors(L, -1) == []
+    assert minimalize(L).minimal.rank == 1100
+
+
 # ---------------------------------------------------------------------------
 # closest-vector enumeration: the scaled-integer enumerator against an
 # oracle that runs the same Fincke-Pohst search in Fractions

@@ -17,7 +17,7 @@ import pytest
 
 from plumbcalc.arith import NotCoprimeError
 from plumbcalc.lattice import max_char_square
-from plumbcalc.families import conjecture_scan, surgery_parameters
+from plumbcalc.families import surgery_parameters, verify_conjecture
 from plumbcalc.lens import (
     LABEL_GUARD,
     LensSpace,
@@ -321,12 +321,12 @@ class TestLabelGuard:
             d_surgery(SurgeryDescriptor(p, 1, 1))
         assert lens_d(p, 1, 0) == Fraction(p * p - p, 4 * p)  # a single label is not guarded
 
-    def test_conjecture_scan_skips_past_both_guards(self):
+    def test_verify_conjecture_skips_past_both_guards(self):
         # family (v) at n = 400: its tau window is past the scan guard, and no
         # surgery fallback runs (family (v) has no surgery table anyway)
-        (row,) = conjecture_scan("v", [400])
-        assert row["status"] == "skipped: tau window of 3741539 points exceeds the scan guard 2000000"
-        assert "computed" not in row
+        rep = verify_conjecture("v", 400)
+        assert rep.notes == ["skipped: tau window of 3741539 points exceeds the scan guard 2000000"]
+        assert "computed" not in rep.values
 
 
 def _random_triples(rng: random.Random, count: int, max_rank: int) -> list[tuple[int, int, int]]:
