@@ -167,7 +167,7 @@ def _conjecture_summary(v: dict) -> str:
 def cmd_verify(args) -> int:
     task = args.task
     reports = []
-    failed = False
+    failed, stopped = False, EXIT_OK
     try:
         families = _parse_families(args.families)
         ns = _parse_range(args.n)
@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
     if args.report:
         if task == "classify-e8":
             return _error(f"verify {task} writes no report; drop --report")
-        # a bad report path fails before any work; the reports are written at the end
+        # a bad report path fails before any work; the finished reports are written at the end
         try:
             open(args.report, "w", encoding="utf-8").close()
         except OSError as exc:
@@ -213,18 +213,19 @@ def cmd_verify(args) -> int:
                         for name, ok in rep.checks.items():
                             if not ok:
                                 print(f"  failing clause: {name}", file=sys.stderr)
-    except ScanGuardExceededError as exc:
-        return _error(exc, EXIT_WORK_GUARD)
+    except ScanGuardExceededError as exc:  # the reports finished before the guard are still written
+        stopped = _error(exc, EXIT_WORK_GUARD)
     except ValueError as exc:
         return _error(exc)
+    code = stopped or (EXIT_CLAUSE_FAILED if failed else EXIT_OK)
 
     if args.report:
         try:
             write_reports(reports, args.report)
         except OSError as exc:
-            return _error(f"cannot write report: {exc}", EXIT_CLAUSE_FAILED if failed else EXIT_BAD_INPUT)
+            return _error(f"cannot write report: {exc}", code or EXIT_BAD_INPUT)
         print(f"report written: {args.report}")
-    return EXIT_CLAUSE_FAILED if failed else EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------

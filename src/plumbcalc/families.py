@@ -51,7 +51,7 @@ from .plumbing import (
     ue_spin_bound,
 )
 
-REPORT_SCHEMA = "plumbcalc-verification-report/1"
+REPORT_SCHEMA = "plumbcalc-verification-report/2"
 
 FAMILY_IDS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
 
@@ -291,8 +291,8 @@ class VerificationReport:
 
     def to_json(self) -> str:
         def enc(v):
-            if isinstance(v, Fraction):
-                return str(v)
+            if isinstance(v, Fraction):  # an integer as a JSON number, else "p/q"
+                return int(v) if v.denominator == 1 else str(v)
             if isinstance(v, tuple):
                 return list(v)
             return v

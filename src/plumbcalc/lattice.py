@@ -9,8 +9,9 @@ definiteness; its factors give exact solves and drive the Fincke-Pohst
 vector enumeration, which scales them to integers once per elimination and
 then runs in integer arithmetic for any number of centres.  The kernel reads
 sparse rows, one ``{column: entry}`` dict of nonzero entries per basis
-vector; a dense Gram matrix converts once through ``_sparse``.  The Wu class
-is one more solve on the same elimination.  Plumbing trees do not come here:
+vector.  A ``GramLattice`` is eliminated at most once, by its cached
+``_elimination``, and every operation below reads that one elimination.
+The Wu class is one more solve on it.  Plumbing trees do not come here:
 ``plumbing._tree_eliminate`` computes their determinant, inertia, solves and
 Wu class from subtree determinants in integers, and ``_eliminate`` is the
 tests' oracle for it.  Nothing here ever touches a float.
@@ -22,13 +23,14 @@ Conventions used by several operations:
 * the *Wu class* is the unique characteristic vector with 0/1 coordinates
   (unique exactly when det(G) is odd);
 * ``minimalize`` splits off all norm +-1 vectors as orthogonal <+-1>
-  summands, returning a unimodular base-change certificate.
+  summands in one pass, returning a unimodular base-change certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import isqrt, lcm, prod
@@ -80,6 +82,11 @@ class GramLattice:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def _elimination(self) -> "_Elimination":
+        """``_eliminate`` of the Gram matrix, run once per lattice."""
+        return _eliminate(_sparse(self.rows))
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -307,7 +314,7 @@ def _eliminate(rows: Sequence[dict[int, int]]) -> _Elimination:
 
 def determinant(L: GramLattice) -> int:
     """Exact determinant, the product of the kernel's pivots; empty -> 1."""
-    return _eliminate(_sparse(L.rows)).det()
+    return L._elimination.det()
 
 
 def definiteness_sign(L: GramLattice) -> Optional[int]:
@@ -315,12 +322,12 @@ def definiteness_sign(L: GramLattice) -> Optional[int]:
 
     Rank 0 counts as definite of either sign and returns +1.
     """
-    return _eliminate(_sparse(L.rows)).sign()
+    return L._elimination.sign()
 
 
 def signature(L: GramLattice) -> Signature:
     """Counts of positive/negative/zero eigenvalues: the kernel's inertia."""
-    return _eliminate(_sparse(L.rows)).inertia()
+    return L._elimination.inertia()
 
 
 class Definiteness(Enum):
@@ -347,7 +354,7 @@ def classify(L: GramLattice) -> Classification:
     Even means every diagonal entry is even; unimodular means |det| = 1.
     The empty lattice classifies as positive definite, even, unimodular.
     """
-    elim = _eliminate(_sparse(L.rows))
+    elim = L._elimination
     sig = elim.inertia()
     if sig.n_zero > 0:
         d = Definiteness.DEGENERATE
@@ -371,7 +378,7 @@ def recognize_e8(L: GramLattice) -> Optional[int]:
         return None
     if any(x % 2 for x in L.diagonal()):
         return None
-    elim = _eliminate(_sparse(L.rows))
+    elim = L._elimination
     return elim.sign() if abs(elim.det()) == 1 else None
 
 
@@ -385,7 +392,7 @@ def wu_class(L: GramLattice) -> tuple[int, ...]:
     Raises :class:`SingularMod2Error` when det(G) is even (the mod-2 system
     is then singular and the solution is not unique).
     """
-    return _wu(_eliminate(_sparse(L.rows)), L.diagonal())
+    return _wu(L._elimination, L.diagonal())
 
 
 def _wu(elim: _Elimination, diag: Sequence[int]) -> tuple[int, ...]:
@@ -548,7 +555,7 @@ def short_vectors(L: GramLattice, norm_target: int) -> list[tuple[int, ...]]:
     Requires L definite with norm_target of the matching sign (0 targets are
     rejected: definite forms have no nonzero null vectors).
     """
-    elim = _eliminate(_sparse(L.rows))
+    elim = L._elimination
     sign = elim.sign()
     if sign is None:
         raise NotDefiniteError("short_vectors requires a definite lattice")
@@ -595,14 +602,14 @@ def max_char_square(L: GramLattice) -> CharMax:
     This enumeration is exponential in rank; it is the tests' oracle for
     ``lens.d_from_plumbing``.
     """
-    elim = _eliminate(_sparse(L.rows))
+    elim = L._elimination
     if elim.sign() != -1 and L.rank > 0:
         raise NotNegativeDefiniteError("max_char_square requires a negative definite lattice")
     if abs(elim.det()) != 1:
         raise NotUnimodularError("max_char_square requires |det| = 1")
     n = L.rank
     split = minimalize(L)
-    minimal = _eliminate(_sparse(split.minimal.rows))
+    minimal = split.minimal._elimination
     c0 = _wu(minimal, split.minimal.diagonal())
     val, v = _closest_point(_Enumerator(minimal, -1), [-c for c in c0], 2)
     # c = c0 + 2v on the minimal part, where c^T(-G)c = 4 * val, and 1 on each <-1>
@@ -618,45 +625,28 @@ def max_char_square(L: GramLattice) -> CharMax:
 # Minimalization (splitting off <+-1> summands)
 
 
-def _complete_unimodular(v: Sequence[int]) -> list[list[int]]:
-    """A unimodular integer matrix whose first column is the primitive v."""
-    n = len(v)
-    col = list(v)
-    # V accumulates the inverse of the row operations applied to col, so
-    # V @ (reduced col) = v; when col becomes e0, V's first column is v.
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _kernel_basis(A: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """A basis of {x in Z^n : A x = 0} for an integer A of full row rank.
 
-    def col_op_add(dst: int, src: int, q: int):
-        # row op: col[dst] -= q*col[src]  <=>  V column src += q * column dst
-        for r in range(n):
-            V[r][src] += q * V[r][dst]
-
-    # Euclidean reduction of the column vector to gcd * e_i
-    while True:
-        nz = [i for i in range(n) if col[i] != 0]
-        if len(nz) <= 1:
-            break
-        i = min(nz, key=lambda t: abs(col[t]))
-        for j in nz:
-            if j == i:
-                continue
-            q = col[j] // col[i]
-            if q:
-                col[j] -= q * col[i]
-                col_op_add(j, i, q)
-    i = next(t for t in range(n) if col[t] != 0)
-    if i != 0:
-        # swap entries 0 and i; corresponding V column swap
-        col[0], col[i] = col[i], col[0]
-        for r in range(n):
-            V[r][0], V[r][i] = V[r][i], V[r][0]
-    if col[0] < 0:
-        col[0] = -col[0]
-        for r in range(n):
-            V[r][0] = -V[r][0]
-    if col[0] != 1:
-        raise ValueError("vector is not primitive")
-    return V
+    Column-Euclid reduction: unimodular column operations on A stacked over
+    the identity bring row r of A to one nonzero entry, in column r, for each
+    row in turn.  Then A V = [H | 0] with V unimodular, and V's last n - k
+    columns (k = rows of A) are the basis.
+    """
+    k = len(A)
+    cols = [[row[c] for row in A] + [int(c == i) for i in range(n)] for c in range(n)]
+    for r in range(k):
+        while True:
+            nz = [c for c in range(r, n) if cols[c][r]]
+            piv = min(nz, key=lambda c: abs(cols[c][r]))
+            if len(nz) == 1:
+                break
+            for c in nz:
+                q = cols[c][r] // cols[piv][r]
+                if c != piv and q:
+                    cols[c] = [x - q * y for x, y in zip(cols[c], cols[piv])]
+        cols[r], cols[piv] = cols[piv], cols[r]
+    return [col[k:] for col in cols[k:]]
 
 
 def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -699,48 +689,36 @@ def minimalize(
 ) -> Minimalization:
     """Split L as minimal (+) <+1>^a (+) <-1>^b with a unimodular certificate.
 
-    Repeatedly locates a norm +-1 vector (lexicographically least canonical
-    representative unless ``chooser`` overrides, which the cancellation
-    property tests exercise), extends it to a basis splitting <+-1>
-    orthogonally, and recurses on the complement.
+    In a definite lattice two unit vectors u != +-v are orthogonal: by
+    Cauchy-Schwarz |(u, v)| < |(u, u)| = 1, and (u, v) is an integer.  So one
+    enumeration finds every unit vector u_1..u_k (one per +-pair), they span
+    an orthogonal <+-1>^k, and the minimal part is its orthogonal complement
+    {x : (x, u_i) = 0 for all i}, which is unique.  Its basis comes from one
+    ``_kernel_basis``, its Gram from one congruence.  A lattice without unit
+    vectors is returned itself, with the identity as basis change.
+
+    ``chooser`` only orders the split columns: it is handed the unit vectors
+    not yet placed and returns the next one (the default is sorted order).
     """
-    elim = _eliminate(_sparse(L.rows))
+    elim = L._elimination
     sign = elim.sign()
     if sign is None:
         raise NotDefiniteError("minimalize requires a definite lattice")
     n = L.rank
-    cur = [list(row) for row in L.rows]
-    cur_to_orig = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    split_plus: list[list[int]] = []
-    split_minus: list[list[int]] = []
-    while len(cur) > 0:
-        vecs = _short_vectors(_Enumerator(elim, sign), sign)
-        if not vecs:
-            break
-        v = chooser(vecs) if chooser is not None else min(vecs)
-        U0 = _complete_unimodular(v)
-        G1 = _congruent(cur, U0)
-        eps = G1[0][0]
-        assert eps in (1, -1)
-        m = len(cur)
-        E = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        for j in range(1, m):
-            E[0][j] = -eps * G1[0][j]
-        U = _mat_mul(U0, E)
-        G2 = _congruent(cur, U)
-        split_col = [sum(cur_to_orig[r][t] * U[t][0] for t in range(m)) for r in range(n)]
-        if eps > 0:
-            split_plus.append(split_col)
-        else:
-            split_minus.append(split_col)
-        cur = [row[1:] for row in G2[1:]]
-        elim = _eliminate(_sparse(cur))
-        cur_to_orig = [
-            [sum(cur_to_orig[r][t] * U[t][j] for t in range(m)) for j in range(1, m)] for r in range(n)
-        ]
-    minimal = GramLattice(tuple(tuple(r) for r in cur))
-    cols = [[row[j] for row in cur_to_orig] for j in range(len(cur))] + split_plus + split_minus
-    return Minimalization(minimal, len(split_plus), len(split_minus), tuple(zip(*cols)))
+    units = _short_vectors(_Enumerator(elim, sign), sign)
+    if not units:
+        z = (0,) * n  # the identity by tuple slicing, several times faster at rank 1000
+        return Minimalization(L, 0, 0, tuple(z[:i] + (1,) + z[i + 1 :] for i in range(n)))
+    if chooser is not None:
+        rest, units = units, []
+        while rest:
+            units.append(chooser(rest))
+            rest.remove(units[-1])
+    # the complement: the kernel of x -> ((x, u_i))_i, whose matrix is (G U)^T
+    K = _kernel_basis(list(zip(*_mat_mul(L.rows, list(zip(*units))))), n)
+    minimal = GramLattice(tuple(map(tuple, _congruent(L.rows, list(zip(*K))))))
+    plus = len(units) if sign > 0 else 0
+    return Minimalization(minimal, plus, len(units) - plus, tuple(zip(*K, *units)))
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +739,7 @@ def isometric(L1: GramLattice, L2: GramLattice) -> Optional[tuple[tuple[int, ...
         raise RankTooLargeError(f"isometric is limited to rank <= {ISOMETRIC_MAX_RANK}")
     if L1.rank != L2.rank:
         return None
-    e1, e2 = _eliminate(_sparse(L1.rows)), _eliminate(_sparse(L2.rows))
+    e1, e2 = L1._elimination, L2._elimination
     s1, s2 = e1.sign(), e2.sign()
     if s1 is None or s2 is None:
         raise NotDefiniteError("isometric requires definite lattices")

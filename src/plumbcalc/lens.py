@@ -58,7 +58,7 @@ from operator import add, floordiv, mod, mul, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import NotCoprimeError, _hj_word, mod_inverse
-from .lattice import _closest_point, _eliminate, _Enumerator, _sparse
+from .lattice import _closest_point, _Enumerator
 from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, _negdef_unimodular, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
 
 
@@ -212,7 +212,7 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
     word, negate = _chain_route(p, q)
     G = chain_to_gram(ChainDiagram(tuple(-c for c in word)))
     n = G.rank
-    elim = _eliminate(_sparse(G.rows))  # negative definite
+    elim = G._elimination  # negative definite
     det = abs(elim.det())
     assert det == p
     # canonical coset functional: phi(u) = <a, u> mod p with a = det * G^{-1} e0

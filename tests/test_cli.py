@@ -297,7 +297,7 @@ class TestVerifyCommand:
         match, skip = [json.loads(line) for line in report.read_text().splitlines()]
         assert match["kind"] == skip["kind"] == "conjecture"
         assert match["passed"] and match["checks"] == {} and match["notes"] == []
-        assert match["values"] == {"triple": [5, 33, 47], "predicted": 6, "computed": "6", "matches": True}
+        assert match["values"] == {"triple": [5, 33, 47], "predicted": 6, "computed": 6, "matches": True}
         assert skip["passed"] and "computed" not in skip["values"] and "matches" not in skip["values"]
         assert skip["notes"] == ["skipped: tau window of 3741539 points exceeds the scan guard 2000000"]
 
@@ -309,6 +309,16 @@ class TestVerifyCommand:
         assert out.splitlines()[0] == "rmk1.4 (vii, n=1): predicted 99 computed 2 [DIFFERS] (conjecture)"
         (line,) = [json.loads(line) for line in report.read_text().splitlines()]
         assert line["passed"] and line["values"]["matches"] is False
+
+    def test_guard_stop_keeps_the_finished_reports(self, capsys, tmp_path):
+        # n = 53 passes; n = 54 has lens order 610802, past the label guard
+        report = tmp_path / "out.jsonl"
+        code, out, err = run(capsys, "verify", "thm1.3", "--families", "iii", "--n", "53..54", "--report", str(report))
+        assert code == 3
+        assert out == f"thm1.3 (iii, n=53): d = 54 >= 54: pass\nreport written: {report}\n"
+        assert err == "error: lens order 610802 exceeds the label guard 600000\n"
+        (line,) = [json.loads(line) for line in report.read_text().splitlines()]
+        assert (line["n"], line["passed"], line["values"]["d_surgery"]) == (53, True, 54)
 
     def test_cor16_scan_guard_exits_3_before_the_dense_gram(self, capsys, monkeypatch):
         # d's tau-window guard fires before minimalize's dense Gram is built

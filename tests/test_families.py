@@ -18,6 +18,7 @@ from plumbcalc.families import (
     FAMILY_IDS,
     REDUCED_ENDPOINT_SEIFERT,
     TableInvariantError,
+    VerificationReport,
     classify_e8_brieskorn,
     conjectured_d,
     family_chain,
@@ -183,6 +184,10 @@ class TestVerifyTheoremMain:
         assert payload["schema"].startswith("plumbcalc-verification-report/")
         assert payload["passed"] is True
         assert payload["checks"]["mubar_is_minus_one"] is True
+
+    def test_report_writes_an_integral_rational_as_an_integer(self):
+        rep = VerificationReport("k", "i", 1, values={"d": Fraction(6), "ratio": Fraction(81, 46), "n": 6})
+        assert json.loads(rep.to_json())["values"] == {"d": 6, "ratio": "81/46", "n": 6}
 
 
 class TestVerifyCorrectionBound:

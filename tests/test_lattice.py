@@ -15,6 +15,7 @@ from operator import mul
 
 import pytest
 
+import plumbcalc.lattice
 from plumbcalc.lattice import (
     CharMax,
     Definiteness,
@@ -41,6 +42,7 @@ from plumbcalc.lattice import (
     signature,
     wu_class,
 )
+from plumbcalc.plumbing import BrieskornTriple, graph_to_gram, negdef_plumbing
 
 MINUS_E8 = e8_gram(-1)
 PLUS_E8 = e8_gram(1)
@@ -608,6 +610,18 @@ def test_minimalize_diagonal():
     assert res.minus_ones == 3
 
 
+def _assert_certified(L, res):
+    """res.basis_change B is unimodular and B^T G B is the block matrix
+    minimal (+) <+1>^plus_ones (+) <-1>^minus_ones."""
+    B, n = res.basis_change, L.rank
+    assert abs(det_oracle([list(r) for r in B])) == 1
+    conj = [[sum(B[r][i] * sum(L.rows[r][c] * B[c][j] for c in range(n)) for r in range(n)) for j in range(n)] for i in range(n)]
+    k = res.minimal.rank
+    units = [1] * res.plus_ones + [-1] * res.minus_ones
+    block = [[res.minimal.rows[i][j] if i < k and j < k else (units[i - k] if i == j else 0) for j in range(n)] for i in range(n)]
+    assert conj == block
+
+
 def test_minimalize_idempotent_and_certified():
     rng = random.Random(77)
     produced = 0
@@ -620,18 +634,7 @@ def test_minimalize_idempotent_and_certified():
         L = GramLattice(tuple(tuple(sign * x for x in r) for r in rows))
         produced += 1
         res = minimalize(L)
-        B = res.basis_change
-        assert abs(det_oracle([list(r) for r in B])) == 1
-        n_ = L.rank
-        conj = [
-            [sum(B[r][i] * sum(L.rows[r][c] * B[c][j] for c in range(n_)) for r in range(n_)) for j in range(n_)]
-            for i in range(n_)
-        ]
-        # B^T G B is minimal (+) <+1>^plus_ones (+) <-1>^minus_ones
-        k = res.minimal.rank
-        units = [1] * res.plus_ones + [-1] * res.minus_ones
-        block = [[res.minimal.rows[i][j] if i < k and j < k else (units[i - k] if i == j else 0) for j in range(n_)] for i in range(n_)]
-        assert conj == block
+        _assert_certified(L, res)
         again = minimalize(res.minimal)
         assert again.minimal == res.minimal and again.plus_ones == again.minus_ones == 0
 
@@ -648,6 +651,46 @@ def test_minimalize_cancellation_under_random_orderings():
         assert isometric(res.minimal, baseline) is not None
 
 
+def test_minimalize_splits_units_that_are_not_coordinate_vectors():
+    """40 seeded congruent images U^T (-E8 (+) <-1>^2 (+) <-3>) U: the two
+    unit pairs are found wherever U puts them."""
+    base = MINUS_E8.direct_sum(GramLattice.diag(-1, -1, -3))
+    n = base.rank
+    for seed in range(40):
+        rng = random.Random(seed)
+        U = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4 * n):
+            i, j = rng.sample(range(n), 2)
+            f = rng.choice((-1, 1))
+            for r in range(n):
+                U[r][j] += f * U[r][i]  # column j += f column i
+        L = GramLattice(tuple(tuple(sum(U[a][i] * base.rows[a][b] * U[b][j] for a in range(n) for b in range(n)) for j in range(n)) for i in range(n)))
+        assert max(abs(x) for r in L.rows for x in r) > 2
+        res = minimalize(L)
+        assert res.minus_ones == 2 and res.plus_ones == 0 and res.minimal.rank == 9
+        units = [[row[j] for row in res.basis_change] for j in (9, 10)]
+        assert any(sum(map(abs, u)) > 1 for u in units), seed  # not both +-e_i
+        _assert_certified(L, res)
+
+
+def test_minimalize_enumerates_once(monkeypatch):
+    calls = []
+    short = plumbcalc.lattice._short_vectors
+    monkeypatch.setattr(plumbcalc.lattice, "_short_vectors", lambda enum, t: calls.append(t) or short(enum, t))
+    lattices = [MINUS_E8, PLUS_E8.direct_sum(GramLattice.diag(1, 1)), GramLattice.diag(-1, -1, -1, -2), GramLattice.empty()]
+    for L in lattices:
+        calls.clear()
+        minimalize(L)
+        assert len(calls) == 1, L
+
+
+def test_minimalize_returns_a_lattice_without_units_itself():
+    for L in (MINUS_E8, PLUS_E8, GramLattice.diag(-2, -3), GramLattice.empty()):
+        res = minimalize(L)
+        assert res.minimal is L and res.plus_ones == res.minus_ones == 0
+        assert res.basis_change == tuple(tuple(int(i == j) for j in range(L.rank)) for i in range(L.rank))
+
+
 def test_minimalize_requires_definite():
     with pytest.raises(NotDefiniteError):
         minimalize(GramLattice(((0, 1), (1, 0))))
@@ -655,6 +698,17 @@ def test_minimalize_requires_definite():
 
 # ---------------------------------------------------------------------------
 # characteristic vector maxima
+
+
+def test_max_char_square_eliminates_once(monkeypatch):
+    # a lattice with no unit vector: minimalize returns it, and the one
+    # cached elimination serves the checks, the Wu class and the enumeration
+    L = graph_to_gram(negdef_plumbing(BrieskornTriple(2, 13, 23)))
+    calls = []
+    kernel = plumbcalc.lattice._eliminate
+    monkeypatch.setattr(plumbcalc.lattice, "_eliminate", lambda rows: calls.append(len(rows)) or kernel(rows))
+    assert max_char_square(L).square == 4 * 2 - L.rank  # d = 2
+    assert calls == [L.rank]
 
 
 def test_max_char_square_minus_e8():

@@ -7,7 +7,6 @@ from math import gcd
 import pytest
 
 import plumbcalc.lattice
-import plumbcalc.lens
 import plumbcalc.plumbing
 from plumbcalc.arith import NotExpandableError
 from plumbcalc.cli import main
@@ -385,7 +384,6 @@ def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(plumbcalc.plumbing, "graph_to_gram", dense)
     monkeypatch.setattr(GramLattice, "__post_init__", dense)
     monkeypatch.setattr(plumbcalc.lattice, "_eliminate", fraction_kernel)
-    monkeypatch.setattr(plumbcalc.lens, "_eliminate", fraction_kernel)
     g = negdef_plumbing(BrieskornTriple(2, 13, 23))
     assert mubar(g) == -1
     assert ue_spin_bound(g) == (8, 8, -1)
