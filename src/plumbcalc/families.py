@@ -55,6 +55,12 @@ REPORT_SCHEMA = "plumbcalc-verification-report/2"
 
 FAMILY_IDS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
 
+# Largest plumbing rank verify_unbounded_gap hands to minimalize, whose norm-1
+# search grows about as rank^3.4 on (i)-(iv).  At the bound the slowest family,
+# (ii) at n = 67 (rank 278), takes 1.7-1.9 s and (iv) at n = 68 (rank 280)
+# 1.5-1.7 s (Python 3.11, one Xeon core); (iv) at rank 408 took 6.7 s.
+MINIMALIZE_GUARD = 280
+
 
 class TableInvariantError(ValueError):
     """A stored family table row violates one of its structural invariants."""
@@ -236,16 +242,15 @@ def surgery_parameters(fam: str, n: int) -> SurgeryParameters:
     q = _poly2(row["q"], n)
     p = r + 1
     k = _poly2(row["k"], n) % p
-    c = (((k + 1 + p) * (k - 1)) // 2) % p
     witness = (q + 1) // 2 - n
-    params = SurgeryParameters(fam, n, r, s, p, q, k, c, witness)
     if gcd(r, s) != 1 or gcd(p, q) != 1:
         raise TableInvariantError(f"({fam}, {n}): lens parameters not coprime")
     if gcd(k, p) != 1 or (k * k * q) % p != 1 % p:
         raise TableInvariantError(f"({fam}, {n}): dual class fails k^2 q == 1 mod p")
-    if not (0 <= params.witness_i < p):
+    if not (0 <= witness < p):
         raise TableInvariantError(f"({fam}, {n}): witness index out of range")
-    return params
+    # c from SurgeryDescriptor, where its formula lives
+    return SurgeryParameters(fam, n, r, s, p, q, k, SurgeryDescriptor(p, q, k).c, witness)
 
 
 def surgery_presentation(fam: str, n: int, meridian_framing: int) -> PlumbingGraph:
@@ -411,12 +416,16 @@ def verify_correction_bound(fam: str, n: int) -> VerificationReport:
 def verify_unbounded_gap(fam: str, n: int) -> VerificationReport:
     """Check rank(minimal part) >= 4 d, the lower-bound engine for the
     unbounded gap between the minimal-sublattice rank and the even-filling
-    cap of 8 coming from the E8-filling.
+    cap of 8 coming from the E8-filling.  Raises
+    :class:`ScanGuardExceededError` past d's guards, then for a plumbing rank
+    above ``MINIMALIZE_GUARD``.
     """
     fam = _check_family(fam)
     rep = VerificationReport("unbounded-gap", fam, n)
     G = negdef_plumbing(family_triple(fam, n))
     d = d_from_plumbing(G)  # its tau-window guard fires before the dense Gram is built
+    if G.rank > MINIMALIZE_GUARD:
+        raise ScanGuardExceededError(f"plumbing rank {G.rank} exceeds the minimalize guard {MINIMALIZE_GUARD}")
     split = minimalize(graph_to_gram(G))
     bound = theorem_bound(fam, n)
     o_lower = split.minimal.rank
@@ -481,7 +490,7 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
     is built.
     """
     if bound > 100:
-        raise ValueError("classification scan is guarded at bound <= 100")
+        raise ScanGuardExceededError(f"classification bound {bound} exceeds the scan guard 100")
     out = []
     for p in range(2, bound + 1):
         for q in range(p + 1, bound + 1):

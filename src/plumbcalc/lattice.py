@@ -11,10 +11,14 @@ then runs in integer arithmetic for any number of centres.  The kernel reads
 sparse rows, one ``{column: entry}`` dict of nonzero entries per basis
 vector.  A ``GramLattice`` is eliminated at most once, by its cached
 ``_elimination``, and every operation below reads that one elimination.
-The Wu class is one more solve on it.  Plumbing trees do not come here:
-``plumbing._tree_eliminate`` computes their determinant, inertia, solves and
-Wu class from subtree determinants in integers, and ``_eliminate`` is the
-tests' oracle for it.  Nothing here ever touches a float.
+Plumbing trees do not come here: ``plumbing._tree_eliminate`` eliminates
+them from subtree determinants in integers, and ``_eliminate`` is the tests'
+oracle for it.  Both results answer by the same names: ``det`` and
+``inertia`` are values (``inertia.sign`` is +1 / -1 on a definite form, else
+None) and ``solve`` is a method.  So the Wu class (``_wu``) and the check
+"negative definite, |det| = 1" (``_negdef_unimodular``) are written once,
+here, for both kernels, and ``_Enumerator`` reads its sign off the inertia
+and refuses an indefinite form itself.  Nothing here ever touches a float.
 
 Conventions used by several operations:
 
@@ -157,6 +161,9 @@ class Signature(NamedTuple):
     def sigma(self) -> int:
         return self.n_plus - self.n_minus
 
+    # +1 / -1 for a positive / negative definite form (+1 at rank 0), else None
+    sign = property(lambda s: None if s.n_zero or (s.n_plus and s.n_minus) else -1 if s.n_minus else 1)
+
 
 def _sparse(rows: Sequence[Sequence[int]]) -> list[dict[int, int]]:
     """The kernel's input format for a dense matrix: the nonzeros of each row."""
@@ -199,27 +206,16 @@ class _Elimination(NamedTuple):
     then the null block.  ``rows[p]`` lists the (q, u) with q > p of the unit
     factor, so a definite G has x^T G x = sum_p pivots[p] (x_p + sum u x_q)^2.
     ``adds`` lists each basis change (step, i, j) made before pivot ``step``:
-    basis vector j added to basis vector i.
+    basis vector j added to basis vector i.  ``det`` is the product of the
+    pivots (0 with a null block) and ``inertia`` their sign counts.
     """
 
     order: list[int]
     pivots: list[Fraction]
     rows: list[list[tuple[int, Fraction]]]
     adds: list[tuple[int, int, int]]
-
-    def det(self) -> int:
-        return int(prod(self.pivots)) if len(self.pivots) == len(self.order) else 0
-
-    def inertia(self) -> Signature:
-        plus = sum(d > 0 for d in self.pivots)
-        return Signature(plus, len(self.pivots) - plus, len(self.order) - len(self.pivots))
-
-    def sign(self) -> Optional[int]:
-        """+1 / -1 when G is positive / negative definite, else None."""
-        plus, minus, zero = self.inertia()
-        if zero or (plus and minus):
-            return None
-        return -1 if minus else 1
+    det: int
+    inertia: Signature
 
     def solve(self, rhs: Sequence) -> list[Fraction]:
         """The x with G x = rhs (G nonsingular), by substitution on the factors."""
@@ -302,6 +298,7 @@ def _eliminate(rows: Sequence[dict[int, int]]) -> _Elimination:
         order.append(k)
         pivots.append(d)
         factors.append(factor)
+    plus = sum(d > 0 for d in pivots)
     order += pending
     pos = {v: p for p, v in enumerate(order)}
     return _Elimination(
@@ -309,12 +306,14 @@ def _eliminate(rows: Sequence[dict[int, int]]) -> _Elimination:
         pivots,
         [sorted((pos[c], u) for c, u in f) for f in factors],
         [(s, pos[i], pos[j]) for s, i, j in adds],
+        0 if pending else int(prod(pivots)),
+        Signature(plus, len(pivots) - plus, len(pending)),
     )
 
 
 def determinant(L: GramLattice) -> int:
     """Exact determinant, the product of the kernel's pivots; empty -> 1."""
-    return L._elimination.det()
+    return L._elimination.det
 
 
 def definiteness_sign(L: GramLattice) -> Optional[int]:
@@ -322,12 +321,12 @@ def definiteness_sign(L: GramLattice) -> Optional[int]:
 
     Rank 0 counts as definite of either sign and returns +1.
     """
-    return L._elimination.sign()
+    return L._elimination.inertia.sign
 
 
 def signature(L: GramLattice) -> Signature:
     """Counts of positive/negative/zero eigenvalues: the kernel's inertia."""
-    return L._elimination.inertia()
+    return L._elimination.inertia
 
 
 class Definiteness(Enum):
@@ -355,17 +354,12 @@ def classify(L: GramLattice) -> Classification:
     The empty lattice classifies as positive definite, even, unimodular.
     """
     elim = L._elimination
-    sig = elim.inertia()
-    if sig.n_zero > 0:
+    if elim.inertia.n_zero:
         d = Definiteness.DEGENERATE
-    elif sig.n_minus == 0:
-        d = Definiteness.POSITIVE
-    elif sig.n_plus == 0:
-        d = Definiteness.NEGATIVE
     else:
-        d = Definiteness.INDEFINITE
+        d = {1: Definiteness.POSITIVE, -1: Definiteness.NEGATIVE, None: Definiteness.INDEFINITE}[elim.inertia.sign]
     parity = Parity.EVEN if all(x % 2 == 0 for x in L.diagonal()) else Parity.ODD
-    return Classification(d, parity, abs(elim.det()) == 1)
+    return Classification(d, parity, abs(elim.det) == 1)
 
 
 def recognize_e8(L: GramLattice) -> Optional[int]:
@@ -379,7 +373,7 @@ def recognize_e8(L: GramLattice) -> Optional[int]:
     if any(x % 2 for x in L.diagonal()):
         return None
     elim = L._elimination
-    return elim.sign() if abs(elim.det()) == 1 else None
+    return elim.inertia.sign if abs(elim.det) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +389,28 @@ def wu_class(L: GramLattice) -> tuple[int, ...]:
     return _wu(L._elimination, L.diagonal())
 
 
-def _wu(elim: _Elimination, diag: Sequence[int]) -> tuple[int, ...]:
-    """``wu_class`` of the Gram matrix that ``elim`` eliminates, whose
+def _wu(elim, diag: Sequence[int]) -> tuple[int, ...]:
+    """``wu_class`` of the Gram matrix G whose elimination is ``elim``, by
+    either kernel (``_eliminate`` or ``plumbing._tree_eliminate``), and whose
     diagonal is ``diag``.
 
-    For odd det the solution x of G x = diag(G) has odd denominators, so
-    reducing it mod 2 solves G eps == diag(G) (mod 2) with eps the numerators
-    of x mod 2.
+    For odd det, det G^{-1} is the adjugate, so x = G^{-1} (det diag G) is
+    integral and eps = x mod 2 solves G eps == det diag(G) == diag(G) (mod 2).
     """
-    if elim.det() % 2 == 0:
+    if elim.det % 2 == 0:
         raise SingularMod2Error("Gram matrix is singular mod 2")
-    return tuple(x.numerator % 2 for x in elim.solve(diag))
+    return tuple(int(x) % 2 for x in elim.solve([elim.det * d for d in diag]))
+
+
+def _negdef_unimodular(elim):
+    """``elim`` (of either kernel) after the check every caller on a homology
+    sphere makes: negative definite (else NotNegativeDefiniteError), then
+    |det| = 1 (else NotUnimodularError).  Rank 0 passes."""
+    if elim.inertia.n_plus or elim.inertia.n_zero:
+        raise NotNegativeDefiniteError(f"the form is not negative-definite (inertia {tuple(elim.inertia)})")
+    if abs(elim.det) != 1:
+        raise NotUnimodularError(f"the negative-definite form has |det| = {abs(elim.det)}, not 1")
+    return elim
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +420,9 @@ def _wu(elim: _Elimination, diag: Sequence[int]) -> tuple[int, ...]:
 class _Enumerator:
     """Exact enumeration over Q(x - center) for x in Z^n, in integers.
 
-    Q = sign * G is positive definite and is read off the elimination of G,
-    in its positional coordinates: Q(y) = sum_i d_i (y_i + sum_j u_ij y_j)^2
+    G is definite, of sign ``sign = elim.inertia.sign`` (else NotDefiniteError),
+    and Q = sign * G is read off the elimination of G, in its positional
+    coordinates: Q(y) = sum_i d_i (y_i + sum_j u_ij y_j)^2
     with d_i = sign * pivot_i.  It is scaled once per elimination: with Lu
     the lcm of the denominators of the u_ij and Dd that of the d_i, ``U``
     holds u_ij Lu and ``W`` holds d_i Dd, all integers.  A run takes a center
@@ -430,8 +436,10 @@ class _Enumerator:
     exact pruning.
     """
 
-    def __init__(self, elim: _Elimination, sign: int):
-        self.sign = sign
+    def __init__(self, elim: _Elimination):
+        self.sign = sign = elim.inertia.sign
+        if sign is None:
+            raise NotDefiniteError(f"enumeration requires a definite lattice (inertia {tuple(elim.inertia)})")
         self.order = elim.order
         self.lu = lcm(*(u.denominator for row in elim.rows for _, u in row))
         self.dd = lcm(*(d.denominator for d in elim.pivots))
@@ -555,11 +563,7 @@ def short_vectors(L: GramLattice, norm_target: int) -> list[tuple[int, ...]]:
     Requires L definite with norm_target of the matching sign (0 targets are
     rejected: definite forms have no nonzero null vectors).
     """
-    elim = L._elimination
-    sign = elim.sign()
-    if sign is None:
-        raise NotDefiniteError("short_vectors requires a definite lattice")
-    return _short_vectors(_Enumerator(elim, sign), norm_target)
+    return _short_vectors(_Enumerator(L._elimination), norm_target)
 
 
 def _short_vectors(enum: _Enumerator, norm_target: int) -> list[tuple[int, ...]]:
@@ -602,16 +606,12 @@ def max_char_square(L: GramLattice) -> CharMax:
     This enumeration is exponential in rank; it is the tests' oracle for
     ``lens.d_from_plumbing``.
     """
-    elim = L._elimination
-    if elim.sign() != -1 and L.rank > 0:
-        raise NotNegativeDefiniteError("max_char_square requires a negative definite lattice")
-    if abs(elim.det()) != 1:
-        raise NotUnimodularError("max_char_square requires |det| = 1")
+    _negdef_unimodular(L._elimination)
     n = L.rank
     split = minimalize(L)
     minimal = split.minimal._elimination
     c0 = _wu(minimal, split.minimal.diagonal())
-    val, v = _closest_point(_Enumerator(minimal, -1), [-c for c in c0], 2)
+    val, v = _closest_point(_Enumerator(minimal), [-c for c in c0], 2)
     # c = c0 + 2v on the minimal part, where c^T(-G)c = 4 * val, and 1 on each <-1>
     block_vec = [c + 2 * x for c, x in zip(c0, v)] + [1] * split.minus_ones
     B = split.basis_change
@@ -700,12 +700,8 @@ def minimalize(
     ``chooser`` only orders the split columns: it is handed the unit vectors
     not yet placed and returns the next one (the default is sorted order).
     """
-    elim = L._elimination
-    sign = elim.sign()
-    if sign is None:
-        raise NotDefiniteError("minimalize requires a definite lattice")
-    n = L.rank
-    units = _short_vectors(_Enumerator(elim, sign), sign)
+    n, enum = L.rank, _Enumerator(L._elimination)  # raises NotDefiniteError unless L is definite
+    units = _short_vectors(enum, enum.sign)
     if not units:
         z = (0,) * n  # the identity by tuple slicing, several times faster at rank 1000
         return Minimalization(L, 0, 0, tuple(z[:i] + (1,) + z[i + 1 :] for i in range(n)))
@@ -717,7 +713,7 @@ def minimalize(
     # the complement: the kernel of x -> ((x, u_i))_i, whose matrix is (G U)^T
     K = _kernel_basis(list(zip(*_mat_mul(L.rows, list(zip(*units))))), n)
     minimal = GramLattice(tuple(map(tuple, _congruent(L.rows, list(zip(*K))))))
-    plus = len(units) if sign > 0 else 0
+    plus = len(units) if enum.sign > 0 else 0
     return Minimalization(minimal, plus, len(units) - plus, tuple(zip(*K, *units)))
 
 
@@ -740,10 +736,10 @@ def isometric(L1: GramLattice, L2: GramLattice) -> Optional[tuple[tuple[int, ...
     if L1.rank != L2.rank:
         return None
     e1, e2 = L1._elimination, L2._elimination
-    s1, s2 = e1.sign(), e2.sign()
+    s1, s2 = e1.inertia.sign, e2.inertia.sign
     if s1 is None or s2 is None:
         raise NotDefiniteError("isometric requires definite lattices")
-    if s1 != s2 or e1.det() != e2.det():
+    if s1 != s2 or e1.det != e2.det:
         return None
     if all(x % 2 == 0 for x in L1.diagonal()) != all(x % 2 == 0 for x in L2.diagonal()):
         return None
@@ -751,7 +747,7 @@ def isometric(L1: GramLattice, L2: GramLattice) -> Optional[tuple[tuple[int, ...
     if n == 0:
         return ()
     targets = L2.diagonal()
-    enum = _Enumerator(e1, s1)
+    enum = _Enumerator(e1)
     candidates: dict[int, list[tuple[int, ...]]] = {}
     for t in set(targets):
         reps = _short_vectors(enum, t)

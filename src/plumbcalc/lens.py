@@ -58,8 +58,8 @@ from operator import add, floordiv, mod, mul, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import NotCoprimeError, _hj_word, mod_inverse
-from .lattice import _closest_point, _Enumerator
-from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, _negdef_unimodular, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
+from .lattice import _closest_point, _Enumerator, _negdef_unimodular
+from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
 
 
 class ScanGuardExceededError(ValueError):
@@ -213,7 +213,7 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
     G = chain_to_gram(ChainDiagram(tuple(-c for c in word)))
     n = G.rank
     elim = G._elimination  # negative definite
-    det = abs(elim.det())
+    det = abs(elim.det)
     assert det == p
     # canonical coset functional: phi(u) = <a, u> mod p with a = det * G^{-1} e0
     a_vec = elim.solve([det if i == 0 else 0 for i in range(n)])
@@ -226,7 +226,7 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
     # -G^{-1} t / 2 = -(base + u_s col) / (2 det), base and col integral
     base = [int(det * x) for x in elim.solve(G.diagonal())]
     col = [int(det * x) for x in elim.solve([2 if i == m_idx else 0 for i in range(n)])]
-    enum = _Enumerator(elim, -1)
+    enum = _Enumerator(elim)
     out: dict[int, Fraction] = {}
     for s in range(p):
         u = (s * inv_am) % p
@@ -370,7 +370,7 @@ def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
     """
     center, legs = star_legs(G)
     conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
-    elim = _negdef_unimodular(G)
+    elim = _negdef_unimodular(G._elimination)
     best, n_star = _tau_min(G.weights[center], [(m[0], m[1]) for m in conts])
     k = [-w - 2 for w in G.weights]
     K = elim.solve(k)  # integral: G is unimodular

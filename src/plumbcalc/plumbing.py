@@ -9,13 +9,16 @@ e - (p'/p + q'/q + r'/r) = -1/pqr, and its canonical negative-definite
 plumbing is obtained by re-presenting every branch fraction below -1 and
 expanding with all entries <= -2.
 
-Determinant, inertia, solves and the Wu class of a plumbing tree come from
-one integer kernel, ``_tree_eliminate``: leaves first, with subtree
-determinants as exact integers and no ``Fraction`` per vertex, on the tree
-rooted at 0 that ``PlumbingGraph`` builds as its connectivity check.  Each
-graph runs it once (``_elimination``); ``negdef_plumbing``'s check (negative
-definite, |det| = 1), ``mubar``, ``ue_spin_bound`` and ``d_from_plumbing``
-all read that one elimination.
+Determinant, inertia and solves of a plumbing tree come from one integer
+kernel, ``_tree_eliminate``: leaves first, with subtree determinants as exact
+integers and no ``Fraction`` per vertex, on the tree rooted at 0 that
+``PlumbingGraph`` builds as its connectivity check.  Its result answers by
+the same names as ``lattice._eliminate``'s (``det``, ``inertia`` with its
+``sign``, ``solve``), so the Wu class (``lattice._wu``) and the check
+"negative definite, |det| = 1" (``lattice._negdef_unimodular``) are written
+once for both kernels.  Each graph runs it once (``_elimination``);
+``negdef_plumbing``, ``mubar``, ``ue_spin_bound`` and ``d_from_plumbing`` all
+read that one elimination.
 
 Chain diagrams model linear surgery presentations with one marked link of
 multiplicity k; ``twist_reduce`` applies, at the Gram-matrix level, the
@@ -33,7 +36,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import NotCoprimeError, NotExpandableError, _hj_word, cf_eval, hj_expand, hj_expand_negative, mod_inverse
-from .lattice import GramLattice, NotNegativeDefiniteError, NotUnimodularError, Signature, SingularMod2Error
+from .lattice import GramLattice, Signature, _negdef_unimodular, _wu
 
 
 class NotStarShapedError(ValueError):
@@ -214,13 +217,6 @@ class _TreeElimination(NamedTuple):
                 raise AssertionError(f"G x = rhs has no integral solution (vertex {v})")
         return x
 
-    def wu(self, weights: Sequence[int]) -> tuple[int, ...]:
-        """The Wu class: for odd det, x = G^{-1} (det diag G) is integral and
-        eps = x mod 2 solves G eps == diag(G) (mod 2)."""
-        if self.det % 2 == 0:
-            raise SingularMod2Error("Gram matrix is singular mod 2")
-        return tuple(x % 2 for x in self.solve([self.det * w for w in weights]))
-
 
 def _tree_eliminate(G: PlumbingGraph) -> _TreeElimination:
     """The integer elimination of G's intersection form, rooted at vertex 0, in O(rank)."""
@@ -246,17 +242,6 @@ def _tree_eliminate(G: PlumbingGraph) -> _TreeElimination:
         else:
             pair[u] = v
     return _TreeElimination(order, parent, D, P, pair, 0 if nulls else det, Signature(plus, n - nulls - plus, nulls))
-
-
-def _negdef_unimodular(G: PlumbingGraph) -> _TreeElimination:
-    """The kernel of G after the check every homology-sphere caller makes: G is negative
-    definite (else NotNegativeDefiniteError) with |det| = 1 (else NotUnimodularError)."""
-    elim = G._elimination
-    if elim.inertia.n_minus != G.rank:
-        raise NotNegativeDefiniteError(f"the plumbing is not negative-definite (inertia {tuple(elim.inertia)})")
-    if abs(elim.det) != 1:
-        raise NotUnimodularError(f"the negative-definite plumbing has |det| = {abs(elim.det)}, not 1")
-    return elim
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +525,7 @@ def negdef_plumbing(T: BrieskornTriple) -> PlumbingGraph:
     shifted = SeifertData(data.e - len(data.branches), tuple((a, b - a) for a, b in data.branches))
     G = seifert_to_plumbing(shifted)
     try:
-        _negdef_unimodular(G)
+        _negdef_unimodular(G._elimination)
     except ValueError as exc:
         raise AssertionError(f"plumbing of {T.as_tuple()}: {exc}") from exc
     return G
@@ -557,7 +542,7 @@ def mubar(G: PlumbingGraph) -> Fraction:
     the value is an integer for homology spheres.
     """
     elim = G._elimination
-    w = elim.wu(G.weights)  # raises SingularMod2Error on even determinant
+    w = _wu(elim, G.weights)  # raises SingularMod2Error on even determinant
     square = sum(x * wv for x, wv in zip(G.weights, w)) + 2 * sum(w[a] * w[b] for a, b in G.edges)  # w is 0/1
     return Fraction(elim.inertia.sigma - square, 8)
 
@@ -586,7 +571,7 @@ def ue_spin_bound(G: PlumbingGraph) -> SpinBound:
     mu-bar the cap comes from is returned with it.
     """
     star_legs(G)  # raises NotStarShapedError if not a star
-    _negdef_unimodular(G)
+    _negdef_unimodular(G._elimination)
     m = mubar(G)
     assert m.denominator == 1
     ub = -8 * int(m)

@@ -11,7 +11,7 @@ import plumbcalc.families
 import plumbcalc.lens
 import plumbcalc.plumbing
 from plumbcalc.cli import main
-from plumbcalc.families import VerificationReport
+from plumbcalc.families import MINIMALIZE_GUARD, VerificationReport
 from plumbcalc.lattice import determinant, signature, wu_class
 from plumbcalc.lens import d_from_plumbing, lens_d_all
 from plumbcalc.plumbing import (
@@ -331,6 +331,18 @@ class TestVerifyCommand:
         assert code == 3 and out == ""
         assert err == "error: tau window of 2000237 points exceeds the scan guard 2000000\n"
         assert time.monotonic() - t0 < 2.0
+
+    def test_cor16_minimalize_guard_exits_3(self, capsys):
+        # (iv) at n = 200: d runs (rank 808), then the rank guard stops minimalize
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "verify", "cor1.6", "--families", "iv", "--n", "200")
+        assert code == 3 and out == ""
+        assert err == f"error: plumbing rank 808 exceeds the minimalize guard {MINIMALIZE_GUARD}\n"
+        assert time.monotonic() - t0 < 1.0
+
+    def test_classify_guard_exits_3(self, capsys):
+        code, out, err = run(capsys, "verify", "classify-e8", "--bound", "101")
+        assert (code, out, err) == (3, "", "error: classification bound 101 exceeds the scan guard 100\n")
 
     def test_bad_task(self, capsys):
         code, _, err = run(capsys, "verify", "thm9.9")

@@ -21,6 +21,7 @@ from plumbcalc.lattice import (
     Definiteness,
     GramLattice,
     NotDefiniteError,
+    NotNegativeDefiniteError,
     NotUnimodularError,
     Parity,
     RankTooLargeError,
@@ -223,6 +224,26 @@ def test_signature_vs_charpoly_oracle():
         assert signature(L) == signature_oracle([list(r) for r in L.rows])
 
 
+def test_signature_sign_on_every_inertia_shape():
+    # definite of either sign, indefinite, degenerate, and rank 0 (+1, as definiteness_sign)
+    shapes = {(3, 0, 0): 1, (0, 3, 0): -1, (2, 1, 0): None, (2, 0, 1): None, (0, 2, 1): None, (0, 0, 2): None, (0, 0, 0): 1}
+    for shape, sign in shapes.items():
+        assert Signature(*shape).sign == sign, shape
+    lattices = [PLUS_E8, MINUS_E8, GramLattice(((0, 1), (1, 0))), GramLattice.diag(2, 0), GramLattice.empty()]
+    assert [signature(L).sign for L in lattices] == [1, -1, None, None, 1]
+    # the same answer on every random lattice as the Enumerator, which refuses the indefinite ones
+    seen = set()
+    for L in random_lattices(60):
+        elim = L._elimination
+        seen.add(elim.inertia.sign)
+        if elim.inertia.sign is None:
+            with pytest.raises(NotDefiniteError, match="inertia"):
+                _Enumerator(elim)
+        else:
+            assert _Enumerator(elim).sign == elim.inertia.sign
+    assert seen == {1, -1, None}
+
+
 def test_classify():
     assert classify(MINUS_E8) == (Definiteness.NEGATIVE, Parity.EVEN, True)
     assert classify(GramLattice.diag(1)) == (Definiteness.POSITIVE, Parity.ODD, True)
@@ -402,7 +423,7 @@ def random_definite(rng):
         return GramLattice(tuple(tuple(sign * x for x in r) for r in rows))
     while True:
         L = random_tree_gram(rng, n, 2, 4)
-        if _eliminate(_sparse(L.rows)).sign() == 1:
+        if _eliminate(_sparse(L.rows)).inertia.sign == 1:
             return L if sign > 0 else L.negate()
 
 
@@ -431,9 +452,9 @@ def test_integer_enumerator_matches_fraction_oracle():
     for trial in range(240):
         L = random_definite(rng)
         elim = _eliminate(_sparse(L.rows))
-        sign = elim.sign()
+        sign = elim.inertia.sign
         signs.add(sign)
-        enum = _Enumerator(elim, sign)
+        enum = _Enumerator(elim)
         order, n = elim.order, L.rank
         center = random_center(rng, n, ("mixed", "half", "zero")[trial % 3])
         nums, den = as_numerators(center)
@@ -454,7 +475,7 @@ def test_integer_enumerator_matches_fraction_oracle():
                 return value if shrink else None
 
             FractionEnumerator(elim, sign, centerp).run(fixed, old_leaf)
-            _Enumerator(elim, sign).run(numsp, den, int(fixed * S), new_leaf)
+            _Enumerator(elim).run(numsp, den, int(fixed * S), new_leaf)
             assert new == [(x, v * S) for x, v in old]
 
         assert _closest_point(enum, nums, den) == fraction_closest_point(elim, sign, center)
@@ -723,8 +744,18 @@ def test_max_char_square_diagonal():
 
 
 def test_max_char_square_requires_unimodular():
-    with pytest.raises(NotUnimodularError):
+    with pytest.raises(NotUnimodularError, match=r"negative-definite form has \|det\| = 2"):
         max_char_square(GramLattice.diag(-2))
+
+
+def test_max_char_square_requires_negative_definite():
+    with pytest.raises(NotNegativeDefiniteError, match=r"not negative-definite \(inertia \(8, 0, 0\)\)"):
+        max_char_square(PLUS_E8)
+    with pytest.raises(NotNegativeDefiniteError, match="negative-definite"):
+        max_char_square(GramLattice(((0, 1), (1, 0))))
+    with pytest.raises(NotNegativeDefiniteError, match=r"\(inertia \(0, 1, 1\)\)"):  # degenerate, so det = 0 too
+        max_char_square(GramLattice.diag(-1, 0))
+    assert max_char_square(GramLattice.empty()) == (0, ())
 
 
 def test_max_char_square_witness_is_characteristic():

@@ -16,7 +16,7 @@ from operator import mul, sub
 import pytest
 
 from plumbcalc.arith import NotCoprimeError
-from plumbcalc.lattice import max_char_square
+from plumbcalc.lattice import _negdef_unimodular, max_char_square
 from plumbcalc.families import surgery_parameters, verify_conjecture
 from plumbcalc.lens import (
     LABEL_GUARD,
@@ -47,7 +47,6 @@ from plumbcalc.plumbing import (
     plumbing_to_seifert,
     seifert_to_plumbing,
     star_graph,
-    _negdef_unimodular,
 )
 from plumbcalc.arith import hj_expand
 
@@ -420,7 +419,7 @@ def test_k_squared_matches_the_dedekind_sum_formula():
         e = e0 + sum(Fraction(w, a) for a, w in branches)
         eps = (2 - len(branches) + sum(Fraction(1, a) for a, _ in branches)) / e
         want = eps * eps * e + e + 5 - 12 * sum(_dedekind_sum(w, a) for a, w in branches)
-        assert sum(map(mul, k, _negdef_unimodular(g).solve(k))) + g.rank == want, branches
+        assert sum(map(mul, k, _negdef_unimodular(g._elimination).solve(k))) + g.rank == want, branches
 
 
 class TestDFromPlumbing:

@@ -15,6 +15,7 @@ from plumbcalc.lattice import (
     GramLattice,
     SingularMod2Error,
     _eliminate,
+    _negdef_unimodular,
     _sparse,
     _wu,
     classify,
@@ -419,9 +420,10 @@ def _random_tree(rng: random.Random, n: int, lo: int, hi: int) -> PlumbingGraph:
 
 def test_tree_kernel_matches_the_fraction_kernel():
     """The integer tree kernel against lattice._eliminate on 1201 seeded trees:
-    det, inertia, solve and the Wu class.  Stars, random trees and trees with
-    weights in [-2, 2], a third of them with a zero-pivot block; in the path
-    (0, 3, 5, 0) every root leaves a zero-weight leaf as a subtree."""
+    det, inertia, solve, the Wu class and the negative-definite unimodular
+    check, each read by the same name from both results.  Stars, random trees
+    and trees with weights in [-2, 2], a third of them with a zero-pivot block;
+    in the path (0, 3, 5, 0) every root leaves a zero-weight leaf as a subtree."""
     rng = random.Random(1111)
     path = PlumbingGraph((0, 3, 5, 0), ((0, 1), (1, 2), (2, 3)))
     legs = lambda: [[rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(3, 5))]
@@ -431,23 +433,33 @@ def test_tree_kernel_matches_the_fraction_kernel():
     counts = Counter()
     for G in trees:
         ref, elim = _eliminate(_sparse(graph_to_gram(G).rows)), _tree_eliminate(G)
-        assert (elim.det, elim.inertia) == (ref.det(), ref.inertia()), G
+        assert (elim.det, elim.inertia) == (ref.det, ref.inertia), G
         counts["block"] += max(elim.pair) >= 0
+        checks = []
+        for e in (elim, ref):  # one check, so one verdict and one message for both kernels
+            try:
+                checks.append(_negdef_unimodular(e) is e)
+            except ValueError as exc:
+                checks.append((type(exc), str(exc)))
+        assert checks[0] == checks[1], G
+        counts["negdef_unimodular"] += checks[0] is True
         if not elim.det:
             counts["singular"] += 1
-            with pytest.raises(ZeroDivisionError):
-                elim.solve(G.weights)
+            for e in (elim, ref):
+                with pytest.raises(ZeroDivisionError):
+                    e.solve(G.weights)
             continue
         rhs = [elim.det * rng.randint(-9, 9) for _ in G.weights]
         assert elim.solve(rhs) == ref.solve(rhs), G
         if elim.det % 2:
             counts["odd"] += 1
-            assert elim.wu(G.weights) == _wu(ref, G.weights), G
+            assert _wu(elim, G.weights) == _wu(ref, G.weights), G
         else:
-            with pytest.raises(SingularMod2Error):
-                elim.wu(G.weights)
+            for e in (elim, ref):
+                with pytest.raises(SingularMod2Error):
+                    _wu(e, G.weights)
     assert (_tree_eliminate(path).det, _tree_eliminate(path).inertia) == (1, (2, 2, 0))
-    assert 3 * counts["block"] >= len(trees) >= 1000 and counts["singular"] and counts["odd"], counts
+    assert 3 * counts["block"] >= len(trees) >= 1000 and counts["singular"] and counts["odd"] and counts["negdef_unimodular"], counts
 
 
 def test_tree_kernel_checks_every_division():
