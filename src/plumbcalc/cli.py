@@ -12,8 +12,8 @@ verify TASK        batch verification: the family tasks thm1.2, thm1.3,
 
 All printed rationals are exact strings ("2", "81/46"); no decimals are ever
 produced.  Exit codes: 0 success, 1 verification clause failure, 2 invalid
-input, 3 work guard exceeded (tau window of ``d``, P+Q+R of ``d`` and
-``mubar``, lens order, plumbing rank of ``cor1.6``, bound of ``classify-e8``).
+input, 3 work guard exceeded (tau window of ``d``; P+Q+R of ``d``, ``mubar`` and ``thm1.2``;
+lens order; labels of ``thm1.3``'s surgery window; rank of ``cor1.6``; bound of ``classify-e8``).
 Every command computes its answer afresh; nothing is cached between runs.
 """
 

@@ -30,6 +30,7 @@ from .lattice import GramLattice, minimalize, recognize_e8
 from .lens import (
     ScanGuardExceededError,
     SurgeryDescriptor,
+    _multiplicity_guard,
     d_brieskorn,
     d_from_plumbing,
     d_surgery,
@@ -330,13 +331,14 @@ def verify_theorem_main(fam: str, n: int) -> VerificationReport:
     filling bounds the reversed orientation, so the triple itself acquires a
     -E8-filling); (c) the spin-filling cap is b2 <= 8, pinning the E8-genus
     at 1; (d) the tabulated Seifert row normalizes to the data derived from
-    the triple.
+    the triple.  P+Q+R, which bounds the plumbing's rank, is guarded first.
     """
     fam = _check_family(fam)
     triple = family_triple(fam, n)
     rep = VerificationReport("theorem-main", fam, n)
     rep.values["triple"] = triple.as_tuple()
 
+    _multiplicity_guard(triple.as_tuple())
     bound = ue_spin_bound(negdef_plumbing(triple))
     rep.values["mubar"] = bound.mubar
     rep.checks["mubar_is_minus_one"] = bound.mubar == -1

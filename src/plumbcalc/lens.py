@@ -9,8 +9,8 @@ for 0 <= j < p + q with R(1, 0, 0) = 0, whose labels j restricted to
 overhang j in [p, p+q), which the tests verify).  Each call recomputes the
 integers N = 4p R with no memo: one label per level for ``lens_d``, O(log p);
 one flat list per level for all labels, q exact divisions and p - q additions
-(``_level``), up to lens orders ``LABEL_GUARD``.  ``d_surgery`` reads L(p, 1)
-in closed form, 4p R(p, 1, j) = (2j - p)^2 - p.
+(``_level``), up to lens orders ``LABEL_GUARD``.  ``d_surgery`` reads L(p, 1) in
+closed form, 4p R(p, 1, j) = (2j - p)^2 - p, and L(p, q) label by label on a window.
 
 Labeling convention (pinned, recorded).  The public ``lens_d(p, q, i)``
 uses the surgery-style labeling in which the familiar affine
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, cycle, islice, repeat
+from itertools import accumulate, compress, count, cycle, islice, repeat, takewhile
 from math import gcd, isqrt, prod
 from operator import add, floordiv, mod, mul, sub
 from typing import Iterable, NamedTuple, Optional
@@ -63,8 +63,8 @@ from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, brieskorn_se
 
 
 class ScanGuardExceededError(ValueError):
-    """A work guard would be exceeded: ``SCAN_GUARD`` on the tau window of
-    ``d_from_plumbing``, ``LABEL_GUARD`` on all-labels lens work, ``ORACLE_GUARD`` on ``lens_d_oracle``."""
+    """A work guard would be exceeded: ``SCAN_GUARD`` on the tau window of ``d_from_plumbing``, ``LABEL_GUARD``
+    on all-labels lens work and the labels ``d_surgery`` evaluates, ``ORACLE_GUARD`` on ``lens_d_oracle``."""
 
 
 # Longest tau window d_from_plumbing scans: d of family (v) at n = 263, 1.99M
@@ -75,9 +75,9 @@ class ScanGuardExceededError(ValueError):
 # nearly the sum (Sigma(300, 301, 90299), rank 90600, 0.45-0.54 s).
 SCAN_GUARD = 2_000_000
 
-# Largest lens order p of lens_d_all and d_surgery: at p = 599999 d_surgery takes
-# 0.3-0.8 s and lens_d_all 1.5-2.0 s, mostly its p Fractions (Python 3.11, one
-# Xeon core); the largest thm1.3 member at n <= 50, (iii) at n = 50, has p = 523958.
+# Largest lens order p of lens_d_all (at p = 599999 1.5-2.0 s, mostly its p Fractions) and most labels
+# d_surgery evaluates: all p tie at q = 1, k = +-1 (p = 599999, 1.4-1.5 s); a thm1.3 member takes about
+# 45 n (n = 1000: 0.1-0.2 s) and (iii) passes the guard near n = 13300, 4.5 s (Python 3.11, one Xeon core).
 LABEL_GUARD = 600_000
 
 # Largest lens order p of lens_d_oracle.  Cost follows the chain's rank, not p
@@ -271,19 +271,32 @@ class SurgeryResult(NamedTuple):
     witnesses: tuple[int, ...]
 
 
+def _chain_bounds(p: int, q: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= N(p, q, j) <= hi for 0 <= j < p, by the extremes of (2j + 1 - p - q)^2 per level."""
+    if p == 1:
+        return 0, 0
+    lo, hi = _chain_bounds(q, p % q)
+    return -((p * q + p * hi - (p + q + 1) % 2) // q), ((p + q - 1) ** 2 - p * q - p * lo) // q
+
+
 def d_surgery(desc: SurgeryDescriptor) -> SurgeryResult:
     """max over 0 <= i < p of d(p, q, k i + c) - d(p, 1, i), with argmaxes.
 
-    The L-space hypotheses behind the formula are the caller's
-    responsibility; this evaluates the full maximum (never just a witness).
+    The L-space hypotheses behind the formula are the caller's responsibility.  With t = |2i - p| the
+    gap 4p (d(p, q, k i + c) - d(p, 1, i)) + p is N(p, q, j) - t^2 <= N* - t^2, N* from ``_chain_bounds``:
+    a gap >= best has t^2 <= N* - best, so labels visited by increasing t until t^2 > N* - best hold
+    every argmax, not just a witness.  Raises :class:`ScanGuardExceededError` past ``LABEL_GUARD`` labels.
     """
     p, q, k, c = desc.p, desc.q, desc.k, desc.c
-    # top label k i + c is recursion label a i + b; 4p d(p, 1, i) + p = (2i - p)^2; a = 0 only if p = 1
-    num, a, b, x = _descent_table(p, q), q * k % p or 1, (q * (c + 1) - 1) % p, range(-p, p, 2)
-    top = map(num.__getitem__, map(mod, range(b, b + a * p, a), repeat(p)))
-    gaps = list(map(sub, top, map(mul, x, x)))
-    best = max(gaps)
-    winners = [i for i, g in enumerate(gaps) if g == best]
+    lo, top = _chain_bounds(p, q)
+    best, gaps = lo - p * p, {}  # best starts below every gap and only grows, so the window only shrinks
+    for t in takewhile(lambda t: t * t <= top - best, range(p % 2, p + 1, 2)):
+        for i in {(p - t) // 2, (p + t) // 2 % p}:
+            if len(gaps) == LABEL_GUARD:
+                raise ScanGuardExceededError(f"surgery window of L({p}, {q}) passes the label guard {LABEL_GUARD}")
+            gaps[i] = _descent_label(p, q, (q * (k * i + c + 1) - 1) % p) - t * t  # at label k i + c
+            best = max(best, gaps[i])
+    winners = sorted(i for i, g in gaps.items() if g == best)
     return SurgeryResult(Fraction(best + p, 4 * p), winners[0], tuple(winners))
 
 

@@ -131,18 +131,24 @@ class TestLensCommand:
         assert "." not in out
 
     @pytest.mark.parametrize(
-        "argv, p",
+        "argv, guard, msg",
         [
-            (["lens-d", "1000000007", "2", "--all"], 1000000007),
-            (["verify", "thm1.3", "--families", "iii", "--n", "1000"], 208079008),
+            (["lens-d", "1000000007", "2", "--all"], 600000, "lens order 1000000007 exceeds the label guard 600000"),
+            # thm1.3 counts the labels it evaluates: (iii) at n = 1000 needs 45191
+            (
+                ["verify", "thm1.3", "--families", "iii", "--n", "1000"],
+                45190,
+                "surgery window of L(208079008, 48017001) passes the label guard 45190",
+            ),
         ],
         ids=["lens-d-all", "thm1.3"],
     )
-    def test_label_guard_exits_3_quickly(self, capsys, argv, p):
+    def test_label_guard_exits_3_quickly(self, capsys, monkeypatch, argv, guard, msg):
+        monkeypatch.setattr(plumbcalc.lens, "LABEL_GUARD", guard)
         t0 = time.monotonic()
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
-        assert err == f"error: lens order {p} exceeds the label guard 600000\n"
+        assert err == f"error: {msg}\n"
         assert time.monotonic() - t0 < 5.0
 
     @pytest.mark.parametrize("p", [145, 400, 1000000007])
@@ -310,15 +316,34 @@ class TestVerifyCommand:
         (line,) = [json.loads(line) for line in report.read_text().splitlines()]
         assert line["passed"] and line["values"]["matches"] is False
 
-    def test_guard_stop_keeps_the_finished_reports(self, capsys, tmp_path):
-        # n = 53 passes; n = 54 has lens order 610802, past the label guard
+    def test_guard_stop_keeps_the_finished_reports(self, capsys, tmp_path, monkeypatch):
+        # with the label guard at 180, n = 3 (172 labels evaluated) passes and n = 4 (191) stops
+        monkeypatch.setattr(plumbcalc.lens, "LABEL_GUARD", 180)
         report = tmp_path / "out.jsonl"
-        code, out, err = run(capsys, "verify", "thm1.3", "--families", "iii", "--n", "53..54", "--report", str(report))
+        code, out, err = run(capsys, "verify", "thm1.3", "--families", "iii", "--n", "3..4", "--report", str(report))
         assert code == 3
-        assert out == f"thm1.3 (iii, n=53): d = 54 >= 54: pass\nreport written: {report}\n"
-        assert err == "error: lens order 610802 exceeds the label guard 600000\n"
+        assert out == f"thm1.3 (iii, n=3): d = 4 >= 4: pass\nreport written: {report}\n"
+        assert err == "error: surgery window of L(3652, 837) passes the label guard 180\n"
         (line,) = [json.loads(line) for line in report.read_text().splitlines()]
-        assert (line["n"], line["passed"], line["values"]["d_surgery"]) == (53, True, 54)
+        assert (line["n"], line["passed"], line["values"]["d_surgery"]) == (3, True, 4)
+
+    def test_thm13_runs_where_p_exceeds_the_label_guard(self, capsys):
+        # (ii) at n = 60 has p = 609068 > LABEL_GUARD but evaluates about 2500 labels
+        t0 = time.monotonic()
+        assert run(capsys, "verify", "thm1.3", "--families", "ii", "--n", "60") == (0, "thm1.3 (ii, n=60): d = 62 >= 62: pass\n", "")
+        assert time.monotonic() - t0 < 1.0
+
+    def test_thm12_multiplicity_guard_exits_3_before_the_plumbing(self, capsys, monkeypatch):
+        # (v) at n = 200000: P+Q+R = 17000000 would build a plumbing of rank 5000011
+        def build(*args, **kwargs):
+            raise AssertionError("the plumbing was built")
+
+        monkeypatch.setattr(plumbcalc.families, "negdef_plumbing", build)
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "verify", "thm1.2", "--families", "v", "--n", "200000")
+        assert code == 3 and out == ""
+        assert err == "error: multiplicities summing to 17000000 exceed the scan guard's bound 133333\n"
+        assert time.monotonic() - t0 < 1.0
 
     def test_cor16_scan_guard_exits_3_before_the_dense_gram(self, capsys, monkeypatch):
         # d's tau-window guard fires before minimalize's dense Gram is built

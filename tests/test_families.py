@@ -5,13 +5,14 @@ from math import gcd
 import pytest
 
 from plumbcalc.lattice import isometric, e8_gram, recognize_e8, determinant
-from plumbcalc.lens import d_surgery, lens_d
+from plumbcalc.lens import d_from_plumbing, d_surgery, lens_d
 from plumbcalc.plumbing import (
     BrieskornTriple,
     SeifertData,
     brieskorn_rank,
     brieskorn_seifert,
     graph_to_gram,
+    negdef_plumbing,
     seifert_to_plumbing,
 )
 from plumbcalc.families import (
@@ -211,6 +212,15 @@ class TestVerifyCorrectionBound:
         assert [theorem_bound("i", n) for n in range(1, 5)] == [2, 2, 4, 4]
         assert [theorem_bound("ii", n) for n in range(1, 5)] == [2, 4, 4, 6]
         assert [theorem_bound("iv", n) for n in range(1, 5)] == [2, 2, 4, 4]
+
+
+def test_surgery_equals_plumbing_equals_the_bound_at_large_n():
+    """d_surgery == d_from_plumbing == theorem_bound on (i)-(iv) at n = 50, 100 and 200."""
+    for fam in ("i", "ii", "iii", "iv"):
+        for n in (50, 100, 200):
+            via_surgery = d_surgery(surgery_parameters(fam, n).descriptor()).value
+            via_plumbing = d_from_plumbing(negdef_plumbing(family_triple(fam, n))).value
+            assert via_surgery == via_plumbing == theorem_bound(fam, n), (fam, n)
 
 
 class TestConjectures:

@@ -15,6 +15,7 @@ from operator import mul, sub
 
 import pytest
 
+import plumbcalc.lens
 from plumbcalc.arith import NotCoprimeError
 from plumbcalc.lattice import _negdef_unimodular, max_char_square
 from plumbcalc.families import surgery_parameters, verify_conjecture
@@ -30,6 +31,7 @@ from plumbcalc.lens import (
     lens_d,
     lens_d_all,
     lens_d_oracle,
+    _chain_bounds,
     _descent_label,
     _descent_table,
     _level,
@@ -75,6 +77,16 @@ def _dict_descent(p: int, q: int, js) -> dict[int, int]:
             if rem:
                 raise AssertionError(f"4p R({p}, {q}, {j}) is not an integer")
     return num
+
+
+def _table_maximum(desc: SurgeryDescriptor) -> SurgeryResult:
+    """The surgery maximum over all p labels, read from the full descent table."""
+    p, q, k, c = desc.p, desc.q, desc.k, desc.c
+    num = _descent_table(p, q)
+    gaps = [num[(q * ((k * i + c) % p + 1) - 1) % p] - (2 * i - p) ** 2 for i in range(p)]
+    best = max(gaps)
+    winners = tuple(i for i, g in enumerate(gaps) if g == best)
+    return SurgeryResult(Fraction(best + p, 4 * p), winners[0], winners)
 
 
 def _coprime_pairs(rng: random.Random, how_many: int, top: int):
@@ -300,6 +312,41 @@ class TestSurgeryMaximum:
             winners = tuple(i for i, g in enumerate(gaps) if g == best)
             assert d_surgery(desc) == SurgeryResult(best, winners[0], winners), desc
 
+    def test_chain_bounds_bracket_every_label(self):
+        """lo <= N(p, q, j) <= hi on every label of every L(p, q) with p <= 60 and of
+        seeded L(p, q) up to p = 20000, q = 1, 2 and p - 1 among them; L(p, 1) attains both."""
+        pairs = [(p, q) for p in range(1, 61) for q in (range(1, p) if p > 1 else (0,)) if gcd(p, q) == 1]
+        pairs += _coprime_pairs(random.Random(2016), 30, 20000) + [(19997, 1), (19997, 2), (19997, 19996)]
+        for p, q in pairs:
+            lo, hi = _chain_bounds(p, q)
+            table = _descent_table(p, q)
+            assert lo <= min(table) and max(table) <= hi, (p, q)
+            if q == 1:
+                assert (lo, hi) == (min(table), max(table)) == (p % 2 - p, p * p - p)
+
+    def test_matches_the_table_maximum_on_the_families(self):
+        """d_surgery against the maximum over the full descent table, witnesses
+        included, on (i)-(iv) at n = 1..12, 25 and 50 (p up to 523958)."""
+        for fam in ("i", "ii", "iii", "iv"):
+            for n in (*range(1, 13), 25, 50):
+                desc = surgery_parameters(fam, n).descriptor()
+                assert d_surgery(desc) == _table_maximum(desc), (fam, n)
+
+    def test_matches_the_table_maximum_on_seeded_descriptors(self):
+        """The same on 400 seeded descriptors, p < 5000, with q = 1, 2, p - 1 and
+        k = +-1 among them (at q = 1 and k = +-1 every label ties), c random or
+        from the formula."""
+        rng = random.Random(1603)
+        for n in range(400):
+            p = rng.randrange(1, 5000)
+            q, k = (1, 2, p - 1, 0)[n % 4], (1, -1, 0)[n % 3]
+            while gcd(p, q) != 1:
+                q = rng.randrange(1, p + 1)
+            while gcd(p, k) != 1:
+                k = rng.randrange(1, p + 1)
+            desc = SurgeryDescriptor(p, q, k, rng.randrange(p) if rng.random() < 0.5 else None)
+            assert d_surgery(desc) == _table_maximum(desc), desc
+
     def test_q_is_reduced(self):
         assert SurgeryDescriptor(23, 25, 9) == SurgeryDescriptor(23, 2, 9)
         assert d_surgery(SurgeryDescriptor(23, 25, 9)).value == 2
@@ -319,6 +366,22 @@ class TestLabelGuard:
         with pytest.raises(ScanGuardExceededError, match="label guard"):
             d_surgery(SurgeryDescriptor(p, 1, 1))
         assert lens_d(p, 1, 0) == Fraction(p * p - p, 4 * p)  # a single label is not guarded
+
+    def test_the_surgery_guard_counts_the_labels_evaluated(self, monkeypatch):
+        """(iii) at n = 50, p = 523958, evaluates 2269 labels; the label guard bounds
+        that count, not p: one label less and it raises after exactly that many."""
+        desc = surgery_parameters("iii", 50).descriptor()
+        calls = []
+        descend = plumbcalc.lens._descent_label
+        monkeypatch.setattr(plumbcalc.lens, "_descent_label", lambda *a: calls.append(a) or descend(*a))
+        monkeypatch.setattr(plumbcalc.lens, "LABEL_GUARD", 2269)
+        assert d_surgery(desc).value == 52 and len(calls) == 2269
+        calls.clear()
+        monkeypatch.setattr(plumbcalc.lens, "LABEL_GUARD", 2268)
+        msg = rf"surgery window of L\(523958, {desc.q}\) passes the label guard 2268"
+        with pytest.raises(ScanGuardExceededError, match=msg):
+            d_surgery(desc)
+        assert len(calls) == 2268
 
     def test_verify_conjecture_skips_past_both_guards(self):
         # family (v) at n = 400: its tau window is past the scan guard, and no
