@@ -22,6 +22,7 @@ from .arith import (
     hj_expand_negative,
     mod_inverse,
 )
+from .guards import ScanGuardExceededError
 from .lattice import (
     CharMax,
     Classification,
@@ -32,7 +33,6 @@ from .lattice import (
     NotNegativeDefiniteError,
     NotUnimodularError,
     Parity,
-    RankTooLargeError,
     Signature,
     SingularMod2Error,
     classify,
@@ -70,7 +70,6 @@ from .plumbing import (
 from .lens import (
     DFromPlumbing,
     LensSpace,
-    ScanGuardExceededError,
     SurgeryDescriptor,
     SurgeryResult,
     d_brieskorn,

@@ -12,8 +12,7 @@ verify TASK        batch verification: the family tasks thm1.2, thm1.3,
 
 All printed rationals are exact strings ("2", "81/46"); no decimals are ever
 produced.  Exit codes: 0 success, 1 verification clause failure, 2 invalid
-input, 3 work guard exceeded (tau window of ``d``; P+Q+R of ``d``, ``mubar`` and ``thm1.2``;
-lens order; labels of ``thm1.3``'s surgery window; rank of ``cor1.6``; bound of ``classify-e8``).
+input, 3 work guard exceeded (the guards and their bounds are ``guards.GUARDS``).
 Every command computes its answer afresh; nothing is cached between runs.
 """
 
@@ -35,20 +34,14 @@ from .families import (
     verify_unbounded_gap,
     write_reports,
 )
-from .lens import (
-    ScanGuardExceededError,
-    _multiplicity_guard,
-    d_brieskorn,
-    lens_d,
-    lens_d_numerators,
-    lens_d_oracle,
-)
+from .guards import ScanGuardExceededError
+from .lens import d_brieskorn, lens_d, lens_d_numerators, lens_d_oracle
 from .plumbing import BrieskornTriple, PlumbingGraph, mubar, negdef_plumbing
 
 EXIT_OK = 0
 EXIT_CLAUSE_FAILED = 1
 EXIT_BAD_INPUT = 2
-EXIT_WORK_GUARD = 3
+EXIT_GUARD_EXCEEDED = 3
 
 
 def _ratio(num: int, den: int) -> str:
@@ -58,9 +51,9 @@ def _ratio(num: int, den: int) -> str:
 
 
 def _error(msg, code: int = EXIT_BAD_INPUT) -> int:
-    """Print ``error: msg`` on stderr and return the exit code."""
+    """Print ``error: msg`` on stderr and return the exit code: 3 for a work guard, else ``code``."""
     print(f"error: {msg}", file=sys.stderr)
-    return code
+    return EXIT_GUARD_EXCEEDED if isinstance(msg, ScanGuardExceededError) else code
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +72,7 @@ def cmd_d(args) -> int:
     try:
         res = d_brieskorn(triple)
     except ScanGuardExceededError as exc:
-        return _error(exc, EXIT_WORK_GUARD)
+        return _error(exc)
     value = {"d": str(res.value), "certificate": list(res.vector)}
     if args.json:
         print(json.dumps({"command": "d", "triple": list(triple.as_tuple()), **value}, sort_keys=True))
@@ -109,9 +102,7 @@ def cmd_lens_d(args) -> int:
             d = str(lens_d(p, q, args.i))
             payload = {"command": "lens-d", "p": p, "q": q, "i": args.i, "d": d}
             print(json.dumps(payload, sort_keys=True) if args.json else d)
-    except ScanGuardExceededError as exc:
-        return _error(exc, EXIT_WORK_GUARD)
-    except ValueError as exc:
+    except ValueError as exc:  # _error gives a work guard exit 3
         return _error(exc)
     return EXIT_OK
 
@@ -126,14 +117,10 @@ def cmd_mubar(args) -> int:
     elif None in (args.p, args.q, args.r):
         return _error("give a triple or --graph FILE")
     try:
-        if not args.graph:  # P+Q+R bounds the tree's rank
-            triple = _parse_triple(args)
-            _multiplicity_guard(triple.as_tuple())
-            G = negdef_plumbing(triple)
+        if not args.graph:
+            G = negdef_plumbing(_parse_triple(args))
         value = str(mubar(G))
-    except ScanGuardExceededError as exc:
-        return _error(exc, EXIT_WORK_GUARD)
-    except ValueError as exc:
+    except ValueError as exc:  # _error gives a work guard exit 3
         return _error(exc)
     print(json.dumps({"command": "mubar", "mubar": value}, sort_keys=True) if args.json else value)
     return EXIT_OK
@@ -214,7 +201,7 @@ def cmd_verify(args) -> int:
                             if not ok:
                                 print(f"  failing clause: {name}", file=sys.stderr)
     except ScanGuardExceededError as exc:  # the reports finished before the guard are still written
-        stopped = _error(exc, EXIT_WORK_GUARD)
+        stopped = _error(exc)
     except ValueError as exc:
         return _error(exc)
     code = stopped or (EXIT_CLAUSE_FAILED if failed else EXIT_OK)

@@ -26,11 +26,10 @@ from math import gcd
 from typing import Callable, Iterable
 
 from .arith import hj_expand
+from .guards import ScanGuardExceededError, guard
 from .lattice import GramLattice, minimalize, recognize_e8
 from .lens import (
-    ScanGuardExceededError,
     SurgeryDescriptor,
-    _multiplicity_guard,
     d_brieskorn,
     d_from_plumbing,
     d_surgery,
@@ -55,12 +54,6 @@ from .plumbing import (
 REPORT_SCHEMA = "plumbcalc-verification-report/2"
 
 FAMILY_IDS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
-
-# Largest plumbing rank verify_unbounded_gap hands to minimalize, whose norm-1
-# search grows about as rank^3.4 on (i)-(iv).  At the bound the slowest family,
-# (ii) at n = 67 (rank 278), takes 1.7-1.9 s and (iv) at n = 68 (rank 280)
-# 1.5-1.7 s (Python 3.11, one Xeon core); (iv) at rank 408 took 6.7 s.
-MINIMALIZE_GUARD = 280
 
 
 class TableInvariantError(ValueError):
@@ -331,14 +324,13 @@ def verify_theorem_main(fam: str, n: int) -> VerificationReport:
     filling bounds the reversed orientation, so the triple itself acquires a
     -E8-filling); (c) the spin-filling cap is b2 <= 8, pinning the E8-genus
     at 1; (d) the tabulated Seifert row normalizes to the data derived from
-    the triple.  P+Q+R, which bounds the plumbing's rank, is guarded first.
+    the triple.  ``negdef_plumbing`` guards P+Q+R, which bounds the rank, first.
     """
     fam = _check_family(fam)
     triple = family_triple(fam, n)
     rep = VerificationReport("theorem-main", fam, n)
     rep.values["triple"] = triple.as_tuple()
 
-    _multiplicity_guard(triple.as_tuple())
     bound = ue_spin_bound(negdef_plumbing(triple))
     rep.values["mubar"] = bound.mubar
     rep.checks["mubar_is_minus_one"] = bound.mubar == -1
@@ -418,16 +410,14 @@ def verify_correction_bound(fam: str, n: int) -> VerificationReport:
 def verify_unbounded_gap(fam: str, n: int) -> VerificationReport:
     """Check rank(minimal part) >= 4 d, the lower-bound engine for the
     unbounded gap between the minimal-sublattice rank and the even-filling
-    cap of 8 coming from the E8-filling.  Raises
-    :class:`ScanGuardExceededError` past d's guards, then for a plumbing rank
-    above ``MINIMALIZE_GUARD``.
+    cap of 8 coming from the E8-filling.  Guarded by the multiplicity sum
+    (before the tree is built), d's guards, then the minimalize rank.
     """
     fam = _check_family(fam)
     rep = VerificationReport("unbounded-gap", fam, n)
     G = negdef_plumbing(family_triple(fam, n))
     d = d_from_plumbing(G)  # its tau-window guard fires before the dense Gram is built
-    if G.rank > MINIMALIZE_GUARD:
-        raise ScanGuardExceededError(f"plumbing rank {G.rank} exceeds the minimalize guard {MINIMALIZE_GUARD}")
+    guard("minimalize rank", G.rank)
     split = minimalize(graph_to_gram(G))
     bound = theorem_bound(fam, n)
     o_lower = split.minimal.rank
@@ -465,7 +455,7 @@ def verify_conjecture(fam: str, n: int) -> VerificationReport:
 
     The report has no clauses, so it always passes: a mismatch shows in
     ``values["matches"]``, never as a failure (these are conjectures).  A
-    member past the scan guard of ``d_brieskorn`` is skipped with a note.
+    member past a guard of ``d_brieskorn`` is skipped with a note.
     """
     fam = _check_family(fam)
     triple = family_triple(fam, n)
@@ -491,8 +481,7 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
     off in integers by ``brieskorn_rank``, short circuits before any graph
     is built.
     """
-    if bound > 100:
-        raise ScanGuardExceededError(f"classification bound {bound} exceeds the scan guard 100")
+    guard("classify bound", bound)
     out = []
     for p in range(2, bound + 1):
         for q in range(p + 1, bound + 1):

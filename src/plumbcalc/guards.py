@@ -1,0 +1,52 @@
+"""Work guards: every bound on the work a computation may do, in one table.
+
+Each row of ``GUARDS`` names a guard, the unit it counts and its bound.  ``guard(name, size)`` is the
+one check; it is called in the function whose cost the guard bounds, before that work is done.  The
+CLI exits 3 on :class:`ScanGuardExceededError`.  Costs are measured with Python 3.11 on one Xeon core.
+"""
+
+from typing import NamedTuple
+
+
+class ScanGuardExceededError(ValueError):
+    """A work guard of ``GUARDS`` would be exceeded; the message names the guard, the size and the bound."""
+
+
+class Guard(NamedTuple):
+    unit: str
+    bound: int
+
+
+GUARDS: dict[str, Guard] = {
+    # lens._tau_window, d's scan: family (v) at n = 263, 1.99M points, takes 0.7-1.1 s, 0.36-0.55 us a point.
+    "tau window": Guard("window points", 2_000_000),
+    # plumbing.negdef_plumbing (before the tree is built) and lens._tau_window: the sum bounds the tree's
+    # rank (rank <= sum) and the tau tables.  A unit costs d at most 4.9-6 us on the integer tree kernel,
+    # about 15 window points (Sigma(300, 301, 90299), rank 90600, 0.45-0.54 s), hence 2,000,000 // 15.
+    "multiplicity sum": Guard("sum of multiplicities", 133_333),
+    # lens._descent_table (p labels) and lens.d_surgery (labels in its window).  lens_d_all at p = 599999
+    # takes 1.5-2.0 s, mostly its p Fractions; d_surgery ties on all p at q = 1, k = +-1 (1.4-1.5 s at
+    # p = 599999).  A thm1.3 member takes about 45 n labels (n = 1000: 0.1-0.2 s); (iii) passes the
+    # bound near n = 13300, after 4.5 s.
+    "lens labels": Guard("labels evaluated", 600_000),
+    # lens.lens_d_oracle.  Cost follows the chain's rank, not p (L(400, 7) 2.3 s, L(800, 7) 0.2 s); the
+    # worst q at each p <= 144 takes at most 0.9 s (L(133, 11)), L(145, 133) 1.6 s and L(197, 183) 15 s.
+    "oracle lens order": Guard("lens order", 144),
+    # families.verify_unbounded_gap, checked after d and before minimalize, whose norm-1 search grows
+    # about as rank^3.4 on (i)-(iv): (ii) at n = 67 (rank 278) takes 1.7-1.9 s, (iv) at n = 68 (rank 280)
+    # 1.5-1.7 s, (iv) at rank 408 6.7 s.
+    "minimalize rank": Guard("plumbing rank", 280),
+    # families.classify_e8_brieskorn: about bound^3 / 6 triples, each ranked in integers before any graph
+    # is built; at the bound the scan takes 0.5 s.
+    "classify bound": Guard("classification bound", 100),
+    # lattice.isometric backtracks over the vectors of each norm, exponentially in the rank: -E8 + -I4
+    # (rank 12) against itself takes 1.9 s, E8 0.01 s.
+    "isometric rank": Guard("lattice rank", 12),
+}
+
+
+def guard(name: str, size: int) -> None:
+    """Raise :class:`ScanGuardExceededError` if ``size`` exceeds the bound of guard ``name``."""
+    unit, bound = GUARDS[name]
+    if size > bound:
+        raise ScanGuardExceededError(f"{name} guard exceeded: {unit} {size} > {bound}")

@@ -40,6 +40,8 @@ from heapq import heapify, heappop, heappush
 from math import isqrt, lcm, prod
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from .guards import guard
+
 
 class NotDefiniteError(ValueError):
     """Operation requires a (positive or negative) definite lattice."""
@@ -55,10 +57,6 @@ class NotUnimodularError(ValueError):
 
 class SingularMod2Error(ValueError):
     """The Gram matrix is singular mod 2 (det is even); Wu class not unique."""
-
-
-class RankTooLargeError(ValueError):
-    """Rank exceeds the documented scope of the operation."""
 
 
 # ---------------------------------------------------------------------------
@@ -721,18 +719,13 @@ def minimalize(
 # Isometry testing (small ranks)
 
 
-ISOMETRIC_MAX_RANK = 12
-
-
 def isometric(L1: GramLattice, L2: GramLattice) -> Optional[tuple[tuple[int, ...], ...]]:
     """A base change U with U^T G1 U = G2, or None; definite lattices only.
 
     Backtracks over images of L2's basis vectors among vectors of the right
-    norm in L1.  Documented scope is rank <= ``ISOMETRIC_MAX_RANK`` (raises
-    RankTooLargeError beyond that); invariant mismatches short-circuit to None.
+    norm in L1, under the isometric rank guard; invariant mismatches short-circuit to None.
     """
-    if L1.rank > ISOMETRIC_MAX_RANK or L2.rank > ISOMETRIC_MAX_RANK:
-        raise RankTooLargeError(f"isometric is limited to rank <= {ISOMETRIC_MAX_RANK}")
+    guard("isometric rank", max(L1.rank, L2.rank))
     if L1.rank != L2.rank:
         return None
     e1, e2 = L1._elimination, L2._elimination

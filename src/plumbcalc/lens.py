@@ -9,8 +9,8 @@ for 0 <= j < p + q with R(1, 0, 0) = 0, whose labels j restricted to
 overhang j in [p, p+q), which the tests verify).  Each call recomputes the
 integers N = 4p R with no memo: one label per level for ``lens_d``, O(log p);
 one flat list per level for all labels, q exact divisions and p - q additions
-(``_level``), up to lens orders ``LABEL_GUARD``.  ``d_surgery`` reads L(p, 1) in
-closed form, 4p R(p, 1, j) = (2j - p)^2 - p, and L(p, q) label by label on a window.
+(``_level``).  ``d_surgery`` reads L(p, 1) in closed form, 4p R(p, 1, j) =
+(2j - p)^2 - p, and L(p, q) label by label on a window.
 
 Labeling convention (pinned, recorded).  The public ``lens_d(p, q, i)``
 uses the surgery-style labeling in which the familiar affine
@@ -46,6 +46,9 @@ quadratic minus periodic tables) on a provable window around its vertex and
 solves for K on the plumbing's integer tree kernel, with a certificate
 re-checked against the tree's edges; ``lattice.max_char_square`` is the
 tests' oracle.
+
+Guards (``guards.GUARDS``).  The lens labels guard bounds all-labels work and
+the labels ``d_surgery`` evaluates; a single ``lens_d`` label is not guarded.
 """
 
 from __future__ import annotations
@@ -55,36 +58,12 @@ from fractions import Fraction
 from itertools import accumulate, compress, count, cycle, islice, repeat, takewhile
 from math import gcd, isqrt, prod
 from operator import add, floordiv, mod, mul, sub
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .arith import NotCoprimeError, _hj_word, mod_inverse
+from .guards import GUARDS, guard
 from .lattice import _closest_point, _Enumerator, _negdef_unimodular
 from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
-
-
-class ScanGuardExceededError(ValueError):
-    """A work guard would be exceeded: ``SCAN_GUARD`` on the tau window of ``d_from_plumbing``, ``LABEL_GUARD``
-    on all-labels lens work and the labels ``d_surgery`` evaluates, ``ORACLE_GUARD`` on ``lens_d_oracle``."""
-
-
-# Longest tau window d_from_plumbing scans: d of family (v) at n = 263, 1.99M
-# points, takes 0.7-1.1 s (Python 3.11, one Xeon core), 0.36-0.55 us a point.
-# Sum alpha bounds the tau tables and the plumbing's rank (rank <= sum alpha)
-# and may reach SCAN_GUARD // 15 at about the same cost: on the integer tree
-# kernel a unit of sum alpha costs d at most 4.9-6 us, where the rank is
-# nearly the sum (Sigma(300, 301, 90299), rank 90600, 0.45-0.54 s).
-SCAN_GUARD = 2_000_000
-
-# Largest lens order p of lens_d_all (at p = 599999 1.5-2.0 s, mostly its p Fractions) and most labels
-# d_surgery evaluates: all p tie at q = 1, k = +-1 (p = 599999, 1.4-1.5 s); a thm1.3 member takes about
-# 45 n (n = 1000: 0.1-0.2 s) and (iii) passes the guard near n = 13300, 4.5 s (Python 3.11, one Xeon core).
-LABEL_GUARD = 600_000
-
-# Largest lens order p of lens_d_oracle.  Cost follows the chain's rank, not p
-# (L(400, 7) 2.3 s, L(800, 7) 0.2 s); the worst q at each p <= 144 takes at
-# most 0.9 s (L(133, 11), Python 3.11 on one Xeon core), L(145, 133) 1.6 s and
-# L(197, 183) 15 s.  The tests and the benchmark stay at p <= 60.
-ORACLE_GUARD = 144
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +128,8 @@ def _level(p: int, q: int, below: list[int]) -> list[int]:
 
 def _descent_table(p: int, q: int) -> list[int]:
     """[4p R(p, q, j) for 0 <= j < p], one flat list per level of the Euclidean chain,
-    at most about 1.44 log2(p) deep.  Raises :class:`ScanGuardExceededError` past ``LABEL_GUARD``."""
-    if p > LABEL_GUARD:
-        raise ScanGuardExceededError(f"lens order {p} exceeds the label guard {LABEL_GUARD}")
+    at most about 1.44 log2(p) deep, under the lens labels guard."""
+    guard("lens labels", p)
     return [0] if p == 1 else _level(p, q, _descent_table(q, p % q))
 
 
@@ -201,12 +179,11 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
     d = (max c^2 + rank)/4 on the chain boundary.  Labels are the oracle's
     own canonical coset indices; only the multiset is comparable with
     ``lens_d_all`` (the two methods share no conventions, and no code).
-    Raises :class:`ScanGuardExceededError` for p above ``ORACLE_GUARD``.
+    Guarded by the oracle lens order.
     """
     L = LensSpace(p, q)
     p, q = L.p, L.q
-    if p > ORACLE_GUARD:
-        raise ScanGuardExceededError(f"lens order {p} exceeds the oracle guard {ORACLE_GUARD}")
+    guard("oracle lens order", p)
     if p == 1:
         return {0: Fraction(0)}
     word, negate = _chain_route(p, q)
@@ -285,15 +262,16 @@ def d_surgery(desc: SurgeryDescriptor) -> SurgeryResult:
     The L-space hypotheses behind the formula are the caller's responsibility.  With t = |2i - p| the
     gap 4p (d(p, q, k i + c) - d(p, 1, i)) + p is N(p, q, j) - t^2 <= N* - t^2, N* from ``_chain_bounds``:
     a gap >= best has t^2 <= N* - best, so labels visited by increasing t until t^2 > N* - best hold
-    every argmax, not just a witness.  Raises :class:`ScanGuardExceededError` past ``LABEL_GUARD`` labels.
+    every argmax, not just a witness.  The lens labels guard counts the labels evaluated.
     """
     p, q, k, c = desc.p, desc.q, desc.k, desc.c
+    limit = GUARDS["lens labels"].bound
     lo, top = _chain_bounds(p, q)
     best, gaps = lo - p * p, {}  # best starts below every gap and only grows, so the window only shrinks
     for t in takewhile(lambda t: t * t <= top - best, range(p % 2, p + 1, 2)):
         for i in {(p - t) // 2, (p + t) // 2 % p}:
-            if len(gaps) == LABEL_GUARD:
-                raise ScanGuardExceededError(f"surgery window of L({p}, {q}) passes the label guard {LABEL_GUARD}")
+            if len(gaps) == limit:
+                guard("lens labels", limit + 1)
             gaps[i] = _descent_label(p, q, (q * (k * i + c + 1) - 1) % p) - t * t  # at label k i + c
             best = max(best, gaps[i])
     winners = sorted(i for i, g in gaps.items() if g == best)
@@ -320,13 +298,6 @@ def _leg_continuants(weights: list[int]) -> list[int]:
     return m[:0:-1]
 
 
-def _multiplicity_guard(alphas: Iterable[int]) -> None:
-    """Refuse a sum of multiplicities past ``SCAN_GUARD // 15``: it bounds the tau tables and the rank."""
-    size = sum(alphas)
-    if size > SCAN_GUARD // 15:
-        raise ScanGuardExceededError(f"multiplicities summing to {size} exceed the scan guard's bound {SCAN_GUARD // 15}")
-
-
 def _tau_window(branches: list[tuple[int, int]]) -> tuple[int, int, int]:
     """(lo, hi, tau(lo)) with every minimizer n of tau in [lo, hi].
 
@@ -334,10 +305,10 @@ def _tau_window(branches: list[tuple[int, int]]) -> tuple[int, int, int]:
     2A tau(n) = n^2 + b n - sum T_i(n mod alpha_i), b = 2A - 1 - sum A (alpha_i
     - 1)/alpha_i, T_i the partial sums of the mean-zero period (A/alpha_i)
     (2 ((-m omega_i) mod alpha_i) - alpha_i + 1).  With U = 2A tau at the
-    vertex, a minimizer has (2n + b)^2 <= b^2 + 4 (U + sum max T_i).  Raises
-    :class:`ScanGuardExceededError` past ``SCAN_GUARD``.
+    vertex, a minimizer has (2n + b)^2 <= b^2 + 4 (U + sum max T_i).  Guarded by the multiplicity
+    sum (the tables' size) and the tau window.
     """
-    _multiplicity_guard(a for a, _ in branches)
+    guard("multiplicity sum", sum(a for a, _ in branches))
     A = prod(a for a, _ in branches)
     tables = [list(accumulate(((A // a) * (2 * (-m * w % a) - a + 1) for m in range(a - 1)), initial=0)) for a, w in branches]
     b = 2 * A - 1 - sum(A - A // a for a, _ in branches)
@@ -347,8 +318,7 @@ def _tau_window(branches: list[tuple[int, int]]) -> tuple[int, int, int]:
 
     s = isqrt(b * b + 4 * (scaled_tau(max(0, -b // 2)) + sum(map(max, tables))))
     lo, hi = max(0, -((s + b) // 2)), (s - b) // 2
-    if hi - lo + 1 > SCAN_GUARD:
-        raise ScanGuardExceededError(f"tau window of {hi - lo + 1} points exceeds the scan guard {SCAN_GUARD}")
+    guard("tau window", hi - lo + 1)
     tau_lo, rem = divmod(scaled_tau(lo), 2 * A)
     if rem:
         raise AssertionError(f"2A tau({lo}) is not a multiple of 2A = {2 * A}")
@@ -379,7 +349,7 @@ def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
     The certificate c = K + 2 x(n*) has x = n* at the center and
     ceil(n* m_j/alpha) on a leg vertex, m_j the continuant of the leg beyond
     it.  Raises ``NotNegativeDefiniteError``/``NotUnimodularError``, then
-    :class:`ScanGuardExceededError` past ``SCAN_GUARD`` (see ``_tau_window``).
+    ``guards.ScanGuardExceededError`` (see ``_tau_window``).
     """
     center, legs = star_legs(G)
     conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]

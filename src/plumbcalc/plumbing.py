@@ -36,6 +36,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import NotCoprimeError, NotExpandableError, _hj_word, cf_eval, hj_expand, hj_expand_negative, mod_inverse
+from .guards import guard
 from .lattice import GramLattice, Signature, _negdef_unimodular, _wu
 
 
@@ -519,8 +520,10 @@ def negdef_plumbing(T: BrieskornTriple) -> PlumbingGraph:
     fractions with all entries <= -2.  Correctness is checked, not trusted:
     the tree's one elimination must show negative definiteness and |det| = 1
     (an AssertionError naming the triple otherwise), and the graph keeps it
-    for ``mubar``, ``ue_spin_bound`` and ``lens.d_from_plumbing``.
+    for ``mubar``, ``ue_spin_bound`` and ``lens.d_from_plumbing``.  The multiplicity sum p + q + r,
+    which bounds the rank, is guarded before the tree is built.
     """
+    guard("multiplicity sum", sum(T.as_tuple()))
     data = brieskorn_seifert(T)
     shifted = SeifertData(data.e - len(data.branches), tuple((a, b - a) for a, b in data.branches))
     G = seifert_to_plumbing(shifted)

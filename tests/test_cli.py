@@ -8,10 +8,10 @@ import pytest
 
 import plumbcalc.cli
 import plumbcalc.families
-import plumbcalc.lens
 import plumbcalc.plumbing
 from plumbcalc.cli import main
-from plumbcalc.families import MINIMALIZE_GUARD, VerificationReport
+from plumbcalc.families import VerificationReport
+from plumbcalc.guards import GUARDS
 from plumbcalc.lattice import determinant, signature, wu_class
 from plumbcalc.lens import d_from_plumbing, lens_d_all
 from plumbcalc.plumbing import (
@@ -52,11 +52,11 @@ class TestDCommand:
         def build(*args, **kwargs):
             raise AssertionError("the plumbing was built")
 
-        monkeypatch.setattr(plumbcalc.lens, "negdef_plumbing", build)
+        monkeypatch.setattr(plumbcalc.plumbing, "seifert_to_plumbing", build)
         for argv, err_want in [
-            (("2", "3", "10000001"), "multiplicities summing to 10000006 exceed the scan guard's bound 133333"),
-            (("2", "3", "100000001"), "multiplicities summing to 100000006 exceed the scan guard's bound 133333"),
-            (("101", "11857", "20298"), "tau window of 4536597 points exceeds the scan guard 2000000"),
+            (("2", "3", "10000001"), "multiplicity sum guard exceeded: sum of multiplicities 10000006 > 133333"),
+            (("2", "3", "100000001"), "multiplicity sum guard exceeded: sum of multiplicities 100000006 > 133333"),
+            (("101", "11857", "20298"), "tau window guard exceeded: window points 4536597 > 2000000"),
         ]:
             t0 = time.monotonic()
             code, out, err = run(capsys, "d", *argv)
@@ -133,18 +133,18 @@ class TestLensCommand:
     @pytest.mark.parametrize(
         "argv, guard, msg",
         [
-            (["lens-d", "1000000007", "2", "--all"], 600000, "lens order 1000000007 exceeds the label guard 600000"),
+            (["lens-d", "1000000007", "2", "--all"], 600000, "lens labels guard exceeded: labels evaluated 1000000007 > 600000"),
             # thm1.3 counts the labels it evaluates: (iii) at n = 1000 needs 45191
             (
                 ["verify", "thm1.3", "--families", "iii", "--n", "1000"],
                 45190,
-                "surgery window of L(208079008, 48017001) passes the label guard 45190",
+                "lens labels guard exceeded: labels evaluated 45191 > 45190",
             ),
         ],
         ids=["lens-d-all", "thm1.3"],
     )
     def test_label_guard_exits_3_quickly(self, capsys, monkeypatch, argv, guard, msg):
-        monkeypatch.setattr(plumbcalc.lens, "LABEL_GUARD", guard)
+        monkeypatch.setitem(GUARDS, "lens labels", GUARDS["lens labels"]._replace(bound=guard))
         t0 = time.monotonic()
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
@@ -156,7 +156,7 @@ class TestLensCommand:
         t0 = time.monotonic()
         code, out, err = run(capsys, "lens-d", str(p), "3", "--all", "--oracle")
         assert code == 3 and out == ""
-        assert err == f"error: lens order {p} exceeds the oracle guard 144\n"
+        assert err == f"error: oracle lens order guard exceeded: lens order {p} > 144\n"
         assert time.monotonic() - t0 < 5.0
 
     def test_oracle_guard_admits_p_144(self, capsys):
@@ -192,11 +192,11 @@ class TestMubarCommand:
         def build(*args, **kwargs):
             raise AssertionError("the plumbing was built")
 
-        monkeypatch.setattr(plumbcalc.cli, "negdef_plumbing", build)
+        monkeypatch.setattr(plumbcalc.plumbing, "seifert_to_plumbing", build)
         t0 = time.monotonic()
         code, out, err = run(capsys, "mubar", "2", "3", "10000001")
         assert code == 3 and out == ""
-        assert err == "error: multiplicities summing to 10000006 exceed the scan guard's bound 133333\n"
+        assert err == "error: multiplicity sum guard exceeded: sum of multiplicities 10000006 > 133333\n"
         assert time.monotonic() - t0 < 0.5
 
     def test_graph_file(self, capsys, tmp_path):
@@ -305,7 +305,7 @@ class TestVerifyCommand:
         assert match["passed"] and match["checks"] == {} and match["notes"] == []
         assert match["values"] == {"triple": [5, 33, 47], "predicted": 6, "computed": 6, "matches": True}
         assert skip["passed"] and "computed" not in skip["values"] and "matches" not in skip["values"]
-        assert skip["notes"] == ["skipped: tau window of 3741539 points exceeds the scan guard 2000000"]
+        assert skip["notes"] == ["skipped: tau window guard exceeded: window points 3741539 > 2000000"]
 
     def test_rmk14_mismatch_is_flagged_not_failed(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(plumbcalc.families, "conjectured_d", lambda fam, n: 99)
@@ -318,17 +318,17 @@ class TestVerifyCommand:
 
     def test_guard_stop_keeps_the_finished_reports(self, capsys, tmp_path, monkeypatch):
         # with the label guard at 180, n = 3 (172 labels evaluated) passes and n = 4 (191) stops
-        monkeypatch.setattr(plumbcalc.lens, "LABEL_GUARD", 180)
+        monkeypatch.setitem(GUARDS, "lens labels", GUARDS["lens labels"]._replace(bound=180))
         report = tmp_path / "out.jsonl"
         code, out, err = run(capsys, "verify", "thm1.3", "--families", "iii", "--n", "3..4", "--report", str(report))
         assert code == 3
         assert out == f"thm1.3 (iii, n=3): d = 4 >= 4: pass\nreport written: {report}\n"
-        assert err == "error: surgery window of L(3652, 837) passes the label guard 180\n"
+        assert err == "error: lens labels guard exceeded: labels evaluated 181 > 180\n"
         (line,) = [json.loads(line) for line in report.read_text().splitlines()]
         assert (line["n"], line["passed"], line["values"]["d_surgery"]) == (3, True, 4)
 
     def test_thm13_runs_where_p_exceeds_the_label_guard(self, capsys):
-        # (ii) at n = 60 has p = 609068 > LABEL_GUARD but evaluates about 2500 labels
+        # (ii) at n = 60 has p = 609068 past the lens labels guard but evaluates about 2500 labels
         t0 = time.monotonic()
         assert run(capsys, "verify", "thm1.3", "--families", "ii", "--n", "60") == (0, "thm1.3 (ii, n=60): d = 62 >= 62: pass\n", "")
         assert time.monotonic() - t0 < 1.0
@@ -338,11 +338,23 @@ class TestVerifyCommand:
         def build(*args, **kwargs):
             raise AssertionError("the plumbing was built")
 
-        monkeypatch.setattr(plumbcalc.families, "negdef_plumbing", build)
+        monkeypatch.setattr(plumbcalc.plumbing, "seifert_to_plumbing", build)
         t0 = time.monotonic()
         code, out, err = run(capsys, "verify", "thm1.2", "--families", "v", "--n", "200000")
         assert code == 3 and out == ""
-        assert err == "error: multiplicities summing to 17000000 exceed the scan guard's bound 133333\n"
+        assert err == "error: multiplicity sum guard exceeded: sum of multiplicities 17000000 > 133333\n"
+        assert time.monotonic() - t0 < 1.0
+
+    def test_cor16_multiplicity_guard_exits_3_before_the_plumbing(self, capsys, monkeypatch):
+        # (i) at n = 10000: P+Q+R = 219994 would build a plumbing of rank 40008 before d runs
+        def build(*args, **kwargs):
+            raise AssertionError("the plumbing was built")
+
+        monkeypatch.setattr(plumbcalc.plumbing, "seifert_to_plumbing", build)
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "verify", "cor1.6", "--families", "i", "--n", "10000")
+        assert code == 3 and out == ""
+        assert err == "error: multiplicity sum guard exceeded: sum of multiplicities 219994 > 133333\n"
         assert time.monotonic() - t0 < 1.0
 
     def test_cor16_scan_guard_exits_3_before_the_dense_gram(self, capsys, monkeypatch):
@@ -354,7 +366,7 @@ class TestVerifyCommand:
         t0 = time.monotonic()
         code, out, err = run(capsys, "verify", "cor1.6", "--families", "i", "--n", "1647")
         assert code == 3 and out == ""
-        assert err == "error: tau window of 2000237 points exceeds the scan guard 2000000\n"
+        assert err == "error: tau window guard exceeded: window points 2000237 > 2000000\n"
         assert time.monotonic() - t0 < 2.0
 
     def test_cor16_minimalize_guard_exits_3(self, capsys):
@@ -362,12 +374,12 @@ class TestVerifyCommand:
         t0 = time.monotonic()
         code, out, err = run(capsys, "verify", "cor1.6", "--families", "iv", "--n", "200")
         assert code == 3 and out == ""
-        assert err == f"error: plumbing rank 808 exceeds the minimalize guard {MINIMALIZE_GUARD}\n"
+        assert err == "error: minimalize rank guard exceeded: plumbing rank 808 > 280\n"
         assert time.monotonic() - t0 < 1.0
 
     def test_classify_guard_exits_3(self, capsys):
         code, out, err = run(capsys, "verify", "classify-e8", "--bound", "101")
-        assert (code, out, err) == (3, "", "error: classification bound 101 exceeds the scan guard 100\n")
+        assert (code, out, err) == (3, "", "error: classify bound guard exceeded: classification bound 101 > 100\n")
 
     def test_bad_task(self, capsys):
         code, _, err = run(capsys, "verify", "thm9.9")

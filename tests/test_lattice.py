@@ -16,6 +16,7 @@ from operator import mul
 import pytest
 
 import plumbcalc.lattice
+from plumbcalc.guards import ScanGuardExceededError
 from plumbcalc.lattice import (
     CharMax,
     Definiteness,
@@ -24,7 +25,6 @@ from plumbcalc.lattice import (
     NotNegativeDefiniteError,
     NotUnimodularError,
     Parity,
-    RankTooLargeError,
     Signature,
     SingularMod2Error,
     _closest_point,
@@ -843,5 +843,5 @@ def test_isometric_distinguishes_parity():
 
 def test_isometric_rank_guard():
     big = GramLattice.diag(*([-1] * 13))
-    with pytest.raises(RankTooLargeError):
+    with pytest.raises(ScanGuardExceededError, match="^isometric rank guard exceeded: lattice rank 13 > 12$"):
         isometric(big, big)

@@ -19,10 +19,9 @@ import plumbcalc.lens
 from plumbcalc.arith import NotCoprimeError
 from plumbcalc.lattice import _negdef_unimodular, max_char_square
 from plumbcalc.families import surgery_parameters, verify_conjecture
+from plumbcalc.guards import GUARDS, ScanGuardExceededError
 from plumbcalc.lens import (
-    LABEL_GUARD,
     LensSpace,
-    ScanGuardExceededError,
     SurgeryDescriptor,
     SurgeryResult,
     d_brieskorn,
@@ -360,10 +359,10 @@ class TestSurgeryMaximum:
 
 class TestLabelGuard:
     def test_all_labels_past_the_guard_raise(self):
-        p = LABEL_GUARD + 1
-        with pytest.raises(ScanGuardExceededError, match=f"lens order {p} exceeds the label guard {LABEL_GUARD}"):
+        p = GUARDS["lens labels"].bound + 1
+        with pytest.raises(ScanGuardExceededError, match=f"^lens labels guard exceeded: labels evaluated {p} > {p - 1}$"):
             lens_d_all(p, 1)
-        with pytest.raises(ScanGuardExceededError, match="label guard"):
+        with pytest.raises(ScanGuardExceededError, match="^lens labels guard exceeded"):
             d_surgery(SurgeryDescriptor(p, 1, 1))
         assert lens_d(p, 1, 0) == Fraction(p * p - p, 4 * p)  # a single label is not guarded
 
@@ -374,12 +373,11 @@ class TestLabelGuard:
         calls = []
         descend = plumbcalc.lens._descent_label
         monkeypatch.setattr(plumbcalc.lens, "_descent_label", lambda *a: calls.append(a) or descend(*a))
-        monkeypatch.setattr(plumbcalc.lens, "LABEL_GUARD", 2269)
+        monkeypatch.setitem(GUARDS, "lens labels", GUARDS["lens labels"]._replace(bound=2269))
         assert d_surgery(desc).value == 52 and len(calls) == 2269
         calls.clear()
-        monkeypatch.setattr(plumbcalc.lens, "LABEL_GUARD", 2268)
-        msg = rf"surgery window of L\(523958, {desc.q}\) passes the label guard 2268"
-        with pytest.raises(ScanGuardExceededError, match=msg):
+        monkeypatch.setitem(GUARDS, "lens labels", GUARDS["lens labels"]._replace(bound=2268))
+        with pytest.raises(ScanGuardExceededError, match="^lens labels guard exceeded: labels evaluated 2269 > 2268$"):
             d_surgery(desc)
         assert len(calls) == 2268
 
@@ -387,7 +385,7 @@ class TestLabelGuard:
         # family (v) at n = 400: its tau window is past the scan guard, and no
         # surgery fallback runs (family (v) has no surgery table anyway)
         rep = verify_conjecture("v", 400)
-        assert rep.notes == ["skipped: tau window of 3741539 points exceeds the scan guard 2000000"]
+        assert rep.notes == ["skipped: tau window guard exceeded: window points 3741539 > 2000000"]
         assert "computed" not in rep.values
 
 
@@ -509,7 +507,7 @@ class TestDFromPlumbing:
         # rank 23 but a window of 4536597 points
         g = negdef_plumbing(BrieskornTriple(101, 11857, 20298))
         assert g.rank == 23
-        with pytest.raises(ScanGuardExceededError, match="tau window of 4536597 points exceeds the scan guard 2000000"):
+        with pytest.raises(ScanGuardExceededError, match="^tau window guard exceeded: window points 4536597 > 2000000$"):
             d_from_plumbing(g)
         # Sigma(101, 103, 10007) has prod alpha = 104102821 but a window of 54302 points
         assert d_brieskorn(BrieskornTriple(101, 103, 10007)).value == d_from_plumbing(
