@@ -64,6 +64,7 @@ from .plumbing import (
     rohlin,
     seifert_to_plumbing,
     star_graph,
+    star_unit_pairs,
     twist_reduce,
     ue_spin_bound,
 )

@@ -32,10 +32,12 @@ GUARDS: dict[str, Guard] = {
     # lens.lens_d_oracle.  Cost follows the chain's rank, not p (L(400, 7) 2.3 s, L(800, 7) 0.2 s); the
     # worst q at each p <= 144 takes at most 0.9 s (L(133, 11)), L(145, 133) 1.6 s and L(197, 183) 15 s.
     "oracle lens order": Guard("lens order", 144),
-    # families.verify_unbounded_gap, checked after d and before minimalize, whose norm-1 search grows
-    # about as rank^3.4 on (i)-(iv): (ii) at n = 67 (rank 278) takes 1.7-1.9 s, (iv) at n = 68 (rank 280)
-    # 1.5-1.7 s, (iv) at rank 408 6.7 s.
-    "minimalize rank": Guard("plumbing rank", 280),
+    # plumbing.star_unit_pairs, from the legs' continuants before any table is built: sum over legs of
+    # sum_j m_j (each level's table has at most m_j entries) plus the isqrt(A // |det|) centres it may try.
+    # The worst star found is a 13-leg Seifert sphere (alpha = 2, 3, ..., 37, 47): 18.7M units, dense
+    # tables, 1.6-1.7 s (random stars and Brieskorn spheres cost at most 0.09 us a unit).  The last
+    # family members inside are (i) n = 1117, (ii) 644, (iii) 789, (iv) 790, each under 0.03 s.
+    "leg tables": Guard("table entries and centres", 20_000_000),
     # families.classify_e8_brieskorn: about bound^3 / 6 triples, each ranked in integers before any graph
     # is built; at the bound the scan takes 0.5 s.
     "classify bound": Guard("classification bound", 100),

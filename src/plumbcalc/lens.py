@@ -63,7 +63,7 @@ from typing import NamedTuple, Optional
 from .arith import NotCoprimeError, _hj_word, mod_inverse
 from .guards import GUARDS, guard
 from .lattice import _closest_point, _Enumerator, _negdef_unimodular
-from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
+from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, _leg_continuants, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +287,6 @@ class DFromPlumbing(NamedTuple):
     vector: tuple[int, ...]
 
 
-def _leg_continuants(weights: list[int]) -> list[int]:
-    """m_0, ..., m_k for a leg of weights -b_1, ..., -b_k read from the center:
-    m_j is the continuant of [b_{j+1}, ..., b_k], so alpha/omega = m_0/m_1."""
-    m = [0, 1]  # m_{k+1}, m_k, ..., m_0 as they are computed
-    for w in reversed(weights):
-        if w > -2:
-            raise ValueError(f"leg weight {w} is above -2")
-        m.append(-w * m[-1] - m[-2])
-    return m[:0:-1]
-
-
 def _tau_window(branches: list[tuple[int, int]]) -> tuple[int, int, int]:
     """(lo, hi, tau(lo)) with every minimizer n of tau in [lo, hi].
 
@@ -325,11 +314,11 @@ def _tau_window(branches: list[tuple[int, int]]) -> tuple[int, int, int]:
     return lo, hi, tau_lo
 
 
-def _tau_min(e0: int, branches: list[tuple[int, int]]) -> tuple[int, int]:
+def _tau_min(e0: int, branches: list[tuple[int, int]], window: Optional[tuple[int, int, int]] = None) -> tuple[int, int]:
     """(min tau(n), its first n) over n >= 0, where tau(0) = 0,
     tau(n+1) = tau(n) + Delta(n) and Delta(n) = 1 - e0 n - sum ceil(n omega_i/alpha_i),
-    scanning only ``_tau_window``."""
-    lo, hi, tau_lo = _tau_window(branches)
+    scanning only ``_tau_window``, or ``window`` if the caller has it."""
+    lo, hi, tau_lo = window or _tau_window(branches)
     # ceil(n omega/alpha) from n = lo on, as a running sum of its steps, which repeat with period alpha
     ceils = [
         accumulate(islice(cycle([(-r * w) // a - (-(r + 1) * w) // a for r in range(a)]), lo % a, None), initial=-(-lo * w // a))
@@ -339,7 +328,7 @@ def _tau_min(e0: int, branches: list[tuple[int, int]]) -> tuple[int, int]:
     return min(zip(islice(accumulate(deltas, initial=tau_lo), hi - lo + 1), count(lo)))
 
 
-def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
+def d_from_plumbing(G: PlumbingGraph, window: Optional[tuple[int, int, int]] = None) -> DFromPlumbing:
     """d of a negative-definite star-shaped plumbed homology sphere, with a
     characteristic vector c such that (c, c) + rank = 4d.
 
@@ -349,12 +338,13 @@ def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
     The certificate c = K + 2 x(n*) has x = n* at the center and
     ceil(n* m_j/alpha) on a leg vertex, m_j the continuant of the leg beyond
     it.  Raises ``NotNegativeDefiniteError``/``NotUnimodularError``, then
-    ``guards.ScanGuardExceededError`` (see ``_tau_window``).
+    ``guards.ScanGuardExceededError`` (see ``_tau_window``); a caller that has
+    checked the guards already passes the ``_tau_window`` it got as ``window``.
     """
     center, legs = star_legs(G)
     conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
     elim = _negdef_unimodular(G._elimination)
-    best, n_star = _tau_min(G.weights[center], [(m[0], m[1]) for m in conts])
+    best, n_star = _tau_min(G.weights[center], [(m[0], m[1]) for m in conts], window)
     k = [-w - 2 for w in G.weights]
     K = elim.solve(k)  # integral: G is unimodular
     d = Fraction(sum(map(mul, k, K)) + G.rank, 4) - 2 * best
@@ -376,6 +366,7 @@ def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
 
 def d_brieskorn(T: BrieskornTriple) -> DFromPlumbing:
     """``d_from_plumbing`` of Sigma(p, q, r)'s canonical plumbing (legs a/(a - b) for the Seifert
-    branches (a, b)), guarded before it is built."""
-    _tau_window([(a, a - b) for a, b in brieskorn_seifert(T).branches])
-    return d_from_plumbing(negdef_plumbing(T))
+    branches (a, b)), guarded before it is built; the window the guard computes is the one it scans
+    (the window does not depend on the order of the legs)."""
+    window = _tau_window([(a, a - b) for a, b in brieskorn_seifert(T).branches])
+    return d_from_plumbing(negdef_plumbing(T), window)

@@ -20,6 +20,10 @@ once for both kernels.  Each graph runs it once (``_elimination``);
 ``negdef_plumbing``, ``mubar``, ``ue_spin_bound`` and ``d_from_plumbing`` all
 read that one elimination.
 
+The unit vectors of a negative-definite star are counted at its centre
+(``star_unit_pairs``) from one integer minimum table per leg, built along the
+leg's continuants like the integer kernel, with no dense Gram.
+
 Chain diagrams model linear surgery presentations with one marked link of
 multiplicity k; ``twist_reduce`` applies, at the Gram-matrix level, the
 reduction that trades a 0-framed component next to the marked link for a
@@ -31,13 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import NotCoprimeError, NotExpandableError, _hj_word, cf_eval, hj_expand, hj_expand_negative, mod_inverse
 from .guards import guard
-from .lattice import GramLattice, Signature, _negdef_unimodular, _wu
+from .lattice import GramLattice, NotNegativeDefiniteError, Signature, _negdef_unimodular, _wu
 
 
 class NotStarShapedError(ValueError):
@@ -435,6 +439,99 @@ def star_legs(G: PlumbingGraph) -> tuple[int, list[list[int]]]:
             leg.append(b if a == leg[-2] else a)
         legs.append(leg[1:])
     return center, legs
+
+
+def _leg_continuants(weights: list[int]) -> list[int]:
+    """m_0, ..., m_k for a leg of weights -b_1, ..., -b_k read from the center:
+    m_j is the continuant of [b_{j+1}, ..., b_k], so alpha/omega = m_0/m_1."""
+    m = [0, 1]  # m_{k+1}, m_k, ..., m_0 as they are computed
+    for w in reversed(weights):
+        if w > -2:
+            raise ValueError(f"leg weight {w} is above -2")
+        m.append(-w * m[-1] - m[-2])
+    return m[:0:-1]
+
+
+def _leg_minima(m: list[int]) -> dict[int, tuple[int, int]]:
+    """{s: (F_0[s], N_0[s])} for the residues s mod m_0 with F_0[s] < m_0, from a leg's continuants m.
+
+    Let Q_j be -G on the leg's vertices j+1..k, H_j(s) = min_y Q_j(y) - 2 s y_{j+1} the leg past
+    vertex j coupled to a value s there, and N_j[s] the number of its minimizers.  Then
+
+        m_j H_j(s) = -m_{j+1} s^2 + F_j[s],  F_j[s] = min_y ((m_j y - m_{j+1} s)^2 + m_j F_{j+1}[y]) / m_{j+1}
+
+    over integers y, from F_k = 0 (m_k = 1, m_{k+1} = 0: nothing is past vertex k).  Proof:
+    H_j(s) = min_y b_{j+1} y^2 - 2 s y + H_{j+1}(y); put in H_{j+1}, use m_j = b_{j+1} m_{j+1} - m_{j+2}
+    and complete the square.  (s, y) -> (s + m_j, y + m_{j+1}) keeps each numerator, so F_j has
+    period m_j (it is read mod m_j); F_j >= 0 as F_{j+1} >= 0; N_j[s] sums N_{j+1}[y] over minimizing y.
+
+    Window.  Only s with F_j[s] < m_j (excess below 1) are kept.  A minimizer y of a kept s has the
+    numerator m_{j+1} F_j[s] < m_j m_{j+1}, so F_{j+1}[y] < m_{j+1} (y is kept one level down) and
+    (m_j y - m_{j+1} s)^2 < m_j (m_{j+1} - F_{j+1}[y]); and a numerator below m_j m_{j+1} makes s kept.
+    So the s in that interval, for each kept y in [0, m_{j+1}), visit every minimizer of every kept s
+    once (once per class of the shift above) and no other s.  Each division is checked exact.
+    """
+    table = {0: (0, 1)}
+    for j in range(len(m) - 2, -1, -1):
+        mj, mn, below, table = m[j], m[j + 1], table, {}
+        for y, (f, count) in below.items():
+            t, g = mj * y, mj * f
+            r = isqrt(mj * mn - g - 1)
+            for s in range(-((r - t) // mn), (t + r) // mn + 1):
+                e = t - mn * s
+                v, rem = divmod(e * e + g, mn)
+                if rem:
+                    raise AssertionError(f"F_{j}[{s}] is not an integer")
+                key = s % mj
+                old = table.get(key)
+                if old is None or v < old[0]:
+                    table[key] = (v, count)
+                elif v == old[0]:
+                    table[key] = (v, old[1] + count)
+    return table
+
+
+def star_unit_pairs(G: PlumbingGraph) -> int:
+    """The number of +-pairs of vectors of norm -1 in a negative-definite star with legs <= -2.
+
+    Unit vectors of a definite lattice are pairwise orthogonal (``lattice.minimalize``), so
+    this is the number of <-1> summands, and the minimal part has rank G.rank minus it.
+    With Q = -G, center weight -e0 and legs alpha_i/omega_i (``_leg_minima``), A = prod alpha_i:
+    - x_0 = 0: each leg's Q is at least the even A_k form y_1^2 + sum (y_j - y_{j+1})^2 + y_k^2,
+      so Q(x) >= 2 for x != 0.  One vector of each pair has x_0 = c > 0.
+    - x_0 = c: the legs meet the center only through -2 c y_1, so min Q = e0 c^2 + sum H_i(c), and
+      alpha_i H_i(c) = -omega_i c^2 + F_i[c] gives A min Q = D c^2 + sum (A/alpha_i) F_i[c mod alpha_i]
+      with D = e0 A - sum omega_i A/alpha_i = |det G| (D > 0 is negative definiteness: the legs are
+      definite and D/A is the center's Schur complement).  As F >= 0, min Q = 1 needs D c^2 <= A, so
+      1 <= c <= isqrt(A // D), and (A/alpha_i) F_i < A, so c mod alpha_i is kept in every leg's table.
+      A vector with x_0 = c has Q = 1 only if every leg is at its minimum: prod_i N_i of them.
+    The leg tables guard counts sum over legs of sum_j m_j (each table's size bound) plus isqrt(A // D),
+    checked before any table is built.  Raises ``NotNegativeDefiniteError`` if D <= 0.
+    """
+    center, legs = star_legs(G)
+    conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
+    A = prod(m[0] for m in conts)
+    D = -G.weights[center] * A - sum(A // m[0] * m[1] for m in conts)
+    if D <= 0:
+        raise NotNegativeDefiniteError(f"the star has e0 A - sum omega_i A/alpha_i = {D} <= 0")
+    top = isqrt(A // D)
+    guard("leg tables", sum(map(sum, conts)) + top)
+    # (A/alpha) F and N by residue, the sparsest table first: the centres run over its kept residues
+    tables = [({s: (A // m[0] * f, n) for s, (f, n) in _leg_minima(m).items()}, m[0]) for m in conts]
+    tables.sort(key=lambda t: len(t[0]) / t[1])
+    (first, step), *others = tables or [({0: (0, 1)}, 1)]  # a lone vertex: every c, nothing added
+    pairs = 0
+    for r, (f, n) in first.items():
+        for c in range(r or step, top + 1, step):
+            rest, count = A - D * c * c - f, n
+            for table, a in others:
+                row = table.get(c % a)
+                if row is None:
+                    break
+                rest, count = rest - row[0], count * row[1]
+            else:
+                pairs += count if rest == 0 else 0
+    return pairs
 
 
 def plumbing_to_seifert(G: PlumbingGraph) -> SeifertData:

@@ -8,6 +8,7 @@ import pytest
 
 import plumbcalc.cli
 import plumbcalc.families
+import plumbcalc.lattice
 import plumbcalc.plumbing
 from plumbcalc.cli import main
 from plumbcalc.families import VerificationReport
@@ -358,23 +359,43 @@ class TestVerifyCommand:
         assert time.monotonic() - t0 < 1.0
 
     def test_cor16_scan_guard_exits_3_before_the_dense_gram(self, capsys, monkeypatch):
-        # d's tau-window guard fires before minimalize's dense Gram is built
+        # d's tau-window guard fires before the leg tables (or any dense Gram) are built
         def dense(*args, **kwargs):
             raise AssertionError("the dense Gram was built")
 
+        def tables(*args, **kwargs):
+            raise AssertionError("the leg tables were built")
+
         monkeypatch.setattr(plumbcalc.families, "graph_to_gram", dense)
+        monkeypatch.setattr(plumbcalc.plumbing, "_leg_minima", tables)
         t0 = time.monotonic()
         code, out, err = run(capsys, "verify", "cor1.6", "--families", "i", "--n", "1647")
         assert code == 3 and out == ""
         assert err == "error: tau window guard exceeded: window points 2000237 > 2000000\n"
         assert time.monotonic() - t0 < 2.0
 
-    def test_cor16_minimalize_guard_exits_3(self, capsys):
-        # (iv) at n = 200: d runs (rank 808), then the rank guard stops minimalize
+    def test_cor16_leg_tables_guard_exits_3(self, capsys, monkeypatch):
+        # (ii) at n = 645: d runs (rank 2590), then the leg tables guard stops the unit count
+        def tables(*args, **kwargs):
+            raise AssertionError("the leg tables were built")
+
+        monkeypatch.setattr(plumbcalc.plumbing, "_leg_minima", tables)
         t0 = time.monotonic()
-        code, out, err = run(capsys, "verify", "cor1.6", "--families", "iv", "--n", "200")
+        code, out, err = run(capsys, "verify", "cor1.6", "--families", "ii", "--n", "645")
         assert code == 3 and out == ""
-        assert err == "error: minimalize rank guard exceeded: plumbing rank 808 > 280\n"
+        assert err == "error: leg tables guard exceeded: table entries and centres 20020146 > 20000000\n"
+        assert time.monotonic() - t0 < 1.0
+
+    def test_cor16_runs_past_the_old_rank_guard(self, capsys, monkeypatch):
+        # (iv) at n = 70 has rank 288, past the 280 that a dense norm-1 search was capped at;
+        # the count builds no dense Gram and runs no enumerator
+        def dense(*args, **kwargs):
+            raise AssertionError("a dense Gram or an enumerator was built")
+
+        monkeypatch.setattr(plumbcalc.families, "graph_to_gram", dense)
+        monkeypatch.setattr(plumbcalc.lattice, "_Enumerator", dense)
+        t0 = time.monotonic()
+        assert run(capsys, "verify", "cor1.6", "--families", "iv", "--n", "70") == (0, "cor1.6 (iv, n=70): minimal rank 288 >= 4d = 280: pass\n", "")
         assert time.monotonic() - t0 < 1.0
 
     def test_classify_guard_exits_3(self, capsys):

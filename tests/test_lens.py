@@ -502,6 +502,15 @@ class TestDFromPlumbing:
             assert top <= 4 * d
             assert not top <= 4 * (d - Fraction(1, 4))
 
+    def test_d_brieskorn_scans_the_window_its_guard_computed(self, monkeypatch):
+        windows = []
+        real = plumbcalc.lens._tau_window
+        monkeypatch.setattr(plumbcalc.lens, "_tau_window", lambda branches: windows.append(real(branches)) or windows[-1])
+        for triple, d in [((2, 3, 5), 2), ((2, 3, 7), 0), ((101, 103, 10007), 10)]:
+            windows.clear()
+            assert d_brieskorn(BrieskornTriple(*triple)).value == d
+            assert len(windows) == 1, triple
+
     def test_rank_guard(self):
         # the one work guard is on the tau window: Sigma(101, 11857, 20298) has
         # rank 23 but a window of 4536597 points
