@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable
 
-from .arith import hj_expand
+from .arith import _hj_word
 from .guards import ScanGuardExceededError, guard
 from .lattice import GramLattice, recognize_e8
 from .lens import (
@@ -260,11 +260,10 @@ def surgery_presentation(fam: str, n: int, meridian_framing: int) -> PlumbingGra
     fam = _check_family(fam)
     if fam not in _SURGERY_TABLE:
         raise ValueError("surgery presentations exist for families (i)-(iv) only")
-    data = brieskorn_seifert(family_triple(fam, n))
-    branches = sorted(data.branches)
-    if branches[0][0] != 2:
+    data = brieskorn_seifert(family_triple(fam, n))  # normalized: branches sorted, 0 < b < a
+    if data.branches[0][0] != 2:
         raise TableInvariantError("expected a multiplicity-2 exceptional fiber")
-    legs = [list(hj_expand(Fraction(a, b))) for a, b in branches]
+    legs = [list(_hj_word(a, b)) for a, b in data.branches]
     # extend the multiplicity-2 leg (a single weight-2 vertex) by the meridian
     legs[0] = legs[0] + [meridian_framing]
     return star_graph(data.e, legs)
@@ -346,7 +345,7 @@ def verify_theorem_main(fam: str, n: int) -> VerificationReport:
     rep.checks["spin_cap_is_8"] = bound.max_b2 == 8 and bound.b2_mod16 == 8
 
     table = family_seifert(fam, n).normalized()
-    derived = brieskorn_seifert(triple).normalized()
+    derived = brieskorn_seifert(triple)
     rep.values["seifert_table"] = repr(table)
     rep.checks["seifert_table_matches_triple"] = table == derived
     return rep
@@ -482,10 +481,12 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
     """All coprime triples p < q < r <= bound whose canonical definite
     plumbing Gram is (+/-)E8 on the nose.
 
-    The standard-orientation plumbing is negative definite; the reversed
-    orientation gives the positive star.  Both are tested; rank != 8, read
-    off in integers by ``brieskorn_rank``, short circuits before any graph
-    is built.
+    Only the negative-definite plumbing is tested: the reversed orientation's
+    star, from ``brieskorn_seifert(T).negated().normalized()``, is its
+    negation (centre 3 - e and legs +HJ(a/(a - b)) against e - 3 and
+    -HJ(a/(a - b)), same vertices and edges), so it is +E8 exactly when this
+    one is -E8 (Neumann, Trans. AMS 268, 1981).  Rank != 8, read off in
+    integers by ``brieskorn_rank``, short circuits before any graph is built.
     """
     guard("classify bound", bound)
     out = []
@@ -496,11 +497,6 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
             for r in range(q + 1, bound + 1):
                 if gcd(p, r) != 1 or gcd(q, r) != 1 or brieskorn_rank(p, q, r) != 8:
                     continue
-                triple = BrieskornTriple(p, q, r)
-                hit = recognize_e8(graph_to_gram(negdef_plumbing(triple))) == -1
-                if not hit:
-                    rev = seifert_to_plumbing(brieskorn_seifert(triple, reversed_orientation=True))
-                    hit = recognize_e8(graph_to_gram(rev)) == 1
-                if hit:
+                if recognize_e8(graph_to_gram(negdef_plumbing(BrieskornTriple(p, q, r)))) == -1:
                     out.append((p, q, r))
     return out

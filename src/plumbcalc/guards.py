@@ -39,7 +39,7 @@ GUARDS: dict[str, Guard] = {
     # family members inside are (i) n = 1117, (ii) 644, (iii) 789, (iv) 790, each under 0.03 s.
     "leg tables": Guard("table entries and centres", 20_000_000),
     # families.classify_e8_brieskorn: about bound^3 / 6 triples, each ranked in integers before any graph
-    # is built; at the bound the scan takes 0.5 s.
+    # is built, and one star tested per rank-8 triple; at the bound the scan takes 0.4 s.
     "classify bound": Guard("classification bound", 100),
     # lattice.isometric backtracks over the vectors of each norm, exponentially in the rank: -E8 + -I4
     # (rank 12) against itself takes 1.9 s, E8 0.01 s.

@@ -90,9 +90,6 @@ class GramLattice:
         """``_eliminate`` of the Gram matrix, run once per lattice."""
         return _eliminate(_sparse(self.rows))
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.rows[i][i] for i in range(self.rank))
 

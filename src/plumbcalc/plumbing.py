@@ -39,7 +39,7 @@ from math import gcd, isqrt, prod
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import NotCoprimeError, NotExpandableError, _hj_word, cf_eval, hj_expand, hj_expand_negative, mod_inverse
+from .arith import NotCoprimeError, NotExpandableError, _hj_word, cf_eval, mod_inverse
 from .guards import guard
 from .lattice import GramLattice, NotNegativeDefiniteError, Signature, _negdef_unimodular, _wu
 
@@ -395,20 +395,19 @@ def seifert_to_plumbing(S: SeifertData) -> PlumbingGraph:
     """Star-shaped plumbing: central weight e, legs expanding each a/b.
 
     Branch values a/b > 1 expand with all entries >= 2 and values < -1 with
-    all entries <= -2; multiplicity-1 branches are absorbed into the center
-    (a data-level blow-down).  Values in [-1, 1] admit no expansion.
+    all entries <= -2, in integers (``_hj_word``); multiplicity-1 branches are
+    absorbed into the center (a data-level blow-down).  Values in [-1, 1]
+    admit no expansion.
     """
     e = S.e
     legs = []
     for a, b in S.branches:
         if a == 1:
             e -= b
-            continue
-        value = Fraction(a, b)
-        if value > 1:
-            legs.append(hj_expand(value))
-        elif value < -1:
-            legs.append(hj_expand_negative(value))
+        elif 0 < b < a:
+            legs.append(_hj_word(a, b))
+        elif 0 < -b < a:  # negating every entry negates a minus-convention word's value
+            legs.append([-c for c in _hj_word(a, -b)])
         else:
             raise NotExpandableError(f"branch fraction {a}/{b} not expandable in either sign mode")
     return star_graph(e, legs)
@@ -580,32 +579,29 @@ class BrieskornTriple:
         return self.p * self.q * self.r
 
 
-def brieskorn_seifert(T: BrieskornTriple, reversed_orientation: bool = False) -> SeifertData:
-    """The Seifert data of Sigma(p,q,r): euler number -1/pqr, or its
-    orientation reversal (+1/pqr), normalized to the window 0 < b < a.
+def brieskorn_seifert(T: BrieskornTriple) -> SeifertData:
+    """The Seifert data of Sigma(p,q,r), euler number -1/pqr, normalized to
+    the window 0 < b < a; ``.negated().normalized()`` is its orientation
+    reversal, euler number +1/pqr.
 
     The standard branch residues are p' = (qr)^{-1} mod p and cyclically,
-    with e = (p'qr + q'pr + r'pq - 1) / pqr an exact integer.
+    with e = (p'qr + q'pr + r'pq - 1) / pqr an exact integer.  Its remainder
+    is the one check: e pqr = p'qr + q'pr + r'pq - 1 is the euler number
+    e - (p'/p + q'/q + r'/r) = -1/pqr, by construction.
     """
     p, q, r = T.as_tuple()
     pp = mod_inverse(q * r, p)
     qp = mod_inverse(p * r, q)
     rp = mod_inverse(p * q, r)
-    num = pp * q * r + qp * p * r + rp * p * q - 1
-    assert num % (p * q * r) == 0
-    e = num // (p * q * r)
-    data = SeifertData(e, ((p, pp), (q, qp), (r, rp)))
-    assert data.euler_number() == Fraction(-1, p * q * r)
-    if reversed_orientation:
-        data = data.negated().normalized()
-        assert data.euler_number() == Fraction(1, p * q * r)
-        return data
-    return data.normalized()
+    e, rem = divmod(pp * q * r + qp * p * r + rp * p * q - 1, p * q * r)
+    assert rem == 0
+    return SeifertData(e, ((p, pp), (q, qp), (r, rp))).normalized()
 
 
 def brieskorn_rank(p: int, q: int, r: int) -> int:
-    """Rank of both orientations' plumbings of Sigma(p,q,r), in integers: a branch a with
-    residue b = (product of the other two)^{-1} mod a is the leg HJ(a/(a - b)) in both."""
+    """Rank of the negative-definite plumbing of Sigma(p,q,r) (and of its negation, the reversed
+    orientation's star), in integers: a branch a with residue b = (product of the other two)^{-1}
+    mod a is the leg -HJ(a/(a - b))."""
     return 1 + sum(len(_hj_word(a, a - mod_inverse(x * y, a))) for a, x, y in ((p, q, r), (q, p, r), (r, p, q)))
 
 

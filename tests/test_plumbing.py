@@ -263,7 +263,7 @@ class TestBrieskorn:
         assert res.minimal.rank == 0  # the lattice is diagonalized
 
     def test_sigma347_reversed(self):
-        data = brieskorn_seifert(BrieskornTriple(3, 4, 7), reversed_orientation=True)
+        data = brieskorn_seifert(BrieskornTriple(3, 4, 7)).negated().normalized()
         assert data == SeifertData(2, ((3, 2), (4, 3), (7, 4)))
         gram = graph_to_gram(seifert_to_plumbing(data))
         assert recognize_e8(gram) == 1
@@ -299,7 +299,9 @@ class TestBrieskorn:
 
     def test_integer_rank_matches_both_orientations_up_to_45(self):
         # brieskorn_rank is classify-e8's pre-test: it must equal the rank of
-        # the negative-definite plumbing and of the reversed star
+        # the negative-definite plumbing.  The reversed orientation's star is
+        # that plumbing negated (weights negated, the same edges), which is why
+        # classify-e8 tests the negative-definite star only
         count = 0
         for p in range(2, 46):
             for q in range(p + 1, 46):
@@ -309,9 +311,15 @@ class TestBrieskorn:
                     if gcd(p, r) != 1 or gcd(q, r) != 1:
                         continue
                     T = BrieskornTriple(p, q, r)
-                    rank = brieskorn_rank(p, q, r)
-                    assert rank == negdef_plumbing(T).rank, T
-                    assert rank == seifert_to_plumbing(brieskorn_seifert(T, reversed_orientation=True)).rank, T
+                    G = negdef_plumbing(T)
+                    assert brieskorn_rank(p, q, r) == G.rank, T
+                    data = brieskorn_seifert(T)
+                    reversed_data = data.negated().normalized()
+                    assert data.euler_number() == Fraction(-1, p * q * r), T
+                    assert reversed_data.euler_number() == Fraction(1, p * q * r), T
+                    rev = seifert_to_plumbing(reversed_data)
+                    assert rev.weights == tuple(-w for w in G.weights), T
+                    assert rev.edges == G.edges, T
                     count += 1
         assert count > 3000
 
@@ -338,7 +346,7 @@ class TestMuBar:
     def test_orientation_antisymmetry(self):
         for triple in (BrieskornTriple(2, 3, 5), BrieskornTriple(3, 4, 7), BrieskornTriple(2, 3, 7)):
             std = mubar(negdef_plumbing(triple))
-            rev_data = brieskorn_seifert(triple, reversed_orientation=True)
+            rev_data = brieskorn_seifert(triple).negated().normalized()
             rev = mubar(seifert_to_plumbing(rev_data))
             assert rev == -std
 
@@ -363,7 +371,7 @@ class TestUeSpinBound:
 
     def test_requires_a_negative_definite_unimodular_star(self):
         # the reversed orientation of Sigma(2, 3, 5) bounds the positive E8 star
-        positive = seifert_to_plumbing(brieskorn_seifert(BrieskornTriple(2, 3, 5), reversed_orientation=True))
+        positive = seifert_to_plumbing(brieskorn_seifert(BrieskornTriple(2, 3, 5)).negated().normalized())
         with pytest.raises(ValueError, match="negative-definite"):
             ue_spin_bound(positive)
         with pytest.raises(ValueError, match="negative-definite"):
@@ -374,7 +382,8 @@ def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
     """mu-bar (`mubar --graph` too), the spin bound, negdef_plumbing's check and
     d run on the integer tree kernel: building a dense Gram matrix or running
     the Fraction kernel fails the test, and the Fractions a call builds do not
-    grow with the rank."""
+    grow with the rank.  negdef_plumbing, from the triple to its checked star,
+    builds no Fraction at all."""
 
     def dense(*args, **kwargs):
         raise AssertionError("a dense Gram matrix was built")
@@ -408,7 +417,8 @@ def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
             monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.update([(name, n)]) or new(cls, *a, **k))
             call()
             monkeypatch.setattr(Fraction, "__new__", new)
-    for name in calls:
+    assert built["negdef_plumbing", 2] == built["negdef_plumbing", 100] == 0, built
+    for name in ("mubar", "ue_spin_bound", "d_from_plumbing"):
         assert 0 < built[name, 2] == built[name, 100] < 30, built
 
 
