@@ -12,7 +12,6 @@ The package computes, with no floating point anywhere:
 """
 
 from .arith import (
-    Fraction,
     NotCoprimeError,
     NotExpandableError,
     ZeroTailError,

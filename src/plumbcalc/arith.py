@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "Fraction",
     "ZeroTailError",
     "NotExpandableError",
     "NotCoprimeError",
@@ -68,10 +67,10 @@ def mod_inverse(a: int, m: int) -> int:
     """Return the inverse of ``a`` modulo ``m`` in ``[0, m)``; ``m >= 2``."""
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    g, x, _ = bezout(a % m, m)
-    if g != 1:
-        raise NotCoprimeError(f"{a} is not invertible modulo {m}")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotCoprimeError(f"{a} is not invertible modulo {m}") from None
 
 
 def cf_eval(word) -> Fraction:

@@ -486,7 +486,9 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
     negation (centre 3 - e and legs +HJ(a/(a - b)) against e - 3 and
     -HJ(a/(a - b)), same vertices and edges), so it is +E8 exactly when this
     one is -E8 (Neumann, Trans. AMS 268, 1981).  Rank != 8, read off in
-    integers by ``brieskorn_rank``, short circuits before any graph is built.
+    integers by ``brieskorn_rank``, short circuits before any graph is built;
+    ``negdef_plumbing`` proves the star negative definite with |det| = 1, so at
+    rank 8 it is -E8 exactly when every weight is even (no Gram is built).
     """
     guard("classify bound", bound)
     out = []
@@ -497,6 +499,6 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
             for r in range(q + 1, bound + 1):
                 if gcd(p, r) != 1 or gcd(q, r) != 1 or brieskorn_rank(p, q, r) != 8:
                     continue
-                if recognize_e8(graph_to_gram(negdef_plumbing(BrieskornTriple(p, q, r)))) == -1:
+                if all(w % 2 == 0 for w in negdef_plumbing(BrieskornTriple(p, q, r)).weights):
                     out.append((p, q, r))
     return out

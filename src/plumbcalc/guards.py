@@ -18,11 +18,11 @@ class Guard(NamedTuple):
 
 
 GUARDS: dict[str, Guard] = {
-    # lens._tau_window, d's scan: family (v) at n = 263, 1.99M points, takes 0.7-1.1 s, 0.36-0.55 us a point.
+    # lens._tau_window, d's scan: family (v) at n = 263, 1.99M points, takes 0.65-0.95 s, 0.25-0.33 us a point.
     "tau window": Guard("window points", 2_000_000),
     # plumbing.negdef_plumbing (before the tree is built) and lens._tau_window: the sum bounds the tree's
-    # rank (rank <= sum) and the tau tables.  A unit costs d at most 4.9-6 us on the integer tree kernel,
-    # about 15 window points (Sigma(300, 301, 90299), rank 90600, 0.45-0.54 s), hence 2,000,000 // 15.
+    # rank (rank <= sum) and the tau tables.  A unit costs d 3.0-3.4 us on the integer tree kernel, 10-14
+    # window points (Sigma(300, 301, 90299), rank 90600, 0.27-0.31 s), so 2,000,000 // 15 stays on the safe side.
     "multiplicity sum": Guard("sum of multiplicities", 133_333),
     # lens._descent_table (p labels) and lens.d_surgery (labels in its window).  lens_d_all at p = 599999
     # takes 1.5-2.0 s, mostly its p Fractions; d_surgery ties on all p at q = 1, k = +-1 (1.4-1.5 s at

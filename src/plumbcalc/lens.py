@@ -35,8 +35,8 @@ holds with k and c used literally.
 
 Oracle.  ``lens_d_oracle`` computes the same multiset of correction terms by
 a method sharing no code path with the recursion: it builds a
-negative-definite linear plumbing for the lens space (choosing the shortest
-of the four available continued-fraction routes) and maximizes
+negative-definite linear plumbing for the lens space (choosing the shorter
+of the two continued-fraction routes) and maximizes
 (c^2 + rank)/4 over each coset of characteristic covectors by exact
 closest-vector enumeration.  The p cosets share one elimination of the chain
 and one integer enumerator built from it; their centres come from two solves.
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import accumulate, compress, count, cycle, islice, repeat, takewhile
 from math import gcd, isqrt, prod
 from operator import add, floordiv, mod, mul, sub
@@ -64,6 +65,8 @@ from .arith import NotCoprimeError, _hj_word, mod_inverse
 from .guards import GUARDS, guard
 from .lattice import _closest_point, _Enumerator, _negdef_unimodular
 from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, _leg_continuants, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
+
+TauWindow = tuple[int, int, int, int, list[list[int]]]  # (lo, hi, A, b, tables) of ``_tau_window``
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +163,11 @@ def lens_d_all(p: int, q: int) -> dict[int, Fraction]:
 
 
 def _chain_route(p: int, q: int) -> tuple[tuple[int, ...], bool]:
-    """Shortest of the four chain presentations of +-L(p, q).
-
-    Returns (all >= 2 expansion word, negate) where the chain with negated
-    word bounds -L(p, x): x = p - q (or its inverse mod p) gives L(p, q)
-    directly, x = q (or its inverse) gives -L(p, q), requiring negation of
-    the resulting correction terms.
-    """
-    xs = ((p - q, False), (mod_inverse(p - q, p), False), (q, True), (mod_inverse(q, p), True))
-    return min(((_hj_word(p, x), negate) for x, negate in xs), key=lambda t: (len(t[0]), t[1]))
+    """Shorter of the two chain presentations of +-L(p, q): (all >= 2 expansion word, negate), where the
+    chain with negated word bounds -L(p, x); x = p - q gives L(p, q), x = q gives -L(p, q), whose
+    correction terms are negated.  The word of x^{-1} mod p is the word of x reversed, no shorter, so the
+    inverses are not tried."""
+    return min(((_hj_word(p, x), negate) for x, negate in ((p - q, False), (q, True))), key=lambda t: (len(t[0]), t[1]))
 
 
 def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
@@ -192,22 +191,20 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
     elim = G._elimination  # negative definite
     det = abs(elim.det)
     assert det == p
-    # canonical coset functional: phi(u) = <a, u> mod p with a = det * G^{-1} e0
+    # canonical coset functional: phi(u) = <a, u> mod p with a = det * G^{-1} e0, where a_0 is
+    # +- the continuant of the chain past vertex 0, i.e. +-x, a unit mod p
     a_vec = elim.solve([det if i == 0 else 0 for i in range(n)])
     assert all(x.denominator == 1 for x in a_vec)
     a_int = [int(x) for x in a_vec]
-    # an index where the functional is invertible mod p
-    m_idx = next(i for i, x in enumerate(a_int) if gcd(x % p, p) == 1)
-    inv_am = mod_inverse(a_int[m_idx], p)
-    # coset s has t = diag(G) + 2 u_s e_m with u_s = s / a_m mod p, and centre
-    # -G^{-1} t / 2 = -(base + u_s col) / (2 det), base and col integral
+    inv_a0 = mod_inverse(a_int[0], p)
+    # coset s has t = diag(G) + 2 u_s e_0 with u_s = s / a_0 mod p, and centre
+    # -G^{-1} t / 2 = -(base + 2 u_s a) / (2 det), base integral
     base = [int(det * x) for x in elim.solve(G.diagonal())]
-    col = [int(det * x) for x in elim.solve([2 if i == m_idx else 0 for i in range(n)])]
     enum = _Enumerator(elim)
     out: dict[int, Fraction] = {}
     for s in range(p):
-        u = (s * inv_am) % p
-        val, _ = _closest_point(enum, [-(b + u * c) for b, c in zip(base, col)], 2 * det)
+        u = (s * inv_a0) % p
+        val, _ = _closest_point(enum, [-(b + 2 * u * a) for b, a in zip(base, a_int)], 2 * det)
         d_val = (n - 4 * val) / 4  # 4 val is the minimum of c^T(-G)c over the coset
         out[s] = -d_val if negate else d_val
     return out
@@ -287,64 +284,55 @@ class DFromPlumbing(NamedTuple):
     vector: tuple[int, ...]
 
 
-def _tau_window(branches: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """(lo, hi, tau(lo)) with every minimizer n of tau in [lo, hi].
+def _tau_window(branches: list[tuple[int, int]]) -> TauWindow:
+    """(lo, hi, A, b, tables) with every minimizer n of tau in [lo, hi].
 
-    A = prod alpha_i and e0 + sum omega_i/alpha_i = -1/A split tau exactly:
-    2A tau(n) = n^2 + b n - sum T_i(n mod alpha_i), b = 2A - 1 - sum A (alpha_i
-    - 1)/alpha_i, T_i the partial sums of the mean-zero period (A/alpha_i)
-    (2 ((-m omega_i) mod alpha_i) - alpha_i + 1).  With U = 2A tau at the
-    vertex, a minimizer has (2n + b)^2 <= b^2 + 4 (U + sum max T_i).  Guarded by the multiplicity
-    sum (the tables' size) and the tau window.
+    A = prod alpha_i and e0 + sum omega_i/alpha_i = -1/A split tau exactly: 2A tau(n) = n^2 + b n
+    - sum T_i(n mod alpha_i), b = 2A - 1 - sum A (alpha_i - 1)/alpha_i, T_i (one table of alpha_i
+    entries per leg) the partial sums of the mean-zero period (A/alpha_i) (2 ((-m omega_i) mod alpha_i)
+    - alpha_i + 1).  With U = 2A tau at the vertex, a minimizer has (2n + b)^2 <= b^2 + 4 (U + sum
+    max T_i).  Guarded by the multiplicity sum (the tables' size) and the tau window.
     """
     guard("multiplicity sum", sum(a for a, _ in branches))
     A = prod(a for a, _ in branches)
     tables = [list(accumulate(((A // a) * (2 * (-m * w % a) - a + 1) for m in range(a - 1)), initial=0)) for a, w in branches]
     b = 2 * A - 1 - sum(A - A // a for a, _ in branches)
-
-    def scaled_tau(n: int) -> int:  # 2A tau(n)
-        return n * (n + b) - sum(T[n % a] for T, (a, _) in zip(tables, branches))
-
-    s = isqrt(b * b + 4 * (scaled_tau(max(0, -b // 2)) + sum(map(max, tables))))
+    v = max(0, -b // 2)
+    s = isqrt(b * b + 4 * (v * (v + b) - sum(T[v % len(T)] for T in tables) + sum(map(max, tables))))
     lo, hi = max(0, -((s + b) // 2)), (s - b) // 2
     guard("tau window", hi - lo + 1)
-    tau_lo, rem = divmod(scaled_tau(lo), 2 * A)
+    return lo, hi, A, b, tables
+
+
+def _tau_min(branches: list[tuple[int, int]], window: Optional[TauWindow] = None) -> tuple[int, int]:
+    """(min tau(n), its first n) over n >= 0: the integer minimum of n (n + b) - sum T_i(n mod alpha_i)
+    over ``_tau_window`` (or ``window``, if the caller has it) is 2A min tau exactly, or AssertionError."""
+    lo, hi, A, b, tables = window or _tau_window(branches)
+    quad = accumulate(count(2 * lo + 1 + b, 2), initial=lo * (lo + b))  # n (n + b), by its steps 2n + 1 + b
+    scaled = reduce(partial(map, sub), (islice(cycle(T), lo % len(T), None) for T in tables), quad)  # minus each T_i
+    best, n_star = min(zip(islice(scaled, hi - lo + 1), count(lo)))
+    tau, rem = divmod(best, 2 * A)
     if rem:
-        raise AssertionError(f"2A tau({lo}) is not a multiple of 2A = {2 * A}")
-    return lo, hi, tau_lo
+        raise AssertionError(f"2A tau({n_star}) is not a multiple of 2A = {2 * A}")
+    return tau, n_star
 
 
-def _tau_min(e0: int, branches: list[tuple[int, int]], window: Optional[tuple[int, int, int]] = None) -> tuple[int, int]:
-    """(min tau(n), its first n) over n >= 0, where tau(0) = 0,
-    tau(n+1) = tau(n) + Delta(n) and Delta(n) = 1 - e0 n - sum ceil(n omega_i/alpha_i),
-    scanning only ``_tau_window``, or ``window`` if the caller has it."""
-    lo, hi, tau_lo = window or _tau_window(branches)
-    # ceil(n omega/alpha) from n = lo on, as a running sum of its steps, which repeat with period alpha
-    ceils = [
-        accumulate(islice(cycle([(-r * w) // a - (-(r + 1) * w) // a for r in range(a)]), lo % a, None), initial=-(-lo * w // a))
-        for a, w in branches
-    ]
-    deltas = map(sub, count(1 - e0 * lo, -e0), map(sum, zip(*ceils)))
-    return min(zip(islice(accumulate(deltas, initial=tau_lo), hi - lo + 1), count(lo)))
+def d_from_plumbing(G: PlumbingGraph, window: Optional[TauWindow] = None) -> DFromPlumbing:
+    """d of a negative-definite star-shaped plumbed homology sphere, with a characteristic vector c, (c, c) + rank = 4d.
 
-
-def d_from_plumbing(G: PlumbingGraph, window: Optional[tuple[int, int, int]] = None) -> DFromPlumbing:
-    """d of a negative-definite star-shaped plumbed homology sphere, with a
-    characteristic vector c such that (c, c) + rank = 4d.
-
-    Nemethi (Geom. Topol. 9, 2005), as in Can-Karakurt (Pacific J. Math.
-    267, 2014): with center weight e0 and legs alpha_i/omega_i (weights
-    <= -2), d = (K^2 + rank)/4 - 2 min tau, K = G^{-1} k, k_v = -w_v - 2.
-    The certificate c = K + 2 x(n*) has x = n* at the center and
-    ceil(n* m_j/alpha) on a leg vertex, m_j the continuant of the leg beyond
-    it.  Raises ``NotNegativeDefiniteError``/``NotUnimodularError``, then
-    ``guards.ScanGuardExceededError`` (see ``_tau_window``); a caller that has
-    checked the guards already passes the ``_tau_window`` it got as ``window``.
+    Nemethi (Geom. Topol. 9, 2005), as in Can-Karakurt (Pacific J. Math. 267, 2014): with center
+    weight e0 and legs alpha_i/omega_i (weights <= -2), d = (K^2 + rank)/4 - 2 min tau, K = G^{-1} k,
+    k_v = -w_v - 2, tau(0) = 0, tau(n+1) - tau(n) = 1 - e0 n - sum ceil(n omega_i/alpha_i).  Negative
+    definiteness and |det| = 1, checked first, give e0 + sum omega_i/alpha_i = -1/A, the identity behind
+    ``_tau_window``'s split, which alone drives the scan.  The certificate c = K + 2 x(n*) has x = n* at
+    the center and ceil(n* m_j/alpha) on a leg vertex, m_j the continuant of the leg beyond it.  Raises
+    ``NotNegativeDefiniteError``/``NotUnimodularError``, then ``guards.ScanGuardExceededError`` (see
+    ``_tau_window``); a caller that has checked the guards already passes the window it got as ``window``.
     """
     center, legs = star_legs(G)
     conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
     elim = _negdef_unimodular(G._elimination)
-    best, n_star = _tau_min(G.weights[center], [(m[0], m[1]) for m in conts], window)
+    best, n_star = _tau_min([(m[0], m[1]) for m in conts], window)
     k = [-w - 2 for w in G.weights]
     K = elim.solve(k)  # integral: G is unimodular
     d = Fraction(sum(map(mul, k, K)) + G.rank, 4) - 2 * best

@@ -16,7 +16,7 @@ from operator import mul, sub
 import pytest
 
 import plumbcalc.lens
-from plumbcalc.arith import NotCoprimeError
+from plumbcalc.arith import NotCoprimeError, _hj_word
 from plumbcalc.lattice import _negdef_unimodular, max_char_square
 from plumbcalc.families import surgery_parameters, verify_conjecture
 from plumbcalc.guards import GUARDS, ScanGuardExceededError
@@ -233,6 +233,13 @@ class TestOracle:
     def test_multiset_equality_sample(self):
         for (p, q) in [(3, 1), (3, 2), (5, 2), (7, 3), (12, 5), (15, 4), (23, 2), (40, 17)]:
             assert sorted(lens_d_all(p, q).values()) == sorted(lens_d_oracle(p, q).values())
+
+    def test_inverse_route_is_the_reversed_word(self):
+        """The oracle's chain routes skip x^{-1} mod p: its word is the word of x reversed."""
+        for p in range(2, 401):
+            for x in range(1, p):
+                if gcd(x, p) == 1:
+                    assert _hj_word(p, pow(x, -1, p)) == _hj_word(p, x)[::-1], (p, x)
 
     def test_orientation_reversal(self):
         # L(p, p-q) = -L(p, q): the multisets are negatives of each other
@@ -549,9 +556,9 @@ class TestDFromPlumbing:
         assert len({tuple(g.weights) + g.edges for g in cases}) == 501
         for g in cases:
             e0, branches = _tau_data(g)
-            assert _tau_min(e0, branches) == _reference_tau_min(e0, branches, _full_length(branches)), branches
+            assert _tau_min(branches) == _reference_tau_min(e0, branches, _full_length(branches)), branches
         e0, branches = _tau_data(_seifert_sphere((3, 5, 7, 8, 13)))
-        assert _tau_min(e0, branches)[1] > 3 * 5 * 7 * 8 * 13
+        assert _tau_min(branches)[1] > 3 * 5 * 7 * 8 * 13
 
     def test_tau_scan_matches_the_plain_recursion(self):
         """The windowed minimum against tau written out step by step."""
@@ -563,7 +570,7 @@ class TestDFromPlumbing:
             for n in range(_full_length(branches)):
                 tau += 1 - e0 * n - sum(-(-n * w // a) for a, w in branches)
                 taus.append(tau)
-            assert _tau_min(e0, branches) == (min(taus), taus.index(min(taus))), branches
+            assert _tau_min(branches) == (min(taus), taus.index(min(taus))), branches
 
     def test_requires_star(self):
         from plumbcalc.plumbing import NotStarShapedError, PlumbingGraph
