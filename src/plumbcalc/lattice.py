@@ -3,17 +3,17 @@
 A lattice is stored as its Gram matrix (symmetric, integer).  All operations
 are exact, and the rational elimination of a Gram matrix goes through one
 kernel, ``_eliminate``: symmetric LDL^T elimination over the rationals in
-minimum-degree order.  Its pivots give the determinant (their product) and
-the inertia (their signs, by Sylvester's law), which decide signature and
+index order.  Its pivots give the determinant (their product) and the
+inertia (their signs, by Sylvester's law), which decide signature and
 definiteness; its factors give exact solves and drive the Fincke-Pohst
 vector enumeration, which scales them to integers once per elimination and
-then runs in integer arithmetic for any number of centres.  The kernel reads
-sparse rows, one ``{column: entry}`` dict of nonzero entries per basis
-vector.  A ``GramLattice`` is eliminated at most once, by its cached
-``_elimination``, and every operation below reads that one elimination.
-Plumbing trees do not come here: ``plumbing._tree_eliminate`` eliminates
-them from subtree determinants in integers, and ``_eliminate`` is the tests'
-oracle for it.  Both results answer by the same names: ``det`` and
+then runs in integer arithmetic for any number of centres.  A definite form
+is pivoted with no skip (Sylvester's criterion), so the enumeration works in
+the lattice's own coordinates.  A ``GramLattice`` is eliminated at most
+once, by its cached ``_elimination``, and every operation below reads that
+one elimination.  Plumbing trees do not come here: ``plumbing._tree_eliminate``
+eliminates them from subtree determinants in integers, and ``_eliminate`` is
+the tests' oracle for it.  Both results answer by the same names: ``det`` and
 ``inertia`` are values (``inertia.sign`` is +1 / -1 on a definite form, else
 None) and ``solve`` is a method.  So the Wu class (``_wu``) and the check
 "negative definite, |det| = 1" (``_negdef_unimodular``) are written once,
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import isqrt, lcm, prod
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -88,7 +87,7 @@ class GramLattice:
     @cached_property
     def _elimination(self) -> "_Elimination":
         """``_eliminate`` of the Gram matrix, run once per lattice."""
-        return _eliminate(_sparse(self.rows))
+        return _eliminate(self.rows)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.rows[i][i] for i in range(self.rank))
@@ -160,49 +159,17 @@ class Signature(NamedTuple):
     sign = property(lambda s: None if s.n_zero or (s.n_plus and s.n_minus) else -1 if s.n_minus else 1)
 
 
-def _sparse(rows: Sequence[Sequence[int]]) -> list[dict[int, int]]:
-    """The kernel's input format for a dense matrix: the nonzeros of each row."""
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
-
-
-def _min_degree_order(rows: Sequence[dict[int, int]]) -> list[int]:
-    """Greedy minimum-degree elimination order on the sparsity graph of the
-    sparse rows (``{column: nonzero entry}`` per vertex).
-
-    Plumbing Gram matrices are trees, for which this order (leaves first)
-    eliminates with zero fill-in, so the LDL^T factor stays one-nonzero-per-row
-    and the enumeration over it runs in constant work per node.
-    """
-    # adj[v] holds the uneliminated neighbours of v in the filled graph; the
-    # heap holds (degree, vertex) pairs, stale once that degree has changed
-    adj = [row.keys() - {i} for i, row in enumerate(rows)]
-    heap = [(len(a), v) for v, a in enumerate(adj)]
-    heapify(heap)
-    order: list[int] = []
-    done = [False] * len(rows)
-    while heap:
-        deg, v = heappop(heap)
-        if done[v] or deg != len(adj[v]):
-            continue
-        order.append(v)
-        done[v] = True
-        nbrs = adj[v]
-        for a in nbrs:
-            adj[a].discard(v)
-            adj[a] |= nbrs - {a}
-            heappush(heap, (len(adj[a]), a))
-    return order
-
-
 class _Elimination(NamedTuple):
     """A congruence G ~ diag(pivots) (+) 0 in positional coordinates.
 
-    ``order[p]`` is the vertex at position p: the pivots in elimination order,
-    then the null block.  ``rows[p]`` lists the (q, u) with q > p of the unit
-    factor, so a definite G has x^T G x = sum_p pivots[p] (x_p + sum u x_q)^2.
-    ``adds`` lists each basis change (step, i, j) made before pivot ``step``:
-    basis vector j added to basis vector i.  ``det`` is the product of the
-    pivots (0 with a null block) and ``inertia`` their sign counts.
+    ``order[p]`` is the basis index at position p: the pivots in elimination
+    order, then the null block.  ``rows[p]`` lists the (q, u) with q > p of
+    the unit factor, so a definite G has x^T G x = sum_p pivots[p] (x_p +
+    sum u x_q)^2.  ``adds`` lists each basis change (step, i, j) made before
+    pivot ``step``: basis vector j added to basis vector i.  ``det`` is the
+    product of the pivots (0 with a null block) and ``inertia`` their sign
+    counts.  On a definite G, ``order`` is 0..n-1 and ``adds`` is empty (see
+    ``_eliminate``), so positions are the lattice's own coordinates.
     """
 
     order: list[int]
@@ -237,21 +204,21 @@ class _Elimination(NamedTuple):
         return out
 
 
-def _eliminate(rows: Sequence[dict[int, int]]) -> _Elimination:
-    """Symmetric exact elimination of a Gram matrix, in one pass.
+def _eliminate(rows: Sequence[Sequence[int]]) -> _Elimination:
+    """Symmetric exact LDL^T elimination of the Gram matrix ``rows``, in one
+    pass; it works on the nonzero entries m_ij of each row, kept in a dict.
 
-    ``rows[i]`` maps each column j with a nonzero entry m_ij to that entry;
-    the rows are not modified.
-
-    Vertices are pivoted in ``_min_degree_order``, skipping ahead to the next
-    one whose current diagonal is nonzero.  When every remaining diagonal
+    Basis vectors are pivoted in index order, skipping ahead to the next one
+    whose current diagonal is nonzero.  When every remaining diagonal
     vanishes but some m_ij does not, adding basis vector j to i (a unimodular
     congruence) creates the pivot 2 m_ij; a remaining block that is all zero
     is the null part.  So det is the product of the pivots and the inertia is
-    their sign counts (Sylvester's law of inertia).
+    their sign counts (Sylvester's law of inertia).  A definite G never
+    skips: its k-th pivot is the ratio of its leading principal minors of
+    orders k + 1 and k, all nonzero by Sylvester's criterion.
     """
-    m = [dict(row) for row in rows]
-    pending = _min_degree_order(rows)
+    m = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    pending = list(range(len(rows)))
     order: list[int] = []
     pivots: list[Fraction] = []
     factors: list[list[tuple[int, Fraction]]] = []
@@ -416,8 +383,9 @@ class _Enumerator:
     """Exact enumeration over Q(x - center) for x in Z^n, in integers.
 
     G is definite, of sign ``sign = elim.inertia.sign`` (else NotDefiniteError),
-    and Q = sign * G is read off the elimination of G, in its positional
-    coordinates: Q(y) = sum_i d_i (y_i + sum_j u_ij y_j)^2
+    and Q = sign * G is read off the elimination of G, whose positions are the
+    lattice's own coordinates (a definite G is pivoted in index order with no
+    skip, by Sylvester's criterion): Q(y) = sum_i d_i (y_i + sum_j u_ij y_j)^2
     with d_i = sign * pivot_i.  It is scaled once per elimination: with Lu
     the lcm of the denominators of the u_ij and Dd that of the d_i, ``U``
     holds u_ij Lu and ``W`` holds d_i Dd, all integers.  A run takes a center
@@ -435,7 +403,6 @@ class _Enumerator:
         self.sign = sign = elim.inertia.sign
         if sign is None:
             raise NotDefiniteError(f"enumeration requires a definite lattice (inertia {tuple(elim.inertia)})")
-        self.order = elim.order
         self.lu = lcm(*(u.denominator for row in elim.rows for _, u in row))
         self.dd = lcm(*(d.denominator for d in elim.pivots))
         self.W = [int(sign * d * self.dd) for d in elim.pivots]
@@ -448,9 +415,9 @@ class _Enumerator:
     def run(self, center: Sequence[int], den: int, bound: int, on_leaf: Callable[[list[int], int], Optional[int]]):
         """Visit every x with Q(x - center/den) * S <= bound, S = scale(den).
 
-        ``center`` is in positional coordinates.  ``on_leaf(x, value)`` gets
-        the scaled value and may return a new (smaller) scaled bound to
-        shrink the search on the fly, or None to keep the current bound.
+        ``on_leaf(x, value)`` gets the scaled value and may return a new
+        (smaller) scaled bound to shrink the search on the fly, or None to
+        keep the current bound.
         """
         n = len(self.W)
         if n == 0:
@@ -520,32 +487,27 @@ class _Enumerator:
 
 def _closest_point(enum: _Enumerator, center: Sequence[int], den: int) -> tuple[Fraction, tuple[int, ...]]:
     """Minimize Q(x - center/den) over integer x, for the positive definite
-    Q = sign * G that ``enum`` enumerates; ``center`` holds integer
-    numerators in the original coordinates.
+    Q = sign * G that ``enum`` enumerates; ``center`` holds integer numerators.
 
     Returns (minimum value, first minimizer in the deterministic search
     order).  The initial bound is the value at the coordinatewise rounding
     of the center, which is also the minimizer until a leaf beats it.
     """
-    order, W, U, lu = enum.order, enum.W, enum.U, enum.lu
-    centerp = [center[v] for v in order]
-    x0 = [(2 * c + den) // (2 * den) for c in centerp]
-    Y = [x * den - c for x, c in zip(x0, centerp)]
+    W, U, lu = enum.W, enum.U, enum.lu
+    x0 = [(2 * c + den) // (2 * den) for c in center]
+    Y = [x * den - c for x, c in zip(x0, center)]
     bound = sum(w * (Y[i] * lu + sum(u * Y[j] for j, u in U[i])) ** 2 for i, w in enumerate(W))
     best: list = [bound, tuple(x0)]
 
-    def on_leaf(xp: list[int], value: int):
+    def on_leaf(x: list[int], value: int):
         if value < best[0]:
             best[0] = value
-            best[1] = tuple(xp)
+            best[1] = tuple(x)
             return value
         return None
 
-    enum.run(centerp, den, bound, on_leaf)
-    x = [0] * len(order)
-    for i, v in enumerate(order):
-        x[v] = best[1][i]
-    return Fraction(best[0], enum.scale(den)), tuple(x)
+    enum.run(center, den, bound, on_leaf)
+    return Fraction(best[0], enum.scale(den)), best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -563,22 +525,18 @@ def short_vectors(L: GramLattice, norm_target: int) -> list[tuple[int, ...]]:
 
 def _short_vectors(enum: _Enumerator, norm_target: int) -> list[tuple[int, ...]]:
     """``short_vectors`` on the lattice that ``enum`` enumerates."""
-    order = enum.order
-    if not order or norm_target == 0 or (norm_target > 0) != (enum.sign > 0):
+    n = len(enum.W)
+    if not n or norm_target == 0 or (norm_target > 0) != (enum.sign > 0):
         return []
     target = abs(norm_target) * enum.scale(1)
     found: list[tuple[int, ...]] = []
 
-    def on_leaf(xp: list[int], value: int):
-        if value == target:
-            x = [0] * len(order)
-            for i, v in enumerate(order):
-                x[v] = xp[i]
-            if next(v for v in x if v) > 0:  # the +-pair representative
-                found.append(tuple(x))
+    def on_leaf(x: list[int], value: int):
+        if value == target and next(v for v in x if v) > 0:  # the +-pair representative
+            found.append(tuple(x))
         return None
 
-    enum.run([0] * len(order), 1, target, on_leaf)
+    enum.run([0] * n, 1, target, on_leaf)
     return sorted(found)
 
 
@@ -769,7 +727,5 @@ def isometric(L1: GramLattice, L2: GramLattice) -> Optional[tuple[tuple[int, ...
     U = tuple(tuple(assign[j][r] for j in range(n)) for r in range(n))
     # nonsingularity (hence |det U| = 1, as det G1 = det G2) is automatic,
     # but assert the congruence exactly for safety
-    check = _congruent(L1.rows, [list(row) for row in zip(*[list(v) for v in assign])])
-    if [list(r) for r in check] != [list(r) for r in L2.rows]:
-        return None
+    assert _congruent(L1.rows, U) == [list(r) for r in L2.rows], "isometry certificate fails U^T G1 U = G2"
     return U

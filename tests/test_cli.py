@@ -528,3 +528,38 @@ def test_shared_parser_answers_like_a_fresh_one(capsys):
         fresh.append(run(capsys, *argv))
     assert shared == fresh
     assert plumbcalc.cli.build_parser() is plumbcalc.cli.build_parser()
+
+
+def test_only_the_lens_oracle_reaches_the_fraction_kernel(capsys, monkeypatch, tmp_path):
+    """Every CLI command but `lens-d --oracle` runs without the lattice
+    module's Fraction elimination: with `_eliminate` patched to raise, each
+    exits 0 with the same stdout as an unpatched run."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(PlumbingGraph((0, 3, 5, 0), ((0, 1), (1, 2), (2, 3))).to_json()))
+    commands = [
+        ["d", "2", "3", "7"],
+        ["--json", "d", "2", "5", "9"],
+        ["mubar", "2", "13", "23"],
+        ["mubar", "--graph", str(path)],
+        ["lens-d", "89", "8"],
+        ["lens-d", "89", "8", "5"],
+        ["lens-d", "89", "8", "--all"],
+        ["verify", "thm1.2", "--families", "i..xii", "--n", "1..3"],
+        ["verify", "thm1.3", "--families", "i..iv", "--n", "1..3"],
+        ["verify", "cor1.6", "--families", "i..iv", "--n", "1..3"],
+        ["verify", "rmk1.4", "--families", "i..xii", "--n", "1..2"],
+        ["verify", "classify-e8", "--bound", "20"],
+    ]
+    unpatched = [run(capsys, *argv) for argv in commands]
+
+    class KernelRan(Exception):
+        pass
+
+    def kernel(rows):
+        raise KernelRan
+
+    monkeypatch.setattr(plumbcalc.lattice, "_eliminate", kernel)
+    for argv, (code, out, _) in zip(commands, unpatched):
+        assert code == 0 and run(capsys, *argv)[:2] == (0, out), argv
+    with pytest.raises(KernelRan):
+        main(["lens-d", "89", "8", "--oracle"])

@@ -20,6 +20,7 @@ from plumbcalc.families import (
     REDUCED_ENDPOINT_SEIFERT,
     TableInvariantError,
     VerificationReport,
+    _E8_ENDPOINTS,
     classify_e8_brieskorn,
     conjectured_d,
     family_chain,
@@ -108,6 +109,34 @@ class TestFinalLattices:
         corrected = graph_to_gram(seifert_to_plumbing(REDUCED_ENDPOINT_SEIFERT))
         assert abs(determinant(corrected)) == 1
         assert recognize_e8(corrected) == 1
+
+    def test_stored_endpoints_are_plus_e8_and_end_every_reduction(self):
+        """Each stored endpoint is +E8, by the classification and by an explicit
+        isometry to the E8 tree, and each family's reduction ends at its own at
+        n = 1..50: verify_theorem_main's clause (b) compares with it in integers."""
+        assert len({E.rows for E in _E8_ENDPOINTS.values()}) == 4 and set(_E8_ENDPOINTS) == set(FAMILY_IDS)
+        for E in {E.rows: E for E in _E8_ENDPOINTS.values()}.values():
+            assert recognize_e8(E) == 1
+            U, G = isometric(e8_gram(1), E), e8_gram(1).rows
+            conj = [
+                [sum(U[r][i] * G[r][c] * U[c][j] for r in range(8) for c in range(8)) for j in range(8)] for i in range(8)
+            ]
+            assert conj == [list(r) for r in E.rows]
+        for fam in FAMILY_IDS:
+            for n in range(1, 51):
+                assert family_final_lattice(fam, n) == _E8_ENDPOINTS[fam], (fam, n)
+
+
+def test_theorem_main_reports_a_final_lattice_off_its_endpoint(monkeypatch):
+    import plumbcalc.families
+
+    # -E8, and the determinant-4 star of the uncorrected endpoint data
+    wrong = graph_to_gram(seifert_to_plumbing(SeifertData(2, ((3, 2), (5, 4), (7, 4)))))
+    for final, sign in [(e8_gram(-1), -1), (wrong, None)]:
+        monkeypatch.setattr(plumbcalc.families, "family_final_lattice", lambda fam, n: final)
+        rep = verify_theorem_main("i", 1)
+        assert rep.values["final_lattice_e8_sign"] == sign and not rep.checks["final_lattice_is_plus_e8"]
+        assert not rep.passed and all(v for k, v in rep.checks.items() if k != "final_lattice_is_plus_e8")
 
 
 class TestSurgeryParameters:
@@ -262,9 +291,10 @@ class TestConjectures:
 def test_theorem_main_eliminates_each_tree_once(monkeypatch):
     """verify_theorem_main takes |det| = 1, definiteness and mu-bar from the
     plumbing's one elimination: the tree goes through the integer tree kernel
-    once, and only the rank-8 final lattice of the reduction through the dense
-    one.  The expected rank is read in integers, since building the plumbing
-    here would eliminate it again."""
+    once, and nothing through the dense one (the final lattice of the
+    reduction is matched against its stored endpoint).  The expected rank is
+    read in integers, since building the plumbing here would eliminate it
+    again."""
     import plumbcalc.lattice
     import plumbcalc.plumbing
 
@@ -277,7 +307,7 @@ def test_theorem_main_eliminates_each_tree_once(monkeypatch):
         ranks["dense"].clear()
         rep = verify_theorem_main(fam, n)
         assert rep.passed
-        assert ranks == {"tree": [brieskorn_rank(*family_triple(fam, n).as_tuple())], "dense": [8]}, (fam, n)
+        assert ranks == {"tree": [brieskorn_rank(*family_triple(fam, n).as_tuple())], "dense": []}, (fam, n)
 
 
 class TestUnboundedGap:

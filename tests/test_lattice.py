@@ -7,11 +7,13 @@ Descartes' rule, which is exact for symmetric matrices since all roots are
 real.
 """
 
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -30,9 +32,8 @@ from plumbcalc.lattice import (
     _closest_point,
     _eliminate,
     _Enumerator,
-    _min_degree_order,
-    _sparse,
     classify,
+    definiteness_sign,
     determinant,
     e8_gram,
     isometric,
@@ -199,8 +200,8 @@ def test_determinant_vs_cofactor_oracle():
         rows = [list(r) for r in L.rows]
         det = det_oracle(rows)
         assert determinant(L) == det
-        elim = _eliminate(_sparse(L.rows))
-        paths["skip"] += elim.order != _min_degree_order(_sparse(L.rows))
+        elim = _eliminate(L.rows)
+        paths["skip"] += elim.order != list(range(L.rank))
         paths["add"] += bool(elim.adds)
         paths["null"] += len(elim.pivots) < L.rank
         if det != 0:
@@ -230,7 +231,7 @@ def test_signature_sign_on_every_inertia_shape():
     for shape, sign in shapes.items():
         assert Signature(*shape).sign == sign, shape
     lattices = [PLUS_E8, MINUS_E8, GramLattice(((0, 1), (1, 0))), GramLattice.diag(2, 0), GramLattice.empty()]
-    assert [signature(L).sign for L in lattices] == [1, -1, None, None, 1]
+    assert [signature(L).sign for L in lattices] == [definiteness_sign(L) for L in lattices] == [1, -1, None, None, 1]
     # the same answer on every random lattice as the Enumerator, which refuses the indefinite ones
     seen = set()
     for L in random_lattices(60):
@@ -423,7 +424,7 @@ def random_definite(rng):
         return GramLattice(tuple(tuple(sign * x for x in r) for r in rows))
     while True:
         L = random_tree_gram(rng, n, 2, 4)
-        if _eliminate(_sparse(L.rows)).inertia.sign == 1:
+        if _eliminate(L.rows).inertia.sign == 1:
             return L if sign > 0 else L.negate()
 
 
@@ -451,11 +452,12 @@ def test_integer_enumerator_matches_fraction_oracle():
     signs = set()
     for trial in range(240):
         L = random_definite(rng)
-        elim = _eliminate(_sparse(L.rows))
+        elim = _eliminate(L.rows)
         sign = elim.inertia.sign
         signs.add(sign)
         enum = _Enumerator(elim)
         order, n = elim.order, L.rank
+        assert order == list(range(n)) and not elim.adds  # a definite form never skips (Sylvester)
         center = random_center(rng, n, ("mixed", "half", "zero")[trial % 3])
         nums, den = as_numerators(center)
         S = enum.scale(den)
@@ -598,7 +600,7 @@ def test_wu_class_vs_gf2_oracle():
         counts["dense"] += 1
         w = wu_class(L)
         assert w == wu_class_gf2(L), L
-        if _eliminate(_sparse(L.rows)).adds:
+        if _eliminate(L.rows).adds:
             counts["added"] += 1
             counts["added_nonzero"] += any(w)
     while counts["tree"] < 200:
@@ -721,6 +723,27 @@ def test_minimalize_requires_definite():
 # characteristic vector maxima
 
 
+def _eliminate_calls(node: ast.AST, scope: str):
+    """The qualified scope of every call to a function named ``_eliminate`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+        if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == "_eliminate":
+            yield inner
+        yield from _eliminate_calls(child, inner)
+
+
+def test_dense_eliminations_are_cached_once_per_lattice():
+    # only GramLattice._elimination (a cached property) calls the Fraction
+    # kernel, and no other module imports it
+    callers, importers = [], []
+    for path in sorted(Path(plumbcalc.lattice.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers += _eliminate_calls(tree, path.stem)
+        names = (a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names)
+        importers += [path.stem] * sum(name == "_eliminate" for name in names)
+    assert callers == ["lattice.GramLattice._elimination"] and importers == []
+
+
 def test_max_char_square_eliminates_once(monkeypatch):
     # a lattice with no unit vector: minimalize returns it, and the one
     # cached elimination serves the checks, the Wu class and the enumeration
@@ -839,6 +862,31 @@ def test_isometric_permuted_e8():
 
 def test_isometric_distinguishes_parity():
     assert isometric(MINUS_E8, GramLattice.diag(*([-1] * 8))) is None
+
+
+def test_isometric_early_returns():
+    I2 = GramLattice.diag(1, 1)
+    assert isometric(GramLattice.diag(1), I2) is None  # rank
+    assert isometric(I2, GramLattice.diag(-1, -1)) is None  # sign
+    assert isometric(I2, GramLattice.diag(1, 2)) is None  # det
+    assert isometric(GramLattice(((2, 1), (1, 2))), GramLattice.diag(1, 3)) is None  # parity, det 3 both
+    assert isometric(GramLattice.empty(), GramLattice.empty()) == ()
+    # x^2 + 5 y^2 has no vector of norm 2, the first basis vector's norm in the other form of det 5
+    assert short_vectors(GramLattice.diag(1, 5), 2) == []
+    assert isometric(GramLattice.diag(1, 5), GramLattice(((2, 1), (1, 3)))) is None
+    # x^2 + y^2 + 4 z^2 has vectors of norms 1 and 2, but two pairs of norm 1 against one: the backtrack fails
+    L1, L2 = GramLattice.diag(1, 1, 4), GramLattice.diag(1, 2, 2)
+    assert short_vectors(L1, 1) and short_vectors(L1, 2)
+    assert isometric(L1, L2) is None and isometric(L2, L2) is not None
+    with pytest.raises(NotDefiniteError):
+        isometric(GramLattice(((0, 1), (1, 0))), GramLattice(((0, 1), (1, 0))))
+
+
+def test_isometric_recheck_raises_on_a_wrong_certificate(monkeypatch):
+    # a certificate that fails its exact re-check is a fault, never "not isometric"
+    monkeypatch.setattr(plumbcalc.lattice, "_congruent", lambda g, U: [[0] * len(g) for _ in g])
+    with pytest.raises(AssertionError, match="isometry certificate"):
+        isometric(MINUS_E8, MINUS_E8)
 
 
 def test_isometric_rank_guard():

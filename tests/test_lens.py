@@ -225,6 +225,9 @@ class TestOracle:
     def test_rp3(self):
         assert sorted(lens_d_oracle(2, 1).values()) == [Fraction(-1, 4), Fraction(1, 4)]
 
+    def test_s3(self):
+        assert lens_d_oracle(1, 0) == lens_d_all(1, 0) == {0: 0}
+
     def test_l41_max_matches_chain_value(self):
         vals = lens_d_oracle(4, 1)
         assert len(vals) == 4

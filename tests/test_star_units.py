@@ -17,7 +17,7 @@ def _coupled_leg_minimum(weights: list[int], s: int) -> tuple[int, int]:
     center = [int(-s * x) for x in elim.solve([alpha] + [0] * (len(weights) - 1))]  # s Q^-1 e_1 over alpha
     value, _ = _closest_point(enum, center, alpha)
     leaves = []
-    enum.run([center[v] for v in enum.order], alpha, int(value * enum.scale(alpha)), lambda x, v: leaves.append(v))
+    enum.run(center, alpha, int(value * enum.scale(alpha)), lambda x, v: leaves.append(v))
     return int(alpha * value), len(leaves)
 
 
