@@ -61,7 +61,7 @@ class TableInvariantError(ValueError):
     """A stored family table row violates one of its structural invariants."""
 
 
-def _check_family(fam: str, n: int = 1) -> str:
+def _check_family(fam: str, n: int) -> str:
     fam = fam.strip().lower().lstrip("(").rstrip(")")
     if fam not in FAMILY_IDS:
         raise ValueError(f"unknown family {fam!r}; expected one of {FAMILY_IDS}")
@@ -162,19 +162,6 @@ def family_chain(fam: str, n: int) -> ChainDiagram:
 REDUCED_ENDPOINT_SEIFERT = SeifertData(2, ((3, 2), (4, 3), (7, 4)))
 
 
-def family_final_lattice(fam: str, n: int) -> GramLattice:
-    """The rank-8 Gram matrix ending the family's diagram reduction.
-
-    Families (i)-(iv) reduce through their chains; families (v)-(xii) reduce
-    to the star plumbing of ``REDUCED_ENDPOINT_SEIFERT``.  All twelve end at
-    the positive E8 form.
-    """
-    fam = _check_family(fam)
-    if fam in ("i", "ii", "iii", "iv"):
-        return chain_to_gram(twist_reduce(family_chain(fam, n)))
-    return graph_to_gram(seifert_to_plumbing(REDUCED_ENDPOINT_SEIFERT))
-
-
 # The Gram each family's reduction ends at, the same at every n: (i) and (ii)
 # share a chain, and (v)-(xii) share the star.  The tests prove each one +E8
 # (``recognize_e8`` and an explicit isometry to ``e8_gram(1)``), so
@@ -187,6 +174,21 @@ _E8_ENDPOINTS = {
     "iv": chain_to_gram(ChainDiagram((2, 2, 2, 2, 4, 2, 2, 2), (3, 2))),
     **dict.fromkeys(FAMILY_IDS[4:], graph_to_gram(seifert_to_plumbing(REDUCED_ENDPOINT_SEIFERT))),
 }
+
+
+def family_final_lattice(fam: str, n: int) -> GramLattice:
+    """The rank-8 Gram matrix ending the family's diagram reduction.
+
+    Families (i)-(iv) reduce through their chains; families (v)-(xii) reduce
+    to the star plumbing of ``REDUCED_ENDPOINT_SEIFERT``, returned as its
+    stored ``_E8_ENDPOINTS`` entry, so on (v)-(xii) clause (b) of
+    ``verify_theorem_main`` does not depend on n.  All twelve end at the
+    positive E8 form.
+    """
+    fam = _check_family(fam, n)
+    if fam in ("i", "ii", "iii", "iv"):
+        return chain_to_gram(twist_reduce(family_chain(fam, n)))
+    return _E8_ENDPOINTS[fam]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +273,7 @@ def surgery_presentation(fam: str, n: int, meridian_framing: int) -> PlumbingGra
     (|det| = r for w = 0 and p for w = 1), which is the table's
     determinant-level cross-check.
     """
-    fam = _check_family(fam)
+    fam = _check_family(fam, n)
     if fam not in _SURGERY_TABLE:
         raise ValueError("surgery presentations exist for families (i)-(iv) only")
     data = brieskorn_seifert(family_triple(fam, n))  # normalized: branches sorted, 0 < b < a
@@ -339,10 +341,11 @@ def verify_theorem_main(fam: str, n: int) -> VerificationReport:
     -E8-filling); (c) the spin-filling cap is b2 <= 8, pinning the E8-genus
     at 1; (d) the tabulated Seifert row normalizes to the data derived from
     the triple.  Clause (b) matches the final lattice against the family's
-    stored +E8 endpoint; a mismatch is reported as ``recognize_e8`` of it.
+    stored +E8 endpoint (on (v)-(xii) it is that endpoint, whatever n); a
+    mismatch is reported as ``recognize_e8`` of it.
     ``negdef_plumbing`` guards P+Q+R, which bounds the rank, first.
     """
-    fam = _check_family(fam)
+    fam = _check_family(fam, n)
     triple = family_triple(fam, n)
     rep = VerificationReport("theorem-main", fam, n)
     rep.values["triple"] = triple.as_tuple()
@@ -369,7 +372,7 @@ def verify_theorem_main(fam: str, n: int) -> VerificationReport:
 
 def theorem_bound(fam: str, n: int) -> int:
     """The proven lower bound for d in families (i)-(iv)."""
-    fam = _check_family(fam)
+    fam = _check_family(fam, n)
     if fam in ("i", "iv"):
         return 2 * ((n + 1) // 2)  # 2 * ceil(n/2)
     if fam in ("ii", "iii"):
@@ -396,7 +399,7 @@ def verify_correction_bound(fam: str, n: int) -> VerificationReport:
     for (ii)-(iv) the theorem-level inequality plus the full maximum are
     checked (their witness patterns are implementer-derived machinery).
     """
-    fam = _check_family(fam)
+    fam = _check_family(fam, n)
     params = surgery_parameters(fam, n)
     rep = VerificationReport("correction-bound", fam, n)
     res = d_surgery(params.descriptor())
@@ -435,7 +438,7 @@ def verify_unbounded_gap(fam: str, n: int) -> VerificationReport:
     Guarded by the multiplicity sum (before the tree is built), d's guards,
     then the leg tables guard.
     """
-    fam = _check_family(fam)
+    fam = _check_family(fam, n)
     rep = VerificationReport("unbounded-gap", fam, n)
     G = negdef_plumbing(family_triple(fam, n))
     d = d_from_plumbing(G)  # its tau-window guard fires before the leg tables are built
@@ -467,7 +470,7 @@ _CONJECTURED: dict[str, Callable[[int], int]] = {
 def conjectured_d(fam: str, n: int) -> int:
     """The conjectured exact value of d for the family (equality in the
     proven bounds for (i)-(iv); predicted closed forms for (v)-(xii))."""
-    fam = _check_family(fam)
+    fam = _check_family(fam, n)
     return _CONJECTURED[fam](n) if fam in _CONJECTURED else theorem_bound(fam, n)
 
 
@@ -478,7 +481,7 @@ def verify_conjecture(fam: str, n: int) -> VerificationReport:
     ``values["matches"]``, never as a failure (these are conjectures).  A
     member past a guard of ``d_brieskorn`` is skipped with a note.
     """
-    fam = _check_family(fam)
+    fam = _check_family(fam, n)
     triple = family_triple(fam, n)
     rep = VerificationReport("conjecture", fam, n)
     rep.values["triple"] = triple.as_tuple()

@@ -3,13 +3,13 @@
 A lattice is stored as its Gram matrix (symmetric, integer).  All operations
 are exact, and the rational elimination of a Gram matrix goes through one
 kernel, ``_eliminate``: symmetric LDL^T elimination over the rationals in
-index order.  Its pivots give the determinant (their product) and the
-inertia (their signs, by Sylvester's law), which decide signature and
-definiteness; its factors give exact solves and drive the Fincke-Pohst
-vector enumeration, which scales them to integers once per elimination and
-then runs in integer arithmetic for any number of centres.  A definite form
-is pivoted with no skip (Sylvester's criterion), so the enumeration works in
-the lattice's own coordinates.  A ``GramLattice`` is eliminated at most
+index order, with one +-add of a later basis vector at a zero diagonal and a
+null (pivot 0) at a zero row, so position k is basis index k for every form.
+Its pivots give the determinant (their product) and the inertia (their
+signs, by Sylvester's law), which decide signature and definiteness; its
+factors give exact solves and drive the Fincke-Pohst vector enumeration,
+which scales them to integers once per elimination and then runs in integer
+arithmetic for any number of centres.  A ``GramLattice`` is eliminated at most
 once, by its cached ``_elimination``, and every operation below reads that
 one elimination.  Plumbing trees do not come here: ``plumbing._tree_eliminate``
 eliminates them from subtree determinants in integers, and ``_eliminate`` is
@@ -37,6 +37,7 @@ from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm, prod
+from operator import index
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .guards import guard
@@ -70,7 +71,7 @@ class GramLattice:
 
     def __post_init__(self):
         n = len(self.rows)
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(index, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         for row in rows:
             if len(row) != n:
@@ -160,92 +161,75 @@ class Signature(NamedTuple):
 
 
 class _Elimination(NamedTuple):
-    """A congruence G ~ diag(pivots) (+) 0 in positional coordinates.
+    """A congruence G ~ diag(pivots), in the lattice's own coordinates.
 
-    ``order[p]`` is the basis index at position p: the pivots in elimination
-    order, then the null block.  ``rows[p]`` lists the (q, u) with q > p of
-    the unit factor, so a definite G has x^T G x = sum_p pivots[p] (x_p +
-    sum u x_q)^2.  ``adds`` lists each basis change (step, i, j) made before
-    pivot ``step``: basis vector j added to basis vector i.  ``det`` is the
-    product of the pivots (0 with a null block) and ``inertia`` their sign
-    counts.  On a definite G, ``order`` is 0..n-1 and ``adds`` is empty (see
-    ``_eliminate``), so positions are the lattice's own coordinates.
+    ``rows[k]`` lists the (j, u) with j > k of the unit factor, so a definite
+    G has x^T G x = sum_k pivots[k] (x_k + sum u x_j)^2.  ``adds[k]`` is None
+    or the (j, t) of the one basis change e_k += t e_j made before pivot k.
+    A null direction has pivot 0 and no factor.  ``det`` is the product of
+    the pivots (0 with a null) and ``inertia`` their sign counts.  A definite
+    G never adds or nulls (see ``_eliminate``).
     """
 
-    order: list[int]
     pivots: list[Fraction]
     rows: list[list[tuple[int, Fraction]]]
-    adds: list[tuple[int, int, int]]
+    adds: list[Optional[tuple[int, int]]]
     det: int
     inertia: Signature
 
     def solve(self, rhs: Sequence) -> list[Fraction]:
         """The x with G x = rhs (G nonsingular), by substitution on the factors."""
-        n = len(self.order)
-        if len(self.pivots) < n:
+        if not self.det:
             raise ZeroDivisionError("the Gram matrix is singular")
-        adds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for step, i, j in self.adds:
-            adds[step].append((i, j))
-        b = [Fraction(rhs[v]) for v in self.order]
-        for p, row in enumerate(self.rows):
-            for i, j in adds[p]:
-                b[i] += b[j]
-            for q, u in row:
-                b[q] -= u * b[p]
-        x = [Fraction(0)] * n
-        for p in reversed(range(n)):
-            x[p] = b[p] / self.pivots[p] - sum(u * x[q] for q, u in self.rows[p])
-            for i, j in reversed(adds[p]):
-                x[j] += x[i]
-        out = [Fraction(0)] * n
-        for p, v in enumerate(self.order):
-            out[v] = x[p]
-        return out
+        b = [Fraction(v) for v in rhs]
+        for k, row in enumerate(self.rows):
+            if self.adds[k]:
+                j, t = self.adds[k]
+                b[k] += t * b[j]
+            for j, u in row:
+                b[j] -= u * b[k]
+        for k in reversed(range(len(b))):  # b becomes x, from the back
+            b[k] = b[k] / self.pivots[k] - sum(u * b[j] for j, u in self.rows[k])
+            if self.adds[k]:
+                j, t = self.adds[k]
+                b[j] += t * b[k]
+        return b
 
 
 def _eliminate(rows: Sequence[Sequence[int]]) -> _Elimination:
     """Symmetric exact LDL^T elimination of the Gram matrix ``rows``, in one
     pass; it works on the nonzero entries m_ij of each row, kept in a dict.
 
-    Basis vectors are pivoted in index order, skipping ahead to the next one
-    whose current diagonal is nonzero.  When every remaining diagonal
-    vanishes but some m_ij does not, adding basis vector j to i (a unimodular
-    congruence) creates the pivot 2 m_ij; a remaining block that is all zero
-    is the null part.  So det is the product of the pivots and the inertia is
-    their sign counts (Sylvester's law of inertia).  A definite G never
-    skips: its k-th pivot is the ratio of its leading principal minors of
-    orders k + 1 and k, all nonzero by Sylvester's criterion.
+    Basis vectors are pivoted in index order k = 0..n-1.  At a zero diagonal
+    m_kk with a nonzero entry, the smallest such column j > k is added once:
+    e_k += t e_j (a unimodular congruence) makes the pivot 2t m_kj + m_jj,
+    with t = +1 unless that vanishes, when t = -1 gives -4 m_kj.  A zero row
+    is a null direction, pivot 0.  So det is the product of the pivots and
+    the inertia is their sign counts (Sylvester's law of inertia).  A
+    definite G never adds or nulls: its k-th pivot is the ratio of its
+    leading principal minors of orders k + 1 and k, all nonzero by
+    Sylvester's criterion.
     """
     m = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    pending = list(range(len(rows)))
-    order: list[int] = []
     pivots: list[Fraction] = []
     factors: list[list[tuple[int, Fraction]]] = []
-    adds: list[tuple[int, int, int]] = []
-    while pending:
-        k = next((v for v in pending if v in m[v]), None)
-        if k is None:
-            i = next((v for v in pending if m[v]), None)
-            if i is None:
-                break
-            j = min(m[i])
-            adds.append((len(pivots), i, j))
-            row = dict(m[i])
-            for c, x in m[j].items():
-                row[c] = row.get(c, 0) + x
-            row[i] += row[j]
-            m[i] = {c: x for c, x in row.items() if x}
-            for c, x in row.items():
-                if c != i:
+    adds: list[Optional[tuple[int, int]]] = []
+    for k, row in enumerate(m):
+        add = None
+        if row and k not in row:
+            j = min(row)
+            t = 1 if 2 * row[j] + m[j].get(j, 0) else -1
+            add = j, t
+            for c, x in m[j].items():  # row k += t row j, then column k += t column j
+                row[c] = row.get(c, 0) + t * x
+            row[k] += t * row[j]
+            for c, x in list(row.items()):  # column k follows row k
+                if c != k:
                     if x:
-                        m[c][i] = x
+                        m[c][k] = x
                     else:
-                        m[c].pop(i, None)
-            continue
-        pending.remove(k)
-        row = m[k]
-        d = Fraction(row.pop(k))
+                        del row[c], m[c][k]
+        d = Fraction(row.pop(k, 0))
         factor = []
         for r, x in row.items():
             f, mr = x / d, m[r]
@@ -257,19 +241,12 @@ def _eliminate(rows: Sequence[Sequence[int]]) -> _Elimination:
                     mr[c] = v
                 else:
                     del mr[c]
-        order.append(k)
         pivots.append(d)
         factors.append(factor)
-    plus = sum(d > 0 for d in pivots)
-    order += pending
-    pos = {v: p for p, v in enumerate(order)}
+        adds.append(add)
+    plus, minus = sum(d > 0 for d in pivots), sum(d < 0 for d in pivots)
     return _Elimination(
-        order,
-        pivots,
-        [sorted((pos[c], u) for c, u in f) for f in factors],
-        [(s, pos[i], pos[j]) for s, i, j in adds],
-        0 if pending else int(prod(pivots)),
-        Signature(plus, len(pivots) - plus, len(pending)),
+        pivots, factors, adds, int(prod(pivots)), Signature(plus, minus, len(pivots) - plus - minus)
     )
 
 
@@ -383,9 +360,9 @@ class _Enumerator:
     """Exact enumeration over Q(x - center) for x in Z^n, in integers.
 
     G is definite, of sign ``sign = elim.inertia.sign`` (else NotDefiniteError),
-    and Q = sign * G is read off the elimination of G, whose positions are the
-    lattice's own coordinates (a definite G is pivoted in index order with no
-    skip, by Sylvester's criterion): Q(y) = sum_i d_i (y_i + sum_j u_ij y_j)^2
+    and Q = sign * G is read off the elimination of G, in the lattice's own
+    coordinates (a definite G is pivoted in index order with no add and no
+    null, by Sylvester's criterion): Q(y) = sum_i d_i (y_i + sum_j u_ij y_j)^2
     with d_i = sign * pivot_i.  It is scaled once per elimination: with Lu
     the lcm of the denominators of the u_ij and Dd that of the d_i, ``U``
     holds u_ij Lu and ``W`` holds d_i Dd, all integers.  A run takes a center

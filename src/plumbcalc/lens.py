@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, compress, count, cycle, islice, repeat, takewhile
 from math import gcd, isqrt, prod
-from operator import add, floordiv, mod, mul, sub
+from operator import add, floordiv, index, mod, mul, sub
 from typing import NamedTuple, Optional
 
 from .arith import NotCoprimeError, _hj_word, mod_inverse
@@ -81,7 +81,7 @@ class LensSpace:
     q: int
 
     def __post_init__(self):
-        p, q = int(self.p), int(self.q)
+        p, q = index(self.p), index(self.q)
         if p < 1:
             raise ValueError("p must be >= 1")
         q %= p
@@ -226,13 +226,13 @@ class SurgeryDescriptor:
     c: Optional[int] = None
 
     def __post_init__(self):
-        p, k = int(self.p), int(self.k)
+        p, k = index(self.p), index(self.k)
         if gcd(k, p) != 1:
             raise NotCoprimeError("dual class k must be coprime to p")
         object.__setattr__(self, "q", LensSpace(p, self.q).q)  # validated, 0 <= q < p
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "c", int(self.c_from_formula if self.c is None else self.c) % p)
+        object.__setattr__(self, "c", index(self.c_from_formula if self.c is None else self.c) % p)
 
     @property
     def c_from_formula(self) -> int:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, prod
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import NotCoprimeError, NotExpandableError, _hj_word, cf_eval, mod_inverse
@@ -70,13 +70,13 @@ class PlumbingGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        weights = tuple(int(w) for w in self.weights)
+        weights = tuple(map(index, self.weights))
         n = len(weights)
         if n == 0:
             raise ValueError("plumbing graph needs at least one vertex")
         edges = []
         for a, b in self.edges:
-            a, b = int(a), int(b)
+            a, b = index(a), index(b)
             if a == b:
                 raise ValueError("self-plumbings are not supported (tree graphs only)")
             if not (0 <= a < n and 0 <= b < n):
@@ -262,11 +262,11 @@ class ChainDiagram:
     marked: Optional[tuple[int, int]] = None  # (link index, k)
 
     def __post_init__(self):
-        framings = tuple(int(a) for a in self.framings)
+        framings = tuple(map(index, self.framings))
         if not framings:
             raise ValueError("chain diagram needs at least one component")
         if self.marked is not None:
-            idx, k = int(self.marked[0]), int(self.marked[1])
+            idx, k = index(self.marked[0]), index(self.marked[1])
             if not (0 <= idx < len(framings) - 1):
                 raise ValueError("marked link index out of range")
             object.__setattr__(self, "marked", (idx, k))
@@ -349,8 +349,8 @@ class SeifertData:
     branches: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        e = int(self.e)
-        branches = tuple((int(a), int(b)) for a, b in self.branches)
+        e = index(self.e)
+        branches = tuple((index(a), index(b)) for a, b in self.branches)
         for a, b in branches:
             if a < 1:
                 raise ValueError("branch multiplicity a must be >= 1")
@@ -388,7 +388,7 @@ class SeifertData:
 
     @classmethod
     def from_json(cls, data: dict) -> "SeifertData":
-        return cls(int(data["e"]), tuple((a, b) for a, b in data["branches"]))
+        return cls(data["e"], tuple((a, b) for a, b in data["branches"]))
 
 
 def seifert_to_plumbing(S: SeifertData) -> PlumbingGraph:
@@ -562,7 +562,7 @@ class BrieskornTriple:
     r: int
 
     def __post_init__(self):
-        p, q, r = int(self.p), int(self.q), int(self.r)
+        p, q, r = index(self.p), index(self.q), index(self.r)
         for x in (p, q, r):
             if x < 2:
                 raise ValueError("Brieskorn multiplicities must be >= 2")

@@ -1,9 +1,11 @@
+import inspect
 import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import plumbcalc.families
 from plumbcalc.lattice import isometric, e8_gram, recognize_e8, determinant
 from plumbcalc.lens import d_from_plumbing, d_surgery, lens_d
 from plumbcalc.plumbing import (
@@ -80,6 +82,31 @@ class TestTables:
             family_triple("xiii", 1)
 
 
+# every public function of plumbcalc.families that takes the family parameter n
+N_FUNCTIONS = [
+    f
+    for name, f in vars(plumbcalc.families).items()
+    if inspect.isfunction(f) and f.__module__ == "plumbcalc.families"
+    if not name.startswith("_") and "n" in inspect.signature(f).parameters
+]
+
+
+def test_n_functions_cover_the_family_api():
+    names = {f.__name__ for f in N_FUNCTIONS}
+    assert {"theorem_bound", "conjectured_d", "family_final_lattice", "family_triple", "verify_theorem_main"} <= names
+    assert len(names) == 12
+
+
+@pytest.mark.parametrize("fn", N_FUNCTIONS, ids=lambda f: f.__name__)
+def test_family_functions_reject_n_below_one(fn):
+    extra = [0] * (len(inspect.signature(fn).parameters) - 2)  # surgery_presentation's framing
+    for fam in ("i", "v"):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            fn(fam, 0, *extra)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        fn("ii", -4, *extra)
+
+
 class TestFinalLattices:
     def test_families_i_to_iv_are_plus_e8_for_every_n(self):
         for fam in ("i", "ii", "iii", "iv"):
@@ -122,6 +149,7 @@ class TestFinalLattices:
                 [sum(U[r][i] * G[r][c] * U[c][j] for r in range(8) for c in range(8)) for j in range(8)] for i in range(8)
             ]
             assert conj == [list(r) for r in E.rows]
+        assert _E8_ENDPOINTS["v"] == graph_to_gram(seifert_to_plumbing(REDUCED_ENDPOINT_SEIFERT))
         for fam in FAMILY_IDS:
             for n in range(1, 51):
                 assert family_final_lattice(fam, n) == _E8_ENDPOINTS[fam], (fam, n)

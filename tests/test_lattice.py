@@ -180,9 +180,8 @@ def test_determinant_e8_chain_minors():
 
 def random_lattices(seed):
     """200 random dense symmetric matrices, 200 random trees whose weights
-    lie in [-3, 3], and 50 dense matrices with zero diagonal.  Zero-weight
-    leaves make the kernel skip zero pivots; all-zero remaining diagonals
-    make it add basis vectors."""
+    lie in [-3, 3], and 50 dense matrices with zero diagonal.  A zero
+    diagonal makes the kernel add a basis vector; a zero row is a null."""
     rng = random.Random(seed)
     lattices = [random_symmetric(rng, rng.randint(1, 6)) for _ in range(200)]
     rng = random.Random(seed + 1000)
@@ -195,21 +194,60 @@ def random_lattices(seed):
 
 def test_determinant_vs_cofactor_oracle():
     rng = random.Random(404)
-    paths = {"skip": 0, "add": 0, "null": 0, "solved": 0}
+    paths = {"add": 0, "null": 0, "solved": 0}
     for L in random_lattices(404):
         rows = [list(r) for r in L.rows]
         det = det_oracle(rows)
         assert determinant(L) == det
         elim = _eliminate(L.rows)
-        paths["skip"] += elim.order != list(range(L.rank))
-        paths["add"] += bool(elim.adds)
-        paths["null"] += len(elim.pivots) < L.rank
+        paths["add"] += any(elim.adds)
+        paths["null"] += 0 in elim.pivots
         if det != 0:
             rhs = [rng.randint(-4, 4) for _ in range(L.rank)]
             assert elim.solve(rhs) == solve_rational(rows, rhs)
-            paths["solved"] += bool(elim.adds)
+            paths["solved"] += any(elim.adds)
     # every zero-pivot path of the kernel ran, solves across basis changes too
     assert all(paths.values()), paths
+
+
+@pytest.mark.parametrize(
+    "rows, pivots, adds",
+    [
+        (((0, 1), (1, 0)), [2, Fraction(-1, 2)], [(1, 1), None]),  # an add with t = +1, pivot 2 m_01
+        (((0, 1), (1, -2)), [-4, Fraction(1, 4)], [(1, -1), None]),  # 2 m_01 + m_11 = 0: t = -1, pivot -4 m_01
+        (((1, 0, 0), (0, 0, 0), (0, 0, 1)), [1, 0, 1], [None] * 3),  # a null that is not last
+        (((2, 0), (0, 0)), [2, 0], [None] * 2),
+    ],
+)
+def test_kernel_branches_by_hand(rows, pivots, adds):
+    """Each branch of ``_eliminate`` on a form small enough to check by hand:
+    the record is indexed by basis index (one pivot per basis vector, adds
+    only to later vectors), and det, inertia, solve and the Wu class agree
+    with the naive oracles."""
+    L, mat = GramLattice(rows), [list(r) for r in rows]
+    elim = L._elimination
+    assert len(elim.pivots) == L.rank and len(elim.rows) == L.rank == len(elim.adds)
+    assert all(a is None or (a[0] > k and a[1] in (1, -1)) for k, a in enumerate(elim.adds))
+    assert (elim.pivots, elim.adds) == (pivots, adds)
+    det = det_oracle(mat)
+    assert determinant(L) == elim.det == det
+    assert signature(L) == signature_oracle(mat)
+    if det:
+        rhs = [3, -1, 2][: L.rank]
+        assert elim.solve(rhs) == solve_rational(mat, rhs)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            elim.solve([0] * L.rank)
+    wu = [
+        eps
+        for eps in product((0, 1), repeat=L.rank)
+        if all((sum(map(mul, row, eps)) - row[i]) % 2 == 0 for i, row in enumerate(rows))
+    ]
+    if det % 2:
+        assert [wu_class(L)] == wu
+    else:
+        with pytest.raises(SingularMod2Error):
+            wu_class(L)
 
 
 def test_signature_examples():
@@ -373,9 +411,8 @@ class FractionEnumerator:
 
 def fraction_closest_point(elim, sign, center):
     """(minimum, first minimizer) of Q(x - center) by ``FractionEnumerator``."""
-    order = elim.order
-    n = len(order)
-    enum = FractionEnumerator(elim, sign, [center[v] for v in order])
+    n = len(center)
+    enum = FractionEnumerator(elim, sign, center)
     centerp = enum.center
     x0 = [(2 * c.numerator + c.denominator) // (2 * c.denominator) for c in centerp]
     diff = [x0[i] - centerp[i] for i in range(n)]
@@ -391,25 +428,18 @@ def fraction_closest_point(elim, sign, center):
         return None
 
     enum.run(bound, on_leaf)
-    x = [0] * n
-    for i in range(n):
-        x[order[i]] = best[1][i]
-    return best[0], tuple(x)
+    return best[0], best[1]
 
 
 def fraction_short_vectors(elim, sign, norm_target):
-    order, target = elim.order, abs(norm_target)
+    target = abs(norm_target)
     found = []
 
-    def on_leaf(xp, value):
-        if value == target:
-            x = [0] * len(order)
-            for i, v in enumerate(order):
-                x[v] = xp[i]
-            if next(v for v in x if v) > 0:
-                found.append(tuple(x))
+    def on_leaf(x, value):
+        if value == target and next(v for v in x if v) > 0:
+            found.append(tuple(x))
 
-    FractionEnumerator(elim, sign, [Fraction(0)] * len(order)).run(Fraction(target), on_leaf)
+    FractionEnumerator(elim, sign, [Fraction(0)] * len(elim.pivots)).run(Fraction(target), on_leaf)
     return sorted(found)
 
 
@@ -456,12 +486,11 @@ def test_integer_enumerator_matches_fraction_oracle():
         sign = elim.inertia.sign
         signs.add(sign)
         enum = _Enumerator(elim)
-        order, n = elim.order, L.rank
-        assert order == list(range(n)) and not elim.adds  # a definite form never skips (Sylvester)
+        n = L.rank
+        assert not any(elim.adds) and 0 not in elim.pivots  # a definite form never adds or nulls (Sylvester)
         center = random_center(rng, n, ("mixed", "half", "zero")[trial % 3])
         nums, den = as_numerators(center)
         S = enum.scale(den)
-        centerp, numsp = [center[v] for v in order], [nums[v] for v in order]
 
         # a fixed bound visits every leaf; a shrinking one follows the closest-point search
         fixed = fraction_closest_point(elim, sign, center)[0] + 2
@@ -476,8 +505,8 @@ def test_integer_enumerator_matches_fraction_oracle():
                 new.append((tuple(x), value))
                 return value if shrink else None
 
-            FractionEnumerator(elim, sign, centerp).run(fixed, old_leaf)
-            _Enumerator(elim).run(numsp, den, int(fixed * S), new_leaf)
+            FractionEnumerator(elim, sign, center).run(fixed, old_leaf)
+            _Enumerator(elim).run(nums, den, int(fixed * S), new_leaf)
             assert new == [(x, v * S) for x, v in old]
 
         assert _closest_point(enum, nums, den) == fraction_closest_point(elim, sign, center)

@@ -48,12 +48,43 @@ from plumbcalc.plumbing import (
     _tree_eliminate,
 )
 from plumbcalc.families import family_triple
-from plumbcalc.lens import d_from_plumbing
+from plumbcalc.lens import LensSpace, SurgeryDescriptor, d_from_plumbing
 
 
 def minus_e8_tree() -> PlumbingGraph:
     """Star with center -2 and legs of -2s of lengths 4, 2, 1."""
     return star_graph(-2, [[-2] * 4, [-2] * 2, [-2]])
+
+
+# ---------------------------------------------------------------------------
+# constructors take integers only
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: BrieskornTriple(x, 3, 5),
+        lambda x: GramLattice(((x,),)),
+        lambda x: PlumbingGraph((x,), ()),
+        lambda x: PlumbingGraph((-2, -2, -2), ((0, 1), (1, x))),
+        lambda x: SeifertData(x, ((2, 1),)),
+        lambda x: SeifertData(1, ((x, 1),)),
+        lambda x: ChainDiagram((2, x)),
+        lambda x: ChainDiagram((2, 2, 2), (0, x)),
+        lambda x: LensSpace(x, 1),
+        lambda x: LensSpace(7, x),
+        lambda x: SurgeryDescriptor(7, 2, x),
+        lambda x: SurgeryDescriptor(7, 2, 3, x),
+    ],
+)
+def test_constructors_refuse_non_integers(build):
+    """A float or a Fraction is refused, not truncated (BrieskornTriple(2.5,
+    3, 5) was Sigma(2, 3, 5), and GramLattice(((3/2,),)) stored 1), while the
+    same value as an int is accepted."""
+    build(2)
+    for x in (2.5, Fraction(5, 2), 2.0, Fraction(2)):
+        with pytest.raises(TypeError):
+            build(x)
 
 
 # ---------------------------------------------------------------------------
