@@ -607,10 +607,11 @@ def test_wu_class_vs_gf2_oracle():
     """200 odd-determinant dense matrices and 200 odd-determinant trees.
 
     A third of the dense matrices have zero diagonal and a third have
-    entries in [-1, 1], where eliminating some pivots sometimes zeroes every
-    remaining diagonal: both send the kernel down its basis-vector add
-    path, the second with a nonzero right-hand side.  Even determinants,
-    0 included, are rejected by both solvers.
+    entries in [-1, 1], where eliminating a pivot sometimes zeroes a later
+    diagonal: both send the kernel down its basis-vector add path, which
+    runs whenever the current diagonal is zero and its row is not; the
+    final assertion pins that it ran, once with a nonzero Wu class.  Even
+    determinants, 0 included, are rejected by both solvers.
     """
     rng = random.Random(4242)
     counts = {"dense": 0, "tree": 0, "even": 0, "added": 0, "added_nonzero": 0}
@@ -629,7 +630,7 @@ def test_wu_class_vs_gf2_oracle():
         counts["dense"] += 1
         w = wu_class(L)
         assert w == wu_class_gf2(L), L
-        if _eliminate(L.rows).adds:
+        if any(_eliminate(L.rows).adds):
             counts["added"] += 1
             counts["added_nonzero"] += any(w)
     while counts["tree"] < 200:
