@@ -15,10 +15,8 @@ from .arith import (
     NotCoprimeError,
     NotExpandableError,
     ZeroTailError,
-    bezout,
     cf_eval,
     hj_expand,
-    hj_expand_negative,
     mod_inverse,
 )
 from .guards import ScanGuardExceededError

@@ -8,26 +8,26 @@ Continued fractions here follow the minus convention
 
     [c1, c2, ..., cm] = c1 - 1/(c2 - 1/( ... - 1/cm)),
 
-the one used throughout plumbing calculus.  Expansions come in exactly two
-flavours: all entries >= 2 (for values > 1) and all entries <= -2 (for values
-< -1, the Hirzebruch-Jung expansions of negative-definite legs).  Mixing the
-two sign conventions is the classic source of sign bugs, so the plus
-convention is deliberately not implemented.
+the one used throughout plumbing calculus.  ``hj_expand`` gives the expansion
+with all entries >= 2 of a value > 1; negating every entry gives the
+all-<= -2 expansion of its negative (the Hirzebruch-Jung legs of a
+negative-definite plumbing).  Mixing the two sign conventions is the classic
+source of sign bugs, so the plus convention is deliberately not implemented.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
+from operator import index
 
 __all__ = [
     "ZeroTailError",
     "NotExpandableError",
     "NotCoprimeError",
-    "bezout",
     "mod_inverse",
     "cf_eval",
     "hj_expand",
-    "hj_expand_negative",
 ]
 
 
@@ -43,26 +43,6 @@ class NotCoprimeError(ValueError):
     """Arguments required to be coprime are not."""
 
 
-def bezout(a: int, b: int) -> tuple[int, int, int]:
-    """Return ``(g, x, y)`` with ``g = gcd(a, b) > 0`` and ``a*x + b*y = g``.
-
-    Requires ``(a, b) != (0, 0)``.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("bezout(0, 0) is undefined")
-    x0, x1 = 1, 0
-    y0, y1 = 0, 1
-    g0, g1 = a, b
-    while g1:
-        q = g0 // g1
-        g0, g1 = g1, g0 - q * g1
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if g0 < 0:
-        g0, x0, y0 = -g0, -x0, -y0
-    return g0, x0, y0
-
-
 def mod_inverse(a: int, m: int) -> int:
     """Return the inverse of ``a`` modulo ``m`` in ``[0, m)``; ``m >= 2``."""
     if m < 2:
@@ -76,10 +56,10 @@ def mod_inverse(a: int, m: int) -> int:
 def cf_eval(word) -> Fraction:
     """Evaluate ``[c1, ..., cm] = c1 - 1/(c2 - ... - 1/cm)`` exactly.
 
-    Raises :class:`ZeroTailError` when some proper suffix evaluates to zero,
-    which would require dividing by zero.
+    The entries must be integers.  Raises :class:`ZeroTailError` when some
+    proper suffix evaluates to zero, which would require dividing by zero.
     """
-    coeffs = list(word)
+    coeffs = list(map(index, word))
     if not coeffs:
         raise ValueError("continued fraction word must be nonempty")
     value = Fraction(coeffs[-1])
@@ -94,8 +74,11 @@ def hj_expand(value) -> tuple[int, ...]:
     """Expand ``value > 1`` as ``[c1, ..., cm]`` with every ``ci >= 2``.
 
     The expansion is unique and ``cf_eval`` inverts it.  For a reduced
-    fraction p/q the length is at most p.
+    fraction p/q the length is at most p.  ``value`` must be rational (an int
+    or a ``Fraction``), never a float.
     """
+    if not isinstance(value, Rational):
+        raise TypeError(f"hj_expand needs an int or a Fraction, not {type(value).__name__}")
     v = Fraction(value)
     if v <= 1:
         raise NotExpandableError(f"{v} has no all->=2 expansion (need value > 1)")
@@ -111,12 +94,3 @@ def _hj_word(a: int, b: int) -> tuple[int, ...]:
         # 0 <= c b - a < b, so the denominator strictly drops
         a, b = b, c * b - a
     return tuple(out)
-
-
-def hj_expand_negative(value) -> tuple[int, ...]:
-    """Expand ``value < -1`` as ``[c1, ..., cm]`` with every ``ci <= -2``."""
-    v = Fraction(value)
-    if v >= -1:
-        raise NotExpandableError(f"{v} has no all-<=-2 expansion (need value < -1)")
-    # Negating every coefficient negates the value of a minus-convention word.
-    return tuple(-c for c in hj_expand(-v))

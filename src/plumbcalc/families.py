@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Callable, Iterable
 
 from .arith import _hj_word
@@ -65,7 +66,7 @@ def _check_family(fam: str, n: int) -> str:
     fam = fam.strip().lower().lstrip("(").rstrip(")")
     if fam not in FAMILY_IDS:
         raise ValueError(f"unknown family {fam!r}; expected one of {FAMILY_IDS}")
-    if n < 1:
+    if index(n) < 1:
         raise ValueError("family parameter n must be >= 1")
     return fam
 
@@ -197,7 +198,9 @@ def family_final_lattice(fam: str, n: int) -> GramLattice:
 
 @dataclass(frozen=True)
 class SurgeryParameters:
-    """Row of the 0/1-surgery table: lens orders, dual class, witness index."""
+    """Row of the 0/1-surgery table: lens orders r and p = r + 1, s and q,
+    dual class k and witness index.  The affine constant c is the
+    descriptor's (``descriptor().c``)."""
 
     family: str
     n: int
@@ -206,11 +209,10 @@ class SurgeryParameters:
     p: int
     q: int
     k: int
-    c: int
     witness_i: int
 
     def descriptor(self) -> SurgeryDescriptor:
-        return SurgeryDescriptor(self.p, self.q, self.k, self.c)
+        return SurgeryDescriptor(self.p, self.q, self.k)
 
     def witness_label(self) -> int:
         """The tabulated witness re-based to the recursion labeling.
@@ -238,7 +240,7 @@ def _poly2(coeffs: tuple[int, int, int], n: int) -> int:
 
 
 def surgery_parameters(fam: str, n: int) -> SurgeryParameters:
-    """The (r, s, p, q, k, c, witness) row for families (i)-(iv) at n >= 1.
+    """The (r, s, p, q, k, witness) row for families (i)-(iv) at n >= 1.
 
     p = r + 1 by construction; enforced are coprimality of both lens pairs,
     gcd(k, p) = 1 and k^2 q == 1 mod p (the dual-class normalization),
@@ -260,8 +262,7 @@ def surgery_parameters(fam: str, n: int) -> SurgeryParameters:
         raise TableInvariantError(f"({fam}, {n}): dual class fails k^2 q == 1 mod p")
     if not (0 <= witness < p):
         raise TableInvariantError(f"({fam}, {n}): witness index out of range")
-    # c from SurgeryDescriptor, where its formula lives
-    return SurgeryParameters(fam, n, r, s, p, q, k, SurgeryDescriptor(p, q, k).c, witness)
+    return SurgeryParameters(fam, n, r, s, p, q, k, witness)
 
 
 def surgery_presentation(fam: str, n: int, meridian_framing: int) -> PlumbingGraph:
@@ -401,8 +402,9 @@ def verify_correction_bound(fam: str, n: int) -> VerificationReport:
     """
     fam = _check_family(fam, n)
     params = surgery_parameters(fam, n)
+    desc = params.descriptor()
     rep = VerificationReport("correction-bound", fam, n)
-    res = d_surgery(params.descriptor())
+    res = d_surgery(desc)
     bound = theorem_bound(fam, n)
     rep.values["d_surgery"] = res.value
     rep.values["bound"] = bound
@@ -410,7 +412,7 @@ def verify_correction_bound(fam: str, n: int) -> VerificationReport:
     rep.checks["d_at_least_bound"] = res.value >= bound
 
     w = params.witness_label()
-    top_label = (params.k * w + params.c) % params.p
+    top_label = (params.k * w + desc.c) % params.p
     top = lens_d(params.p, params.q, top_label)
     bottom = lens_d(params.p, 1, w)
     rep.values["witness_label"] = w

@@ -614,9 +614,7 @@ class Minimalization:
     basis_change: tuple[tuple[int, ...], ...]
 
 
-def minimalize(
-    L: GramLattice, chooser: Optional[Callable[[list[tuple[int, ...]]], tuple[int, ...]]] = None
-) -> Minimalization:
+def minimalize(L: GramLattice) -> Minimalization:
     """Split L as minimal (+) <+1>^a (+) <-1>^b with a unimodular certificate.
 
     In a definite lattice two unit vectors u != +-v are orthogonal: by
@@ -625,21 +623,14 @@ def minimalize(
     an orthogonal <+-1>^k, and the minimal part is its orthogonal complement
     {x : (x, u_i) = 0 for all i}, which is unique.  Its basis comes from one
     ``_kernel_basis``, its Gram from one congruence.  A lattice without unit
-    vectors is returned itself, with the identity as basis change.
-
-    ``chooser`` only orders the split columns: it is handed the unit vectors
-    not yet placed and returns the next one (the default is sorted order).
+    vectors is returned itself, with the identity as basis change.  The
+    split columns follow the unit vectors in sorted order.
     """
     n, enum = L.rank, _Enumerator(L._elimination)  # raises NotDefiniteError unless L is definite
     units = _short_vectors(enum, enum.sign)
     if not units:
         z = (0,) * n  # the identity by tuple slicing, several times faster at rank 1000
         return Minimalization(L, 0, 0, tuple(z[:i] + (1,) + z[i + 1 :] for i in range(n)))
-    if chooser is not None:
-        rest, units = units, []
-        while rest:
-            units.append(chooser(rest))
-            rest.remove(units[-1])
     # the complement: the kernel of x -> ((x, u_i))_i, whose matrix is (G U)^T
     K = _kernel_basis(list(zip(*_mat_mul(L.rows, list(zip(*units))))), n)
     minimal = GramLattice(tuple(map(tuple, _congruent(L.rows, list(zip(*K))))))

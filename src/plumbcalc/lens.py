@@ -216,14 +216,13 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
 
 @dataclass(frozen=True)
 class SurgeryDescriptor:
-    """Lens surgery data: slope p, lens parameter q (reduced mod p), dual
-    class k, and the affine constant c = (k+1+p)(k-1)/2 mod p (recomputed
-    when omitted)."""
+    """Lens surgery data: slope p, lens parameter q (reduced mod p) and dual
+    class k coprime to p.  The affine constant ``c`` of the labels k i + c
+    is derived from them."""
 
     p: int
     q: int
     k: int
-    c: Optional[int] = None
 
     def __post_init__(self):
         p, k = index(self.p), index(self.k)
@@ -232,10 +231,10 @@ class SurgeryDescriptor:
         object.__setattr__(self, "q", LensSpace(p, self.q).q)  # validated, 0 <= q < p
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "c", index(self.c_from_formula if self.c is None else self.c) % p)
 
     @property
-    def c_from_formula(self) -> int:
+    def c(self) -> int:
+        """(k+1+p)(k-1)/2 mod p; the product is even (k is odd when p is even)."""
         return (((self.k + 1 + self.p) * (self.k - 1)) // 2) % self.p
 
 

@@ -283,18 +283,6 @@ class ChainDiagram:
             w[self.marked[0]] = self.marked[1]
         return tuple(w)
 
-    def to_json(self) -> dict:
-        ml = None
-        if self.marked is not None:
-            ml = {"index": self.marked[0], "k": self.marked[1]}
-        return {"framings": list(self.framings), "marked_link": ml}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChainDiagram":
-        ml = data.get("marked_link")
-        marked = (ml["index"], ml["k"]) if ml else None
-        return cls(tuple(data["framings"]), marked)
-
 
 def chain_to_gram(C: ChainDiagram) -> GramLattice:
     """Tridiagonal Gram matrix: framings on the diagonal, link weights off it."""
@@ -382,13 +370,6 @@ class SeifertData:
     def negated(self) -> "SeifertData":
         """Data of the orientation reversal: all of (e, b_i) change sign."""
         return SeifertData(-self.e, tuple((a, -b) for a, b in self.branches))
-
-    def to_json(self) -> dict:
-        return {"e": self.e, "branches": [[a, b] for a, b in self.branches]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SeifertData":
-        return cls(data["e"], tuple((a, b) for a, b in data["branches"]))
 
 
 def seifert_to_plumbing(S: SeifertData) -> PlumbingGraph:

@@ -116,7 +116,7 @@ def test_criterion_06_correction_term_bounds_n_1_to_6():
     for n in range(1, 7):
         sp = surgery_parameters("i", n)
         w = sp.witness_label()
-        top = lens_d(sp.p, sp.q, (sp.k * w + sp.c) % sp.p)
+        top = lens_d(sp.p, sp.q, (sp.k * w + sp.descriptor().c) % sp.p)
         bottom = lens_d(sp.p, 1, w)
         if n % 2 == 1:
             assert top == Fraction(224 * n**3 + 8 * n * n - 95 * n + 25, 4 * sp.p)
@@ -198,12 +198,13 @@ def test_criterion_11_property_suites():
         got = max_char_square(L).square
         assert got == box_char_max(L, 1) == box_char_max(L, 3)
 
-    # cancellation under random orderings
+    # cancellation under random orderings of the basis (Gram P^T G P)
     L = e8_gram(-1).direct_sum(GramLattice.diag(-1, -1))
     baseline = minimalize(L).minimal
     for seed in range(20):
-        rng = random.Random(seed)
-        res = minimalize(L, chooser=lambda vs: rng.choice(vs))
+        perm = random.Random(seed).sample(range(L.rank), L.rank)
+        res = minimalize(GramLattice(tuple(tuple(L.rows[i][j] for j in perm) for i in perm)))
+        assert res.minimal.rank == baseline.rank
         assert isometric(res.minimal, baseline) is not None
 
     # continued-fraction round trips

@@ -9,10 +9,8 @@ from plumbcalc.arith import (
     NotCoprimeError,
     NotExpandableError,
     ZeroTailError,
-    bezout,
     cf_eval,
     hj_expand,
-    hj_expand_negative,
     mod_inverse,
 )
 
@@ -77,16 +75,10 @@ class TestExpansion:
         for k in range(2, 9):
             assert hj_expand(k) == (k,)
 
-    def test_negative_example(self):
-        assert hj_expand_negative(Fraction(-5, 4)) == (-2, -2, -2, -2)
-
     def test_not_expandable(self):
         for bad in (1, 0, Fraction(1, 2), Fraction(-1, 2), -1):
             with pytest.raises(NotExpandableError):
                 hj_expand(bad)
-        for bad in (-1, 0, Fraction(-3, 4), 2):
-            with pytest.raises(NotExpandableError):
-                hj_expand_negative(bad)
 
     def test_round_trip_all_reduced_fractions_up_to_60(self):
         # acceptance: cf round-trips for all reduced p/q with p > q >= 1, p <= 60
@@ -98,9 +90,21 @@ class TestExpansion:
                 assert cf_eval(word) == Fraction(p, q)
                 assert all(c >= 2 for c in word)
                 assert len(word) <= p
-                neg = hj_expand_negative(Fraction(-p, q))
-                assert cf_eval(neg) == Fraction(-p, q)
-                assert all(c <= -2 for c in neg)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: cf_eval([2.0, 3]),
+            lambda: cf_eval([2, 2.5]),
+            lambda: cf_eval([Fraction(5, 2)]),
+            lambda: hj_expand(2.5),
+            lambda: hj_expand(1.1),  # exactly 2476979795053773 / 2^51: an expansion too long to finish
+            lambda: hj_expand("5/3"),
+        ],
+    )
+    def test_non_integer_input_refused(self, call):
+        with pytest.raises(TypeError):
+            call()
 
     def test_expansion_is_unique_among_small_words(self):
         # every all->=2 word whose value equals cf_eval of another such word
@@ -120,34 +124,6 @@ class TestExpansion:
                 a = cf_eval(word)
                 b = cf_eval(tuple(reversed(word)))
                 assert a.numerator == b.numerator
-
-
-class TestBezout:
-    def test_certificates(self):
-        g, x, y = bezout(5, 3)
-        assert g == 1 and 5 * x + 3 * y == 1
-        g, x, y = bezout(6, 4)
-        assert g == 2 and 6 * x + 4 * y == 2
-
-    def test_axis_cases(self):
-        for k in (3, -3, 7):
-            g, x, y = bezout(k, 0)
-            assert g == abs(k) and k * x == g and y == 0
-
-    def test_zero_zero_rejected(self):
-        with pytest.raises(ValueError):
-            bezout(0, 0)
-
-    def test_fuzz(self):
-        rng = random.Random(20240811)
-        for _ in range(500):
-            a = rng.randint(-10**9, 10**9)
-            b = rng.randint(-10**9, 10**9)
-            if a == 0 and b == 0:
-                continue
-            g, x, y = bezout(a, b)
-            assert g == gcd(a, b) > 0
-            assert a * x + b * y == g
 
 
 class TestModInverse:

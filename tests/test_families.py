@@ -1,6 +1,7 @@
 import inspect
 import json
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -105,6 +106,9 @@ def test_family_functions_reject_n_below_one(fn):
             fn(fam, 0, *extra)
     with pytest.raises(ValueError, match="n must be >= 1"):
         fn("ii", -4, *extra)
+    for fam, n in product(("i", "v"), (1.5, Fraction(7, 2))):  # refused, not rounded
+        with pytest.raises(TypeError):
+            fn(fam, n, *extra)
 
 
 class TestFinalLattices:
@@ -170,7 +174,7 @@ def test_theorem_main_reports_a_final_lattice_off_its_endpoint(monkeypatch):
 class TestSurgeryParameters:
     def test_family_i_n1_row(self):
         sp = surgery_parameters("i", 1)
-        assert (sp.r, sp.s, sp.p, sp.q, sp.k, sp.c, sp.witness_i) == (22, 3, 23, 2, 9, 17, 0)
+        assert (sp.r, sp.s, sp.p, sp.q, sp.k, sp.descriptor().c, sp.witness_i) == (22, 3, 23, 2, 9, 17, 0)
 
     def test_family_ii_n1(self):
         sp = surgery_parameters("ii", 1)
@@ -189,13 +193,12 @@ class TestSurgeryParameters:
                 assert sp.p == sp.r + 1
                 assert gcd(sp.p, sp.q) == 1 and gcd(sp.r, sp.s) == 1
                 assert (sp.k * sp.k * sp.q) % sp.p == 1 % sp.p
-                assert sp.c == sp.descriptor().c_from_formula
                 assert sp.witness_i == (sp.q + 1) // 2 - n
 
     def test_family_i_paper_c_polynomial(self):
         for n in range(1, 9):
             sp = surgery_parameters("i", n)
-            assert sp.c == (42 * n * n - 29 * n + 4) % sp.p
+            assert sp.descriptor().c == (42 * n * n - 29 * n + 4) % sp.p
 
     def test_surgery_presentation_determinants(self):
         # |H1| of the 0-surgery is r_n and of the 1-surgery is p_n: the

@@ -693,13 +693,13 @@ def test_minimalize_idempotent_and_certified():
 
 
 def test_minimalize_cancellation_under_random_orderings():
-    # acceptance: 20 random choices of the split vector give pairwise
-    # isometric minimal parts
+    # acceptance: 20 random orderings of the basis (Gram P^T G P for a
+    # permutation P) give minimal parts isometric to the unpermuted one
     L = MINUS_E8.direct_sum(GramLattice.diag(-1, -1))
     baseline = minimalize(L).minimal
     for seed in range(20):
-        rng = random.Random(seed)
-        res = minimalize(L, chooser=lambda vecs: rng.choice(vecs))
+        perm = random.Random(seed).sample(range(L.rank), L.rank)
+        res = minimalize(GramLattice(tuple(tuple(L.rows[i][j] for j in perm) for i in perm)))
         assert res.minimal.rank == baseline.rank
         assert isometric(res.minimal, baseline) is not None
 

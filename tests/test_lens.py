@@ -308,13 +308,13 @@ class TestSurgeryMaximum:
 
     def test_matches_the_brute_force_maximum_on_seeded_descriptors(self):
         """d_surgery against the maximum of reference differences on seeded
-        L(p, q), p <= 200, with random coprime k and random c, witnesses included."""
+        L(p, q), p <= 200, with random coprime k, witnesses included."""
         rng = random.Random(2003)
         for p, q in _coprime_pairs(rng, 60, 201) + [(1, 0), (2, 1)]:
             k = rng.randrange(1, p + 1)
             while gcd(k, p) != 1:
                 k = rng.randrange(1, p + 1)
-            desc = SurgeryDescriptor(p, q, k, rng.randrange(p) if rng.random() < 0.7 else None)
+            desc = SurgeryDescriptor(p, q, k)
             c = desc.c
             gaps = [_reference_r(p, q, (q * ((k * i + c) % p + 1) - 1) % p) - _reference_r(p, 1, i) for i in range(p)]
             best = max(gaps)
@@ -343,8 +343,7 @@ class TestSurgeryMaximum:
 
     def test_matches_the_table_maximum_on_seeded_descriptors(self):
         """The same on 400 seeded descriptors, p < 5000, with q = 1, 2, p - 1 and
-        k = +-1 among them (at q = 1 and k = +-1 every label ties), c random or
-        from the formula."""
+        k = +-1 among them (at q = 1 and k = +-1 every label ties)."""
         rng = random.Random(1603)
         for n in range(400):
             p = rng.randrange(1, 5000)
@@ -353,7 +352,7 @@ class TestSurgeryMaximum:
                 q = rng.randrange(1, p + 1)
             while gcd(p, k) != 1:
                 k = rng.randrange(1, p + 1)
-            desc = SurgeryDescriptor(p, q, k, rng.randrange(p) if rng.random() < 0.5 else None)
+            desc = SurgeryDescriptor(p, q, k)
             assert d_surgery(desc) == _table_maximum(desc), desc
 
     def test_q_is_reduced(self):
@@ -361,8 +360,7 @@ class TestSurgeryMaximum:
         assert d_surgery(SurgeryDescriptor(23, 25, 9)).value == 2
 
     def test_c_recomputable(self):
-        desc = SurgeryDescriptor(23, 2, 9, 17)
-        assert desc.c_from_formula == 17
+        assert SurgeryDescriptor(23, 2, 9).c == 17
         with pytest.raises(NotCoprimeError):
             SurgeryDescriptor(10, 3, 5)
 

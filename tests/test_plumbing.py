@@ -74,7 +74,6 @@ def minus_e8_tree() -> PlumbingGraph:
         lambda x: LensSpace(x, 1),
         lambda x: LensSpace(7, x),
         lambda x: SurgeryDescriptor(7, 2, x),
-        lambda x: SurgeryDescriptor(7, 2, 3, x),
     ],
 )
 def test_constructors_refuse_non_integers(build):
@@ -149,12 +148,6 @@ class TestChains:
         ]
         for c in chains:
             assert recognize_e8(chain_to_gram(c)) == 1
-
-    def test_json_round_trip(self):
-        c = ChainDiagram((2, 0, 4), (1, 2))
-        assert ChainDiagram.from_json(json.loads(json.dumps(c.to_json()))) == c
-        plain = ChainDiagram((3, 3))
-        assert ChainDiagram.from_json(plain.to_json()) == plain
 
 
 class TestTwistReduce:
@@ -264,10 +257,6 @@ class TestSeifert:
         assert s.normalized() == SeifertData(1, ((5, 2),))
         g = seifert_to_plumbing(s)
         assert g.weights[0] == 1
-
-    def test_json_round_trip(self):
-        s = SeifertData(2, ((3, 2), (4, 3), (7, 4)))
-        assert SeifertData.from_json(json.loads(json.dumps(s.to_json()))) == s
 
 
 class TestBrieskorn:
