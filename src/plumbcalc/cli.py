@@ -162,6 +162,8 @@ def cmd_verify(args) -> int:
         return _error(exc)
     if task in ("thm1.3", "cor1.6"):
         families = [f for f in families if f in FAMILY_IDS[:4]]  # the families with surgery tables
+    if task == "classify-e8" and args.bound < 2:
+        return _error("classification bound must be >= 2")  # the least triple member is 2
     if task != "classify-e8":
         if any(n < 1 for n in (ns[:1] if isinstance(ns, range) else ns)):
             return _error("family parameter n must be >= 1")

@@ -29,9 +29,10 @@ GUARDS: dict[str, Guard] = {
     # p = 599999).  A thm1.3 member takes about 45 n labels (n = 1000: 0.1-0.2 s); (iii) passes the
     # bound near n = 13300, after 4.5 s.
     "lens labels": Guard("labels evaluated", 600_000),
-    # lens.lens_d_oracle.  Cost follows the chain's rank, not p (L(400, 7) 2.3 s, L(800, 7) 0.2 s); the
-    # worst q at each p <= 144 takes at most 0.9 s (L(133, 11)), L(145, 133) 1.6 s and L(197, 183) 15 s.
-    "oracle lens order": Guard("lens order", 144),
+    # lens.lens_d_oracle, whose DP asks about p values of each level.  The worst q has a long -2 run ending
+    # in one large weight, p mod q <= 3, q near sqrt(p): L(7922, 89) and L(7833, 89) take 1.5-1.8 s, the
+    # worst found at p <= 8000; L(8000, 129) 0.9 s; past the bound L(8011, 90) 1.8 s, L(10000, 101) 2.4-2.8 s.
+    "oracle lens order": Guard("lens order", 8000),
     # plumbing.star_unit_pairs, from the legs' continuants before any table is built: sum over legs of
     # sum_j m_j (each level's table has at most m_j entries) plus the isqrt(A // |det|) centres it may try.
     # The worst star found is a 13-leg Seifert sphere (alpha = 2, 3, ..., 37, 47): 18.7M units, dense

@@ -34,12 +34,12 @@ families.  With this labeling the surgery maximum formula
 holds with k and c used literally.
 
 Oracle.  ``lens_d_oracle`` computes the same multiset of correction terms by
-a method sharing no code path with the recursion: it builds a
-negative-definite linear plumbing for the lens space (choosing the shorter
-of the two continued-fraction routes) and maximizes
-(c^2 + rank)/4 over each coset of characteristic covectors by exact
-closest-vector enumeration.  The p cosets share one elimination of the chain
-and one integer enumerator built from it; their centres come from two solves.
+a method sharing no code path with the recursion: it takes a negative-definite
+linear plumbing for the lens space (the shorter of the two continued-fraction
+routes) and maximizes (c^2 + rank)/4 over each coset of characteristic
+covectors by one exact integer min-sum DP along the chain that serves all p
+cosets at once (``_chain_minima``).  Each level tries only the values inside a
+provable window around the vertex of a quadratic, a few per coset.
 
 Plumbed spheres.  ``d_from_plumbing`` scans Nemethi's tau-function (a convex
 quadratic minus periodic tables) on a provable window around its vertex and
@@ -61,10 +61,10 @@ from math import gcd, isqrt, prod
 from operator import add, floordiv, index, mod, mul, sub
 from typing import NamedTuple, Optional
 
-from .arith import NotCoprimeError, _hj_word, mod_inverse
+from .arith import NotCoprimeError, _hj_word
 from .guards import GUARDS, guard
-from .lattice import _closest_point, _Enumerator, _negdef_unimodular
-from .plumbing import BrieskornTriple, ChainDiagram, PlumbingGraph, _leg_continuants, brieskorn_seifert, chain_to_gram, negdef_plumbing, star_legs
+from .lattice import _negdef_unimodular
+from .plumbing import BrieskornTriple, PlumbingGraph, _leg_continuants, brieskorn_seifert, negdef_plumbing, star_legs
 
 TauWindow = tuple[int, int, int, int, list[list[int]]]  # (lo, hi, A, b, tables) of ``_tau_window``
 
@@ -81,14 +81,12 @@ class LensSpace:
     q: int
 
     def __post_init__(self):
-        p, q = index(self.p), index(self.q)
+        p, given = index(self.p), index(self.q)
         if p < 1:
             raise ValueError("p must be >= 1")
-        q %= p
-        if p == 1:
-            q = 0
-        elif q == 0 or gcd(p, q) != 1:
-            raise NotCoprimeError(f"L({p},{q}) needs 0 < q < p coprime to p")
+        q = given % p  # 0 at p = 1, the one q with gcd(p, q) = 1 there
+        if gcd(p, q) != 1:
+            raise NotCoprimeError(f"L({p},{given}) needs q coprime to p")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -170,44 +168,63 @@ def _chain_route(p: int, q: int) -> tuple[tuple[int, ...], bool]:
     return min(((_hj_word(p, x), negate) for x, negate in ((p - q, False), (q, True))), key=lambda t: (len(t[0]), t[1]))
 
 
-def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
-    """Correction terms of L(p, q) from a negative-definite chain plumbing.
+def _chain_minima(b: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """([H_0(u) for 0 <= u < m_0], m, Nb) for a chain of weights b_j >= 2 (Q = -G: b_j on the diagonal, -1
+    beside it), with m_0, ..., m_{n+1} its tail continuants (m_n = 1, m_{n+1} = 0) and Nb_j = b_j m_{j+1} + Nb_{j+1}.
 
-    For each of the p cosets of characteristic covectors the maximum of
-    c^2 is found by exact closest-vector enumeration, and
-    d = (max c^2 + rank)/4 on the chain boundary.  Labels are the oracle's
-    own canonical coset indices; only the multiset is comparable with
-    ``lens_d_all`` (the two methods share no conventions, and no code).
-    Guarded by the oracle lens order.
+    H_0(u) = min f_u over Z^n, f_u(x) = sum_j b_j x_j (x_j + 1) - 2 sum_j x_j x_{j+1} - 2 u x_0, by the min-sum DP
+    H_j(s) = min_y b_j y (y + 1) - 2 s y + H_{j+1}(y), H_n = 0 (f past vertex j - 1 given x_{j-1} = s).  Window:
+    completing the square on the k = n - j - 1 vertices past j (det m_{j+1}, (Q^{-1})_{11} = m_{j+2}/m_{j+1},
+    (Q^{-1} b)_1 = Nb_{j+1}/m_{j+1}) gives H_{j+1}(y) = -(m_{j+2}/m_{j+1}) y^2 + (Nb_{j+1}/m_{j+1}) y + const + D(y),
+    D a closest-vector distance, 0 <= D <= D* = sum_{v>j} b_v / 4 + (k - 1)/2 (its value at the coordinatewise
+    rounding; D* = 0 if k = 0).  As m_j = b_j m_{j+1} - m_{j+2}, the terms in y are ((2 m_j y - N)^2 - N^2) / (4 m_j
+    m_{j+1}) + D(y), N = m_{j+1} (2s - b_j) - Nb_{j+1}; against the y nearest N / (2 m_j) a minimizer has
+    (2 m_j y - N)^2 <= m_j^2 + 4 m_j m_{j+1} D*.  Windows hold that y and step by m_{j+1}/m_j < 1 in s, so the s
+    asked of each level fill an interval."""
+    n = len(b)
+    m = _leg_continuants([-c for c in b]) + [0]
+    nb = list(accumulate(map(mul, b[::-1], m[n:0:-1]), initial=0))[::-1]
+    r = [isqrt(m[j] ** 2 + m[j] * m[j + 1] * (sum(b[j + 1 :]) + 2 * max(n - j - 2, 0))) for j in range(n)]
+
+    def window(j: int, s: int) -> range:
+        N = m[j + 1] * (2 * s - b[j]) - nb[j + 1]
+        return range(-((r[j] - N) // (2 * m[j])), (N + r[j]) // (2 * m[j]) + 1)
+
+    asked = [range(m[0])]
+    for j in range(n):
+        asked.append(range(window(j, asked[j][0]).start, window(j, asked[j][-1]).stop))
+    H = [0] * len(asked[n])
+    for j in reversed(range(n)):
+        lo = asked[j + 1].start
+        H = [min(b[j] * y * (y + 1) - 2 * s * y + H[y - lo] for y in window(j, s)) for s in asked[j]]
+    return H, m, nb
+
+
+def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
+    """Correction terms of L(p, q) from a negative-definite chain plumbing, by coset of characteristic covectors.
+
+    With b the chain's weights (``_chain_route``) and Q = -G, the covectors c = -b + 2u e_0 - 2Qx of coset u have
+    -c^2 / 4 = f_u(x) + (b - 2u e_0)^T Q^{-1} (b - 2u e_0) / 4 (``_chain_minima``), and (Q^{-1})_{00} = m_1 / p,
+    (Q^{-1} b)_0 = Nb_0 / p, so 4p d = p n - 4p H_0(u) - p b^T Q^{-1} b + 4u Nb_0 - 4u^2 m_1, in integers; checked:
+    m_0 = p and p Q^{-1} b solves Q (p z) = p b in integers.  Coset u carries the canonical label s = -u m_1 mod p
+    (u a_0 for a = p G^{-1} e_0); only the multiset is comparable with ``lens_d_all`` (the two methods share
+    no conventions, and no code).  Guarded by the oracle lens order.
     """
     L = LensSpace(p, q)
     p, q = L.p, L.q
     guard("oracle lens order", p)
     if p == 1:
         return {0: Fraction(0)}
-    word, negate = _chain_route(p, q)
-    G = chain_to_gram(ChainDiagram(tuple(-c for c in word)))
-    n = G.rank
-    elim = G._elimination  # negative definite
-    det = abs(elim.det)
-    assert det == p
-    # canonical coset functional: phi(u) = <a, u> mod p with a = det * G^{-1} e0, where a_0 is
-    # +- the continuant of the chain past vertex 0, i.e. +-x, a unit mod p
-    a_vec = elim.solve([det if i == 0 else 0 for i in range(n)])
-    assert all(x.denominator == 1 for x in a_vec)
-    a_int = [int(x) for x in a_vec]
-    inv_a0 = mod_inverse(a_int[0], p)
-    # coset s has t = diag(G) + 2 u_s e_0 with u_s = s / a_0 mod p, and centre
-    # -G^{-1} t / 2 = -(base + 2 u_s a) / (2 det), base integral
-    base = [int(det * x) for x in elim.solve(G.diagonal())]
-    enum = _Enumerator(elim)
-    out: dict[int, Fraction] = {}
-    for s in range(p):
-        u = (s * inv_a0) % p
-        val, _ = _closest_point(enum, [-(b + 2 * u * a) for b, a in zip(base, a_int)], 2 * det)
-        d_val = (n - 4 * val) / 4  # 4 val is the minimum of c^T(-G)c over the coset
-        out[s] = -d_val if negate else d_val
-    return out
+    b, negate = _chain_route(p, q)
+    H, m, nb = _chain_minima(b)
+    pz = [0, nb[0]]  # p z_{-1} = 0, p z_0, ... for z = Q^{-1} b: row j of Q z = b is z_{j+1} = b_j (z_j - 1) - z_{j-1}
+    for c in b:
+        pz.append(c * (pz[-1] - p) - pz[-2])
+    if m[0] != p or pz[-1]:  # z_n = 0: the last row holds
+        raise AssertionError(f"the chain {b} of L({p}, {q}) has continuant {m[0]} or p Q^-1 b off Z^n")
+    pbqb, sign = sum(map(mul, b, pz[1:])), -1 if negate else 1
+    num = {-u * m[1] % p: p * len(b) - 4 * p * h - pbqb + 4 * u * nb[0] - 4 * u * u * m[1] for u, h in enumerate(H)}
+    return {s: Fraction(sign * num[s], 4 * p) for s in range(p)}
 
 
 # ---------------------------------------------------------------------------

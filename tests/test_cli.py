@@ -152,17 +152,17 @@ class TestLensCommand:
         assert err == f"error: {msg}\n"
         assert time.monotonic() - t0 < 5.0
 
-    @pytest.mark.parametrize("p", [145, 400, 1000000007])
+    @pytest.mark.parametrize("p", [8001, 10000, 1000000007])
     def test_oracle_guard_exits_3_quickly(self, capsys, p):
         t0 = time.monotonic()
-        code, out, err = run(capsys, "lens-d", str(p), "3", "--all", "--oracle")
+        code, out, err = run(capsys, "lens-d", str(p), "11", "--all", "--oracle")
         assert code == 3 and out == ""
-        assert err == f"error: oracle lens order guard exceeded: lens order {p} > 144\n"
+        assert err == f"error: oracle lens order guard exceeded: lens order {p} > 8000\n"
         assert time.monotonic() - t0 < 5.0
 
-    def test_oracle_guard_admits_p_144(self, capsys):
-        # the guard itself, and p = 60, which the benchmark's --oracle items reach
-        for p, q in ((144, 7), (60, 7)):
+    def test_oracle_guard_admits_p_8000(self, capsys):
+        # the guard itself, the old guard p = 144, and p = 60, which the benchmark's --oracle items reach
+        for p, q in ((8000, 7), (144, 7), (60, 7)):
             code, out, _ = run(capsys, "lens-d", str(p), str(q), "--all", "--oracle")
             assert code == 0 and len(out.strip().split("\n")) == p
 
@@ -277,6 +277,12 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "classify-e8", "--bound", "10")
         assert code == 0
         assert out.strip().split("\n") == ["(2,3,5)", "(3,4,7)"]
+
+    @pytest.mark.parametrize("bound", ["1", "0", "-7"])
+    def test_classify_bound_below_two_exits_2(self, capsys, bound):
+        # no triple has a member below 2: the scan would print nothing and pass, so the bound is refused
+        code, out, err = run(capsys, "verify", "classify-e8", "--bound", bound)
+        assert (code, out, err) == (2, "", "error: classification bound must be >= 2\n")
 
     def test_rmk14_is_report_only(self, capsys):
         code, out, _ = run(capsys, "verify", "rmk1.4", "--families", "vii", "--n", "1..1")
@@ -530,10 +536,11 @@ def test_shared_parser_answers_like_a_fresh_one(capsys):
     assert plumbcalc.cli.build_parser() is plumbcalc.cli.build_parser()
 
 
-def test_only_the_lens_oracle_reaches_the_fraction_kernel(capsys, monkeypatch, tmp_path):
-    """Every CLI command but `lens-d --oracle` runs without the lattice
-    module's Fraction elimination: with `_eliminate` patched to raise, each
-    exits 0 with the same stdout as an unpatched run."""
+def test_no_command_reaches_the_fraction_kernel_or_the_enumerator(capsys, monkeypatch, tmp_path):
+    """Every CLI command, `lens-d --oracle` included, runs without the lattice
+    module's Fraction elimination and its Fincke-Pohst enumerator: with
+    `_eliminate` and `_Enumerator` patched to raise, each exits 0 with the
+    same stdout as an unpatched run."""
     path = tmp_path / "g.json"
     path.write_text(json.dumps(PlumbingGraph((0, 3, 5, 0), ((0, 1), (1, 2), (2, 3))).to_json()))
     commands = [
@@ -544,6 +551,8 @@ def test_only_the_lens_oracle_reaches_the_fraction_kernel(capsys, monkeypatch, t
         ["lens-d", "89", "8"],
         ["lens-d", "89", "8", "5"],
         ["lens-d", "89", "8", "--all"],
+        ["lens-d", "89", "8", "--oracle"],
+        ["--json", "lens-d", "144", "131", "--oracle"],
         ["verify", "thm1.2", "--families", "i..xii", "--n", "1..3"],
         ["verify", "thm1.3", "--families", "i..iv", "--n", "1..3"],
         ["verify", "cor1.6", "--families", "i..iv", "--n", "1..3"],
@@ -552,14 +561,12 @@ def test_only_the_lens_oracle_reaches_the_fraction_kernel(capsys, monkeypatch, t
     ]
     unpatched = [run(capsys, *argv) for argv in commands]
 
-    class KernelRan(Exception):
-        pass
-
-    def kernel(rows):
-        raise KernelRan
+    def kernel(*args):
+        raise AssertionError("the Fraction kernel or the enumerator ran")
 
     monkeypatch.setattr(plumbcalc.lattice, "_eliminate", kernel)
+    monkeypatch.setattr(plumbcalc.lattice, "_Enumerator", kernel)
     for argv, (code, out, _) in zip(commands, unpatched):
         assert code == 0 and run(capsys, *argv)[:2] == (0, out), argv
-    with pytest.raises(KernelRan):
-        main(["lens-d", "89", "8", "--oracle"])
+    with pytest.raises(AssertionError, match="the Fraction kernel or the enumerator ran"):
+        plumbcalc.lattice.short_vectors(plumbcalc.lattice.GramLattice(((2,),)), 2)  # the patches hold

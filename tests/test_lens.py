@@ -17,7 +17,7 @@ import pytest
 
 import plumbcalc.lens
 from plumbcalc.arith import NotCoprimeError, _hj_word
-from plumbcalc.lattice import _negdef_unimodular, max_char_square
+from plumbcalc.lattice import _closest_point, _Enumerator, _negdef_unimodular, max_char_square
 from plumbcalc.families import surgery_parameters, verify_conjecture
 from plumbcalc.guards import GUARDS, ScanGuardExceededError
 from plumbcalc.lens import (
@@ -31,6 +31,8 @@ from plumbcalc.lens import (
     lens_d_all,
     lens_d_oracle,
     _chain_bounds,
+    _chain_minima,
+    _chain_route,
     _descent_label,
     _descent_table,
     _level,
@@ -41,6 +43,7 @@ from plumbcalc.plumbing import (
     ChainDiagram,
     PlumbingGraph,
     SeifertData,
+    _leg_continuants,
     chain_to_gram,
     graph_to_gram,
     mubar,
@@ -110,6 +113,12 @@ class TestLensSpaceType:
     def test_coprimality(self):
         with pytest.raises(NotCoprimeError):
             LensSpace(6, 3)
+
+    def test_error_names_the_q_given(self):
+        # q is reduced mod p only after the check: the message shows what the caller passed
+        for p, q in ((5, 10), (6, 9), (6, -3), (4, 0)):
+            with pytest.raises(NotCoprimeError, match=rf"^L\({p},{q}\) needs q coprime to p$"):
+                LensSpace(p, q)
 
 
 class TestRecursion:
@@ -221,7 +230,80 @@ class TestConjugationSymmetry:
                 assert lens_d(p, q, i) == lens_d(p, q, j)
 
 
+def _enumeration_oracle(p: int, q: int) -> dict[int, Fraction]:
+    """``lens_d_oracle`` as it was before the chain DP, kept as its oracle: one Fincke-Pohst closest-point
+    search per coset on the chain's dense Fraction elimination, with the same canonical labels."""
+    if p == 1:
+        return {0: Fraction(0)}
+    word, negate = _chain_route(p, q)
+    G = chain_to_gram(ChainDiagram(tuple(-c for c in word)))
+    elim = G._elimination
+    det = abs(elim.det)
+    assert det == p
+    a = [int(x) for x in elim.solve([det if i == 0 else 0 for i in range(G.rank)])]
+    base = [int(det * x) for x in elim.solve(G.diagonal())]
+    enum = _Enumerator(elim)
+    out = {}
+    for s in range(p):
+        u = s * pow(a[0], -1, p) % p
+        val, _ = _closest_point(enum, [-(b + 2 * u * x) for b, x in zip(base, a)], 2 * det)
+        out[s] = (4 * val - G.rank) / 4 if negate else (G.rank - 4 * val) / 4
+    return out
+
+
+def _random_chains(rng: random.Random, how_many: int, top: int) -> list[tuple[int, ...]]:
+    """Seeded chains of 1-10 weights in 2..15 (mostly 2, so long chains stay small) with continuant <= top."""
+    chains = []
+    while len(chains) < how_many:
+        b = tuple(2 if rng.random() < 0.6 else rng.randint(3, 15) for _ in range(rng.randint(1, 10)))
+        if _leg_continuants([-c for c in b])[0] <= top:
+            chains.append(b)
+    return chains
+
+
+def _in_window(b: tuple[int, ...], u: int, x: tuple[int, ...]) -> bool:
+    """Whether every x_j lies in the window ``_chain_minima`` tries at level j given x_{j-1} (x_{-1} = u):
+    (2 m_j x_j - N)^2 <= m_j^2 + m_j m_{j+1} (sum_{v>j} b_v + 2 max(n - j - 2, 0)), N = m_{j+1} (2 x_{j-1} - b_j) - Nb_{j+1}."""
+    n, m = len(b), _leg_continuants([-c for c in b]) + [0]
+    nb = [sum(b[v] * m[v + 1] for v in range(j, n)) for j in range(n + 1)]
+    for j, (s, y) in enumerate(zip((u,) + x, x)):
+        N = m[j + 1] * (2 * s - b[j]) - nb[j + 1]
+        if (2 * m[j] * y - N) ** 2 > m[j] ** 2 + m[j] * m[j + 1] * (sum(b[j + 1 :]) + 2 * max(n - j - 2, 0)):
+            return False
+    return True
+
+
 class TestOracle:
+    def test_chain_minima_match_fincke_pohst(self):
+        """On seeded chains, H_0(u) = min f_u is the Fincke-Pohst minimum of Q(x - centre) less the constant
+        w^T Q^{-1} w / 4 (w = b - 2u e_0), for every coset u; and every minimizer the enumeration finds lies in
+        the DP's window at every level."""
+        rng = random.Random(24)
+        chains = _random_chains(rng, 300, 120)
+        assert {len(b) for b in chains} == set(range(1, 11)) and max(max(b) for b in chains) >= 14
+        for b in chains:
+            H, m, nb = _chain_minima(b)
+            G = chain_to_gram(ChainDiagram(tuple(-c for c in b)))
+            elim, p, n = G._elimination, m[0], len(b)
+            assert len(H) == p == abs(elim.det) and nb[0] == sum(map(mul, b, m[1:]))
+            a = [int(x) for x in elim.solve([p] + [0] * (n - 1))]  # p G^{-1} e_0
+            base = [int(p * x) for x in elim.solve(G.diagonal())]  # p G^{-1} diag(G)
+            enum = _Enumerator(elim)
+            for u in range(p):
+                centre = [-(c + 2 * u * x) for c, x in zip(base, a)]  # over 2p: -G^{-1} t / 2, t = -b + 2u e_0
+                val, _ = _closest_point(enum, centre, 2 * p)
+                w = [c - 2 * u * (i == 0) for i, c in enumerate(b)]
+                assert H[u] == val + sum(map(mul, w, elim.solve(w))) / 4, (b, u)  # G^{-1} = -Q^{-1}
+                minimizers = []
+                enum.run(centre, 2 * p, int(val * enum.scale(2 * p)), lambda x, v: minimizers.append(tuple(x)))
+                assert minimizers and all(_in_window(b, u, x) for x in minimizers), (b, u)
+
+    def test_matches_the_enumeration_oracle(self):
+        # label for label: every L(p, q) with p <= 60 and a seeded sample up to the old guard, p = 144
+        pairs = [(p, q) for p in range(1, 61) for q in range(1, p + 1) if gcd(p, q) == 1]
+        for p, q in pairs + _coprime_pairs(random.Random(144), 40, 145):
+            assert lens_d_oracle(p, q) == _enumeration_oracle(p, q), (p, q)
+
     def test_rp3(self):
         assert sorted(lens_d_oracle(2, 1).values()) == [Fraction(-1, 4), Fraction(1, 4)]
 
