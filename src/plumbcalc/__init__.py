@@ -33,7 +33,6 @@ from .lattice import (
     Signature,
     SingularMod2Error,
     classify,
-    definiteness_sign,
     determinant,
     e8_gram,
     isometric,
@@ -80,6 +79,7 @@ from .lens import (
 from .families import (
     FAMILY_IDS,
     REDUCED_ENDPOINT_SEIFERT,
+    SURGERY_FAMILIES,
     SurgeryParameters,
     TableInvariantError,
     VerificationReport,

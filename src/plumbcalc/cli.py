@@ -5,7 +5,7 @@ Commands
 d P Q R            correction term of the Brieskorn sphere (exact rational)
 lens-d P Q [I]     correction term(s) of the lens space L(P, Q)
 mubar P Q R        Neumann-Siebenmann invariant of the Brieskorn sphere
-mubar --graph F    the same for an arbitrary odd-determinant plumbing tree
+mubar --graph F    the same for an arbitrary odd-determinant plumbing tree (no triple with it)
 verify TASK        batch verification: the family tasks thm1.2, thm1.3,
                    cor1.6 and rmk1.4 (--families / --n, --report writes one
                    JSON line per member) and classify-e8 (--bound)
@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 from .families import (
     FAMILY_IDS,
+    SURGERY_FAMILIES,
     classify_e8_brieskorn,
     verify_conjecture,
     verify_correction_bound,
@@ -108,6 +109,8 @@ def cmd_lens_d(args) -> int:
 
 
 def cmd_mubar(args) -> int:
+    if args.graph and (args.p, args.q, args.r) != (None, None, None):
+        return _error("give a triple or --graph FILE, not both")
     if args.graph:
         try:
             with open(args.graph, "r", encoding="utf-8") as fh:
@@ -161,7 +164,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         return _error(exc)
     if task in ("thm1.3", "cor1.6"):
-        families = [f for f in families if f in FAMILY_IDS[:4]]  # the families with surgery tables
+        families = [f for f in families if f in SURGERY_FAMILIES]
     if task == "classify-e8" and args.bound < 2:
         return _error("classification bound must be >= 2")  # the least triple member is 2
     if task != "classify-e8":

@@ -5,7 +5,8 @@ Each family is stored as closed-form polynomials in the parameter n >= 1
 n-range is extensible and transcription slips are caught by cross-checks:
 
 * the Seifert table row must normalize to the data derived from the triple,
-* the 0/1-surgery lens orders must match determinants of the presentations,
+* the 0/1-surgery lens orders must match determinants of the presentations
+  (``surgery_presentation``; this cross-check runs in the tests),
 * p = r + 1, all gcd conditions, and k^2 q == 1 mod p are enforced on
   construction,
 * the dual classes for families (ii)-(iv) are derived from the third
@@ -56,6 +57,7 @@ from .plumbing import (
 REPORT_SCHEMA = "plumbcalc-verification-report/2"
 
 FAMILY_IDS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
+SURGERY_FAMILIES = FAMILY_IDS[:4]  # (i)-(iv): the families with chains and surgery tables
 
 
 class TableInvariantError(ValueError):
@@ -138,7 +140,7 @@ def family_chain(fam: str, n: int) -> ChainDiagram:
     rank-8 endpoint chain independent of n.
     """
     fam = _check_family(fam, n)
-    if fam not in ("i", "ii", "iii", "iv"):
+    if fam not in SURGERY_FAMILIES:
         raise ValueError("chain presentations exist for families (i)-(iv) only")
     if fam == "i":
         # 2^[6] . n . 0 .(2) (4-4n) . 2
@@ -187,7 +189,7 @@ def family_final_lattice(fam: str, n: int) -> GramLattice:
     positive E8 form.
     """
     fam = _check_family(fam, n)
-    if fam in ("i", "ii", "iii", "iv"):
+    if fam in SURGERY_FAMILIES:
         return chain_to_gram(twist_reduce(family_chain(fam, n)))
     return _E8_ENDPOINTS[fam]
 

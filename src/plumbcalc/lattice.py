@@ -5,20 +5,20 @@ are exact, and the rational elimination of a Gram matrix goes through one
 kernel, ``_eliminate``: symmetric LDL^T elimination over the rationals in
 index order, with one +-add of a later basis vector at a zero diagonal and a
 null (pivot 0) at a zero row, so position k is basis index k for every form.
-Its pivots give the determinant (their product) and the inertia (their
-signs, by Sylvester's law), which decide signature and definiteness; its
-factors give exact solves and drive the Fincke-Pohst vector enumeration,
-which scales them to integers once per elimination and then runs in integer
-arithmetic for any number of centres.  A ``GramLattice`` is eliminated at most
+Its pivots give the determinant (their product) and the inertia (their signs,
+by Sylvester's law), which decide signature and definiteness; its factors give
+exact solves and, scaled to integers once per elimination, drive the integer
+Fincke-Pohst enumeration of ``max_char_square``, ``short_vectors``,
+``minimalize`` and ``isometric``.  A ``GramLattice`` is eliminated at most
 once, by its cached ``_elimination``, and every operation below reads that
 one elimination.  Plumbing trees do not come here: ``plumbing._tree_eliminate``
 eliminates them from subtree determinants in integers, and ``_eliminate`` is
-the tests' oracle for it.  Both results answer by the same names: ``det`` and
-``inertia`` are values (``inertia.sign`` is +1 / -1 on a definite form, else
-None) and ``solve`` is a method.  So the Wu class (``_wu``) and the check
-"negative definite, |det| = 1" (``_negdef_unimodular``) are written once,
-here, for both kernels, and ``_Enumerator`` reads its sign off the inertia
-and refuses an indefinite form itself.  Nothing here ever touches a float.
+the tests' oracle for it.  Both results answer by the same names: ``det``
+and ``inertia`` are values (``inertia.sign`` is +1 / -1 on a definite form,
+else None) and ``solve`` is a method.  So the Wu class (``_wu``) and the
+check "negative definite, |det| = 1" (``_negdef_unimodular``) are written
+once, here, for both kernels, and ``_Enumerator`` reads its sign off the
+inertia and refuses an indefinite form itself.  Nothing here touches a float.
 
 Conventions used by several operations:
 
@@ -38,7 +38,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import isqrt, lcm, prod
 from operator import index
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .guards import guard
 
@@ -118,9 +118,21 @@ class GramLattice:
         return self.pairing(v, v)
 
     @classmethod
+    def from_edges(cls, diagonal: Sequence[int], edges: Iterable[tuple[int, int, int]]) -> "GramLattice":
+        """A plumbing's form: ``diagonal`` on the diagonal, k at (a, b) and (b, a) per edge (a, b, k)."""
+        n = len(diagonal)
+        rows = [[0] * n for _ in range(n)]  # zero rows, then the diagonal: fast at rank 1000+
+        for i, w in enumerate(diagonal):
+            rows[i][i] = w
+        for a, b, k in edges:
+            if a == b or not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a}, {b}) is not a pair of distinct indices below {n}")
+            rows[a][b] = rows[b][a] = k
+        return cls(tuple(map(tuple, rows)))
+
+    @classmethod
     def diag(cls, *entries: int) -> "GramLattice":
-        n = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls.from_edges(entries, ())
 
     @classmethod
     def empty(cls) -> "GramLattice":
@@ -133,14 +145,7 @@ def e8_gram(sign: int = 1) -> GramLattice:
     The tree is a 7-vertex path with one extra leaf attached to the 5th
     vertex; sign=-1 gives the negative-definite form.
     """
-    n = 8
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2 * sign
-    for a, b in edges:
-        rows[a][b] = rows[b][a] = 1
-    return GramLattice(tuple(tuple(r) for r in rows))
+    return GramLattice.from_edges((2 * sign,) * 8, [(a, a + 1, 1) for a in range(6)] + [(4, 7, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +258,6 @@ def _eliminate(rows: Sequence[Sequence[int]]) -> _Elimination:
 def determinant(L: GramLattice) -> int:
     """Exact determinant, the product of the kernel's pivots; empty -> 1."""
     return L._elimination.det
-
-
-def definiteness_sign(L: GramLattice) -> Optional[int]:
-    """+1 / -1 when L is positive / negative definite, else None.
-
-    Rank 0 counts as definite of either sign and returns +1.
-    """
-    return L._elimination.inertia.sign
 
 
 def signature(L: GramLattice) -> Signature:

@@ -121,13 +121,14 @@ class PlumbingGraph:
     @classmethod
     def from_json(cls, data: dict) -> "PlumbingGraph":
         ids = [v["id"] for v in data["vertices"]]
+        for x in [*ids, *(v["weight"] for v in data["vertices"]), *(e for edge in data["edges"] for e in edge)]:
+            if type(x) is not int:  # not a bool (an int subclass), not a float
+                raise ValueError(f"graph file has {x!r} where an integer id, weight or endpoint belongs")
         order = {vid: k for k, vid in enumerate(sorted(ids))}
         if len(order) != len(ids):
             raise ValueError("duplicate vertex ids")
         weights = [0] * len(ids)
         for v in data["vertices"]:
-            if type(v["weight"]) is not int:  # not a bool (an int subclass), not a float
-                raise ValueError(f"vertex {v['id']} has weight {v['weight']!r}, not an integer")
             weights[order[v["id"]]] = v["weight"]
         edges = [(order[a], order[b]) for a, b in data["edges"]]
         return cls(tuple(weights), tuple(edges))
@@ -135,13 +136,7 @@ class PlumbingGraph:
 
 def graph_to_gram(G: PlumbingGraph) -> GramLattice:
     """The intersection form: weights on the diagonal, 1 per edge."""
-    n = G.rank
-    rows = [[0] * n for _ in range(n)]
-    for i, w in enumerate(G.weights):
-        rows[i][i] = w
-    for a, b in G.edges:
-        rows[a][b] = rows[b][a] = 1
-    return GramLattice(tuple(tuple(r) for r in rows))
+    return GramLattice.from_edges(G.weights, [(a, b, 1) for a, b in G.edges])
 
 
 def star_graph(center_weight: int, legs: Sequence[Sequence[int]]) -> PlumbingGraph:
@@ -286,14 +281,7 @@ class ChainDiagram:
 
 def chain_to_gram(C: ChainDiagram) -> GramLattice:
     """Tridiagonal Gram matrix: framings on the diagonal, link weights off it."""
-    n = C.rank
-    links = C.link_weights()
-    rows = [[0] * n for _ in range(n)]
-    for i, a in enumerate(C.framings):
-        rows[i][i] = a
-    for i, k in enumerate(links):
-        rows[i][i + 1] = rows[i + 1][i] = k
-    return GramLattice(tuple(tuple(r) for r in rows))
+    return GramLattice.from_edges(C.framings, [(i, i + 1, k) for i, k in enumerate(C.link_weights())])
 
 
 def twist_reduce(C: ChainDiagram) -> ChainDiagram:

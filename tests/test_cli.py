@@ -235,8 +235,10 @@ class TestMubarCommand:
             {"vertices": [{"id": 0, "weight": None}], "edges": []},
             {"vertices": [{"id": 0, "weight": -1.5}], "edges": []},
             {"vertices": [{"id": 0, "weight": True}], "edges": []},
+            {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], "edges": [[0.0, True]]},
+            {"vertices": [{"id": 0.0, "weight": -2}, {"id": True, "weight": -2}], "edges": [[0, 1]]},
         ],
-        ids=["top-level-list", "null-weight", "float-weight", "bool-weight"],
+        ids=["top-level-list", "null-weight", "float-weight", "bool-weight", "float-bool-endpoints", "float-bool-ids"],
     )
     def test_malformed_graph_file_exits_2(self, capsys, tmp_path, payload):
         path = tmp_path / "g.json"
@@ -244,9 +246,12 @@ class TestMubarCommand:
         code, _, err = run(capsys, "mubar", "--graph", str(path))
         assert code == 2 and "cannot read graph file" in err and "Traceback" not in err
 
-    def test_missing_args(self, capsys):
-        code, _, err = run(capsys, "mubar")
-        assert code == 2
+    def test_missing_args(self, capsys, tmp_path):
+        assert run(capsys, "mubar") == (2, "", "error: give a triple or --graph FILE\n")
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(PlumbingGraph((-2,), ()).to_json()))
+        both = "error: give a triple or --graph FILE, not both\n"
+        assert run(capsys, "mubar", "2", "3", "5", "--graph", str(path)) == (2, "", both)
 
     def test_zero_multiplicity_is_invalid_not_missing(self, capsys):
         # a 0 is a given multiplicity: rejected as `d 0 3 5` rejects it

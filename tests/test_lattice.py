@@ -33,7 +33,6 @@ from plumbcalc.lattice import (
     _eliminate,
     _Enumerator,
     classify,
-    definiteness_sign,
     determinant,
     e8_gram,
     isometric,
@@ -154,6 +153,14 @@ def test_determinant_empty_is_one():
     assert determinant(GramLattice.empty()) == 1
 
 
+def test_from_edges():
+    assert GramLattice.diag(-1, 0, 3).rows == ((-1, 0, 0), (0, 0, 0), (0, 0, 3))
+    assert GramLattice.from_edges((1, 2, 3), [(2, 0, -4)]).rows == ((1, 0, -4), (0, 2, 0), (-4, 0, 3))
+    for edge in [(1, 1, 1), (0, 3, 1), (-1, 0, 1)]:  # a loop, an index past the rank, a negative index
+        with pytest.raises(ValueError, match="distinct indices"):
+            GramLattice.from_edges((1, 2, 3), [edge])
+
+
 def test_determinant_minus_e8_is_one():
     assert determinant(MINUS_E8) == 1
 
@@ -264,12 +271,12 @@ def test_signature_vs_charpoly_oracle():
 
 
 def test_signature_sign_on_every_inertia_shape():
-    # definite of either sign, indefinite, degenerate, and rank 0 (+1, as definiteness_sign)
+    # definite of either sign, indefinite, degenerate, and rank 0 (+1)
     shapes = {(3, 0, 0): 1, (0, 3, 0): -1, (2, 1, 0): None, (2, 0, 1): None, (0, 2, 1): None, (0, 0, 2): None, (0, 0, 0): 1}
     for shape, sign in shapes.items():
         assert Signature(*shape).sign == sign, shape
     lattices = [PLUS_E8, MINUS_E8, GramLattice(((0, 1), (1, 0))), GramLattice.diag(2, 0), GramLattice.empty()]
-    assert [signature(L).sign for L in lattices] == [definiteness_sign(L) for L in lattices] == [1, -1, None, None, 1]
+    assert [signature(L).sign for L in lattices] == [1, -1, None, None, 1]
     # the same answer on every random lattice as the Enumerator, which refuses the indefinite ones
     seen = set()
     for L in random_lattices(60):
@@ -291,6 +298,18 @@ def test_classify():
 
 
 def test_recognize_e8():
+    # the fixtures' whole Gram matrices: the 7-path 0..6 with leaf 7 on vertex 4, off-diagonals +1 at either sign
+    for L, w in ((MINUS_E8, -2), (PLUS_E8, 2)):
+        assert L.rows == (
+            (w, 1, 0, 0, 0, 0, 0, 0),
+            (1, w, 1, 0, 0, 0, 0, 0),
+            (0, 1, w, 1, 0, 0, 0, 0),
+            (0, 0, 1, w, 1, 0, 0, 0),
+            (0, 0, 0, 1, w, 1, 0, 1),
+            (0, 0, 0, 0, 1, w, 1, 0),
+            (0, 0, 0, 0, 0, 1, w, 0),
+            (0, 0, 0, 0, 1, 0, 0, w),
+        )
     assert recognize_e8(MINUS_E8) == -1
     assert recognize_e8(PLUS_E8) == 1
     assert recognize_e8(GramLattice.diag(*([-1] * 8))) is None  # odd
