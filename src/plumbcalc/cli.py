@@ -155,6 +155,8 @@ def _conjecture_summary(v: dict) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.json:
+        return _error("verify prints text; --report writes JSON lines")
     task = args.task
     reports = []
     failed, stopped = False, EXIT_OK

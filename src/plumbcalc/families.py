@@ -42,7 +42,6 @@ from .plumbing import (
     ChainDiagram,
     PlumbingGraph,
     SeifertData,
-    brieskorn_rank,
     brieskorn_seifert,
     chain_to_gram,
     graph_to_gram,
@@ -508,20 +507,33 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
     star, from ``brieskorn_seifert(T).negated().normalized()``, is its
     negation (centre 3 - e and legs +HJ(a/(a - b)) against e - 3 and
     -HJ(a/(a - b)), same vertices and edges), so it is +E8 exactly when this
-    one is -E8 (Neumann, Trans. AMS 268, 1981).  Rank != 8, read off in
-    integers by ``brieskorn_rank``, short circuits before any graph is built;
-    ``negdef_plumbing`` proves the star negative definite with |det| = 1, so at
-    rank 8 it is -E8 exactly when every weight is even (no Gram is built).
+    one is -E8 (Neumann, Trans. AMS 268, 1981).  The leg at multiplicity a,
+    whose partners multiply to m mod a, is -HJ(a/(a - m^-1 mod a)); the table
+    ``even[a][m]`` holds its length if every entry is even, else 0 (also at m
+    not prime to a).  It grows from the one-entry words: an even c prepended to
+    a word of value a/d gives (c a - d)/a, a larger numerator.  Table reads
+    reject a triple unless its legs are all even (every weight of -E8 is) with
+    lengths summing to 7 (rank 8 = 1 + the leg lengths); an r sharing a factor
+    with p or q reads 0.  Both conditions are necessary, so the list is the one
+    that testing every coprime triple gives.  ``negdef_plumbing`` proves each
+    survivor's star negative definite with |det| = 1, so at rank 8 it is -E8
+    exactly when every weight, the centre's too, is even (no Gram is built).
     """
     guard("classify bound", bound)
+    even = [[0] * a for a in range(bound + 1)]
+    words = [(c, 1, 1) for c in range(2, bound + 1, 2)]  # (numerator a, denominator d, length) of a/d
+    while words:
+        a, d, n = words.pop()
+        even[a][pow(a - d, -1, a)] = n
+        words += [(c * a - d, a, n + 1) for c in range(2, (bound + d) // a + 1, 2)]
     out = []
     for p in range(2, bound + 1):
         for q in range(p + 1, bound + 1):
             if gcd(p, q) != 1:
                 continue
             for r in range(q + 1, bound + 1):
-                if gcd(p, r) != 1 or gcd(q, r) != 1 or brieskorn_rank(p, q, r) != 8:
-                    continue
-                if all(w % 2 == 0 for w in negdef_plumbing(BrieskornTriple(p, q, r)).weights):
-                    out.append((p, q, r))
+                lr = even[r][p * q % r]
+                if lr and (lq := even[q][p * r % q]) and (lp := even[p][q * r % p]) and lp + lq + lr == 7:
+                    if all(w % 2 == 0 for w in negdef_plumbing(BrieskornTriple(p, q, r)).weights):
+                        out.append((p, q, r))
     return out

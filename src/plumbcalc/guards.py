@@ -39,9 +39,9 @@ GUARDS: dict[str, Guard] = {
     # tables, 1.6-1.7 s (random stars and Brieskorn spheres cost at most 0.09 us a unit).  The last
     # family members inside are (i) n = 1117, (ii) 644, (iii) 789, (iv) 790, each under 0.03 s.
     "leg tables": Guard("table entries and centres", 20_000_000),
-    # families.classify_e8_brieskorn: about bound^3 / 6 triples, each ranked in integers before any graph
-    # is built, and one star tested per rank-8 triple; at the bound the scan takes 0.4 s.
-    "classify bound": Guard("classification bound", 100),
+    # families.classify_e8_brieskorn: about bound^3 / 6 triples, rejected by table reads unless the legs are
+    # all even with rank 8 (stars built: 14 at 45, 61 at 400); 0.6-1.0 s at the bound, 1.4-2.3 s at 500.
+    "classify bound": Guard("classification bound", 400),
     # lattice.isometric backtracks over the vectors of each norm, exponentially in the rank: -E8 + -I4
     # (rank 12) against itself takes 1.9 s, E8 0.01 s.
     "isometric rank": Guard("lattice rank", 12),

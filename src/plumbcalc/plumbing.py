@@ -120,6 +120,9 @@ class PlumbingGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "PlumbingGraph":
+        for v in data["vertices"]:
+            if not {"id", "weight"} <= set(v):
+                raise ValueError(f"vertex {v!r} needs an id and a weight")
         ids = [v["id"] for v in data["vertices"]]
         for x in [*ids, *(v["weight"] for v in data["vertices"]), *(e for edge in data["edges"] for e in edge)]:
             if type(x) is not int:  # not a bool (an int subclass), not a float
@@ -130,6 +133,9 @@ class PlumbingGraph:
         weights = [0] * len(ids)
         for v in data["vertices"]:
             weights[order[v["id"]]] = v["weight"]
+        for edge in data["edges"]:
+            if len(edge) != 2 or not set(edge) <= order.keys():
+                raise ValueError(f"edge {edge!r} does not join two vertex ids")
         edges = [(order[a], order[b]) for a, b in data["edges"]]
         return cls(tuple(weights), tuple(edges))
 
@@ -565,13 +571,6 @@ def brieskorn_seifert(T: BrieskornTriple) -> SeifertData:
     e, rem = divmod(pp * q * r + qp * p * r + rp * p * q - 1, p * q * r)
     assert rem == 0
     return SeifertData(e, ((p, pp), (q, qp), (r, rp))).normalized()
-
-
-def brieskorn_rank(p: int, q: int, r: int) -> int:
-    """Rank of the negative-definite plumbing of Sigma(p,q,r) (and of its negation, the reversed
-    orientation's star), in integers: a branch a with residue b = (product of the other two)^{-1}
-    mod a is the leg -HJ(a/(a - b))."""
-    return 1 + sum(len(_hj_word(a, a - mod_inverse(x * y, a))) for a, x, y in ((p, q, r), (q, p, r), (r, p, q)))
 
 
 def negdef_plumbing(T: BrieskornTriple) -> PlumbingGraph:

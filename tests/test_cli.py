@@ -229,22 +229,43 @@ class TestMubarCommand:
         assert blocks >= 20
 
     @pytest.mark.parametrize(
-        "payload",
+        "payload, message",
         [
-            [{"id": 0, "weight": -2}],
-            {"vertices": [{"id": 0, "weight": None}], "edges": []},
-            {"vertices": [{"id": 0, "weight": -1.5}], "edges": []},
-            {"vertices": [{"id": 0, "weight": True}], "edges": []},
-            {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], "edges": [[0.0, True]]},
-            {"vertices": [{"id": 0.0, "weight": -2}, {"id": True, "weight": -2}], "edges": [[0, 1]]},
+            ([{"id": 0, "weight": -2}], None),
+            ({"vertices": [{"id": 0, "weight": None}], "edges": []}, None),
+            ({"vertices": [{"id": 0, "weight": -1.5}], "edges": []}, None),
+            ({"vertices": [{"id": 0, "weight": True}], "edges": []}, None),
+            ({"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], "edges": [[0.0, True]]}, None),
+            ({"vertices": [{"id": 0.0, "weight": -2}, {"id": True, "weight": -2}], "edges": [[0, 1]]}, None),
+            (
+                {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], "edges": [[0, 5]]},
+                "edge [0, 5] does not join two vertex ids",
+            ),
+            (
+                {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], "edges": [[0, 1, 1]]},
+                "edge [0, 1, 1] does not join two vertex ids",
+            ),
+            ({"vertices": [{"weight": -2}], "edges": []}, "vertex {'weight': -2} needs an id and a weight"),
         ],
-        ids=["top-level-list", "null-weight", "float-weight", "bool-weight", "float-bool-endpoints", "float-bool-ids"],
+        ids=[
+            "top-level-list",
+            "null-weight",
+            "float-weight",
+            "bool-weight",
+            "float-bool-endpoints",
+            "float-bool-ids",
+            "unknown-endpoint",
+            "three-endpoints",
+            "missing-id",
+        ],
     )
-    def test_malformed_graph_file_exits_2(self, capsys, tmp_path, payload):
+    def test_malformed_graph_file_exits_2(self, capsys, tmp_path, payload, message):
         path = tmp_path / "g.json"
         path.write_text(json.dumps(payload))
         code, _, err = run(capsys, "mubar", "--graph", str(path))
         assert code == 2 and "cannot read graph file" in err and "Traceback" not in err
+        if message:  # the message names the bad edge or vertex
+            assert err == f"error: cannot read graph file: {message}\n"
 
     def test_missing_args(self, capsys, tmp_path):
         assert run(capsys, "mubar") == (2, "", "error: give a triple or --graph FILE\n")
@@ -410,8 +431,17 @@ class TestVerifyCommand:
         assert time.monotonic() - t0 < 1.0
 
     def test_classify_guard_exits_3(self, capsys):
-        code, out, err = run(capsys, "verify", "classify-e8", "--bound", "101")
-        assert (code, out, err) == (3, "", "error: classify bound guard exceeded: classification bound 101 > 100\n")
+        code, out, err = run(capsys, "verify", "classify-e8", "--bound", "401")
+        assert (code, out, err) == (3, "", "error: classify bound guard exceeded: classification bound 401 > 400\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--json", "verify", "thm1.2", "--families", "i", "--n", "1"], ["verify", "classify-e8", "--bound", "7", "--json"]],
+        ids=["json-before", "json-after"],
+    )
+    def test_json_is_refused(self, capsys, argv):
+        # verify prints text only: --json on either side of the subcommand exits 2 before any work
+        assert run(capsys, *argv) == (2, "", "error: verify prints text; --report writes JSON lines\n")
 
     def test_bad_task(self, capsys):
         code, _, err = run(capsys, "verify", "thm9.9")
@@ -497,7 +527,7 @@ FUZZ_TABLE = [
     ["verify", "thm1.3", "--families", "i", "--n", "-1..1"],
     ["verify", "thm1.3", "--families", "iii", "--n", "1000"],
     ["verify", "cor1.6", "--families", "i", "--n", "1..x"],
-    ["verify", "classify-e8", "--bound", "101"],
+    ["verify", "classify-e8", "--bound", "401"],
     ["verify", "thm1.2", "--families", "i", "--n", "1", "--report", "{missing}"],
     ["verify", "thm9.9"],
     ["bogus"],

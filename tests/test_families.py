@@ -1,7 +1,7 @@
 import inspect
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -12,7 +12,6 @@ from plumbcalc.lens import d_from_plumbing, d_surgery, lens_d
 from plumbcalc.plumbing import (
     BrieskornTriple,
     SeifertData,
-    brieskorn_rank,
     brieskorn_seifert,
     graph_to_gram,
     negdef_plumbing,
@@ -39,6 +38,7 @@ from plumbcalc.families import (
     verify_unbounded_gap,
     write_reports,
 )
+from test_plumbing import brieskorn_rank
 
 
 class TestTables:
@@ -329,16 +329,18 @@ def test_theorem_main_eliminates_each_tree_once(monkeypatch):
     import plumbcalc.lattice
     import plumbcalc.plumbing
 
+    members = [("i", 3), ("v", 2), ("xii", 1)]
+    expected = {member: negdef_plumbing(family_triple(*member)).rank for member in members}  # before the patch
     ranks = {"tree": [], "dense": []}
     tree_kernel, dense_kernel = plumbcalc.plumbing._tree_eliminate, plumbcalc.lattice._eliminate
     monkeypatch.setattr(plumbcalc.plumbing, "_tree_eliminate", lambda G: ranks["tree"].append(G.rank) or tree_kernel(G))
     monkeypatch.setattr(plumbcalc.lattice, "_eliminate", lambda rows: ranks["dense"].append(len(rows)) or dense_kernel(rows))
-    for fam, n in [("i", 3), ("v", 2), ("xii", 1)]:
+    for fam, n in members:
         ranks["tree"].clear()
         ranks["dense"].clear()
         rep = verify_theorem_main(fam, n)
         assert rep.passed
-        assert ranks == {"tree": [brieskorn_rank(*family_triple(fam, n).as_tuple())], "dense": []}, (fam, n)
+        assert ranks == {"tree": [expected[fam, n]], "dense": []}, (fam, n)
 
 
 class TestUnboundedGap:
@@ -364,4 +366,25 @@ class TestClassifyE8:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            classify_e8_brieskorn(101)
+            classify_e8_brieskorn(401)
+
+    def test_matches_brute_force_up_to_45(self):
+        # the oracle ranks every coprime triple in integers, builds the star at
+        # rank 8 and tests every weight; its list at B is its list at 45 cut to r <= B
+        coprime = [T for T in combinations(range(2, 46), 3) if gcd(T[0], T[1]) == gcd(T[0], T[2]) == gcd(T[1], T[2]) == 1]
+        found = [
+            T
+            for T in coprime
+            if brieskorn_rank(*T) == 8 and all(w % 2 == 0 for w in negdef_plumbing(BrieskornTriple(*T)).weights)
+        ]
+        assert found == [(2, 3, 5), (3, 4, 7)]
+        for bound in range(2, 46):
+            assert classify_e8_brieskorn(bound) == [T for T in found if T[2] <= bound], bound
+
+    def test_builds_few_stars(self, monkeypatch):
+        # the leg tables leave 14 stars to build at bound 45; testing every rank-8 triple builds 244
+        built = []
+        build = plumbcalc.families.negdef_plumbing
+        monkeypatch.setattr(plumbcalc.families, "negdef_plumbing", lambda T: built.append(T) or build(T))
+        assert classify_e8_brieskorn(45) == [(2, 3, 5), (3, 4, 7)]
+        assert len(built) <= 20

@@ -8,7 +8,7 @@ import pytest
 
 import plumbcalc.lattice
 import plumbcalc.plumbing
-from plumbcalc.arith import NotExpandableError
+from plumbcalc.arith import NotExpandableError, _hj_word
 from plumbcalc.cli import main
 from plumbcalc.lattice import (
     Definiteness,
@@ -33,7 +33,6 @@ from plumbcalc.plumbing import (
     PatternNotFoundError,
     PlumbingGraph,
     SeifertData,
-    brieskorn_rank,
     brieskorn_seifert,
     chain_to_gram,
     graph_to_gram,
@@ -49,6 +48,11 @@ from plumbcalc.plumbing import (
 )
 from plumbcalc.families import family_triple
 from plumbcalc.lens import LensSpace, SurgeryDescriptor, d_from_plumbing
+
+
+def brieskorn_rank(p: int, q: int, r: int) -> int:
+    """The rank of ``negdef_plumbing`` in integers: the leg at a is -HJ(a/(a - (product of the others)^-1 mod a))."""
+    return 1 + sum(len(_hj_word(a, a - pow(x * y, -1, a))) for a, x, y in ((p, q, r), (q, p, r), (r, p, q)))
 
 
 def minus_e8_tree() -> PlumbingGraph:
@@ -323,10 +327,10 @@ class TestBrieskorn:
             negdef_plumbing(BrieskornTriple(2, 3, 7))
 
     def test_integer_rank_matches_both_orientations_up_to_45(self):
-        # brieskorn_rank is classify-e8's pre-test: it must equal the rank of
-        # the negative-definite plumbing.  The reversed orientation's star is
-        # that plumbing negated (weights negated, the same edges), which is why
-        # classify-e8 tests the negative-definite star only
+        # the integer rank equals the rank of the negative-definite plumbing.
+        # The reversed orientation's star is that plumbing negated (weights
+        # negated, the same edges), which is why classify-e8 tests the
+        # negative-definite star only
         count = 0
         for p in range(2, 46):
             for q in range(p + 1, 46):
