@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: ``plumbcalc [--json] COMMAND ARGUMENTS``.
 
 Commands
 --------
@@ -10,6 +10,9 @@ verify TASK        batch verification: the family tasks thm1.2, thm1.3,
                    cor1.6 and rmk1.4 (--families / --n, --report writes one
                    JSON line per member) and classify-e8 (--bound)
 
+--json, before or after the command, prints JSON.  Options are spelled in full,
+as --name VALUE or --name=VALUE.  -h or --help prints this text.
+
 All printed rationals are exact strings ("2", "81/46"); no decimals are ever
 produced.  Exit codes: 0 success, 1 verification clause failure, 2 invalid
 input, 3 work guard exceeded (the guards and their bounds are ``guards.GUARDS``).
@@ -18,11 +21,11 @@ Every command computes its answer afresh; nothing is cached between runs.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 from math import gcd
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .families import (
@@ -61,19 +64,9 @@ def _error(msg, code: int = EXIT_BAD_INPUT) -> int:
 # Commands
 
 
-def _parse_triple(args) -> BrieskornTriple:
-    try:
-        return BrieskornTriple(*sorted((args.p, args.q, args.r)))
-    except ValueError as exc:
-        raise SystemExit(_error(exc))
-
-
 def cmd_d(args) -> int:
-    triple = _parse_triple(args)
-    try:
-        res = d_brieskorn(triple)
-    except ScanGuardExceededError as exc:
-        return _error(exc)
+    triple = BrieskornTriple(*sorted((args.p, args.q, args.r)))
+    res = d_brieskorn(triple)
     value = {"d": str(res.value), "certificate": list(res.vector)}
     if args.json:
         print(json.dumps({"command": "d", "triple": list(triple.as_tuple()), **value}, sort_keys=True))
@@ -84,27 +77,24 @@ def cmd_d(args) -> int:
 
 def cmd_lens_d(args) -> int:
     p, q = args.p, args.q
-    try:
-        if args.i is None or args.all:
-            if args.oracle:  # its labels are 0..p-1 too
-                values = [str(v) for _, v in sorted(lens_d_oracle(p, q).items())]
-            else:
-                den, nums = lens_d_numerators(p, q)
-                values = [_ratio(n, den) for n in nums]
-            if args.json:
-                payload = {"command": "lens-d", "p": p, "q": q, "values": {str(i): v for i, v in enumerate(values)}}
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                # without --all the values are bare, one per label: `lens-d 1 1` prints just 0
-                print("\n".join(f"{i}: {v}" for i, v in enumerate(values)) if args.all else "\n".join(values))
+    if args.i is None or args.all:
+        if args.oracle:  # its labels are 0..p-1 too
+            values = [str(v) for _, v in sorted(lens_d_oracle(p, q).items())]
         else:
-            if args.oracle:
-                return _error("--oracle reports all labels (its labeling is method-internal)")
-            d = str(lens_d(p, q, args.i))
-            payload = {"command": "lens-d", "p": p, "q": q, "i": args.i, "d": d}
-            print(json.dumps(payload, sort_keys=True) if args.json else d)
-    except ValueError as exc:  # _error gives a work guard exit 3
-        return _error(exc)
+            den, nums = lens_d_numerators(p, q)
+            values = [_ratio(n, den) for n in nums]
+        if args.json:
+            payload = {"command": "lens-d", "p": p, "q": q, "values": {str(i): v for i, v in enumerate(values)}}
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            # without --all the values are bare, one per label: `lens-d 1 1` prints just 0
+            print("\n".join(f"{i}: {v}" for i, v in enumerate(values)) if args.all else "\n".join(values))
+    else:
+        if args.oracle:
+            return _error("--oracle reports all labels (its labeling is method-internal)")
+        d = str(lens_d(p, q, args.i))
+        payload = {"command": "lens-d", "p": p, "q": q, "i": args.i, "d": d}
+        print(json.dumps(payload, sort_keys=True) if args.json else d)
     return EXIT_OK
 
 
@@ -119,12 +109,9 @@ def cmd_mubar(args) -> int:
             return _error(f"cannot read graph file: {exc}")
     elif None in (args.p, args.q, args.r):
         return _error("give a triple or --graph FILE")
-    try:
-        if not args.graph:
-            G = negdef_plumbing(_parse_triple(args))
-        value = str(mubar(G))
-    except ValueError as exc:  # _error gives a work guard exit 3
-        return _error(exc)
+    else:
+        G = negdef_plumbing(BrieskornTriple(*sorted((args.p, args.q, args.r))))
+    value = str(mubar(G))
     print(json.dumps({"command": "mubar", "mubar": value}, sort_keys=True) if args.json else value)
     return EXIT_OK
 
@@ -160,11 +147,8 @@ def cmd_verify(args) -> int:
     task = args.task
     reports = []
     failed, stopped = False, EXIT_OK
-    try:
-        families = _parse_families(args.families)
-        ns = _parse_range(args.n)
-    except ValueError as exc:
-        return _error(exc)
+    families = _parse_families(args.families)
+    ns = _parse_range(args.n)
     if task in ("thm1.3", "cor1.6"):
         families = [f for f in families if f in SURGERY_FAMILIES]
     if task == "classify-e8" and args.bound < 2:
@@ -209,8 +193,6 @@ def cmd_verify(args) -> int:
                                 print(f"  failing clause: {name}", file=sys.stderr)
     except ScanGuardExceededError as exc:  # the reports finished before the guard are still written
         stopped = _error(exc)
-    except ValueError as exc:
-        return _error(exc)
     code = stopped or (EXIT_CLAUSE_FAILED if failed else EXIT_OK)
 
     if args.report:
@@ -223,68 +205,94 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command line
+
+VERIFY_TASKS = ("thm1.2", "thm1.3", "cor1.6", "rmk1.4", "classify-e8")
+# command -> its function; its positionals with their kinds (int, or the words
+# allowed), the first `required` of them needed; its flags; its valued options
+# with their defaults (an int default takes an integer).  Every command also
+# has the flag --json, which may come before it as well.
+COMMANDS = {
+    "d": (cmd_d, {"p": int, "q": int, "r": int}, 3, (), {}),
+    "lens-d": (cmd_lens_d, {"p": int, "q": int, "i": int}, 2, ("all", "oracle"), {}),
+    "mubar": (cmd_mubar, {"p": int, "q": int, "r": int}, 0, (), {"graph": None}),
+    "verify": (cmd_verify, {"task": VERIFY_TASKS}, 1, (), {"families": "i..xii", "n": "1..3", "bound": 60, "report": None}),
+}
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # registered on the main parser and again on every subparser (with
-    # SUPPRESS defaults) so --json works on either side of the subcommand
-    kw = {"default": argparse.SUPPRESS} if suppress else {"default": False}
-    parser.add_argument("--json", action="store_true", help="print machine-readable JSON", **kw)
+def _is_option(token: str) -> bool:
+    """A token starting with ``-`` is an option, unless it is ``-``, holds a space or reads as a negative number."""
+    return token[:1] == "-" and token != "-" and " " not in token and not _NEGATIVE_NUMBER.match(token)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by later calls."""
-    ap = argparse.ArgumentParser(
-        prog="plumbcalc",
-        description="Exact invariants of plumbed 3-manifolds and integral lattices.",
-    )
-    _add_common(ap, suppress=False)
-    sub = ap.add_subparsers(dest="command", required=True)
+def _value(name: str, token: str, kind):
+    if kind is int:
+        try:
+            return int(token)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, not {token!r}") from None
+    if kind is not str and token not in kind:
+        raise ValueError(f"{name} must be one of {', '.join(kind)}, not {token!r}")
+    return token
 
-    d = sub.add_parser("d", help="correction term of a Brieskorn sphere")
-    _add_common(d, suppress=True)
-    d.add_argument("p", type=int)
-    d.add_argument("q", type=int)
-    d.add_argument("r", type=int)
-    d.set_defaults(fn=cmd_d)
 
-    ld = sub.add_parser("lens-d", help="correction terms of a lens space")
-    _add_common(ld, suppress=True)
-    ld.add_argument("p", type=int)
-    ld.add_argument("q", type=int)
-    ld.add_argument("i", type=int, nargs="?", default=None)
-    ld.add_argument("--all", action="store_true", help="print all p labels")
-    ld.add_argument("--oracle", action="store_true", help="use the plumbing oracle instead of the recursion")
-    ld.set_defaults(fn=cmd_lens_d)
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The arguments of one command line as ``COMMANDS`` lists them, ``fn`` the command's function.
 
-    mb = sub.add_parser("mubar", help="Neumann-Siebenmann invariant")
-    _add_common(mb, suppress=True)
-    mb.add_argument("p", type=int, nargs="?", default=None)
-    mb.add_argument("q", type=int, nargs="?", default=None)
-    mb.add_argument("r", type=int, nargs="?", default=None)
-    mb.add_argument("--graph", default=None, help="JSON plumbing-graph file")
-    mb.set_defaults(fn=cmd_mubar)
-
-    vf = sub.add_parser("verify", help="batch verification tasks")
-    _add_common(vf, suppress=True)
-    vf.add_argument("task", choices=["thm1.2", "thm1.3", "cor1.6", "rmk1.4", "classify-e8"])
-    vf.add_argument("--families", default="i..xii")
-    vf.add_argument("--n", default="1..3")
-    vf.add_argument("--bound", type=int, default=60, help="scan bound for classify-e8")
-    vf.add_argument("--report", default=None, help="write JSON-lines report here")
-    vf.set_defaults(fn=cmd_verify)
-    return ap
+    An option is spelled in full, as ``--name value`` or ``--name=value``, and
+    may come anywhere after its command and before ``--``, past which every
+    token is a positional.  Raises ``ValueError`` on any other line.
+    """
+    k = 0
+    while k < len(argv) and argv[k] == "--json":
+        k += 1
+    if k == len(argv) or argv[k] not in COMMANDS:
+        got = repr(argv[k]) if k < len(argv) else "none"
+        raise ValueError(f"expected a command, one of {', '.join(COMMANDS)}; got {got}")
+    command = argv[k]
+    fn, kinds, required, flags, options = COMMANDS[command]
+    args = {"json": k > 0, **dict.fromkeys(kinds), **dict.fromkeys(flags, False), **options}
+    given = []
+    tokens = iter(argv[k + 1 :])
+    for token in tokens:
+        if token == "--":  # every later token is a positional
+            given += tokens
+            break
+        option, eq, value = token.partition("=")
+        name = option[2:] if option[:2] == "--" else None
+        if name == "json" or name in flags:
+            if eq:
+                raise ValueError(f"{option} takes no value")
+            args[name] = True
+        elif name in options:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    raise ValueError(f"{option} needs a value")
+            args[name] = _value(option, value, int if type(options[name]) is int else str)
+        elif _is_option(token):
+            raise ValueError(f"{command} has no option {option}")
+        else:
+            given.append(token)
+    if not required <= len(given) <= len(kinds):
+        usage = " ".join(n.upper() if j < required else f"[{n.upper()}]" for j, n in enumerate(kinds))
+        raise ValueError(f"{command} takes {usage}; got {' '.join(given) or 'none'}")
+    for (name, kind), token in zip(kinds.items(), given):
+        args[name] = _value(name, token, kind)
+    return SimpleNamespace(fn=fn, **args)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(__doc__, end="")
+        return EXIT_OK
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         return args.fn(args)
-    except SystemExit as exc:
-        # argparse errors and internal bail-outs both surface as return codes
-        return int(exc.code) if exc.code is not None else 0
+    except ValueError as exc:  # a refused command line or input; _error gives a work guard exit 3
+        return _error(exc)
 
 
 if __name__ == "__main__":

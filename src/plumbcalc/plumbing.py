@@ -121,10 +121,11 @@ class PlumbingGraph:
     @classmethod
     def from_json(cls, data: dict) -> "PlumbingGraph":
         for v in data["vertices"]:
-            if not {"id", "weight"} <= set(v):
+            if not isinstance(v, dict) or not {"id", "weight"} <= v.keys():
                 raise ValueError(f"vertex {v!r} needs an id and a weight")
         ids = [v["id"] for v in data["vertices"]]
-        for x in [*ids, *(v["weight"] for v in data["vertices"]), *(e for edge in data["edges"] for e in edge)]:
+        endpoints = (e for edge in data["edges"] if isinstance(edge, list) for e in edge)  # other edges fail below
+        for x in [*ids, *(v["weight"] for v in data["vertices"]), *endpoints]:
             if type(x) is not int:  # not a bool (an int subclass), not a float
                 raise ValueError(f"graph file has {x!r} where an integer id, weight or endpoint belongs")
         order = {vid: k for k, vid in enumerate(sorted(ids))}
@@ -134,7 +135,7 @@ class PlumbingGraph:
         for v in data["vertices"]:
             weights[order[v["id"]]] = v["weight"]
         for edge in data["edges"]:
-            if len(edge) != 2 or not set(edge) <= order.keys():
+            if not isinstance(edge, list) or len(edge) != 2 or not set(edge) <= order.keys():
                 raise ValueError(f"edge {edge!r} does not join two vertex ids")
         edges = [(order[a], order[b]) for a, b in data["edges"]]
         return cls(tuple(weights), tuple(edges))

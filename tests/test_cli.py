@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,7 @@ import plumbcalc.cli
 import plumbcalc.families
 import plumbcalc.lattice
 import plumbcalc.plumbing
-from plumbcalc.cli import main
+from plumbcalc.cli import COMMANDS, main, parse_args
 from plumbcalc.families import VerificationReport
 from plumbcalc.guards import GUARDS
 from plumbcalc.lattice import determinant, signature, wu_class
@@ -246,6 +250,8 @@ class TestMubarCommand:
                 "edge [0, 1, 1] does not join two vertex ids",
             ),
             ({"vertices": [{"weight": -2}], "edges": []}, "vertex {'weight': -2} needs an id and a weight"),
+            ({"vertices": [5], "edges": []}, "vertex 5 needs an id and a weight"),
+            ({"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], "edges": [5]}, "edge 5 does not join two vertex ids"),
         ],
         ids=[
             "top-level-list",
@@ -257,6 +263,8 @@ class TestMubarCommand:
             "unknown-endpoint",
             "three-endpoints",
             "missing-id",
+            "non-object-vertex",
+            "non-list-edge",
         ],
     )
     def test_malformed_graph_file_exits_2(self, capsys, tmp_path, payload, message):
@@ -557,18 +565,202 @@ def test_malformed_argv_exits_cleanly(capsys, tmp_path):
         assert code in (0, 2, 3) and "Traceback" not in err, argv
 
 
-def test_shared_parser_answers_like_a_fresh_one(capsys):
-    # the parser is built once per process: no run may see the options or the
-    # error of the run before it
+# The argparse parser the table replaced, frozen on a fixed corpus: every
+# README command line, FUZZ_TABLE, --json on either side, --name=value,
+# negative positionals, missing and extra positionals, unknown options, the --
+# marker and tokens holding a space.  Each line (a tuple where a token holds a
+# space) is paired with its vars(args) (without fn), or REFUSED (exit 2).
+REFUSED = None
+_ARGPARSE_DEFAULTS = {  # each command's defaults; its required positionals are in every row
+    "d": {"json": False},
+    "lens-d": {"json": False, "i": None, "all": False, "oracle": False},
+    "mubar": {"json": False, "p": None, "q": None, "r": None, "graph": None},
+    "verify": {"json": False, "families": "i..xii", "n": "1..3", "bound": 60, "report": None},
+}
+GOLDEN_PARSES = [
+    ("d 2 3 5", {**_ARGPARSE_DEFAULTS["d"], "p": 2, "q": 3, "r": 5}),
+    ("d 2 3 7", {**_ARGPARSE_DEFAULTS["d"], "p": 2, "q": 3, "r": 7}),
+    ("lens-d 23 2 --all", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 23, "q": 2, "all": True}),
+    ("lens-d 23 2 --all --oracle", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 23, "q": 2, "all": True, "oracle": True}),
+    ("mubar 2 5 9", {**_ARGPARSE_DEFAULTS["mubar"], "p": 2, "q": 5, "r": 9}),
+    ("mubar --graph tree.json", {**_ARGPARSE_DEFAULTS["mubar"], "graph": "tree.json"}),
+    ("verify thm1.2 --families i..xii --n 1..3 --report out.jsonl", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "report": "out.jsonl"}),
+    ("verify thm1.3 --families i..iv --n 1..6", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.3", "families": "i..iv", "n": "1..6"}),
+    ("verify cor1.6 --families i --n 1..4", {**_ARGPARSE_DEFAULTS["verify"], "task": "cor1.6", "families": "i", "n": "1..4"}),
+    ("verify rmk1.4 --families v,vii --n 1..2 --report conj.jsonl", {**_ARGPARSE_DEFAULTS["verify"], "task": "rmk1.4", "families": "v,vii", "n": "1..2", "report": "conj.jsonl"}),
+    ("verify classify-e8 --bound 60", {**_ARGPARSE_DEFAULTS["verify"], "task": "classify-e8"}),
+    ("d 101 103 10007", {**_ARGPARSE_DEFAULTS["d"], "p": 101, "q": 103, "r": 10007}),
+    ("d 2 3 10000001", {**_ARGPARSE_DEFAULTS["d"], "p": 2, "q": 3, "r": 10000001}),
+    ("verify thm1.2 --families v --n 200000", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "v", "n": "200000"}),
+    ("lens-d 599999 370820 --all", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 599999, "q": 370820, "all": True}),
+    ("verify rmk1.4 --families i..xii --n 1..50", {**_ARGPARSE_DEFAULTS["verify"], "task": "rmk1.4", "n": "1..50"}),
+    ("verify cor1.6 --families i..iv --n 150", {**_ARGPARSE_DEFAULTS["verify"], "task": "cor1.6", "families": "i..iv", "n": "150"}),
+    ("lens-d 8000 129 --oracle", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 8000, "q": 129, "oracle": True}),
+    ("d 2 4 9", {**_ARGPARSE_DEFAULTS["d"], "p": 2, "q": 4, "r": 9}),
+    ("d 6 10 35", {**_ARGPARSE_DEFAULTS["d"], "p": 6, "q": 10, "r": 35}),
+    ("lens-d 6 4", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 6, "q": 4}),
+    ("lens-d 5 2 5", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 5, "q": 2, "i": 5}),
+    ("lens-d 5 2 -1", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 5, "q": 2, "i": -1}),
+    ("lens-d 5 2 1 --oracle", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 5, "q": 2, "i": 1, "oracle": True}),
+    ("lens-d 1000000007 2 --all", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 1000000007, "q": 2, "all": True}),
+    (f"lens-d {_fibonacci(1501)} {_fibonacci(1500)} 0", {**_ARGPARSE_DEFAULTS["lens-d"], "p": _fibonacci(1501), "q": _fibonacci(1500), "i": 0}),
+    ("mubar 3 9 10", {**_ARGPARSE_DEFAULTS["mubar"], "p": 3, "q": 9, "r": 10}),
+    ("verify thm1.2 --families zz", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "zz"}),
+    ("verify thm1.2 --families i..zz", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "i..zz"}),
+    ("verify rmk1.4 --families xiii --n 1", {**_ARGPARSE_DEFAULTS["verify"], "task": "rmk1.4", "families": "xiii", "n": "1"}),
+    ("verify thm1.2 --families i --n a..b", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "i", "n": "a..b"}),
+    ("verify thm1.2 --families i --n 0", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "i", "n": "0"}),
+    ("verify thm1.2 --families i --n 0..1000000000000000", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "i", "n": "0..1000000000000000"}),
+    ("verify thm1.3 --families i --n -1..1", REFUSED),
+    ("verify thm1.3 --families iii --n 1000", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.3", "families": "iii", "n": "1000"}),
+    ("verify cor1.6 --families i --n 1..x", {**_ARGPARSE_DEFAULTS["verify"], "task": "cor1.6", "families": "i", "n": "1..x"}),
+    ("verify classify-e8 --bound 401", {**_ARGPARSE_DEFAULTS["verify"], "task": "classify-e8", "bound": 401}),
+    ("verify thm1.2 --families i --n 1 --report {missing}", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "i", "n": "1", "report": "{missing}"}),
+    ("verify thm9.9", REFUSED),
+    ("bogus", REFUSED),
+    ("", REFUSED),
+    ("--json d 2 3 5", {**_ARGPARSE_DEFAULTS["d"], "json": True, "p": 2, "q": 3, "r": 5}),
+    ("d 2 3 5 --json", {**_ARGPARSE_DEFAULTS["d"], "json": True, "p": 2, "q": 3, "r": 5}),
+    ("d --json 2 3 5", {**_ARGPARSE_DEFAULTS["d"], "json": True, "p": 2, "q": 3, "r": 5}),
+    ("--json lens-d 7 2", {**_ARGPARSE_DEFAULTS["lens-d"], "json": True, "p": 7, "q": 2}),
+    ("lens-d 7 2 --json", {**_ARGPARSE_DEFAULTS["lens-d"], "json": True, "p": 7, "q": 2}),
+    ("lens-d 7 2 1 --json", {**_ARGPARSE_DEFAULTS["lens-d"], "json": True, "p": 7, "q": 2, "i": 1}),
+    ("--json lens-d 7 2 --all --oracle", {**_ARGPARSE_DEFAULTS["lens-d"], "json": True, "p": 7, "q": 2, "all": True, "oracle": True}),
+    ("--json mubar 2 3 5", {**_ARGPARSE_DEFAULTS["mubar"], "json": True, "p": 2, "q": 3, "r": 5}),
+    ("mubar 2 3 5 --json", {**_ARGPARSE_DEFAULTS["mubar"], "json": True, "p": 2, "q": 3, "r": 5}),
+    ("mubar --json --graph g.json", {**_ARGPARSE_DEFAULTS["mubar"], "json": True, "graph": "g.json"}),
+    ("--json verify thm1.2 --families i --n 1", {**_ARGPARSE_DEFAULTS["verify"], "json": True, "task": "thm1.2", "families": "i", "n": "1"}),
+    ("verify classify-e8 --bound 7 --json", {**_ARGPARSE_DEFAULTS["verify"], "json": True, "task": "classify-e8", "bound": 7}),
+    ("--json --json d 2 3 5", {**_ARGPARSE_DEFAULTS["d"], "json": True, "p": 2, "q": 3, "r": 5}),
+    ("--json", REFUSED),
+    ("--json=1 d 2 3 5", REFUSED),
+    ("d 2 3 5 --json=1", REFUSED),
+    ("verify thm1.2 --families=i --n=1..2", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "i", "n": "1..2"}),
+    ("verify classify-e8 --bound=10", {**_ARGPARSE_DEFAULTS["verify"], "task": "classify-e8", "bound": 10}),
+    ("mubar --graph=g.json", {**_ARGPARSE_DEFAULTS["mubar"], "graph": "g.json"}),
+    ("verify thm1.2 --report=out.jsonl", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "report": "out.jsonl"}),
+    ("verify thm1.2 --n=", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "n": ""}),
+    ("verify thm1.2 --n=-1..1", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "n": "-1..1"}),
+    ("verify classify-e8 --bound=x", REFUSED),
+    ("lens-d 5 2 --all=1", REFUSED),
+    ("verify thm1.2 --n 1 --n 2", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "n": "2"}),
+    ("d -2 3 5", {**_ARGPARSE_DEFAULTS["d"], "p": -2, "q": 3, "r": 5}),
+    ("mubar -2 -3 -5", {**_ARGPARSE_DEFAULTS["mubar"], "p": -2, "q": -3, "r": -5}),
+    ("lens-d -5 -2", {**_ARGPARSE_DEFAULTS["lens-d"], "p": -5, "q": -2}),
+    ("lens-d 5 -2 -3", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 5, "q": -2, "i": -3}),
+    ("verify classify-e8 --bound -7", {**_ARGPARSE_DEFAULTS["verify"], "task": "classify-e8", "bound": -7}),
+    ("verify thm1.2 --families i --n -1", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "i", "n": "-1"}),
+    ("verify classify-e8 --bound -x", REFUSED),
+    ("d 2 3 -5x", REFUSED),
+    ("d 2 3 -2.5", REFUSED),
+    ("d", REFUSED),
+    ("d 2 3", REFUSED),
+    ("d 2 3 5 7", REFUSED),
+    ("lens-d", REFUSED),
+    ("lens-d 5", REFUSED),
+    ("lens-d 5 2 1 0", REFUSED),
+    ("mubar 2", {**_ARGPARSE_DEFAULTS["mubar"], "p": 2}),
+    ("mubar 2 3", {**_ARGPARSE_DEFAULTS["mubar"], "p": 2, "q": 3}),
+    ("mubar 2 3 5 7", REFUSED),
+    ("verify", REFUSED),
+    ("verify thm1.2 extra", REFUSED),
+    ("d x 3 5", REFUSED),
+    ("lens-d 5 2 x", REFUSED),
+    ("verify classify-e8 --bound", REFUSED),
+    ("verify thm1.2 --n", REFUSED),
+    ("mubar --graph", REFUSED),
+    ("lens-d 5 --all 2", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 5, "q": 2, "all": True}),
+    ("verify --families i thm1.2", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "i"}),
+    ("mubar 2 3 5 --graph g.json", {**_ARGPARSE_DEFAULTS["mubar"], "p": 2, "q": 3, "r": 5, "graph": "g.json"}),
+    ("d 2 3 5 --bogus", REFUSED),
+    ("lens-d 5 2 --graph g.json", REFUSED),
+    ("--all lens-d 5 2", REFUSED),
+    ("verify thm1.2 --all", REFUSED),
+    ("-x d 2 3 5", REFUSED),
+    ("mubar 2 3 5 --families i", REFUSED),
+    ("d 2 3 5 -", REFUSED),
+    ("--bogus", REFUSED),
+    ("verify thm1.2 --fam i", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "i"}),
+    ("verify classify-e8 --b 10", {**_ARGPARSE_DEFAULTS["verify"], "task": "classify-e8", "bound": 10}),
+    ("lens-d 5 2 --a", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 5, "q": 2, "all": True}),
+    ("--js d 2 3 5", {**_ARGPARSE_DEFAULTS["d"], "json": True, "p": 2, "q": 3, "r": 5}),
+    ("d 2 3 5 --js", {**_ARGPARSE_DEFAULTS["d"], "json": True, "p": 2, "q": 3, "r": 5}),
+    ("verify thm1.2 --rep out.jsonl", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "report": "out.jsonl"}),
+    ("mubar --gr g.json", {**_ARGPARSE_DEFAULTS["mubar"], "graph": "g.json"}),
+    ("verify thm1.2 --fam=i", {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "i"}),
+    ("lens-d 5 2 --all 3", REFUSED),
+    ("mubar --graph g.json 2 3 5", {**_ARGPARSE_DEFAULTS["mubar"], "p": 2, "q": 3, "r": 5, "graph": "g.json"}),
+    ("mubar 2 --json 3 5", REFUSED),
+    ("d -- 2 3 5", {**_ARGPARSE_DEFAULTS["d"], "p": 2, "q": 3, "r": 5}),
+    ("lens-d 5 2 -- -1", {**_ARGPARSE_DEFAULTS["lens-d"], "p": 5, "q": 2, "i": -1}),
+    ("d 2 3 5 --", {**_ARGPARSE_DEFAULTS["d"], "p": 2, "q": 3, "r": 5}),
+    ("-- d 2 3 5", REFUSED),
+    ("verify thm1.2 --n -- 1", REFUSED),
+    ("mubar -- --graph g.json", REFUSED),
+    # a token holding a space is a positional or a value, unless it starts with --name=
+    (("lens-d", "5", "-2 "), {**_ARGPARSE_DEFAULTS["lens-d"], "p": 5, "q": -2}),
+    (("verify", "thm1.2", "--families=i, ii"), {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "i, ii"}),
+    (("verify", "thm1.2", "--families", "-i, ii"), {**_ARGPARSE_DEFAULTS["verify"], "task": "thm1.2", "families": "-i, ii"}),
+    (("d", "2", "3", "-5 x"), REFUSED),
+]
+# The lines the table parser reads differently, on purpose: argparse took a
+# prefix of an option's name for the option, and refused an optional
+# positional that follows an option placed after the required ones.
+FLIPPED = {
+    "verify thm1.2 --fam i": REFUSED,
+    "verify classify-e8 --b 10": REFUSED,
+    "lens-d 5 2 --a": REFUSED,
+    "--js d 2 3 5": REFUSED,
+    "d 2 3 5 --js": REFUSED,
+    "verify thm1.2 --rep out.jsonl": REFUSED,
+    "mubar --gr g.json": REFUSED,
+    "verify thm1.2 --fam=i": REFUSED,
+    "lens-d 5 2 --all 3": {**_ARGPARSE_DEFAULTS["lens-d"], "p": 5, "q": 2, "i": 3, "all": True},
+    "mubar 2 --json 3 5": {**_ARGPARSE_DEFAULTS["mubar"], "json": True, "p": 2, "q": 3, "r": 5},
+}
+
+
+def test_parser_reproduces_the_argparse_table(capsys):
+    assert FLIPPED.keys() <= {line for line, _ in GOLDEN_PARSES}
+    for line, parsed in GOLDEN_PARSES:
+        argv = line.split() if isinstance(line, str) else list(line)
+        parsed = FLIPPED.get(line, parsed)
+        if parsed is REFUSED:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, line
+        else:
+            args = vars(parse_args(argv))
+            assert args.pop("fn") is COMMANDS[next(a for a in argv if a != "--json")][0], line
+            assert args == parsed, line
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python args`` in a new interpreter that imports this checkout's plumbcalc."""
+    env = {**os.environ, "PYTHONPATH": str(Path(plumbcalc.cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_each_run_answers_like_a_fresh_process(capsys):
+    # the parser keeps no state: no run may see the options or the error of
+    # the run before it in the same process
     seq = [["--json", "lens-d", "7", "2"], ["lens-d", "7", "2"], ["d", "2", "3"], ["lens-d", "7", "2", "--json"]]
     seq += [["d", "2", "3", "5"], ["verify", "thm9.9"], ["mubar", "2", "3", "5"]]
-    shared = [run(capsys, *argv) for argv in seq]
-    fresh = []
-    for argv in seq:
-        plumbcalc.cli.build_parser.cache_clear()
-        fresh.append(run(capsys, *argv))
-    assert shared == fresh
-    assert plumbcalc.cli.build_parser() is plumbcalc.cli.build_parser()
+    in_order = [run(capsys, *argv) for argv in seq]
+    alone = [_fresh("-m", "plumbcalc.cli", *argv) for argv in seq]
+    assert in_order == [(p.returncode, p.stdout, p.stderr) for p in alone]
+
+
+def test_import_leaves_argparse_out():
+    # the parser is a table and a loop: importing the CLI does not pay for argparse
+    proc = _fresh("-c", "import sys, plumbcalc.cli; print('argparse' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_help_prints_the_command_list(capsys):
+    for argv in (["-h"], ["--help"], ["d", "2", "-h"], ["--json", "verify", "--help"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out == plumbcalc.cli.__doc__, argv
+        assert all(f"\n{command} " in out for command in COMMANDS)
 
 
 def test_no_command_reaches_the_fraction_kernel_or_the_enumerator(capsys, monkeypatch, tmp_path):
