@@ -13,6 +13,10 @@ with all entries >= 2 of a value > 1; negating every entry gives the
 all-<= -2 expansion of its negative (the Hirzebruch-Jung legs of a
 negative-definite plumbing).  Mixing the two sign conventions is the classic
 source of sign bugs, so the plus convention is deliberately not implemented.
+
+``Record`` and ``Frozen`` are the bases of the package's value classes: equality,
+hash and repr over the fields each class names, in plain classes that keep
+``dataclasses`` (and the ``inspect`` and ``ast`` it loads) out of every start.
 """
 
 from __future__ import annotations
@@ -94,3 +98,37 @@ def _hj_word(a: int, b: int) -> tuple[int, ...]:
         # 0 <= c b - a < b, so the denominator strictly drops
         a, b = b, c * b - a
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Value classes
+
+
+class Record:
+    """Equality and repr over the attributes named in ``_fields``, as a dataclass has them.
+
+    Only an instance of the same class compares equal; a record is mutable and unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={v!r}' for f, v in zip(self._fields, self._values()))})"
+
+
+class Frozen(Record):
+    """A :class:`Record` hashed by its fields that refuses assignment: ``__init__`` fills ``__dict__``."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__

@@ -130,10 +130,13 @@ def _parse_families(spec: str) -> list[str]:
 def _parse_range(spec: str) -> Sequence[int]:
     """``A..B`` as a lazy range (its least element is its first), else a comma-separated list."""
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return [int(x) for x in spec.split(",") if x.strip()]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return range(int(lo), int(hi) + 1)
+        return [int(x) for x in spec.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"--n must be A..B or integers separated by commas, not {spec!r}") from None
 
 
 def _conjecture_summary(v: dict) -> str:
@@ -158,14 +161,12 @@ def cmd_verify(args) -> int:
             return _error("family parameter n must be >= 1")
         if not (families and ns):
             return _error(f"--families {args.families} --n {args.n} leaves nothing for {task} to run")
-    if args.report:
-        if task == "classify-e8":
-            return _error(f"verify {task} writes no report; drop --report")
-        # a bad report path fails before any work; the finished reports are written at the end
-        try:
-            open(args.report, "w", encoding="utf-8").close()
-        except OSError as exc:
-            return _error(f"cannot write report: {exc}")
+    if args.report and task == "classify-e8":
+        return _error(f"verify {task} writes no report; drop --report")
+    try:  # a bad report path fails before any work; the finished reports are written at the end
+        report = open(args.report, "w", encoding="utf-8") if args.report else None
+    except OSError as exc:
+        return _error(f"cannot write report: {exc}")
 
     try:
         if task == "classify-e8":
@@ -195,9 +196,10 @@ def cmd_verify(args) -> int:
         stopped = _error(exc)
     code = stopped or (EXIT_CLAUSE_FAILED if failed else EXIT_OK)
 
-    if args.report:
+    if report:
         try:
-            write_reports(reports, args.report)
+            with report:
+                write_reports(reports, report)
         except OSError as exc:
             return _error(f"cannot write report: {exc}", code or EXIT_BAD_INPUT)
         print(f"report written: {args.report}")

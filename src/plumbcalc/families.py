@@ -21,13 +21,12 @@ Verification reports are plain data: one :class:`VerificationReport` per
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import index
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional, TextIO
 
-from .arith import _hj_word
+from .arith import Frozen, Record, _hj_word
 from .guards import ScanGuardExceededError, guard
 from .lattice import GramLattice, recognize_e8
 from .lens import (
@@ -197,20 +196,15 @@ def family_final_lattice(fam: str, n: int) -> GramLattice:
 # Surgery parameters for families (i)-(iv)
 
 
-@dataclass(frozen=True)
-class SurgeryParameters:
+class SurgeryParameters(Frozen):
     """Row of the 0/1-surgery table: lens orders r and p = r + 1, s and q,
     dual class k and witness index.  The affine constant c is the
     descriptor's (``descriptor().c``)."""
 
-    family: str
-    n: int
-    r: int
-    s: int
-    p: int
-    q: int
-    k: int
-    witness_i: int
+    _fields = ("family", "n", "r", "s", "p", "q", "k", "witness_i")
+
+    def __init__(self, family: str, n: int, r: int, s: int, p: int, q: int, k: int, witness_i: int):
+        self.__dict__.update(family=family, n=n, r=r, s=s, p=p, q=q, k=k, witness_i=witness_i)
 
     def descriptor(self) -> SurgeryDescriptor:
         return SurgeryDescriptor(self.p, self.q, self.k)
@@ -291,16 +285,17 @@ def surgery_presentation(fam: str, n: int, meridian_framing: int) -> PlumbingGra
 # Verification reports
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one verification task for one (family, n) pair."""
+class VerificationReport(Record):
+    """Outcome of one verification task for one (family, n) pair; a default container is a fresh one."""
 
-    kind: str
-    family: str
-    n: int
-    checks: dict[str, bool] = field(default_factory=dict)
-    values: dict[str, object] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    _fields = ("kind", "family", "n", "checks", "values", "notes")
+
+    def __init__(self, kind: str, family: str, n: int, checks: Optional[dict[str, bool]] = None,
+                 values: Optional[dict[str, object]] = None, notes: Optional[list[str]] = None):
+        self.kind, self.family, self.n = kind, family, n
+        self.checks = {} if checks is None else checks
+        self.values = {} if values is None else values
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -327,11 +322,9 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def write_reports(reports: Iterable[VerificationReport], path: str) -> None:
-    """Write reports as JSON lines (one report per line)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rep in reports:
-            fh.write(rep.to_json() + "\n")
+def write_reports(reports: Iterable[VerificationReport], fh: TextIO) -> None:
+    """Write reports to the open text file ``fh`` as JSON lines (one report per line)."""
+    fh.writelines(rep.to_json() + "\n" for rep in reports)
 
 
 def verify_theorem_main(fam: str, n: int) -> VerificationReport:

@@ -32,7 +32,6 @@ Conventions used by several operations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
@@ -40,6 +39,7 @@ from math import isqrt, lcm, prod
 from operator import index
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
+from .arith import Frozen
 from .guards import guard
 
 
@@ -63,16 +63,14 @@ class SingularMod2Error(ValueError):
 # Gram lattices
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(Frozen):
     """A symmetric integer Gram matrix; rank 0 is the valid empty lattice."""
 
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        n = len(self.rows)
-        rows = tuple(tuple(map(index, row)) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        n = len(rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         for row in rows:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
@@ -80,6 +78,7 @@ class GramLattice:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        self.__dict__["rows"] = rows
 
     @property
     def rank(self) -> int:
@@ -596,8 +595,7 @@ def _congruent(g: Sequence[Sequence[int]], U: Sequence[Sequence[int]]) -> list[l
     return _mat_mul([list(col) for col in zip(*U)], _mat_mul(g, U))
 
 
-@dataclass(frozen=True)
-class Minimalization:
+class Minimalization(Frozen):
     """Result of splitting all <+-1> summands off a definite lattice.
 
     ``basis_change`` is a unimodular matrix B (columns are lattice vectors in
@@ -605,10 +603,10 @@ class Minimalization:
     minimal (+) <+1>^plus_ones (+) <-1>^minus_ones, in that column order.
     """
 
-    minimal: GramLattice
-    plus_ones: int
-    minus_ones: int
-    basis_change: tuple[tuple[int, ...], ...]
+    _fields = ("minimal", "plus_ones", "minus_ones", "basis_change")
+
+    def __init__(self, minimal: GramLattice, plus_ones: int, minus_ones: int, basis_change: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(minimal=minimal, plus_ones=plus_ones, minus_ones=minus_ones, basis_change=basis_change)
 
 
 def minimalize(L: GramLattice) -> Minimalization:

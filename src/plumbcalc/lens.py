@@ -53,7 +53,6 @@ the labels ``d_surgery`` evaluates; a single ``lens_d`` label is not guarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, compress, count, cycle, islice, repeat, takewhile
@@ -61,7 +60,7 @@ from math import gcd, isqrt, prod
 from operator import add, floordiv, index, mod, mul, sub
 from typing import NamedTuple, Optional
 
-from .arith import NotCoprimeError, _hj_word
+from .arith import Frozen, NotCoprimeError, _hj_word
 from .guards import GUARDS, guard
 from .lattice import _negdef_unimodular
 from .plumbing import BrieskornTriple, PlumbingGraph, _leg_continuants, brieskorn_seifert, negdef_plumbing, star_legs
@@ -73,22 +72,19 @@ TauWindow = tuple[int, int, int, int, list[list[int]]]  # (lo, hi, A, b, tables)
 # Lens spaces and the recursion
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(Frozen):
     """L(p, q) = p/q surgery on the unknot; p = 1 (with q = 0) is S^3."""
 
-    p: int
-    q: int
+    _fields = ("p", "q")
 
-    def __post_init__(self):
-        p, given = index(self.p), index(self.q)
+    def __init__(self, p: int, q: int):
+        p, given = index(p), index(q)
         if p < 1:
             raise ValueError("p must be >= 1")
         q = given % p  # 0 at p = 1, the one q with gcd(p, q) = 1 there
         if gcd(p, q) != 1:
             raise NotCoprimeError(f"L({p},{given}) needs q coprime to p")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        self.__dict__.update(p=p, q=q)
 
 
 def _descent_label(p: int, q: int, j: int) -> int:
@@ -231,23 +227,18 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
 # The surgery maximum formula
 
 
-@dataclass(frozen=True)
-class SurgeryDescriptor:
+class SurgeryDescriptor(Frozen):
     """Lens surgery data: slope p, lens parameter q (reduced mod p) and dual
     class k coprime to p.  The affine constant ``c`` of the labels k i + c
     is derived from them."""
 
-    p: int
-    q: int
-    k: int
+    _fields = ("p", "q", "k")
 
-    def __post_init__(self):
-        p, k = index(self.p), index(self.k)
+    def __init__(self, p: int, q: int, k: int):
+        p, k = index(p), index(k)
         if gcd(k, p) != 1:
             raise NotCoprimeError("dual class k must be coprime to p")
-        object.__setattr__(self, "q", LensSpace(p, self.q).q)  # validated, 0 <= q < p
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
+        self.__dict__.update(p=p, q=LensSpace(p, q).q, k=k)  # q validated, 0 <= q < p
 
     @property
     def c(self) -> int:

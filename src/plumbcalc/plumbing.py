@@ -32,14 +32,13 @@ k^2-twist of the component across it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, prod
 from operator import index, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import NotCoprimeError, NotExpandableError, _hj_word, cf_eval, mod_inverse
+from .arith import Frozen, NotCoprimeError, NotExpandableError, _hj_word, cf_eval, mod_inverse
 from .guards import guard
 from .lattice import GramLattice, NotNegativeDefiniteError, Signature, _negdef_unimodular, _wu
 
@@ -56,8 +55,7 @@ class PatternNotFoundError(ValueError):
 # Plumbing graphs
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(Frozen):
     """A weighted tree on vertices 0..n-1.
 
     Invariants enforced: |E| = |V| - 1, no self loops, and every vertex
@@ -66,27 +64,26 @@ class PlumbingGraph:
     first, root first) and ``_parent`` (-1 at the root).
     """
 
-    weights: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    _fields = ("weights", "edges")
 
-    def __post_init__(self):
-        weights = tuple(map(index, self.weights))
+    def __init__(self, weights: Sequence[int], edges: Sequence[tuple[int, int]]):
+        weights = tuple(map(index, weights))
         n = len(weights)
         if n == 0:
             raise ValueError("plumbing graph needs at least one vertex")
-        edges = []
-        for a, b in self.edges:
+        pairs = []
+        for a, b in edges:
             a, b = index(a), index(b)
             if a == b:
                 raise ValueError("self-plumbings are not supported (tree graphs only)")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("edge endpoint out of range")
-            edges.append((a, b) if a < b else (b, a))
-        if len(edges) != n - 1:
+            pairs.append((a, b) if a < b else (b, a))
+        if len(pairs) != n - 1:
             raise ValueError("a tree on n vertices has exactly n-1 edges")
-        edges.sort()
+        pairs.sort()
         adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in edges:  # sorted, so every adjacency list is sorted
+        for a, b in pairs:  # sorted, so every adjacency list is sorted
             adj[a].append(b)
             adj[b].append(a)
         parent, order = [-1] + [-2] * (n - 1), [0]  # -2: not reached yet
@@ -97,11 +94,7 @@ class PlumbingGraph:
                     order.append(c)
         if len(order) != n:  # a repeated edge or a cycle leaves a vertex unreached
             raise ValueError("plumbing graph must be connected")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_parent", parent)
+        self.__dict__.update(weights=weights, edges=tuple(pairs), _adj=adj, _order=order, _parent=parent)
 
     @cached_property
     def _elimination(self) -> "_TreeElimination":
@@ -255,24 +248,21 @@ def _tree_eliminate(G: PlumbingGraph) -> _TreeElimination:
 # Chain diagrams
 
 
-@dataclass(frozen=True)
-class ChainDiagram:
+class ChainDiagram(Frozen):
     """Linear diagram: framings a1..aN, all consecutive links 1 except at
     most one marked position carrying an arbitrary multiplicity k."""
 
-    framings: tuple[int, ...]
-    marked: Optional[tuple[int, int]] = None  # (link index, k)
+    _fields = ("framings", "marked")
 
-    def __post_init__(self):
-        framings = tuple(map(index, self.framings))
+    def __init__(self, framings: Sequence[int], marked: Optional[tuple[int, int]] = None):  # marked: (link index, k)
+        framings = tuple(map(index, framings))
         if not framings:
             raise ValueError("chain diagram needs at least one component")
-        if self.marked is not None:
-            idx, k = index(self.marked[0]), index(self.marked[1])
-            if not (0 <= idx < len(framings) - 1):
+        if marked is not None:
+            marked = index(marked[0]), index(marked[1])
+            if not (0 <= marked[0] < len(framings) - 1):
                 raise ValueError("marked link index out of range")
-            object.__setattr__(self, "marked", (idx, k))
-        object.__setattr__(self, "framings", framings)
+        self.__dict__.update(framings=framings, marked=marked)
 
     @property
     def rank(self) -> int:
@@ -321,26 +311,22 @@ def twist_reduce(C: ChainDiagram) -> ChainDiagram:
 # Seifert data
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(Frozen):
     """Central weight e plus branch pairs (a, b) with a >= 1, gcd(a, b) = 1.
 
     A branch contributes -b/a to the euler number e - sum(b_i / a_i).
     """
 
-    e: int
-    branches: tuple[tuple[int, int], ...] = ()
+    _fields = ("e", "branches")
 
-    def __post_init__(self):
-        e = index(self.e)
-        branches = tuple((index(a), index(b)) for a, b in self.branches)
+    def __init__(self, e: int, branches: Sequence[tuple[int, int]] = ()):
+        e, branches = index(e), tuple((index(a), index(b)) for a, b in branches)
         for a, b in branches:
             if a < 1:
                 raise ValueError("branch multiplicity a must be >= 1")
             if gcd(a, abs(b)) != 1:
                 raise ValueError(f"branch pair {(a, b)} is not coprime")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "branches", branches)
+        self.__dict__.update(e=e, branches=branches)
 
     def euler_number(self) -> Fraction:
         return Fraction(self.e) - sum(Fraction(b, a) for a, b in self.branches)
@@ -529,24 +515,19 @@ def plumbing_to_seifert(G: PlumbingGraph) -> SeifertData:
 # Brieskorn spheres
 
 
-@dataclass(frozen=True)
-class BrieskornTriple:
+class BrieskornTriple(Frozen):
     """Pairwise coprime multiplicities (p, q, r), each >= 2."""
 
-    p: int
-    q: int
-    r: int
+    _fields = ("p", "q", "r")
 
-    def __post_init__(self):
-        p, q, r = index(self.p), index(self.q), index(self.r)
+    def __init__(self, p: int, q: int, r: int):
+        p, q, r = index(p), index(q), index(r)
         for x in (p, q, r):
             if x < 2:
                 raise ValueError("Brieskorn multiplicities must be >= 2")
         if gcd(p, q) != 1 or gcd(p, r) != 1 or gcd(q, r) != 1:
             raise NotCoprimeError(f"{(p, q, r)} is not pairwise coprime")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        self.__dict__.update(p=p, q=q, r=r)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.p, self.q, self.r)

@@ -300,6 +300,12 @@ class TestVerifyCommand:
         assert len(lines) == 4
         assert all(json.loads(line)["passed"] for line in lines)
 
+    def test_report_carries_the_seifert_repr(self, capsys, tmp_path):
+        report = tmp_path / "out.jsonl"
+        assert run(capsys, "verify", "thm1.2", "--families", "i", "--n", "1", "--report", str(report))[0] == 0
+        values = json.loads(report.read_text())["values"]
+        assert values["seifert_table"] == "SeifertData(e=1, branches=((2, 1), (5, 2), (9, 1)))"
+
     def test_thm13_subset(self, capsys):
         code, out, _ = run(capsys, "verify", "thm1.3", "--families", "i..iv", "--n", "1..1")
         assert code == 0
@@ -478,11 +484,15 @@ class TestVerifyCommand:
             ("rmk1.4", "vii", "3..1"),
             ("rmk1.4", "vii", "0"),
             ("thm1.2", "i", "0..1000000000000000"),  # a lazy range, checked on its first element
+            ("thm1.2", "i", "1.."),
+            ("thm1.2", "i", "a"),
         ],
     )
     def test_selection_that_runs_nothing_exits_2(self, capsys, task, families, n):
         code, out, err = run(capsys, "verify", task, "--families", families, "--n", n)
         assert code == 2 and out == "" and err.startswith("error: ")
+        if n in ("1..", "a"):  # a malformed --n: the message names the option and quotes the value
+            assert err == f"error: --n must be A..B or integers separated by commas, not {n!r}\n"
 
     def test_unwritable_report_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(plumbcalc.cli, "verify_theorem_main", None)  # no task may run
@@ -751,9 +761,11 @@ def test_each_run_answers_like_a_fresh_process(capsys):
 
 
 def test_import_leaves_argparse_out():
-    # the parser is a table and a loop: importing the CLI does not pay for argparse
-    proc = _fresh("-c", "import sys, plumbcalc.cli; print('argparse' in sys.modules)")
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    # the parser is a table and a loop, the value classes are plain classes:
+    # starting the CLI pays for neither argparse nor dataclasses and what it loads
+    denied = ["argparse", "dataclasses", "inspect", "ast", "dis", "tokenize"]
+    proc = _fresh("-c", f"import sys, plumbcalc.cli; print([m for m in {denied!r} if m in sys.modules])")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_help_prints_the_command_list(capsys):

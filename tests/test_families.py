@@ -238,7 +238,8 @@ class TestVerifyTheoremMain:
     def test_report_serialization(self, tmp_path):
         rep = verify_theorem_main("i", 1)
         path = tmp_path / "reports.jsonl"
-        write_reports([rep], str(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            write_reports([rep], fh)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 1
         payload = json.loads(lines[0])

@@ -421,7 +421,7 @@ def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
         raise AssertionError("the Fraction elimination ran")
 
     monkeypatch.setattr(plumbcalc.plumbing, "graph_to_gram", dense)
-    monkeypatch.setattr(GramLattice, "__post_init__", dense)
+    monkeypatch.setattr(GramLattice, "__init__", dense)
     monkeypatch.setattr(plumbcalc.lattice, "_eliminate", fraction_kernel)
     g = negdef_plumbing(BrieskornTriple(2, 13, 23))
     assert mubar(g) == -1
