@@ -6,9 +6,9 @@ d P Q R            correction term of the Brieskorn sphere (exact rational)
 lens-d P Q [I]     correction term(s) of the lens space L(P, Q)
 mubar P Q R        Neumann-Siebenmann invariant of the Brieskorn sphere
 mubar --graph F    the same for an arbitrary odd-determinant plumbing tree (no triple with it)
-verify TASK        batch verification: the family tasks thm1.2, thm1.3,
-                   cor1.6 and rmk1.4 (--families / --n, --report writes one
-                   JSON line per member) and classify-e8 (--bound)
+verify TASK        batch verification: the family tasks thm1.2, thm1.3, cor1.6
+                   and rmk1.4 read --families, --n and --report (one JSON line
+                   per member); classify-e8 reads --bound only
 
 --json, before or after the command, prints JSON.  Options are spelled in full,
 as --name VALUE or --name=VALUE.  -h or --help prints this text.
@@ -77,24 +77,24 @@ def cmd_d(args) -> int:
 
 def cmd_lens_d(args) -> int:
     p, q = args.p, args.q
-    if args.i is None or args.all:
-        if args.oracle:  # its labels are 0..p-1 too
-            values = [str(v) for _, v in sorted(lens_d_oracle(p, q).items())]
-        else:
-            den, nums = lens_d_numerators(p, q)
-            values = [_ratio(n, den) for n in nums]
-        if args.json:
-            payload = {"command": "lens-d", "p": p, "q": q, "values": {str(i): v for i, v in enumerate(values)}}
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            # without --all the values are bare, one per label: `lens-d 1 1` prints just 0
-            print("\n".join(f"{i}: {v}" for i, v in enumerate(values)) if args.all else "\n".join(values))
-    else:
-        if args.oracle:
-            return _error("--oracle reports all labels (its labeling is method-internal)")
+    if args.i is not None:
+        if args.all or args.oracle:
+            return _error("--all and --oracle report every label; drop I")
         d = str(lens_d(p, q, args.i))
         payload = {"command": "lens-d", "p": p, "q": q, "i": args.i, "d": d}
         print(json.dumps(payload, sort_keys=True) if args.json else d)
+        return EXIT_OK
+    if args.oracle:  # its labels are 0..p-1 too
+        values = [str(v) for _, v in sorted(lens_d_oracle(p, q).items())]
+    else:
+        den, nums = lens_d_numerators(p, q)
+        values = [_ratio(n, den) for n in nums]
+    if args.json:
+        payload = {"command": "lens-d", "p": p, "q": q, "values": {str(i): v for i, v in enumerate(values)}}
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        # without --all the values are bare, one per label: `lens-d 1 1` prints just 0
+        print("\n".join(f"{i}: {v}" for i, v in enumerate(values)) if args.all else "\n".join(values))
     return EXIT_OK
 
 
@@ -144,57 +144,52 @@ def _conjecture_summary(v: dict) -> str:
     return f"predicted {v['predicted']} computed {v.get('computed', '-')} [{mark}] "
 
 
+# each family task: its verify function, the families it covers and the summary it prints per report
+FAMILY_TASKS = {
+    "thm1.2": (verify_theorem_main, FAMILY_IDS, lambda v: ""),
+    "thm1.3": (verify_correction_bound, SURGERY_FAMILIES, lambda v: f"d = {v['d_surgery']} >= {v['bound']}: "),
+    "cor1.6": (verify_unbounded_gap, SURGERY_FAMILIES, lambda v: f"minimal rank {v['minimal_rank']} >= 4d = {4 * v['d']}: "),
+    "rmk1.4": (verify_conjecture, FAMILY_IDS, _conjecture_summary),
+}
+
+
 def cmd_verify(args) -> int:
     if args.json:
         return _error("verify prints text; --report writes JSON lines")
     task = args.task
-    reports = []
-    failed, stopped = False, EXIT_OK
-    families = _parse_families(args.families)
+    if task == "classify-e8":  # a guard stop exits 3 through main
+        if args.bound < 2:
+            return _error("classification bound must be >= 2")  # the least triple member is 2
+        for t in classify_e8_brieskorn(args.bound):
+            print(f"({t[0]},{t[1]},{t[2]})")
+        return EXIT_OK
+    run, covered, summary = FAMILY_TASKS[task]
+    families = [f for f in _parse_families(args.families) if f in covered]
     ns = _parse_range(args.n)
-    if task in ("thm1.3", "cor1.6"):
-        families = [f for f in families if f in SURGERY_FAMILIES]
-    if task == "classify-e8" and args.bound < 2:
-        return _error("classification bound must be >= 2")  # the least triple member is 2
-    if task != "classify-e8":
-        if any(n < 1 for n in (ns[:1] if isinstance(ns, range) else ns)):
-            return _error("family parameter n must be >= 1")
-        if not (families and ns):
-            return _error(f"--families {args.families} --n {args.n} leaves nothing for {task} to run")
-    if args.report and task == "classify-e8":
-        return _error(f"verify {task} writes no report; drop --report")
+    if any(n < 1 for n in (ns[:1] if isinstance(ns, range) else ns)):
+        return _error("family parameter n must be >= 1")
+    if not (families and ns):
+        return _error(f"--families {args.families} --n {args.n} leaves nothing for {task} to run")
     try:  # a bad report path fails before any work; the finished reports are written at the end
         report = open(args.report, "w", encoding="utf-8") if args.report else None
     except OSError as exc:
         return _error(f"cannot write report: {exc}")
 
+    reports, stopped = [], EXIT_OK
     try:
-        if task == "classify-e8":
-            for t in classify_e8_brieskorn(args.bound):
-                print(f"({t[0]},{t[1]},{t[2]})")
-        else:
-            # each family task: its verify function and the summary it prints per report
-            run, summary = {
-                "thm1.2": (verify_theorem_main, lambda v: ""),
-                "thm1.3": (verify_correction_bound, lambda v: f"d = {v['d_surgery']} >= {v['bound']}: "),
-                "cor1.6": (verify_unbounded_gap, lambda v: f"minimal rank {v['minimal_rank']} >= 4d = {4 * v['d']}: "),
-                "rmk1.4": (verify_conjecture, _conjecture_summary),
-            }[task]
-            for fam in families:
-                for n in ns:
-                    rep = run(fam, n)
-                    reports.append(rep)
-                    # a report without clauses (a conjecture) has no verdict: its line ends in its kind
-                    verdict = ("pass" if rep.passed else "FAIL") if rep.checks else f"({rep.kind})"
-                    print(f"{task} ({fam}, n={n}): {summary(rep.values)}{verdict}")
-                    if not rep.passed:
-                        failed = True
-                        for name, ok in rep.checks.items():
-                            if not ok:
-                                print(f"  failing clause: {name}", file=sys.stderr)
+        for fam in families:
+            for n in ns:
+                rep = run(fam, n)
+                reports.append(rep)
+                # a report without clauses (a conjecture) has no verdict: its line ends in its kind
+                verdict = ("pass" if rep.passed else "FAIL") if rep.checks else f"({rep.kind})"
+                print(f"{task} ({fam}, n={n}): {summary(rep.values)}{verdict}")
+                for name, ok in rep.checks.items():
+                    if not ok:
+                        print(f"  failing clause: {name}", file=sys.stderr)
     except ScanGuardExceededError as exc:  # the reports finished before the guard are still written
         stopped = _error(exc)
-    code = stopped or (EXIT_CLAUSE_FAILED if failed else EXIT_OK)
+    code = stopped or (EXIT_OK if all(rep.passed for rep in reports) else EXIT_CLAUSE_FAILED)
 
     if report:
         try:
@@ -209,7 +204,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Command line
 
-VERIFY_TASKS = ("thm1.2", "thm1.3", "cor1.6", "rmk1.4", "classify-e8")
+# verify's task words, each with the options it reads; parse_args refuses any other
+VERIFY_TASKS = {**dict.fromkeys(FAMILY_TASKS, ("families", "n", "report")), "classify-e8": ("bound",)}
 # command -> its function; its positionals with their kinds (int, or the words
 # allowed), the first `required` of them needed; its flags; its valued options
 # with their defaults (an int default takes an integer).  Every command also
@@ -255,7 +251,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     command = argv[k]
     fn, kinds, required, flags, options = COMMANDS[command]
     args = {"json": k > 0, **dict.fromkeys(kinds), **dict.fromkeys(flags, False), **options}
-    given = []
+    given, named = [], []
     tokens = iter(argv[k + 1 :])
     for token in tokens:
         if token == "--":  # every later token is a positional
@@ -273,6 +269,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
                 if value is None or _is_option(value):
                     raise ValueError(f"{option} needs a value")
             args[name] = _value(option, value, int if type(options[name]) is int else str)
+            named.append(name)
         elif _is_option(token):
             raise ValueError(f"{command} has no option {option}")
         else:
@@ -282,6 +279,9 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
         raise ValueError(f"{command} takes {usage}; got {' '.join(given) or 'none'}")
     for (name, kind), token in zip(kinds.items(), given):
         args[name] = _value(name, token, kind)
+    for name in named:  # a verify task reads only its own options; every other command reads all of its
+        if name not in VERIFY_TASKS.get(args.get("task"), options):
+            raise ValueError(f"verify {args['task']} has no option --{name}")
     return SimpleNamespace(fn=fn, **args)
 
 

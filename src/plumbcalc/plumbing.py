@@ -558,9 +558,9 @@ def brieskorn_seifert(T: BrieskornTriple) -> SeifertData:
 def negdef_plumbing(T: BrieskornTriple) -> PlumbingGraph:
     """The canonical negative-definite plumbing tree bounding Sigma(p,q,r).
 
-    Construction: take the standard data, re-present every branch with
-    -a < b < 0 (center absorbs the shifts), and expand the now < -1 branch
-    fractions with all entries <= -2.  Correctness is checked, not trusted:
+    Construction: the standard data (e, (a, b)), 0 < b < a, gives the star with
+    center e - 3 and one leg -HJ(a/(a - b)) per branch, all entries <= -2 (each
+    branch re-presented as a/(b - a) < -1).  Correctness is checked, not trusted:
     the tree's one elimination must show negative definiteness and |det| = 1
     (an AssertionError naming the triple otherwise), and the graph keeps it
     for ``mubar``, ``ue_spin_bound`` and ``lens.d_from_plumbing``.  The multiplicity sum p + q + r,
@@ -568,8 +568,7 @@ def negdef_plumbing(T: BrieskornTriple) -> PlumbingGraph:
     """
     guard("multiplicity sum", sum(T.as_tuple()))
     data = brieskorn_seifert(T)
-    shifted = SeifertData(data.e - len(data.branches), tuple((a, b - a) for a, b in data.branches))
-    G = seifert_to_plumbing(shifted)
+    G = star_graph(data.e - len(data.branches), [[-c for c in _hj_word(a, a - b)] for a, b in data.branches])
     try:
         _negdef_unimodular(G._elimination)
     except ValueError as exc:

@@ -14,8 +14,8 @@ import plumbcalc.cli
 import plumbcalc.families
 import plumbcalc.lattice
 import plumbcalc.plumbing
-from plumbcalc.cli import COMMANDS, main, parse_args
-from plumbcalc.families import VerificationReport
+from plumbcalc.cli import COMMANDS, VERIFY_TASKS, main, parse_args
+from plumbcalc.families import FAMILY_IDS, VerificationReport
 from plumbcalc.guards import GUARDS
 from plumbcalc.lattice import determinant, signature, wu_class
 from plumbcalc.lens import d_from_plumbing, lens_d_all
@@ -57,7 +57,7 @@ class TestDCommand:
         def build(*args, **kwargs):
             raise AssertionError("the plumbing was built")
 
-        monkeypatch.setattr(plumbcalc.plumbing, "seifert_to_plumbing", build)
+        monkeypatch.setattr(plumbcalc.plumbing, "star_graph", build)
         for argv, err_want in [
             (("2", "3", "10000001"), "multiplicity sum guard exceeded: sum of multiplicities 10000006 > 133333"),
             (("2", "3", "100000001"), "multiplicity sum guard exceeded: sum of multiplicities 100000006 > 133333"),
@@ -164,6 +164,11 @@ class TestLensCommand:
         assert err == f"error: oracle lens order guard exceeded: lens order {p} > 8000\n"
         assert time.monotonic() - t0 < 5.0
 
+    @pytest.mark.parametrize("flag", ["--all", "--oracle"])
+    def test_label_with_an_all_labels_flag_exits_2(self, capsys, flag):
+        # both flags report every label, so a label I with either is refused, not dropped
+        assert run(capsys, "lens-d", "5", "2", "3", flag) == (2, "", "error: --all and --oracle report every label; drop I\n")
+
     def test_oracle_guard_admits_p_8000(self, capsys):
         # the guard itself, the old guard p = 144, and p = 60, which the benchmark's --oracle items reach
         for p, q in ((8000, 7), (144, 7), (60, 7)):
@@ -197,7 +202,7 @@ class TestMubarCommand:
         def build(*args, **kwargs):
             raise AssertionError("the plumbing was built")
 
-        monkeypatch.setattr(plumbcalc.plumbing, "seifert_to_plumbing", build)
+        monkeypatch.setattr(plumbcalc.plumbing, "star_graph", build)
         t0 = time.monotonic()
         code, out, err = run(capsys, "mubar", "2", "3", "10000001")
         assert code == 3 and out == ""
@@ -385,7 +390,7 @@ class TestVerifyCommand:
         def build(*args, **kwargs):
             raise AssertionError("the plumbing was built")
 
-        monkeypatch.setattr(plumbcalc.plumbing, "seifert_to_plumbing", build)
+        monkeypatch.setattr(plumbcalc.plumbing, "star_graph", build)
         t0 = time.monotonic()
         code, out, err = run(capsys, "verify", "thm1.2", "--families", "v", "--n", "200000")
         assert code == 3 and out == ""
@@ -397,7 +402,7 @@ class TestVerifyCommand:
         def build(*args, **kwargs):
             raise AssertionError("the plumbing was built")
 
-        monkeypatch.setattr(plumbcalc.plumbing, "seifert_to_plumbing", build)
+        monkeypatch.setattr(plumbcalc.plumbing, "star_graph", build)
         t0 = time.monotonic()
         code, out, err = run(capsys, "verify", "cor1.6", "--families", "i", "--n", "10000")
         assert code == 3 and out == ""
@@ -465,8 +470,20 @@ class TestVerifyCommand:
     def test_report_rejected_where_no_report_is_written(self, capsys, tmp_path, argv):
         report = tmp_path / "out.jsonl"
         code, out, err = run(capsys, *argv, "--report", str(report))
-        assert code == 2 and out == "" and "writes no report" in err
+        assert (code, out, err) == (2, "", "error: verify classify-e8 has no option --report\n")
         assert not report.exists()
+
+    @pytest.mark.parametrize("task", VERIFY_TASKS)
+    @pytest.mark.parametrize("option, value", [("families", "i"), ("n", "1"), ("bound", "7"), ("report", "{report}")])
+    def test_task_refuses_the_options_it_does_not_read(self, capsys, tmp_path, task, option, value):
+        # an option the task reads runs; any other exits 2 before any work, on either side of the task
+        value = value.format(report=tmp_path / "out.jsonl")
+        if option in VERIFY_TASKS[task]:
+            assert run(capsys, "verify", task, f"--{option}", value)[0] == 0
+        else:
+            for argv in (["verify", task, f"--{option}", value], ["verify", f"--{option}={value}", task]):
+                assert run(capsys, *argv) == (2, "", f"error: verify {task} has no option --{option}\n"), argv
+            assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize(
         "task, families, n",
@@ -495,7 +512,7 @@ class TestVerifyCommand:
             assert err == f"error: --n must be A..B or integers separated by commas, not {n!r}\n"
 
     def test_unwritable_report_exits_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(plumbcalc.cli, "verify_theorem_main", None)  # no task may run
+        monkeypatch.setitem(plumbcalc.cli.FAMILY_TASKS, "thm1.2", (None, FAMILY_IDS, None))  # no task may run
         report = tmp_path / "missing" / "out.jsonl"
         code, out, err = run(capsys, "verify", "thm1.2", "--families", "i", "--n", "1", "--report", str(report))
         assert code == 2 and out == "" and err.startswith("error: cannot write report") and "Traceback" not in err
@@ -507,7 +524,7 @@ class TestVerifyCommand:
         def unwritable(reports, path):
             raise OSError("disk full")
 
-        monkeypatch.setattr(plumbcalc.cli, "verify_theorem_main", failing)
+        monkeypatch.setitem(plumbcalc.cli.FAMILY_TASKS, "thm1.2", (failing, FAMILY_IDS, lambda v: ""))
         monkeypatch.setattr(plumbcalc.cli, "write_reports", unwritable)
         code, out, err = run(
             capsys, "verify", "thm1.2", "--families", "i", "--n", "1", "--report", str(tmp_path / "out.jsonl")
@@ -773,6 +790,14 @@ def test_help_prints_the_command_list(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "") and out == plumbcalc.cli.__doc__, argv
         assert all(f"\n{command} " in out for command in COMMANDS)
+
+
+def test_help_text_is_the_option_table():
+    # the -h text names every valued option COMMANDS parses and every verify
+    # task with each option VERIFY_TASKS lets it read, so it cannot drift from the parser
+    names = [f"--{name}" for *_, valued in COMMANDS.values() for name in valued]
+    names += list(VERIFY_TASKS) + [f"--{name}" for reads in VERIFY_TASKS.values() for name in reads]
+    assert [name for name in names if name not in plumbcalc.cli.__doc__] == []
 
 
 def test_no_command_reaches_the_fraction_kernel_or_the_enumerator(capsys, monkeypatch, tmp_path):

@@ -322,7 +322,8 @@ class TestBrieskorn:
 
     def test_negdef_plumbing_check_names_the_triple(self, monkeypatch):
         # a construction that went wrong: negative definite, but |det| = 43
-        monkeypatch.setattr(plumbcalc.plumbing, "seifert_to_plumbing", lambda S: star_graph(-2, [[-2], [-3], [-7]]))
+        wrong = star_graph(-2, [[-2], [-3], [-7]])
+        monkeypatch.setattr(plumbcalc.plumbing, "star_graph", lambda center_weight, legs: wrong)
         with pytest.raises(AssertionError, match=r"plumbing of \(2, 3, 7\): .*\|det\| = 43"):
             negdef_plumbing(BrieskornTriple(2, 3, 7))
 
