@@ -3,7 +3,8 @@
 Commands
 --------
 d P Q R            correction term of the Brieskorn sphere (exact rational)
-lens-d P Q [I]     correction term(s) of the lens space L(P, Q)
+lens-d P Q [I]     correction term(s) of the lens space L(P, Q): at label I, else every
+                   label, numbered with --all, from the chain-plumbing oracle with --oracle
 mubar P Q R        Neumann-Siebenmann invariant of the Brieskorn sphere
 mubar --graph F    the same for an arbitrary odd-determinant plumbing tree (no triple with it)
 verify TASK        batch verification: the family tasks thm1.2, thm1.3, cor1.6

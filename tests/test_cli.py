@@ -793,9 +793,9 @@ def test_help_prints_the_command_list(capsys):
 
 
 def test_help_text_is_the_option_table():
-    # the -h text names every valued option COMMANDS parses and every verify
+    # the -h text names every flag and valued option COMMANDS parses and every verify
     # task with each option VERIFY_TASKS lets it read, so it cannot drift from the parser
-    names = [f"--{name}" for *_, valued in COMMANDS.values() for name in valued]
+    names = [f"--{name}" for *_, flags, valued in COMMANDS.values() for name in (*flags, *valued)]
     names += list(VERIFY_TASKS) + [f"--{name}" for reads in VERIFY_TASKS.values() for name in reads]
     assert [name for name in names if name not in plumbcalc.cli.__doc__] == []
 

@@ -34,6 +34,7 @@ from plumbcalc.lens import (
     _chain_minima,
     _chain_route,
     _descent_label,
+    _descent_labels,
     _descent_table,
     _level,
     _tau_min,
@@ -193,6 +194,29 @@ class TestRecursion:
         finally:
             sys.setrecursionlimit(limit)
         assert lens_d(p, q, 0) == expected
+
+    def test_block_walk_matches_the_single_label_path(self):
+        """_descent_labels against _descent_label label for label: seeded blocks, repeats
+        included, on S^3, L(p, 1), the Fibonacci chain of test_deep_descent_chain and seeded
+        L(p, q) up to p = 10^6; and whole tables, which the walk reads as a flat list at once."""
+        rng = random.Random(2030)
+        q, p = 1, 1
+        for _ in range(1499):
+            q, p = p, q + p
+        for p, q in [(1, 0), (2, 1), (7, 1), (19997, 1), (p, q)] + _coprime_pairs(rng, 40, 10**6):
+            for size in (1, 2, 17, 300) if p < 10**6 else (1, 2, 17):
+                js = [rng.randrange(p) for _ in range(size)]
+                assert _descent_labels(p, q, js) == [_descent_label(p, q, j) for j in js], (p, q, size)
+        for p, q in ((1, 0), (2, 1), (23, 2), (40, 17), (233, 144)):
+            assert _descent_labels(p, q, list(range(p))) == _descent_table(p, q), (p, q)
+
+    def test_block_walk_fails_its_exactness_check(self, monkeypatch):
+        # three labels stop the walk at L(3, 1), whose table [6, -2, -2] is read; one wrong
+        # entry moves V(0) = 3 N(7, 3, 0) by 7 at the level above, off the multiples of 3
+        assert _descent_labels(7, 3, [0, 1, 2]) == _descent_table(7, 3)[:3]
+        monkeypatch.setattr(plumbcalc.lens, "_descent_table", lambda p, q: [7, -2, -2])
+        with pytest.raises(AssertionError, match=r"^4p R\(7, 3, 0\) is not an integer$"):
+            _descent_labels(7, 3, [0, 1, 2])
 
     def test_published_value_l23_2(self):
         # the odd-n closed form (224n^3+8n^2-95n+25)/(4p) at n = 1 evaluates
@@ -437,6 +461,29 @@ class TestSurgeryMaximum:
             desc = SurgeryDescriptor(p, q, k)
             assert d_surgery(desc) == _table_maximum(desc), desc
 
+    def test_matches_the_table_maximum_at_block_edges(self, monkeypatch):
+        """Windows that end on the block schedule's edges, with the labels of each block:
+        at the last t of a full block (odd p, and even p, whose first block holds the lone
+        t = 0 label), one t past a full block, and the all-ties q = 1, k = +-1 over eight
+        blocks up to t = p, where every label is a witness."""
+        blocks = []
+        descend = plumbcalc.lens._descent_labels
+        monkeypatch.setattr(plumbcalc.lens, "_descent_labels", lambda p, q, js: blocks.append(len(js)) or descend(p, q, js))
+        cases = {
+            (1293, 985, 647): [32, 64],  # the window closes at t = 95, the last t of block 2
+            (644, 359, 239): [31, 64],  # t = 0 .. 30, then 32 .. 94; the window, t <= 95, ends at 94
+            (4400, 547, 1037): [31, 64, 128],  # the window, t <= 223, ends at block 3's last t, 222
+            (743, 632, 595): [32, 64, 2],  # one t past a full block
+            (1138, 1087, 351): [31, 64, 2],
+            (4999, 1, 1): [32, 64, 128, 256, 512, 1024, 2048, 935],
+            (5000, 1, -1): [31, 64, 128, 256, 512, 1024, 2048, 937],
+        }
+        for (p, q, k), sizes in cases.items():
+            blocks.clear()
+            desc = SurgeryDescriptor(p, q, k)
+            assert d_surgery(desc) == _table_maximum(desc) and blocks == sizes, desc
+        assert d_surgery(SurgeryDescriptor(5000, 1, -1)).witnesses == tuple(range(5000))
+
     def test_q_is_reduced(self):
         assert SurgeryDescriptor(23, 25, 9) == SurgeryDescriptor(23, 2, 9)
         assert d_surgery(SurgeryDescriptor(23, 25, 9)).value == 2
@@ -458,18 +505,19 @@ class TestLabelGuard:
 
     def test_the_surgery_guard_counts_the_labels_evaluated(self, monkeypatch):
         """(iii) at n = 50, p = 523958, evaluates 2269 labels; the label guard bounds
-        that count, not p: one label less and it raises after exactly that many."""
+        that count, not p: one label less and it raises before the last block, having
+        evaluated exactly the blocks before it."""
         desc = surgery_parameters("iii", 50).descriptor()
-        calls = []
-        descend = plumbcalc.lens._descent_label
-        monkeypatch.setattr(plumbcalc.lens, "_descent_label", lambda *a: calls.append(a) or descend(*a))
+        blocks = []
+        descend = plumbcalc.lens._descent_labels
+        monkeypatch.setattr(plumbcalc.lens, "_descent_labels", lambda p, q, js: blocks.append(len(js)) or descend(p, q, js))
         monkeypatch.setitem(GUARDS, "lens labels", GUARDS["lens labels"]._replace(bound=2269))
-        assert d_surgery(desc).value == 52 and len(calls) == 2269
-        calls.clear()
+        assert d_surgery(desc).value == 52 and sum(blocks) == 2269
+        evaluated, blocks[:] = blocks[:], []
         monkeypatch.setitem(GUARDS, "lens labels", GUARDS["lens labels"]._replace(bound=2268))
         with pytest.raises(ScanGuardExceededError, match="^lens labels guard exceeded: labels evaluated 2269 > 2268$"):
             d_surgery(desc)
-        assert len(calls) == 2268
+        assert blocks == evaluated[:-1]
 
     def test_verify_conjecture_skips_past_both_guards(self):
         # family (v) at n = 400: its tau window is past the scan guard, and no
