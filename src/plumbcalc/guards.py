@@ -24,10 +24,10 @@ GUARDS: dict[str, Guard] = {
     # rank (rank <= sum) and the tau tables.  A unit costs d 3.0-3.4 us on the integer tree kernel, 10-14
     # window points (Sigma(300, 301, 90299), rank 90600, 0.27-0.31 s), so 2,000,000 // 15 stays on the safe side.
     "multiplicity sum": Guard("sum of multiplicities", 133_333),
-    # lens._descent_table (p labels) and lens.d_surgery (labels in its window).  lens_d_all at p = 599999
-    # takes 1.5-2.0 s, mostly its p Fractions; d_surgery ties on all p at q = 1, k = +-1 (0.4-0.6 s at
-    # p = 599999).  A thm1.3 member takes about 45 n labels (n = 1000: 0.08-0.12 s); (iii) passes the
-    # bound at n = 13277, refused after 1.6 s.
+    # lens._descent_table (p labels, one division each at the top level) and lens.d_surgery (labels in its
+    # window).  lens_d_all(599999, 370820) takes 1.9-2.2 s, mostly its p Fractions (its table 0.46-0.50 s);
+    # d_surgery ties on all p at q = 1, k = +-1 (0.35 s at p = 599999).  A thm1.3 member takes about 45 n
+    # labels (n = 1000: 0.08-0.12 s); (iii) passes the bound at n = 13277, refused after 1.6 s.
     "lens labels": Guard("labels evaluated", 600_000),
     # lens.lens_d_oracle, whose DP asks about p values of each level.  The worst q has a long -2 run ending
     # in one large weight, p mod q <= 3, q near sqrt(p): L(7922, 89) and L(7833, 89) take 1.5-1.8 s, the

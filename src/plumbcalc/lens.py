@@ -7,11 +7,13 @@ Recursion.  The engine is the classical exact descent
 for 0 <= j < p + q with R(1, 0, 0) = 0, whose labels j restricted to
 0 <= j < p enumerate the p spin^c structures (R is p-periodic on the
 overhang j in [p, p+q), which the tests verify).  Each call recomputes the
-integers N = 4p R with no memo: one label per level for ``lens_d``, O(log p);
-one flat list per level for all labels, q exact divisions and p - q additions
-(``_level``).  ``d_surgery`` reads L(p, 1) in closed form, 4p R(p, 1, j) =
-(2j - p)^2 - p, and L(p, q) on a window in blocks of labels, one chain walk a
-block (``_descent_labels``); a lone label costs 4x less on ``lens_d``'s walk.
+integers N = 4p R with no memo, in loops down and up the Euclidean chain
+(none recurses): one label per level for ``lens_d``, O(log p); for all labels,
+one flat list per level, each from the one below read cyclically by
+``_step``, p exact divisions checked at once.  ``d_surgery`` reads L(p, 1) in
+closed form, 4p R(p, 1, j) = (2j - p)^2 - p, and L(p, q) on a window in blocks
+of labels, one chain walk a block (``_descent_labels``, the same ``_step``); a
+lone label costs 4x less on ``lens_d``'s walk.
 
 Labeling convention (pinned, recorded).  The public ``lens_d(p, q, i)``
 uses the surgery-style labeling in which the familiar affine
@@ -58,8 +60,8 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, compress, count, cycle, islice, repeat
 from math import gcd, isqrt, prod
-from operator import add, floordiv, index, mod, mul, sub
-from typing import NamedTuple, Optional
+from operator import index, mod, mul, sub
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .arith import Frozen, NotCoprimeError, _hj_word
 from .guards import GUARDS, guard
@@ -103,50 +105,46 @@ def _descent_label(p: int, q: int, j: int) -> int:
     return n
 
 
+def _euclid_chain(p: int, q: int) -> list[tuple[int, int]]:
+    """The levels (p, q) -> (q, p mod q) -> ... above (1, 0), at most about 1.44 log2(p), bottom first."""
+    levels = []
+    while p != 1:
+        levels.append((p, q))
+        p, q = q, p % q
+    return levels[::-1]
+
+
+def _step(p: int, q: int, js: Sequence[int], below: Iterable[int]) -> list[int]:
+    """[N(p, q, j) for j in js] from ``below``, N(q, p mod q, j mod q) for each j in turn, one division a label,
+    all checked at once: each x - q (x // q) lies in [0, q), so all vanish iff their sum does."""
+    a = 1 - p - q
+    v = [(x := 2 * j + a) * x - p * (q + m) for j, m in zip(js, below)]
+    n = [x // q for x in v]
+    if sum(v) != q * sum(n):
+        raise AssertionError(f"4p R({p}, {q}, {next(compress(js, map(mod, v, repeat(q))))}) is not an integer")
+    return n
+
+
 def _descent_labels(p: int, q: int, js: list[int]) -> list[int]:
     """[N(p, q, j) for j in js], 0 <= j < p, js not empty, in one chain walk: down to the first order at most
-    len(js), whose flat table is read, reducing every j once per level; up, one division per label, all
-    checked at once: each x - q (x // q) lies in [0, q), so all vanish iff their sum does."""
+    len(js), whose flat table is read, reducing every j once per level; up, one ``_step`` per level."""
     levels = []
     while p > len(js):
         levels.append((p, q, js))
         p, q, js = q, p % q, [j % q for j in js]
     n = list(map(_descent_table(p, q).__getitem__, js))
     for p, q, js in reversed(levels):
-        a = 1 - p - q
-        v = [(x := 2 * j + a) * x - p * (q + m) for j, m in zip(js, n)]  # (2j + 1 - p - q)^2 - p q - p N below
-        n = [x // q for x in v]
-        if sum(v) != q * sum(n):
-            raise AssertionError(f"4p R({p}, {q}, {next(compress(js, map(mod, v, repeat(q))))}) is not an integer")
+        n = _step(p, q, js, n)
     return n
 
 
-def _level(p: int, q: int, below: list[int]) -> list[int]:
-    """[N(p, q, j) for 0 <= j < p] from ``below``, the q values N(q, p mod q, r).
-
-    V(j) = q N(j) = (2j + 1 - p - q)^2 - p q - p below[j mod q] has V(j + q) - V(j)
-    = 4q (2j + 1 - p), so V(j) mod q depends on j mod q only: the q divisions of
-    the residues r < q check the exactness of every label.  The rest is additions:
-    N(j + q) = N(j) + 8j + 4 - 4p, summed m times N(j + mq) = N(j) + m (8j + 4 - 4p)
-    + 4q m (m - 1), which doubles the filled prefix (a multiple mq of q) per step.
-    """
-    x = range(1 - p - q, q + 1 - p, 2)  # 2r + 1 - p - q for r < q
-    v = list(map(sub, map(mul, x, x), map(mul, map(add, below, repeat(q)), repeat(p))))
-    for r in compress(count(), map(mod, v, repeat(q))):
-        raise AssertionError(f"4p R({p}, {q}, {r}) is not an integer")
-    num = list(map(floordiv, v, repeat(q)))
-    while len(num) < p:
-        m = len(num) // q
-        start = m * (4 - 4 * p) + 4 * q * m * (m - 1)
-        num += list(map(add, num, range(start, start + 8 * m * (p - len(num)), 8 * m)))
-    return num
-
-
 def _descent_table(p: int, q: int) -> list[int]:
-    """[4p R(p, q, j) for 0 <= j < p], one flat list per level of the Euclidean chain,
-    at most about 1.44 log2(p) deep, under the lens labels guard."""
+    """[4p R(p, q, j) for 0 <= j < p], one flat list per level, bottom up, under the lens labels guard."""
     guard("lens labels", p)
-    return [0] if p == 1 else _level(p, q, _descent_table(q, p % q))
+    num = [0]
+    for p, q in _euclid_chain(p, q):
+        num = _step(p, q, range(p), cycle(num))
+    return num
 
 
 def lens_d(p: int, q: int, i: int) -> Fraction:
@@ -273,10 +271,10 @@ class SurgeryResult(NamedTuple):
 
 def _chain_bounds(p: int, q: int) -> tuple[int, int]:
     """(lo, hi) with lo <= N(p, q, j) <= hi for 0 <= j < p, by the extremes of (2j + 1 - p - q)^2 per level."""
-    if p == 1:
-        return 0, 0
-    lo, hi = _chain_bounds(q, p % q)
-    return -((p * q + p * hi - (p + q + 1) % 2) // q), ((p + q - 1) ** 2 - p * q - p * lo) // q
+    lo = hi = 0
+    for p, q in _euclid_chain(p, q):
+        lo, hi = -((p * q + p * hi - (p + q + 1) % 2) // q), ((p + q - 1) ** 2 - p * q - p * lo) // q
+    return lo, hi
 
 
 def d_surgery(desc: SurgeryDescriptor) -> SurgeryResult:

@@ -36,7 +36,7 @@ from plumbcalc.lens import (
     _descent_label,
     _descent_labels,
     _descent_table,
-    _level,
+    _step,
     _tau_min,
 )
 from plumbcalc.plumbing import (
@@ -173,17 +173,18 @@ class TestRecursion:
             assert _descent_table(p, q) == [_descent_label(p, q, j) for j in range(p)], (p, q)
 
     def test_inconsistent_level_fails_its_exactness_check(self):
-        # the level below (5, 2) is N(2, 1, .) = [2, -2]; a wrong value gives
-        # V(r) = q N(r) that is not a multiple of q = 2 in its residue class
-        assert _level(5, 2, [2, -2]) == [4 * 5 * _reference_r(5, 2, j) for j in range(5)]
+        # the level below (5, 2) is N(2, 1, .) = [2, -2], read cyclically; a wrong value
+        # gives V(j) = q N(j) that is not a multiple of q = 2, first at j = 1
+        assert _step(5, 2, range(5), cycle([2, -2])) == [4 * 5 * _reference_r(5, 2, j) for j in range(5)]
         with pytest.raises(AssertionError, match=r"4p R\(5, 2, 1\) is not an integer"):
-            _level(5, 2, [2, -1])
+            _step(5, 2, range(5), cycle([2, -1]))
         with pytest.raises(AssertionError, match=r"4p R\(7, 3, 0\) is not an integer"):
-            _level(7, 3, [1, 0, 0])
+            _step(7, 3, range(7), cycle([1, 0, 0]))
 
     def test_deep_descent_chain(self):
         # consecutive Fibonacci numbers F(1501), F(1500) descend one level at a
-        # time, 1500 levels: deeper than the interpreter's default recursion limit
+        # time, 1500 levels: deeper than the interpreter's default recursion limit,
+        # which the single label and the chain bounds walk in loops
         q, p = 1, 1
         for _ in range(1499):
             q, p = p, q + p
@@ -194,6 +195,10 @@ class TestRecursion:
         finally:
             sys.setrecursionlimit(limit)
         assert lens_d(p, q, 0) == expected
+        lo, hi = _chain_bounds(p, q)
+        rng = random.Random(1500)
+        for j in [0, p - 1] + [rng.randrange(p) for _ in range(5)]:
+            assert lo <= _descent_label(p, q, j) <= hi, j
 
     def test_block_walk_matches_the_single_label_path(self):
         """_descent_labels against _descent_label label for label: seeded blocks, repeats
