@@ -44,11 +44,12 @@ covectors by one exact integer min-sum DP along the chain that serves all p
 cosets at once (``_chain_minima``).  Each level tries only the values inside a
 provable window around the vertex of a quadratic, a few per coset.
 
-Plumbed spheres.  ``d_from_plumbing`` scans Nemethi's tau-function (a convex
-quadratic minus periodic tables) on a provable window around its vertex and
-solves for K on the plumbing's integer tree kernel, with a certificate
-re-checked against the tree's edges; ``lattice.max_char_square`` is the
-tests' oracle.
+Plumbed spheres.  ``_tau_min`` alone computes the provable window around the
+vertex of Nemethi's tau-function (a convex quadratic minus periodic tables)
+and scans it; ``d_from_plumbing`` and ``d_brieskorn`` share ``_certified``,
+which solves for K on the integer tree kernel and re-checks a characteristic
+vector on the tree's edges (it proves d >= value; d <= value is the window's
+proof).  ``lattice.max_char_square`` is the tests' oracle.
 
 Guards (``guards.GUARDS``).  The lens labels guard bounds all-labels work and
 the labels ``d_surgery`` evaluates; a single ``lens_d`` label is not guarded.
@@ -61,14 +62,12 @@ from functools import partial, reduce
 from itertools import accumulate, compress, count, cycle, islice, repeat
 from math import gcd, isqrt, prod
 from operator import index, mod, mul, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import Frozen, NotCoprimeError, _hj_word
 from .guards import GUARDS, guard
 from .lattice import _negdef_unimodular
 from .plumbing import BrieskornTriple, PlumbingGraph, _leg_continuants, brieskorn_seifert, negdef_plumbing, star_legs
-
-TauWindow = tuple[int, int, int, int, list[list[int]]]  # (lo, hi, A, b, tables) of ``_tau_window``
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +317,15 @@ class DFromPlumbing(NamedTuple):
     vector: tuple[int, ...]
 
 
-def _tau_window(branches: list[tuple[int, int]]) -> TauWindow:
-    """(lo, hi, A, b, tables) with every minimizer n of tau in [lo, hi].
+def _tau_min(branches: list[tuple[int, int]]) -> tuple[int, int]:
+    """(min tau(n), its first n) over n >= 0, on a window it proves holds every minimizer.
 
     A = prod alpha_i and e0 + sum omega_i/alpha_i = -1/A split tau exactly: 2A tau(n) = n^2 + b n
     - sum T_i(n mod alpha_i), b = 2A - 1 - sum A (alpha_i - 1)/alpha_i, T_i (one table of alpha_i
     entries per leg) the partial sums of the mean-zero period (A/alpha_i) (2 ((-m omega_i) mod alpha_i)
     - alpha_i + 1).  With U = 2A tau at the vertex, a minimizer has (2n + b)^2 <= b^2 + 4 (U + sum
-    max T_i).  Guarded by the multiplicity sum (the tables' size) and the tau window.
+    max T_i).  Guarded by the multiplicity sum (the tables' size), then the tau window; the window's
+    integer minimum is 2A min tau exactly, or AssertionError.
     """
     guard("multiplicity sum", sum(a for a, _ in branches))
     A = prod(a for a, _ in branches)
@@ -335,13 +335,6 @@ def _tau_window(branches: list[tuple[int, int]]) -> TauWindow:
     s = isqrt(b * b + 4 * (v * (v + b) - sum(T[v % len(T)] for T in tables) + sum(map(max, tables))))
     lo, hi = max(0, -((s + b) // 2)), (s - b) // 2
     guard("tau window", hi - lo + 1)
-    return lo, hi, A, b, tables
-
-
-def _tau_min(branches: list[tuple[int, int]], window: Optional[TauWindow] = None) -> tuple[int, int]:
-    """(min tau(n), its first n) over n >= 0: the integer minimum of n (n + b) - sum T_i(n mod alpha_i)
-    over ``_tau_window`` (or ``window``, if the caller has it) is 2A min tau exactly, or AssertionError."""
-    lo, hi, A, b, tables = window or _tau_window(branches)
     quad = accumulate(count(2 * lo + 1 + b, 2), initial=lo * (lo + b))  # n (n + b), by its steps 2n + 1 + b
     scaled = reduce(partial(map, sub), (islice(cycle(T), lo % len(T), None) for T in tables), quad)  # minus each T_i
     best, n_star = min(zip(islice(scaled, hi - lo + 1), count(lo)))
@@ -351,28 +344,14 @@ def _tau_min(branches: list[tuple[int, int]], window: Optional[TauWindow] = None
     return tau, n_star
 
 
-def d_from_plumbing(G: PlumbingGraph, window: Optional[TauWindow] = None) -> DFromPlumbing:
-    """d of a negative-definite star-shaped plumbed homology sphere, with a characteristic vector c, (c, c) + rank = 4d.
-
-    Nemethi (Geom. Topol. 9, 2005), as in Can-Karakurt (Pacific J. Math. 267, 2014): with center
-    weight e0 and legs alpha_i/omega_i (weights <= -2), d = (K^2 + rank)/4 - 2 min tau, K = G^{-1} k,
-    k_v = -w_v - 2, tau(0) = 0, tau(n+1) - tau(n) = 1 - e0 n - sum ceil(n omega_i/alpha_i).  Negative
-    definiteness and |det| = 1, checked first, give e0 + sum omega_i/alpha_i = -1/A, the identity behind
-    ``_tau_window``'s split, which alone drives the scan.  The certificate c = K + 2 x(n*) has x = n* at
-    the center and ceil(n* m_j/alpha) on a leg vertex, m_j the continuant of the leg beyond it.  Raises
-    ``NotNegativeDefiniteError``/``NotUnimodularError``, then ``guards.ScanGuardExceededError`` (see
-    ``_tau_window``); a caller that has checked the guards already passes the window it got as ``window``.
-    """
-    center, legs = star_legs(G)
-    conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
-    elim = _negdef_unimodular(G._elimination)
-    best, n_star = _tau_min([(m[0], m[1]) for m in conts], window)
+def _certified(G: PlumbingGraph, legs: list[list[int]], conts: list[list[int]], tau: int, n_star: int) -> DFromPlumbing:
+    """d = (K^2 + rank)/4 - 2 tau on the checked star G (legs of ``star_legs``, their ``_leg_continuants``),
+    and c = K + 2 x(n*): x = n* at the center, ceil(n* m_j/alpha) on a leg vertex, m_j the continuant of
+    the leg beyond it.  c is re-checked on the tree's edges: characteristic, (c, c) + rank = 4d."""
     k = [-w - 2 for w in G.weights]
-    K = elim.solve(k)  # integral: G is unimodular
-    d = Fraction(sum(map(mul, k, K)) + G.rank, 4) - 2 * best
-
-    x = [0] * G.rank
-    x[center] = n_star
+    K = _negdef_unimodular(G._elimination).solve(k)  # integral: G is unimodular
+    d = Fraction(sum(map(mul, k, K)) + G.rank, 4) - 2 * tau
+    x = [n_star] * G.rank  # every vertex but the center lies on a leg
     for leg, m in zip(legs, conts):
         for v, mj in zip(leg, m[1:]):
             x[v] = -(-n_star * mj // m[0])
@@ -386,9 +365,29 @@ def d_from_plumbing(G: PlumbingGraph, window: Optional[TauWindow] = None) -> DFr
     return DFromPlumbing(d, c)
 
 
+def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
+    """d of a negative-definite star-shaped plumbed homology sphere, with a characteristic vector c, (c, c) + rank = 4d.
+
+    Nemethi (Geom. Topol. 9, 2005), as in Can-Karakurt (Pacific J. Math. 267, 2014): with center
+    weight e0 and legs alpha_i/omega_i (weights <= -2), d = (K^2 + rank)/4 - 2 min tau, K = G^{-1} k,
+    k_v = -w_v - 2, tau(0) = 0, tau(n+1) - tau(n) = 1 - e0 n - sum ceil(n omega_i/alpha_i).  Negative
+    definiteness and |det| = 1, checked first, give e0 + sum omega_i/alpha_i = -1/A, behind ``_tau_min``'s
+    split.  The re-checked c = K + 2 x(n*) (``_certified``) is characteristic with (c, c) + rank = 4 value:
+    that proves only d >= value (Ozsvath-Szabo, Adv. Math. 173, 2003, Thm 9.6).  d <= value rests on the
+    proof that the window holds every minimizer of tau, so ``_tau_min`` computes it and no caller supplies
+    one.  Raises ``NotNegativeDefiniteError``/``NotUnimodularError``, then ``guards.ScanGuardExceededError``.
+    """
+    legs = star_legs(G)[1]
+    conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
+    _negdef_unimodular(G._elimination)
+    return _certified(G, legs, conts, *_tau_min([(m[0], m[1]) for m in conts]))
+
+
 def d_brieskorn(T: BrieskornTriple) -> DFromPlumbing:
     """``d_from_plumbing`` of Sigma(p, q, r)'s canonical plumbing (legs a/(a - b) for the Seifert
-    branches (a, b)), guarded before it is built; the window the guard computes is the one it scans
+    branches (a, b)), with tau scanned on the branches, under its guards, before the plumbing is built
     (the window does not depend on the order of the legs)."""
-    window = _tau_window([(a, a - b) for a, b in brieskorn_seifert(T).branches])
-    return d_from_plumbing(negdef_plumbing(T), window)
+    scan = _tau_min([(a, a - b) for a, b in brieskorn_seifert(T).branches])
+    G = negdef_plumbing(T)
+    legs = star_legs(G)[1]
+    return _certified(G, legs, [_leg_continuants([G.weights[v] for v in leg]) for leg in legs], *scan)

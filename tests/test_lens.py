@@ -6,6 +6,7 @@ spheres surgered to lens spaces), and the oracle equality pins the orientation
 conventions of the chain plumbings.
 """
 
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ import pytest
 import plumbcalc.lens
 from plumbcalc.arith import NotCoprimeError, _hj_word
 from plumbcalc.lattice import _closest_point, _Enumerator, _negdef_unimodular, max_char_square
-from plumbcalc.families import surgery_parameters, verify_conjecture
+from plumbcalc.families import FAMILY_IDS, family_triple, surgery_parameters, verify_conjecture
 from plumbcalc.guards import GUARDS, ScanGuardExceededError
 from plumbcalc.lens import (
     LensSpace,
@@ -646,13 +647,30 @@ class TestDFromPlumbing:
             assert not top <= 4 * (d - Fraction(1, 4))
 
     def test_d_brieskorn_scans_the_window_its_guard_computed(self, monkeypatch):
-        windows = []
-        real = plumbcalc.lens._tau_window
-        monkeypatch.setattr(plumbcalc.lens, "_tau_window", lambda branches: windows.append(real(branches)) or windows[-1])
+        """One scan (guards, window and stream in ``_tau_min``) per call, done before the tree is built."""
+        events = []
+        scan, build = plumbcalc.lens._tau_min, plumbcalc.plumbing.star_graph
+        monkeypatch.setattr(plumbcalc.lens, "_tau_min", lambda branches: events.append("scan") or scan(branches))
+        monkeypatch.setattr(plumbcalc.plumbing, "star_graph", lambda *args: events.append("tree") or build(*args))
         for triple, d in [((2, 3, 5), 2), ((2, 3, 7), 0), ((101, 103, 10007), 10)]:
-            windows.clear()
+            events.clear()
             assert d_brieskorn(BrieskornTriple(*triple)).value == d
-            assert len(windows) == 1, triple
+            assert events == ["scan", "tree"], triple
+
+    def test_no_caller_supplies_the_window(self):
+        """The scan owns its window: neither ``d_from_plumbing`` nor ``_tau_min`` takes one, and
+        ``d_brieskorn`` (scan on the Seifert branches first) agrees with ``d_from_plumbing`` on its tree,
+        value and vector, on 200 seeded triples with p + q + r < 400 and all twelve families at n = 1..8."""
+        assert len(inspect.signature(d_from_plumbing).parameters) == 1
+        assert len(inspect.signature(_tau_min).parameters) == 1
+        rng, triples = random.Random(2032), set()
+        while len(triples) < 200:
+            p, q, r = sorted(rng.sample(range(2, 398), 3))
+            if p + q + r < 400 and gcd(p, q) == gcd(p, r) == gcd(q, r) == 1:
+                triples.add(BrieskornTriple(p, q, r))
+        triples |= {family_triple(fam, n) for fam in FAMILY_IDS for n in range(1, 9)}
+        for T in triples:
+            assert d_brieskorn(T) == d_from_plumbing(negdef_plumbing(T)), T
 
     def test_rank_guard(self):
         # the one work guard is on the tau window: Sigma(101, 11857, 20298) has
