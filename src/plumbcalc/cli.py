@@ -106,7 +106,7 @@ def cmd_mubar(args) -> int:
         try:
             with open(args.graph, "r", encoding="utf-8") as fh:
                 G = PlumbingGraph.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             return _error(f"cannot read graph file: {exc}")
     elif None in (args.p, args.q, args.r):
         return _error("give a triple or --graph FILE")

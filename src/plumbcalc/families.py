@@ -14,6 +14,7 @@ n-range is extensible and transcription slips are caught by cross-checks:
   carries the published value 14n - 5, which the same normalization
   reproduces.
 
+The paper's d formulas, proved and predicted, are one table (``_PAPER_D``).
 Verification reports are plain data: one :class:`VerificationReport` per
 (family, n) with named boolean clauses, serializable as JSON lines.
 """
@@ -24,7 +25,7 @@ import json
 from fractions import Fraction
 from math import gcd
 from operator import index
-from typing import Callable, Iterable, Optional, TextIO
+from typing import Iterable, Optional, TextIO
 
 from .arith import Frozen, Record, _hj_word
 from .guards import ScanGuardExceededError, guard
@@ -365,14 +366,22 @@ def verify_theorem_main(fam: str, n: int) -> VerificationReport:
     return rep
 
 
+# The paper's d formulas: d = a n + b, (a, b) = _PAPER_D[family][n % 2].  Rows (i)-(iv) are proved lower bounds
+# (Theorem 1.3: 2 ceil(n/2), 2 ceil((n+1)/2)); rows (v)-(xii) are predicted (Remark 1.4: 6n, 2n, 4 (n/2 + ceil(n/2))).
+_PAPER_D = {
+    **dict.fromkeys(("i", "iv"), ((1, 0), (1, 1))),
+    **dict.fromkeys(("ii", "iii"), ((1, 2), (1, 1))),
+    **dict.fromkeys(("v", "vi"), ((6, 0), (6, 0))),
+    **dict.fromkeys(("vii", "viii", "ix", "x"), ((2, 0), (2, 0))),
+    **dict.fromkeys(("xi", "xii"), ((4, 0), (4, 2))),
+}
+
+
 def theorem_bound(fam: str, n: int) -> int:
     """The proven lower bound for d in families (i)-(iv)."""
-    fam = _check_family(fam, n)
-    if fam in ("i", "iv"):
-        return 2 * ((n + 1) // 2)  # 2 * ceil(n/2)
-    if fam in ("ii", "iii"):
-        return 2 * ((n + 2) // 2)  # 2 * ceil((n+1)/2)
-    raise ValueError("the correction-term bound covers families (i)-(iv) only")
+    if _check_family(fam, n) not in SURGERY_FAMILIES:
+        raise ValueError("the correction-term bound covers families (i)-(iv) only")
+    return conjectured_d(fam, n)
 
 
 def _family_i_closed_forms(n: int, p: int) -> tuple[Fraction, Fraction, int]:
@@ -450,24 +459,10 @@ def verify_unbounded_gap(fam: str, n: int) -> VerificationReport:
     return rep
 
 
-_CONJECTURED: dict[str, Callable[[int], int]] = {
-    "v": lambda n: 6 * n,
-    "vi": lambda n: 6 * n,
-    "vii": lambda n: 2 * n,
-    "viii": lambda n: 2 * n,
-    "ix": lambda n: 2 * n,
-    "x": lambda n: 2 * n,
-    # 4 (n/2 + ceil(n/2)): 4n for even n, 4n + 2 for odd
-    "xi": lambda n: 4 * n if n % 2 == 0 else 4 * n + 2,
-    "xii": lambda n: 4 * n if n % 2 == 0 else 4 * n + 2,
-}
-
-
 def conjectured_d(fam: str, n: int) -> int:
-    """The conjectured exact value of d for the family (equality in the
-    proven bounds for (i)-(iv); predicted closed forms for (v)-(xii))."""
-    fam = _check_family(fam, n)
-    return _CONJECTURED[fam](n) if fam in _CONJECTURED else theorem_bound(fam, n)
+    """The conjectured exact d: the proven bound (conjectured sharp) on (i)-(iv), Remark 1.4's value on (v)-(xii)."""
+    a, b = _PAPER_D[_check_family(fam, n)][n % 2]
+    return a * n + b
 
 
 def verify_conjecture(fam: str, n: int) -> VerificationReport:

@@ -655,8 +655,6 @@ def isometric(L1: GramLattice, L2: GramLattice) -> Optional[tuple[tuple[int, ...
     if all(x % 2 == 0 for x in L1.diagonal()) != all(x % 2 == 0 for x in L2.diagonal()):
         return None
     n = L1.rank
-    if n == 0:
-        return ()
     targets = L2.diagonal()
     enum = _Enumerator(e1)
     candidates: dict[int, list[tuple[int, ...]]] = {}

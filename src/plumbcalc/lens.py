@@ -225,8 +225,6 @@ def lens_d_oracle(p: int, q: int) -> dict[int, Fraction]:
     L = LensSpace(p, q)
     p, q = L.p, L.q
     guard("oracle lens order", p)
-    if p == 1:
-        return {0: Fraction(0)}
     b, negate = _chain_route(p, q)
     H, m, nb = _chain_minima(b)
     pz = [0, nb[0]]  # p z_{-1} = 0, p z_0, ... for z = Q^{-1} b: row j of Q z = b is z_{j+1} = b_j (z_j - 1) - z_{j-1}

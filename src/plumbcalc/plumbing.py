@@ -113,6 +113,8 @@ class PlumbingGraph(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "PlumbingGraph":
+        if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("vertices", "edges")):
+            raise ValueError('a graph file holds one JSON object {"vertices": [...], "edges": [...]}')
         for v in data["vertices"]:
             if not isinstance(v, dict) or not {"id", "weight"} <= v.keys():
                 raise ValueError(f"vertex {v!r} needs an id and a weight")
@@ -386,12 +388,7 @@ def star_legs(G: PlumbingGraph) -> tuple[int, list[list[int]]]:
     big = [v for v in range(n) if degrees[v] > 2]
     if len(big) > 1:
         raise NotStarShapedError("more than one vertex of degree > 2")
-    if big:
-        center = big[0]
-    elif n == 1:
-        return 0, []
-    else:
-        center = min(v for v in range(n) if degrees[v] == 1)
+    center = big[0] if big else min(v for v in range(n) if degrees[v] < 2)
     legs = []
     for first in adj[center]:
         leg = [center, first]
@@ -541,10 +538,10 @@ def brieskorn_seifert(T: BrieskornTriple) -> SeifertData:
     the window 0 < b < a; ``.negated().normalized()`` is its orientation
     reversal, euler number +1/pqr.
 
-    The standard branch residues are p' = (qr)^{-1} mod p and cyclically,
-    with e = (p'qr + q'pr + r'pq - 1) / pqr an exact integer.  Its remainder
-    is the one check: e pqr = p'qr + q'pr + r'pq - 1 is the euler number
-    e - (p'/p + q'/q + r'/r) = -1/pqr, by construction.
+    The standard branch residues p' = (qr)^{-1} mod p and cyclically lie in
+    that window (every a >= 2), so the branches are only sorted; e = (p'qr +
+    q'pr + r'pq - 1) / pqr is an exact integer.  Its remainder is the one
+    check: e - (p'/p + q'/q + r'/r) = -1/pqr, the euler number, by construction.
     """
     p, q, r = T.as_tuple()
     pp = mod_inverse(q * r, p)
@@ -552,7 +549,7 @@ def brieskorn_seifert(T: BrieskornTriple) -> SeifertData:
     rp = mod_inverse(p * q, r)
     e, rem = divmod(pp * q * r + qp * p * r + rp * p * q - 1, p * q * r)
     assert rem == 0
-    return SeifertData(e, ((p, pp), (q, qp), (r, rp))).normalized()
+    return SeifertData(e, tuple(sorted(((p, pp), (q, qp), (r, rp)))))
 
 
 def negdef_plumbing(T: BrieskornTriple) -> PlumbingGraph:

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -280,6 +281,44 @@ class TestMubarCommand:
         if message:  # the message names the bad edge or vertex
             assert err == f"error: cannot read graph file: {message}\n"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [[1, 2], {"edges": []}, {"vertices": 5, "edges": []}, 5, {"vertices": [{"id": 0, "weight": -2}], "edges": {}}],
+        ids=["list", "no-vertices", "int-vertices", "int", "object-edges"],
+    )
+    def test_graph_file_top_level_must_be_an_object_of_two_lists(self, capsys, tmp_path, payload):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        shape = 'a graph file holds one JSON object {"vertices": [...], "edges": [...]}'
+        assert run(capsys, "mubar", "--graph", str(path)) == (2, "", f"error: cannot read graph file: {shape}\n")
+
+    def test_fuzzed_graph_files_exit_0_or_2(self, capsys, tmp_path):
+        """4000 seeded JSON values: random ones, and README-format trees with up to two random edits.
+        No run raises; a value README's format refuses exits 2 as an unreadable graph file; a tree
+        exits 0 with its mu-bar when its determinant is odd, else 2 from the Wu class."""
+        rng, path, tally = random.Random(33), tmp_path / "g.json", Counter()
+        for k in range(4000):
+            if k % 3 == 0:
+                payload = _fuzz_value(rng)
+            else:
+                payload = _random_tree(rng, rng.randint(1, 6), -4, 2).to_json()
+                for _ in range(rng.randint(0, 2)):
+                    payload = _fuzz_edit(rng, payload)
+            path.write_text(json.dumps(payload))
+            code, out, err = run(capsys, "mubar", "--graph", str(path))
+            G = _reference_graph(payload)
+            if G is None:
+                assert (code, out) == (2, "") and err.startswith("error: cannot read graph file: "), payload
+                tally["refused"] += 1
+            elif determinant(graph_to_gram(G)) % 2:
+                assert (code, out, err) == (0, f"{mubar(G)}\n", ""), payload
+                tally["read"] += 1
+            else:
+                assert (code, out, err) == (2, "", "error: Gram matrix is singular mod 2\n"), payload
+                tally["even"] += 1
+            assert err.count("\n") == code // 2 and "Traceback" not in err, payload
+        assert min(tally["refused"], tally["read"], tally["even"]) >= 200, tally
+
     def test_missing_args(self, capsys, tmp_path):
         assert run(capsys, "mubar") == (2, "", "error: give a triple or --graph FILE\n")
         path = tmp_path / "g.json"
@@ -291,6 +330,68 @@ class TestMubarCommand:
         # a 0 is a given multiplicity: rejected as `d 0 3 5` rejects it
         for cmd in ("mubar", "d"):
             assert run(capsys, cmd, "0", "3", "5") == (2, "", "error: Brieskorn multiplicities must be >= 2\n")
+
+
+_FUZZ_KEYS = ("vertices", "edges", "id", "weight", "x")
+
+
+def _fuzz_value(rng: random.Random, depth: int = 0):
+    """A seeded random JSON value: scalars, and lists and objects (keys from the graph format) to depth 3."""
+    kind = rng.randrange(8 if depth < 3 else 5)
+    if kind < 5:
+        return [None, rng.random() < 0.5, rng.randint(-3, 6), rng.choice((0.0, -2.5)), rng.choice(_FUZZ_KEYS)][kind]
+    if kind < 7:
+        return [_fuzz_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {rng.choice(_FUZZ_KEYS): _fuzz_value(rng, depth + 1) for _ in range(rng.randint(0, 3))}
+
+
+def _fuzz_edit(rng: random.Random, value):
+    """``value`` with one random node replaced, dropped or duplicated (it is edited in place)."""
+    if not isinstance(value, (list, dict)) or not value or rng.random() < 0.2:
+        return _fuzz_value(rng)
+    key = rng.choice(range(len(value)) if isinstance(value, list) else list(value))
+    action = rng.random()
+    if action < 0.6:
+        value[key] = _fuzz_edit(rng, value[key])
+    elif action < 0.8:
+        del value[key]
+    elif isinstance(value, list):
+        value.append(json.loads(json.dumps(value[key])))
+    else:
+        value[rng.choice(_FUZZ_KEYS)] = _fuzz_value(rng)
+    return value
+
+
+def _reference_graph(data) -> "PlumbingGraph | None":
+    """The tree README's graph format reads from ``data``, or None where the format refuses it: an object
+    with lists "vertices" (objects with distinct integer "id"s and integer "weight"s) and "edges" (pairs of
+    ids), which must join the vertices into one tree."""
+    if not isinstance(data, dict) or not all(type(data.get(k)) is list for k in ("vertices", "edges")):
+        return None
+    vertices, edges = data["vertices"], data["edges"]
+    if not all(type(v) is dict and type(v.get("id")) is int and type(v.get("weight")) is int for v in vertices):
+        return None
+    ids = sorted(v["id"] for v in vertices)
+    if not ids or len(set(ids)) < len(ids) or len(edges) != len(ids) - 1:
+        return None
+    if not all(type(e) is list and len(e) == 2 and all(type(x) is int and x in ids for x in e) for e in edges):
+        return None
+    root = {x: x for x in ids}  # union-find: n - 1 edges make a tree exactly when each joins two components
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in edges:
+        if find(a) == find(b):
+            return None
+        root[find(a)] = find(b)
+    order = {x: k for k, x in enumerate(ids)}
+    weights = [0] * len(ids)
+    for v in vertices:
+        weights[order[v["id"]]] = v["weight"]
+    return PlumbingGraph(tuple(weights), tuple((order[a], order[b]) for a, b in edges))
 
 
 class TestVerifyCommand:

@@ -1,14 +1,17 @@
 """Each narrative demo runs to completion against the package in ``src``, and README's library tour
-returns the results its comments state."""
+and command examples return the results their comments state."""
 
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from plumbcalc.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -46,3 +49,26 @@ def test_readme_library_tour():
             assert repr(eval(expr, dict(scope, tree=tree))) == other, comment
         checked += 1
     assert checked == 3
+
+
+def _check_readme_commands(readme: str, capsys) -> int:
+    """Run each ``plumbcalc ...  # -> v`` line of README's command-line block through ``cli.main``; its stdout
+    must be exactly ``v``.  Returns the number of lines checked."""
+    block = re.search(r"^```sh\n(plumbcalc .*?)^```", readme, re.M | re.S).group(1)
+    checked = 0
+    for argv, value in re.findall(r"^plumbcalc (.*?)\s+# -> (.*)$", block, re.M):
+        assert main(shlex.split(argv)) == 0, argv
+        assert capsys.readouterr().out == f"{value}\n", argv
+        checked += 1
+    return checked
+
+
+def test_readme_command_results(capsys):
+    """README's command examples print the results their ``# -> v`` comments state, and altering any one of
+    those comments makes the check fail."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    claims = re.findall(r"# -> \S+", readme)
+    assert _check_readme_commands(readme, capsys) == len(claims) == 3
+    for claim in claims:
+        with pytest.raises(AssertionError):
+            _check_readme_commands(readme.replace(claim, claim + "1"), capsys)

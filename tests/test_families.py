@@ -20,6 +20,7 @@ from plumbcalc.plumbing import (
 from plumbcalc.families import (
     FAMILY_IDS,
     REDUCED_ENDPOINT_SEIFERT,
+    SURGERY_FAMILIES,
     TableInvariantError,
     VerificationReport,
     _E8_ENDPOINTS,
@@ -309,6 +310,26 @@ class TestConjectures:
         # Remark 1.4 conjectures equality in the proven bounds for (i)-(iv)
         for fam in FAMILY_IDS[:4]:
             assert [conjectured_d(fam, n) for n in range(1, 21)] == [theorem_bound(fam, n) for n in range(1, 21)]
+
+    def test_paper_formulas_match_their_closed_forms_to_n_200(self):
+        """Theorem 1.3's bounds and Remark 1.4's predictions, written out, for every family at n = 1..200."""
+        ceil_half = lambda m: -(-m // 2)
+        closed = {
+            **dict.fromkeys(("i", "iv"), lambda n: 2 * ceil_half(n)),
+            **dict.fromkeys(("ii", "iii"), lambda n: 2 * ceil_half(n + 1)),
+            **dict.fromkeys(("v", "vi"), lambda n: 6 * n),
+            **dict.fromkeys(("vii", "viii", "ix", "x"), lambda n: 2 * n),
+            **dict.fromkeys(("xi", "xii"), lambda n: 4 * n if n % 2 == 0 else 4 * n + 2),
+        }
+        assert closed.keys() == set(FAMILY_IDS)
+        for fam in FAMILY_IDS:
+            for n in range(1, 201):
+                assert conjectured_d(fam, n) == closed[fam](n), (fam, n)
+                if fam in SURGERY_FAMILIES:
+                    assert theorem_bound(fam, n) == closed[fam](n), (fam, n)
+                else:
+                    with pytest.raises(ValueError, match=r"^the correction-term bound covers families \(i\)-\(iv\) only$"):
+                        theorem_bound(fam, n)
 
     def test_remark_1_4_holds_to_n_20_on_every_family(self):
         """Every closed form of Remark 1.4 at n = 1..20: no member is skipped

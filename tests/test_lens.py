@@ -8,6 +8,7 @@ conventions of the chain plumbings.
 
 import inspect
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import accumulate, count, cycle, islice
@@ -37,6 +38,7 @@ from plumbcalc.lens import (
     _descent_label,
     _descent_labels,
     _descent_table,
+    _certified,
     _step,
     _tau_min,
 )
@@ -53,6 +55,7 @@ from plumbcalc.plumbing import (
     plumbing_to_seifert,
     seifert_to_plumbing,
     star_graph,
+    star_legs,
 )
 from plumbcalc.arith import hj_expand
 
@@ -339,6 +342,13 @@ class TestOracle:
 
     def test_s3(self):
         assert lens_d_oracle(1, 0) == lens_d_all(1, 0) == {0: 0}
+
+    def test_chain_check_refuses_a_wrong_chain(self, monkeypatch):
+        """The continuant check: the chain (3, 2) has continuant 5, not L(7, 2)'s order 7."""
+        monkeypatch.setattr(plumbcalc.lens, "_chain_route", lambda p, q: ((3, 2), False))
+        msg = "the chain (3, 2) of L(7, 2) has continuant 5 or p Q^-1 b off Z^n"
+        with pytest.raises(AssertionError, match=f"^{re.escape(msg)}$"):
+            lens_d_oracle(7, 2)
 
     def test_l41_max_matches_chain_value(self):
         vals = lens_d_oracle(4, 1)
@@ -671,6 +681,25 @@ class TestDFromPlumbing:
         triples |= {family_triple(fam, n) for fam in FAMILY_IDS for n in range(1, 9)}
         for T in triples:
             assert d_brieskorn(T) == d_from_plumbing(negdef_plumbing(T)), T
+
+    def test_certificate_recheck_refuses_a_wrong_tau_or_n(self):
+        """``_certified`` re-checks its vector: on Sigma(2, 3, 7) (min tau = 0 at n* = 0) a tau one too
+        large, or the minimizer moved to n* + 1, gives a d or a vector the tree refuses."""
+        G = negdef_plumbing(BrieskornTriple(2, 3, 7))
+        legs = star_legs(G)[1]
+        conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
+        tau, n_star = _tau_min([(m[0], m[1]) for m in conts])
+        assert (tau, n_star) == (0, 0) and _certified(G, legs, conts, tau, n_star).value == 0
+        for args, d in [((tau + 1, n_star), -2), ((tau, n_star + 1), 0)]:
+            msg = f"the tau-window certificate of d = {d} fails its re-check"
+            with pytest.raises(AssertionError, match=f"^{re.escape(msg)}$"):
+                _certified(G, legs, conts, *args)
+
+    def test_tau_scan_refuses_a_minimum_off_2a(self):
+        """Branches whose e0 + sum omega/alpha is not -1/A break the split: (3, 1), (4, 1), (5, 1) has
+        A = 60, and the window's minimum is no multiple of 2A."""
+        with pytest.raises(AssertionError, match=r"^2A tau\(3\) is not a multiple of 2A = 120$"):
+            _tau_min([(3, 1), (4, 1), (5, 1)])
 
     def test_rank_guard(self):
         # the one work guard is on the tau window: Sigma(101, 11857, 20298) has

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -42,6 +43,7 @@ from plumbcalc.plumbing import (
     rohlin,
     seifert_to_plumbing,
     star_graph,
+    star_legs,
     twist_reduce,
     ue_spin_bound,
     _tree_eliminate,
@@ -237,6 +239,12 @@ class TestSeifert:
     def test_single_vertex(self):
         assert plumbing_to_seifert(PlumbingGraph((9,), ())) == SeifertData(9)
 
+    def test_star_legs_of_a_lone_vertex_and_a_path(self):
+        """A lone vertex is its own centre, with no legs; a path is read from its lowest-index endpoint."""
+        assert star_legs(PlumbingGraph((9,), ())) == (0, [])
+        assert star_legs(PlumbingGraph((-2, -3, -4), ((0, 2), (2, 1)))) == (0, [[2, 1]])
+        assert star_legs(PlumbingGraph((-2, -3, -4), ((1, 0), (0, 2)))) == (1, [[0, 2]])
+
     def test_not_star_shaped(self):
         # two degree-3 vertices
         g = PlumbingGraph((1,) * 6, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5)))
@@ -283,6 +291,13 @@ class TestBrieskorn:
         data = brieskorn_seifert(BrieskornTriple(2, 3, 5))
         assert data == SeifertData(1, ((2, 1), (3, 1), (5, 1)))
         assert data.euler_number() == Fraction(-1, 30)
+
+    def test_data_does_not_depend_on_the_order_of_the_triple(self):
+        """Every order of the multiplicities gives the same data, branches sorted and already normalized."""
+        for triple in [(2, 3, 5), (2, 3, 7), (3, 4, 7)]:
+            datas = [brieskorn_seifert(BrieskornTriple(*t)) for t in permutations(triple)]
+            assert len(datas) == 6 and all(d == datas[0] == datas[0].normalized() for d in datas), triple
+            assert [a for a, _ in datas[0].branches] == sorted(triple)
 
     def test_sigma237(self):
         data = brieskorn_seifert(BrieskornTriple(2, 3, 7))
