@@ -60,6 +60,7 @@ from .plumbing import (
     rohlin,
     seifert_to_plumbing,
     star_graph,
+    star_mubar,
     star_unit_pairs,
     twist_reduce,
     ue_spin_bound,

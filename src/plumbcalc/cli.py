@@ -41,7 +41,7 @@ from .families import (
 )
 from .guards import ScanGuardExceededError
 from .lens import d_brieskorn, lens_d, lens_d_numerators, lens_d_oracle
-from .plumbing import BrieskornTriple, PlumbingGraph, mubar, negdef_plumbing
+from .plumbing import BrieskornTriple, PlumbingGraph, brieskorn_star, mubar, star_mubar
 
 EXIT_OK = 0
 EXIT_CLAUSE_FAILED = 1
@@ -108,11 +108,11 @@ def cmd_mubar(args) -> int:
                 G = PlumbingGraph.from_json(json.load(fh))
         except (OSError, ValueError) as exc:
             return _error(f"cannot read graph file: {exc}")
+        value = str(mubar(G))
     elif None in (args.p, args.q, args.r):
         return _error("give a triple or --graph FILE")
-    else:
-        G = negdef_plumbing(BrieskornTriple(*sorted((args.p, args.q, args.r))))
-    value = str(mubar(G))
+    else:  # the star's legs, no graph
+        value = str(star_mubar(*brieskorn_star(BrieskornTriple(*sorted((args.p, args.q, args.r))))))
     print(json.dumps({"command": "mubar", "mubar": value}, sort_keys=True) if args.json else value)
     return EXIT_OK
 

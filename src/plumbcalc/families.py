@@ -42,15 +42,17 @@ from .plumbing import (
     ChainDiagram,
     PlumbingGraph,
     SeifertData,
+    SpinBound,
     brieskorn_seifert,
+    brieskorn_star,
     chain_to_gram,
     graph_to_gram,
     negdef_plumbing,
     seifert_to_plumbing,
     star_graph,
+    star_mubar,
     star_unit_pairs,
     twist_reduce,
-    ue_spin_bound,
 )
 
 REPORT_SCHEMA = "plumbcalc-verification-report/2"
@@ -338,15 +340,15 @@ def verify_theorem_main(fam: str, n: int) -> VerificationReport:
     at 1; (d) the tabulated Seifert row normalizes to the data derived from
     the triple.  Clause (b) matches the final lattice against the family's
     stored +E8 endpoint (on (v)-(xii) it is that endpoint, whatever n); a
-    mismatch is reported as ``recognize_e8`` of it.
-    ``negdef_plumbing`` guards P+Q+R, which bounds the rank, first.
+    mismatch is reported as ``recognize_e8`` of it.  Clauses (a) and (c) read
+    mu-bar off the star's legs (``star_mubar``; ``brieskorn_star`` guards P+Q+R).
     """
     fam = _check_family(fam, n)
     triple = family_triple(fam, n)
     rep = VerificationReport("theorem-main", fam, n)
     rep.values["triple"] = triple.as_tuple()
 
-    bound = ue_spin_bound(negdef_plumbing(triple))
+    bound = SpinBound.of(star_mubar(*brieskorn_star(triple)))
     rep.values["mubar"] = bound.mubar
     rep.checks["mubar_is_minus_one"] = bound.mubar == -1
 

@@ -20,7 +20,7 @@ class Guard(NamedTuple):
 GUARDS: dict[str, Guard] = {
     # lens._tau_min, d's scan: family (v) at n = 263, 1.99M points, takes 0.65-0.95 s, 0.25-0.33 us a point.
     "tau window": Guard("window points", 2_000_000),
-    # plumbing.negdef_plumbing (before the tree is built) and lens._tau_min: the sum bounds the tree's
+    # plumbing.brieskorn_star (before a leg is expanded) and lens._tau_min: the sum bounds the plumbing's
     # rank (rank <= sum) and the tau tables.  A unit costs d 3.0-3.4 us on the integer tree kernel and 10-14
     # window points (d 300 301 90299, rank 90600: 0.39 s end to end, median of 7 runs); 2,000,000 // 15 is safe.
     "multiplicity sum": Guard("sum of multiplicities", 133_333),

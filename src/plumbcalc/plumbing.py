@@ -18,7 +18,7 @@ the same names as ``lattice._eliminate``'s (``det``, ``inertia`` with its
 "negative definite, |det| = 1" (``lattice._negdef_unimodular``) are written
 once for both kernels.  Each graph runs it once (``_elimination``);
 ``negdef_plumbing``, ``mubar``, ``ue_spin_bound`` and ``d_from_plumbing`` all
-read that one elimination.
+read that one elimination; ``star_mubar`` reads a star's legs, with no graph.
 
 The unit vectors of a negative-definite star are counted at its centre
 (``star_unit_pairs``) from one integer minimum table per leg, built along the
@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .arith import Frozen, NotCoprimeError, NotExpandableError, _hj_word, cf_eval, mod_inverse
 from .guards import guard
-from .lattice import GramLattice, NotNegativeDefiniteError, Signature, _negdef_unimodular, _wu
+from .lattice import GramLattice, NotNegativeDefiniteError, NotUnimodularError, Signature, _negdef_unimodular, _wu
 
 
 class NotStarShapedError(ValueError):
@@ -410,6 +410,15 @@ def _leg_continuants(weights: list[int]) -> list[int]:
     return m[:0:-1]
 
 
+def _star_det(center_weight: int, conts: list[list[int]]) -> tuple[int, int]:
+    """(A, D) of a star with legs of continuants ``conts`` (``star_unit_pairs``); NotNegativeDefiniteError if D <= 0."""
+    A = prod(m[0] for m in conts)
+    D = -center_weight * A - sum(A // m[0] * m[1] for m in conts)
+    if D <= 0:
+        raise NotNegativeDefiniteError(f"the star has e0 A - sum omega_i A/alpha_i = {D} <= 0")
+    return A, D
+
+
 def _leg_minima(m: list[int]) -> dict[int, tuple[int, int]]:
     """{s: (F_0[s], N_0[s])} for the residues s mod m_0 with F_0[s] < m_0, from a leg's continuants m.
 
@@ -468,10 +477,7 @@ def star_unit_pairs(G: PlumbingGraph) -> int:
     """
     center, legs = star_legs(G)
     conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
-    A = prod(m[0] for m in conts)
-    D = -G.weights[center] * A - sum(A // m[0] * m[1] for m in conts)
-    if D <= 0:
-        raise NotNegativeDefiniteError(f"the star has e0 A - sum omega_i A/alpha_i = {D} <= 0")
+    A, D = _star_det(G.weights[center], conts)
     top = isqrt(A // D)
     guard("leg tables", sum(map(sum, conts)) + top)
     # (A/alpha) F and N by residue, the sparsest table first: the centres run over its kept residues
@@ -552,20 +558,18 @@ def brieskorn_seifert(T: BrieskornTriple) -> SeifertData:
     return SeifertData(e, tuple(sorted(((p, pp), (q, qp), (r, rp)))))
 
 
-def negdef_plumbing(T: BrieskornTriple) -> PlumbingGraph:
-    """The canonical negative-definite plumbing tree bounding Sigma(p,q,r).
-
-    Construction: the standard data (e, (a, b)), 0 < b < a, gives the star with
-    center e - 3 and one leg -HJ(a/(a - b)) per branch, all entries <= -2 (each
-    branch re-presented as a/(b - a) < -1).  Correctness is checked, not trusted:
-    the tree's one elimination must show negative definiteness and |det| = 1
-    (an AssertionError naming the triple otherwise), and the graph keeps it
-    for ``mubar``, ``ue_spin_bound`` and ``lens.d_from_plumbing``.  The multiplicity sum p + q + r,
-    which bounds the rank, is guarded before the tree is built.
-    """
+def brieskorn_star(T: BrieskornTriple) -> tuple[int, list[list[int]]]:
+    """Centre weight e - 3 and legs -HJ(a/(a - b)) <= -2 (branch a/(b - a) < -1) of Sigma(p,q,r)'s canonical star,
+    from the standard data (e, (a, b)), 0 < b < a; the multiplicity sum, which bounds the legs, is guarded first."""
     guard("multiplicity sum", sum(T.as_tuple()))
     data = brieskorn_seifert(T)
-    G = star_graph(data.e - len(data.branches), [[-c for c in _hj_word(a, a - b)] for a, b in data.branches])
+    return data.e - len(data.branches), [[-c for c in _hj_word(a, a - b)] for a, b in data.branches]
+
+
+def negdef_plumbing(T: BrieskornTriple) -> PlumbingGraph:
+    """Sigma(p,q,r)'s canonical negative-definite plumbing tree, ``brieskorn_star``'s star, checked: its one elimination
+    (kept for ``lens.d_from_plumbing``) must be negative definite with |det| = 1, else an AssertionError names T."""
+    G = star_graph(*brieskorn_star(T))
     try:
         _negdef_unimodular(G._elimination)
     except ValueError as exc:
@@ -589,6 +593,32 @@ def mubar(G: PlumbingGraph) -> Fraction:
     return Fraction(elim.inertia.sigma - square, 8)
 
 
+def _leg_wu(leg: Sequence[int], tip: int) -> tuple[int, int, int]:
+    """(s_0, s_1, sum of the weights with s_j = 1) of a leg read outward, walked in from s_k = tip (``star_mubar``)."""
+    s, nxt, share = tip, 0, 0
+    for w in reversed(leg):
+        s, nxt, share = (w * (1 + s) + nxt) % 2, s, share + w * s
+    return s, nxt, share
+
+
+def star_mubar(center_weight: int, legs: Sequence[Sequence[int]]) -> Fraction:
+    """``mubar(star_graph(center_weight, legs))``, legs <= -2 (else ValueError), with no graph; checked: D = |det|
+    (``_star_det``) must be 1, else NotUnimodularError.  The Wu set s has s_{j-1} == b_j (1 + s_j) + s_{j+1} (mod 2)
+    at leg vertex j of weight -b_j, so each tip bit (s_{k+1} = 0) gives the centre bit s_0 a leg forces (``_leg_wu``).
+    The centre's e s_0 + sum s_1 == e (mod 2) picks one combination (det is odd); mu-bar = (-rank - w.w) / 8, with w.w
+    the sum of the set's weights: in the forest the set spans every degree is even (Wu condition), so it has no edge."""
+    if (D := _star_det(center_weight, [_leg_continuants(leg) for leg in legs])[1]) != 1:
+        raise NotUnimodularError(f"the negative-definite star has |det| = {D}, not 1")
+    partial = [(s0, center_weight * (s0 - 1), center_weight * s0) for s0 in (0, 1)]  # (s_0, centre condition, w.w)
+    for end in ([_leg_wu(leg, tip) for tip in (0, 1)] for leg in legs):
+        partial = [(s0, c + s1, q + share) for s0, c, q in partial for t, s1, share in end if t == s0]
+    squares = [q for _, c, q in partial if c % 2 == 0]
+    assert len(squares) == 1, "an odd-determinant star has one Wu set"
+    value = Fraction(-1 - sum(map(len, legs)) - squares[0], 8)
+    assert value.denominator == 1
+    return value
+
+
 def rohlin(G: PlumbingGraph) -> int:
     """Rohlin invariant: mu-bar reduced mod 2 (mu-bar must be an integer)."""
     m = mubar(G)
@@ -598,23 +628,20 @@ def rohlin(G: PlumbingGraph) -> int:
 
 
 class SpinBound(NamedTuple):
+    """Cap on b2 of a negative-definite spin filling: b2 <= -8 mu-bar, b2 == -8 mu-bar mod 16, 0 if mu-bar >= 0."""
+
     max_b2: int
     b2_mod16: int
     mubar: Fraction
 
+    @classmethod
+    def of(cls, m: Fraction) -> "SpinBound":
+        assert m.denominator == 1  # an integral mu-bar
+        return cls(max(0, -8 * int(m)), -8 * int(m) % 16, m)
+
 
 def ue_spin_bound(G: PlumbingGraph) -> SpinBound:
-    """Cap on b2 of a negative-definite spin filling of the boundary of G, a
-    negative-definite star with |det| = 1 (ValueError otherwise).
-
-    For a Seifert homology sphere the bound is b2 <= -8 mu-bar with
-    b2 == -8 mu-bar mod 16.  When mu-bar >= 0 the cap is reported as 0: no
-    spin negative-definite filling with positive b2 is certified.  The
-    mu-bar the cap comes from is returned with it.
-    """
+    """The ``SpinBound`` from the mu-bar of G, a negative-definite star with |det| = 1 (ValueError otherwise)."""
     star_legs(G)  # raises NotStarShapedError if not a star
     _negdef_unimodular(G._elimination)
-    m = mubar(G)
-    assert m.denominator == 1
-    ub = -8 * int(m)
-    return SpinBound(max(0, ub), ub % 16, m)
+    return SpinBound.of(mubar(G))

@@ -184,14 +184,17 @@ class TestMubarCommand:
             assert code == 0 and out.strip() == expected
 
     def test_one_elimination_per_triple(self, capsys, monkeypatch):
-        calls = []
-        eliminate = plumbcalc.plumbing._tree_eliminate
+        calls, built = [], []
+        eliminate, star = plumbcalc.plumbing._tree_eliminate, plumbcalc.plumbing.star_graph
         monkeypatch.setattr(plumbcalc.plumbing, "_tree_eliminate", lambda G: calls.append(G.rank) or eliminate(G))
-        for argv, want in ((("mubar", "2", "3", "11"), "0"), (("d", "2", "3", "11"), "2")):
+        monkeypatch.setattr(plumbcalc.plumbing, "star_graph", lambda *args: built.append(args) or star(*args))
+        # mubar reads the star's legs and builds no tree; d builds the tree (rank 9) and eliminates it once
+        for argv, want, ranks in ((("mubar", "2", "3", "11"), "0", []), (("d", "2", "3", "11"), "2", [9])):
             calls.clear()
+            built.clear()
             code, out, _ = run(capsys, *argv)
             assert code == 0 and out.strip() == want
-            assert calls == [9], argv  # the rank of the tree
+            assert calls == ranks and len(built) == len(ranks), argv
         # the library calls share the elimination negdef_plumbing's check ran
         calls.clear()
         g = negdef_plumbing(BrieskornTriple(2, 13, 23))
@@ -199,11 +202,12 @@ class TestMubarCommand:
         assert calls == [g.rank]
 
     def test_multiplicity_guard_exits_3_quickly(self, capsys, monkeypatch):
-        # d's bound on P+Q+R is checked before the plumbing (rank 1666674) is built
+        # the bound on P+Q+R is checked before a leg (total length 1666673) is expanded or a plumbing built
         def build(*args, **kwargs):
             raise AssertionError("the plumbing was built")
 
         monkeypatch.setattr(plumbcalc.plumbing, "star_graph", build)
+        monkeypatch.setattr(plumbcalc.plumbing, "_hj_word", build)
         t0 = time.monotonic()
         code, out, err = run(capsys, "mubar", "2", "3", "10000001")
         assert code == 3 and out == ""
@@ -216,6 +220,18 @@ class TestMubarCommand:
         path.write_text(json.dumps(g.to_json()))
         code, out, _ = run(capsys, "mubar", "--graph", str(path))
         assert code == 0 and out.strip() == "1"
+
+    def test_triple_and_its_graph_file_agree(self, capsys, tmp_path):
+        # `mubar P Q R` reads the star's legs, `mubar --graph F` eliminates the tree: they share only the legs
+        rng, path, seen = random.Random(34), tmp_path / "g.json", 0
+        while seen < 50:
+            p, q, r = sorted(rng.sample(range(2, 200), 3))
+            if gcd(p, q) != 1 or gcd(p, r) != 1 or gcd(q, r) != 1:
+                continue
+            seen += 1
+            path.write_text(json.dumps(negdef_plumbing(BrieskornTriple(p, q, r)).to_json()))
+            by_graph = run(capsys, "mubar", "--graph", str(path))
+            assert by_graph[0] == 0 and by_graph == run(capsys, "mubar", str(r), str(p), str(q)), (p, q, r)
 
     def test_graph_with_zero_pivots_matches_the_fraction_kernel(self, capsys, tmp_path):
         """`mubar --graph` on indefinite trees whose tree elimination meets a
@@ -487,11 +503,12 @@ class TestVerifyCommand:
         assert time.monotonic() - t0 < 1.0
 
     def test_thm12_multiplicity_guard_exits_3_before_the_plumbing(self, capsys, monkeypatch):
-        # (v) at n = 200000: P+Q+R = 17000000 would build a plumbing of rank 5000011
+        # (v) at n = 200000: P+Q+R = 17000000 would expand legs of total length 5000010
         def build(*args, **kwargs):
             raise AssertionError("the plumbing was built")
 
         monkeypatch.setattr(plumbcalc.plumbing, "star_graph", build)
+        monkeypatch.setattr(plumbcalc.plumbing, "_hj_word", build)
         t0 = time.monotonic()
         code, out, err = run(capsys, "verify", "thm1.2", "--families", "v", "--n", "200000")
         assert code == 3 and out == ""

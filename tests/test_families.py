@@ -341,28 +341,23 @@ class TestConjectures:
                 assert rep.notes == [] and rep.values["matches"], (fam, n)
 
 
-def test_theorem_main_eliminates_each_tree_once(monkeypatch):
-    """verify_theorem_main takes |det| = 1, definiteness and mu-bar from the
-    plumbing's one elimination: the tree goes through the integer tree kernel
-    once, and nothing through the dense one (the final lattice of the
-    reduction is matched against its stored endpoint).  The expected rank is
-    read in integers, since building the plumbing here would eliminate it
-    again."""
+def test_theorem_main_eliminates_no_tree(monkeypatch):
+    """verify_theorem_main reads mu-bar, |det| = 1 and definiteness off the
+    plumbing's star (``star_mubar``): no tree is built, nothing goes through
+    the integer tree kernel or the dense one (the final lattice of the
+    reduction is matched against its stored endpoint)."""
     import plumbcalc.lattice
     import plumbcalc.plumbing
 
-    members = [("i", 3), ("v", 2), ("xii", 1)]
-    expected = {member: negdef_plumbing(family_triple(*member)).rank for member in members}  # before the patch
     ranks = {"tree": [], "dense": []}
     tree_kernel, dense_kernel = plumbcalc.plumbing._tree_eliminate, plumbcalc.lattice._eliminate
     monkeypatch.setattr(plumbcalc.plumbing, "_tree_eliminate", lambda G: ranks["tree"].append(G.rank) or tree_kernel(G))
     monkeypatch.setattr(plumbcalc.lattice, "_eliminate", lambda rows: ranks["dense"].append(len(rows)) or dense_kernel(rows))
-    for fam, n in members:
-        ranks["tree"].clear()
-        ranks["dense"].clear()
+    monkeypatch.setattr(plumbcalc.plumbing, "star_graph", lambda *args: pytest.fail("the plumbing tree was built"))
+    for fam, n in [("i", 3), ("v", 2), ("xii", 1)]:
         rep = verify_theorem_main(fam, n)
         assert rep.passed
-        assert ranks == {"tree": [expected[fam, n]], "dense": []}, (fam, n)
+        assert ranks == {"tree": [], "dense": []}, (fam, n)
 
 
 class TestUnboundedGap:

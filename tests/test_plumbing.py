@@ -3,17 +3,19 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 import plumbcalc.lattice
 import plumbcalc.plumbing
-from plumbcalc.arith import NotExpandableError, _hj_word
+from plumbcalc.arith import NotExpandableError, _hj_word, mod_inverse
 from plumbcalc.cli import main
 from plumbcalc.lattice import (
     Definiteness,
     GramLattice,
+    NotNegativeDefiniteError,
+    NotUnimodularError,
     SingularMod2Error,
     _eliminate,
     _negdef_unimodular,
@@ -35,6 +37,7 @@ from plumbcalc.plumbing import (
     PlumbingGraph,
     SeifertData,
     brieskorn_seifert,
+    brieskorn_star,
     chain_to_gram,
     graph_to_gram,
     mubar,
@@ -44,11 +47,12 @@ from plumbcalc.plumbing import (
     seifert_to_plumbing,
     star_graph,
     star_legs,
+    star_mubar,
     twist_reduce,
     ue_spin_bound,
     _tree_eliminate,
 )
-from plumbcalc.families import family_triple
+from plumbcalc.families import FAMILY_IDS, family_triple
 from plumbcalc.lens import LensSpace, SurgeryDescriptor, d_from_plumbing
 
 
@@ -421,6 +425,61 @@ class TestUeSpinBound:
             ue_spin_bound(positive)
         with pytest.raises(ValueError, match="negative-definite"):
             ue_spin_bound(star_graph(-2, [[-2], [-3], [-7]]))  # negative definite, |det| = 43
+
+
+class TestStarMubar:
+    """``star_mubar`` reads mu-bar off a star's centre weight and legs; tree ``mubar`` is its oracle."""
+
+    def test_matches_the_tree_on_coprime_triples(self):
+        rng, seen = random.Random(34), 0
+        while seen < 2000:
+            T = sorted(rng.sample(range(2, 600), 3))
+            if gcd(T[0], T[1]) != 1 or gcd(T[0], T[2]) != 1 or gcd(T[1], T[2]) != 1:
+                continue
+            seen += 1
+            T = BrieskornTriple(*T)
+            assert star_mubar(*brieskorn_star(T)) == mubar(negdef_plumbing(T)), T
+
+    def test_matches_the_tree_on_every_family(self):
+        for fam in FAMILY_IDS:
+            for n in range(1, 31):
+                T = family_triple(fam, n)
+                assert star_mubar(*brieskorn_star(T)) == mubar(negdef_plumbing(T)) == -1, (fam, n)
+
+    def test_matches_the_tree_on_seifert_homology_spheres(self):
+        # omega_i = -(A/alpha_i)^-1 mod alpha_i and e0 = -(1 + sum omega_i A/alpha_i) / A give |det| = 1
+        rng, seen = random.Random(35), 0
+        while seen < 500:
+            alphas = rng.sample(range(2, 60), rng.randint(3, 5))
+            if any(gcd(a, b) != 1 for i, a in enumerate(alphas) for b in alphas[:i]):
+                continue
+            seen += 1
+            A = prod(alphas)
+            omegas = [-mod_inverse(A // a, a) % a for a in alphas]
+            e0, rem = divmod(-(1 + sum(w * (A // a) for a, w in zip(alphas, omegas))), A)
+            assert rem == 0
+            legs = [[-c for c in _hj_word(a, w)] for a, w in zip(alphas, omegas)]
+            assert star_mubar(e0, legs) == mubar(star_graph(e0, legs)), (e0, legs)
+
+    def test_brieskorn_star_is_the_plumbing(self):
+        for T in (BrieskornTriple(2, 3, 5), BrieskornTriple(2, 3, 7), BrieskornTriple(5, 3498, 4997)):
+            assert star_graph(*brieskorn_star(T)) == negdef_plumbing(T)
+
+    @pytest.mark.parametrize(
+        "center, legs, error, match",
+        [
+            (-2, [[-2], [-3], [-7]], NotUnimodularError, r"\|det\| = 43"),
+            (-1, [[-2], [-3], [-5]], NotNegativeDefiniteError, "= -1 <= 0"),  # Sigma(2,3,5) at centre -1: indefinite
+            (-1, [[-2], [-2]], NotNegativeDefiniteError, "= 0 <= 0"),  # singular
+            (-2, [[-2], [-1], [-7]], ValueError, "leg weight -1 is above -2"),
+        ],
+    )
+    def test_refuses_what_the_tree_check_refuses(self, center, legs, error, match):
+        with pytest.raises(error, match=match):
+            star_mubar(center, legs)
+        if error is not ValueError:  # the tree's one elimination refuses the same star by the same class
+            with pytest.raises(error):
+                _negdef_unimodular(star_graph(center, legs)._elimination)
 
 
 def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
