@@ -72,6 +72,7 @@ from .lens import (
     SurgeryResult,
     d_brieskorn,
     d_from_plumbing,
+    d_star,
     d_surgery,
     lens_d,
     lens_d_all,

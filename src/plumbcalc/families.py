@@ -33,7 +33,7 @@ from .lattice import GramLattice, recognize_e8
 from .lens import (
     SurgeryDescriptor,
     d_brieskorn,
-    d_from_plumbing,
+    d_star,
     d_surgery,
     lens_d,
 )
@@ -438,20 +438,18 @@ def verify_unbounded_gap(fam: str, n: int) -> VerificationReport:
     unbounded gap between the minimal-sublattice rank and the even-filling
     cap of 8 coming from the E8-filling.
 
-    The family plumbing is a negative-definite star with legs <= -2, so its
-    unit vectors are counted at the star's centre by ``star_unit_pairs``
-    (pairwise orthogonal, one <-1> summand each): the minimal part has rank
-    G.rank minus that count, with no dense Gram and no vector search.
-    Guarded by the multiplicity sum (before the tree is built), d's guards,
-    then the leg tables guard.
+    d and the unit vectors (``star_unit_pairs``: pairwise orthogonal, one
+    <-1> summand each) are read off the family's star, legs <= -2, with no
+    graph: the minimal part has the star's rank minus that count.  Guarded
+    by the multiplicity sum, d's tau window, then the leg tables guard.
     """
     fam = _check_family(fam, n)
     rep = VerificationReport("unbounded-gap", fam, n)
-    G = negdef_plumbing(family_triple(fam, n))
-    d = d_from_plumbing(G)  # its tau-window guard fires before the leg tables are built
-    pairs = star_unit_pairs(G)
+    center, legs = brieskorn_star(family_triple(fam, n))
+    d = d_star(center, legs)  # its tau-window guard fires before the leg tables are built
+    pairs = star_unit_pairs(center, legs)
     bound = theorem_bound(fam, n)
-    o_lower = G.rank - pairs
+    o_lower = 1 + sum(map(len, legs)) - pairs
     rep.values["d"] = d.value
     rep.values["minimal_rank"] = o_lower
     rep.values["split_minus_ones"] = pairs

@@ -18,11 +18,12 @@ class Guard(NamedTuple):
 
 
 GUARDS: dict[str, Guard] = {
-    # lens._tau_min, d's scan: family (v) at n = 263, 1.99M points, takes 0.65-0.95 s, 0.25-0.33 us a point.
+    # lens._tau_min, d's window, read on the semigroup only: (v) at n = 263, 1.99M points (12% read), 0.06-0.08 s;
+    # a window shorter than g0 reads each class that meets it, Sigma(2681, 3779, 6864): 1.18M of 1.88M, 0.76-0.83 s.
     "tau window": Guard("window points", 2_000_000),
-    # plumbing.brieskorn_star (before a leg is expanded) and lens._tau_min: the sum bounds the plumbing's
-    # rank (rank <= sum) and the tau tables.  A unit costs d 3.0-3.4 us on the integer tree kernel and 10-14
-    # window points (d 300 301 90299, rank 90600: 0.39 s end to end, median of 7 runs); 2,000,000 // 15 is safe.
+    # plumbing.brieskorn_star (before a leg is expanded) and lens._tau_min: the sum bounds the star's rank
+    # (rank <= sum) and the tau tables.  A unit costs d 10-14 window points (d 300 301 90299, rank 90600:
+    # 0.11-0.14 s in process); 2,000,000 // 15 is safe.
     "multiplicity sum": Guard("sum of multiplicities", 133_333),
     # lens._descent_table (p labels, one division each at the top level) and lens.d_surgery (labels in its
     # window).  lens_d_all(599999, 370820) takes 1.9-2.2 s, mostly its p Fractions (its table 0.46-0.50 s);

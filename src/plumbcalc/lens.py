@@ -44,12 +44,10 @@ covectors by one exact integer min-sum DP along the chain that serves all p
 cosets at once (``_chain_minima``).  Each level tries only the values inside a
 provable window around the vertex of a quadratic, a few per coset.
 
-Plumbed spheres.  ``_tau_min`` alone computes the provable window around the
-vertex of Nemethi's tau-function (a convex quadratic minus periodic tables)
-and scans it; ``d_from_plumbing`` and ``d_brieskorn`` share ``_certified``,
-which solves for K on the integer tree kernel and re-checks a characteristic
-vector on the tree's edges (it proves d >= value; d <= value is the window's
-proof).  ``lattice.max_char_square`` is the tests' oracle.
+Plumbed spheres.  ``d_star`` (under ``d_brieskorn`` and ``d_from_plumbing``) reads d off
+a star's centre weight and legs, with no graph: Nemethi's tau-function is evaluated only on
+its window's semigroup points (``_tau_min``), K is read leg by leg, and a characteristic
+vector re-checked on the star's edges.  ``lattice.max_char_square`` is the tests' oracle.
 
 Guards (``guards.GUARDS``).  The lens labels guard bounds all-labels work and
 the labels ``d_surgery`` evaluates; a single ``lens_d`` label is not guarded.
@@ -58,16 +56,14 @@ the labels ``d_surgery`` evaluates; a single ``lens_d`` label is not guarded.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import accumulate, compress, count, cycle, islice, repeat
+from itertools import accumulate, compress, cycle, repeat
 from math import gcd, isqrt, prod
-from operator import index, mod, mul, sub
+from operator import index, mod, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import Frozen, NotCoprimeError, _hj_word
 from .guards import GUARDS, guard
-from .lattice import _negdef_unimodular
-from .plumbing import BrieskornTriple, PlumbingGraph, _leg_continuants, brieskorn_seifert, negdef_plumbing, star_legs
+from .plumbing import BrieskornTriple, PlumbingGraph, _leg_continuants, _star_det, brieskorn_star, star_legs
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +314,21 @@ class DFromPlumbing(NamedTuple):
 def _tau_min(branches: list[tuple[int, int]]) -> tuple[int, int]:
     """(min tau(n), its first n) over n >= 0, on a window it proves holds every minimizer.
 
-    A = prod alpha_i and e0 + sum omega_i/alpha_i = -1/A split tau exactly: 2A tau(n) = n^2 + b n
-    - sum T_i(n mod alpha_i), b = 2A - 1 - sum A (alpha_i - 1)/alpha_i, T_i (one table of alpha_i
-    entries per leg) the partial sums of the mean-zero period (A/alpha_i) (2 ((-m omega_i) mod alpha_i)
-    - alpha_i + 1).  With U = 2A tau at the vertex, a minimizer has (2n + b)^2 <= b^2 + 4 (U + sum
-    max T_i).  Guarded by the multiplicity sum (the tables' size), then the tau window; the window's
-    integer minimum is 2A min tau exactly, or AssertionError.
+    A = prod alpha_i and e0 + sum omega_i/alpha_i = -1/A split tau exactly: 2A tau(n) = n^2 + b n - sum T_i(n mod
+    alpha_i), b = 2A - 1 - sum A (alpha_i - 1)/alpha_i, T_i (one table of alpha_i entries per leg) the partial sums of
+    the mean-zero period (A/alpha_i) (2 ((-m omega_i) mod alpha_i) - alpha_i + 1).  With U = 2A tau at the vertex, a
+    minimizer has (2n + b)^2 <= b^2 + 4 (U + sum max T_i): the window [lo, hi], W points.  Guarded by the multiplicity
+    sum (the tables' size), then W.
+
+    tau(n + 1) - tau(n) = 1 + (n - N(n))/A, N(n) the least element of S = <g_i>, g_i = A/alpha_i, congruent to n
+    mod A: tau rises exactly on S (Can-Karakurt, Pacific J. Math. 267, 2014).  So 2A tau is read on S & [lo, hi] and
+    at hi only; flat steps back from the first least point, fewer than min(W, g_0) (S holds s + g_0 with s), reach
+    the first minimizer.  S is the rows base + t g_0, alpha_0 the largest multiplicity (1 if none), over the Apery set
+    of g_0: the bases sum_{i > 0} c_i g_i, 0 <= c_i < alpha_i, one in each class mod g_0, walked depth first with the
+    next largest alpha_1 last.  If W >= g_0, each base <= hi has a row point in the window (the first past lo is below
+    lo + g_0 <= hi + 1): at most |S & [lo, hi]| bases.  Else c_1 runs over the ceil(W/h) classes that meet the window
+    for each of the at most h = g_0/alpha_1 partial sums: at most W + h.  11-13% of W is read at the family tau limits.
+    The minimum is 2A min tau, or AssertionError.
     """
     guard("multiplicity sum", sum(a for a, _ in branches))
     A = prod(a for a, _ in branches)
@@ -332,60 +337,76 @@ def _tau_min(branches: list[tuple[int, int]]) -> tuple[int, int]:
     v = max(0, -b // 2)
     s = isqrt(b * b + 4 * (v * (v + b) - sum(T[v % len(T)] for T in tables) + sum(map(max, tables))))
     lo, hi = max(0, -((s + b) // 2)), (s - b) // 2
-    guard("tau window", hi - lo + 1)
-    quad = accumulate(count(2 * lo + 1 + b, 2), initial=lo * (lo + b))  # n (n + b), by its steps 2n + 1 + b
-    scaled = reduce(partial(map, sub), (islice(cycle(T), lo % len(T), None) for T in tables), quad)  # minus each T_i
-    best, n_star = min(zip(islice(scaled, hi - lo + 1), count(lo)))
+    W = hi - lo + 1
+    guard("tau window", W)
+    *rest, T0 = sorted([[0], [0], *tables], key=len)  # T_0, and T_1 = rest[-1]: the largest alpha_0 and alpha_1
+    g0, h, inv = A // len(T0), A // len(T0) // len(rest[-1]), pow(len(T0), -1, len(rest[-1]))
+    best, n_star = hi * (hi + b) - sum(T[hi % len(T)] for T in tables), hi
+    partials = [(0, 0, 0)]  # (sum of c_i g_i over rest[:i], the T_i it reads, i)
+    while partials:
+        t, k, i = partials.pop()
+        if i < len(rest):
+            T, g = rest[i], A // len(rest[i])
+            cs = range(min(len(T), (hi - t) // g + 1))
+            if W < g0 and i == len(rest) - 1:  # the c_1 with t + c_1 g_1 = lo + u mod g_0, u < W
+                cs = ((lo + u - t) // h * inv % len(T) for u in range((t - lo) % h, W, h))
+            partials += ((t + c * g, k + T[c * g % len(T)], i + 1) for c in cs)
+            continue
+        for n in range(t if t >= lo else lo + (t - lo) % g0, hi + 1, g0):
+            x = n * (n + b) - T0[n % len(T0)] - k
+            if x < best or x == best and n < n_star:
+                best, n_star = x, n
+    while n_star > lo and (n_star - 1) * (n_star - 1 + b) - sum(T[(n_star - 1) % len(T)] for T in tables) == best:
+        n_star -= 1
     tau, rem = divmod(best, 2 * A)
     if rem:
         raise AssertionError(f"2A tau({n_star}) is not a multiple of 2A = {2 * A}")
     return tau, n_star
 
 
-def _certified(G: PlumbingGraph, legs: list[list[int]], conts: list[list[int]], tau: int, n_star: int) -> DFromPlumbing:
-    """d = (K^2 + rank)/4 - 2 tau on the checked star G (legs of ``star_legs``, their ``_leg_continuants``),
-    and c = K + 2 x(n*): x = n* at the center, ceil(n* m_j/alpha) on a leg vertex, m_j the continuant of
-    the leg beyond it.  c is re-checked on the tree's edges: characteristic, (c, c) + rank = 4d."""
-    k = [-w - 2 for w in G.weights]
-    K = _negdef_unimodular(G._elimination).solve(k)  # integral: G is unimodular
-    d = Fraction(sum(map(mul, k, K)) + G.rank, 4) - 2 * tau
-    x = [n_star] * G.rank  # every vertex but the center lies on a leg
-    for leg, m in zip(legs, conts):
-        for v, mj in zip(leg, m[1:]):
-            x[v] = -(-n_star * mj // m[0])
-    c = tuple(a + 2 * b for a, b in zip(K, x))
-    gc = list(map(mul, G.weights, c))
-    for a, b in G.edges:
-        gc[a] += c[b]
-        gc[b] += c[a]
-    if any((g - w) % 2 for g, w in zip(gc, G.weights)) or sum(map(mul, c, gc)) + G.rank != 4 * d:
+def d_star(center_weight: int, legs: Sequence[Sequence[int]]) -> DFromPlumbing:
+    """d of a negative-definite star-shaped plumbed homology sphere from its centre weight e0 and legs (weights <= -2,
+    read outward), with a characteristic c, (c, c) + s = 4d on its s vertices: the centre, then each leg outward.
+
+    Nemethi (Geom. Topol. 9, 2005): d = (K^2 + s)/4 - 2 min tau (``_tau_min``, split by |det| = 1, checked first),
+    K = G^{-1} k, k_v = -w_v - 2.  On a leg of continuants m_j (m_0 = alpha), row j gives K_j = (m_j K_{j-1} +
+    g_j)/m_{j-1}, g_j = sum_{i >= j} m_i (w_i + 2), and A times the centre's row K_0 = A (e0 + 2) + sum (A/alpha_i)
+    g_1; each division is checked.  c = K + 2x, x = n* at the centre and ceil(n* m_j/alpha) on a leg, re-checked on
+    the star's edges, proves d >= value (Ozsvath-Szabo, Adv. Math. 173, 2003, Thm 9.6); d <= value rests on
+    ``_tau_min``'s window.
+    """
+    conts = [_leg_continuants(leg) for leg in legs]
+    A = _star_det(center_weight, conts, unimodular=True)[0]
+    tau, n_star = _tau_min([(m[0], m[1]) for m in conts])
+    tails = [list(accumulate(map(mul, m[:0:-1], [w + 2 for w in reversed(leg)])))[::-1] for leg, m in zip(legs, conts)]
+    K0 = A * (center_weight + 2) + sum(A // m[0] * g[0] for m, g in zip(conts, tails))
+    K, c, gc = [K0], [K0 + 2 * n_star], [center_weight * (K0 + 2 * n_star)]  # gc = G c, filled in edge by edge
+    for leg, m, g in zip(legs, conts, tails):
+        prev = 0
+        for w, above, mj, gj in zip(leg, m, m[1:], g):
+            Kj, rem = divmod(mj * K[prev] + gj, above)
+            if rem:
+                raise AssertionError(f"K is not integral on the leg {list(leg)}")
+            K.append(Kj)
+            c.append(Kj - 2 * (n_star * mj // -m[0]))
+            gc[prev] += c[-1]
+            gc.append(w * c[-1] + c[prev])
+            prev = len(c) - 1
+    weights = [center_weight, *(w for leg in legs for w in leg)]
+    d = Fraction(len(c) - sum((w + 2) * a for w, a in zip(weights, K)), 4) - 2 * tau
+    if any((g - w) % 2 for g, w in zip(gc, weights)) or sum(map(mul, c, gc)) + len(c) != 4 * d:
         raise AssertionError(f"the tau-window certificate of d = {d} fails its re-check")
-    return DFromPlumbing(d, c)
+    return DFromPlumbing(d, tuple(c))
 
 
 def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:
-    """d of a negative-definite star-shaped plumbed homology sphere, with a characteristic vector c, (c, c) + rank = 4d.
-
-    Nemethi (Geom. Topol. 9, 2005), as in Can-Karakurt (Pacific J. Math. 267, 2014): with center
-    weight e0 and legs alpha_i/omega_i (weights <= -2), d = (K^2 + rank)/4 - 2 min tau, K = G^{-1} k,
-    k_v = -w_v - 2, tau(0) = 0, tau(n+1) - tau(n) = 1 - e0 n - sum ceil(n omega_i/alpha_i).  Negative
-    definiteness and |det| = 1, checked first, give e0 + sum omega_i/alpha_i = -1/A, behind ``_tau_min``'s
-    split.  The re-checked c = K + 2 x(n*) (``_certified``) is characteristic with (c, c) + rank = 4 value:
-    that proves only d >= value (Ozsvath-Szabo, Adv. Math. 173, 2003, Thm 9.6).  d <= value rests on the
-    proof that the window holds every minimizer of tau, so ``_tau_min`` computes it and no caller supplies
-    one.  Raises ``NotNegativeDefiniteError``/``NotUnimodularError``, then ``guards.ScanGuardExceededError``.
-    """
-    legs = star_legs(G)[1]
-    conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
-    _negdef_unimodular(G._elimination)
-    return _certified(G, legs, conts, *_tau_min([(m[0], m[1]) for m in conts]))
+    """``d_star`` on the centre and legs of ``star_legs`` (NotStarShapedError), c in G's vertex order."""
+    center, legs = star_legs(G)
+    res = d_star(G.weights[center], [[G.weights[v] for v in leg] for leg in legs])
+    vector = dict(zip([center, *(v for leg in legs for v in leg)], res.vector))
+    return res._replace(vector=tuple(vector[v] for v in range(G.rank)))
 
 
 def d_brieskorn(T: BrieskornTriple) -> DFromPlumbing:
-    """``d_from_plumbing`` of Sigma(p, q, r)'s canonical plumbing (legs a/(a - b) for the Seifert
-    branches (a, b)), with tau scanned on the branches, under its guards, before the plumbing is built
-    (the window does not depend on the order of the legs)."""
-    scan = _tau_min([(a, a - b) for a, b in brieskorn_seifert(T).branches])
-    G = negdef_plumbing(T)
-    legs = star_legs(G)[1]
-    return _certified(G, legs, [_leg_continuants([G.weights[v] for v in leg]) for leg in legs], *scan)
+    """``d_star`` of Sigma(p, q, r)'s star (``brieskorn_star`` guards p + q + r first), c in ``negdef_plumbing``'s order."""
+    return d_star(*brieskorn_star(T))

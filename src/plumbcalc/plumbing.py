@@ -17,8 +17,9 @@ the same names as ``lattice._eliminate``'s (``det``, ``inertia`` with its
 ``sign``, ``solve``), so the Wu class (``lattice._wu``) and the check
 "negative definite, |det| = 1" (``lattice._negdef_unimodular``) are written
 once for both kernels.  Each graph runs it once (``_elimination``);
-``negdef_plumbing``, ``mubar``, ``ue_spin_bound`` and ``d_from_plumbing`` all
-read that one elimination; ``star_mubar`` reads a star's legs, with no graph.
+``negdef_plumbing``, ``mubar`` and ``ue_spin_bound`` read that one
+elimination.  ``star_mubar``, ``star_unit_pairs`` and ``lens.d_star`` read a
+star's centre weight and legs, with no graph and no elimination.
 
 The unit vectors of a negative-definite star are counted at its centre
 (``star_unit_pairs``) from one integer minimum table per leg, built along the
@@ -410,12 +411,15 @@ def _leg_continuants(weights: list[int]) -> list[int]:
     return m[:0:-1]
 
 
-def _star_det(center_weight: int, conts: list[list[int]]) -> tuple[int, int]:
-    """(A, D) of a star with legs of continuants ``conts`` (``star_unit_pairs``); NotNegativeDefiniteError if D <= 0."""
+def _star_det(center_weight: int, conts: list[list[int]], unimodular: bool = False) -> tuple[int, int]:
+    """(A, D) of a star with legs of continuants ``conts``: D = |det| > 0, else NotNegativeDefiniteError, and
+    D = 1 if ``unimodular``, else NotUnimodularError."""
     A = prod(m[0] for m in conts)
     D = -center_weight * A - sum(A // m[0] * m[1] for m in conts)
     if D <= 0:
         raise NotNegativeDefiniteError(f"the star has e0 A - sum omega_i A/alpha_i = {D} <= 0")
+    if unimodular and D != 1:
+        raise NotUnimodularError(f"the negative-definite star has |det| = {D}, not 1")
     return A, D
 
 
@@ -458,11 +462,11 @@ def _leg_minima(m: list[int]) -> dict[int, tuple[int, int]]:
     return table
 
 
-def star_unit_pairs(G: PlumbingGraph) -> int:
-    """The number of +-pairs of vectors of norm -1 in a negative-definite star with legs <= -2.
+def star_unit_pairs(center_weight: int, legs: Sequence[Sequence[int]]) -> int:
+    """The number of +-pairs of vectors of norm -1 in a negative-definite star with legs <= -2, read with no graph.
 
     Unit vectors of a definite lattice are pairwise orthogonal (``lattice.minimalize``), so
-    this is the number of <-1> summands, and the minimal part has rank G.rank minus it.
+    this is the number of <-1> summands, and the minimal part has the star's rank minus it.
     With Q = -G, center weight -e0 and legs alpha_i/omega_i (``_leg_minima``), A = prod alpha_i:
     - x_0 = 0: each leg's Q is at least the even A_k form y_1^2 + sum (y_j - y_{j+1})^2 + y_k^2,
       so Q(x) >= 2 for x != 0.  One vector of each pair has x_0 = c > 0.
@@ -475,9 +479,8 @@ def star_unit_pairs(G: PlumbingGraph) -> int:
     The leg tables guard counts sum over legs of sum_j m_j (each table's size bound) plus isqrt(A // D),
     checked before any table is built.  Raises ``NotNegativeDefiniteError`` if D <= 0.
     """
-    center, legs = star_legs(G)
-    conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
-    A, D = _star_det(G.weights[center], conts)
+    conts = [_leg_continuants(leg) for leg in legs]
+    A, D = _star_det(center_weight, conts)
     top = isqrt(A // D)
     guard("leg tables", sum(map(sum, conts)) + top)
     # (A/alpha) F and N by residue, the sparsest table first: the centres run over its kept residues
@@ -568,7 +571,7 @@ def brieskorn_star(T: BrieskornTriple) -> tuple[int, list[list[int]]]:
 
 def negdef_plumbing(T: BrieskornTriple) -> PlumbingGraph:
     """Sigma(p,q,r)'s canonical negative-definite plumbing tree, ``brieskorn_star``'s star, checked: its one elimination
-    (kept for ``lens.d_from_plumbing``) must be negative definite with |det| = 1, else an AssertionError names T."""
+    (kept for ``mubar``) must be negative definite with |det| = 1, else an AssertionError names T."""
     G = star_graph(*brieskorn_star(T))
     try:
         _negdef_unimodular(G._elimination)
@@ -585,12 +588,12 @@ def mubar(G: PlumbingGraph) -> Fraction:
     """Neumann-Siebenmann invariant (sigma(Gram) - w^T Gram w) / 8.
 
     Requires the tree to have odd determinant so the Wu class is unique;
-    the value is an integer for homology spheres.
+    the value is an integer for homology spheres.  w^T Gram w is the sum of
+    the Wu set's weights: the set spans no edge of the tree (``star_mubar``).
     """
     elim = G._elimination
     w = _wu(elim, G.weights)  # raises SingularMod2Error on even determinant
-    square = sum(x * wv for x, wv in zip(G.weights, w)) + 2 * sum(w[a] * w[b] for a, b in G.edges)  # w is 0/1
-    return Fraction(elim.inertia.sigma - square, 8)
+    return Fraction(elim.inertia.sigma - sum(map(mul, G.weights, w)), 8)
 
 
 def _leg_wu(leg: Sequence[int], tip: int) -> tuple[int, int, int]:
@@ -603,12 +606,11 @@ def _leg_wu(leg: Sequence[int], tip: int) -> tuple[int, int, int]:
 
 def star_mubar(center_weight: int, legs: Sequence[Sequence[int]]) -> Fraction:
     """``mubar(star_graph(center_weight, legs))``, legs <= -2 (else ValueError), with no graph; checked: D = |det|
-    (``_star_det``) must be 1, else NotUnimodularError.  The Wu set s has s_{j-1} == b_j (1 + s_j) + s_{j+1} (mod 2)
+    must be 1 (``_star_det``).  The Wu set s has s_{j-1} == b_j (1 + s_j) + s_{j+1} (mod 2)
     at leg vertex j of weight -b_j, so each tip bit (s_{k+1} = 0) gives the centre bit s_0 a leg forces (``_leg_wu``).
     The centre's e s_0 + sum s_1 == e (mod 2) picks one combination (det is odd); mu-bar = (-rank - w.w) / 8, with w.w
     the sum of the set's weights: in the forest the set spans every degree is even (Wu condition), so it has no edge."""
-    if (D := _star_det(center_weight, [_leg_continuants(leg) for leg in legs])[1]) != 1:
-        raise NotUnimodularError(f"the negative-definite star has |det| = {D}, not 1")
+    _star_det(center_weight, [_leg_continuants(leg) for leg in legs], unimodular=True)
     partial = [(s0, center_weight * (s0 - 1), center_weight * s0) for s0 in (0, 1)]  # (s_0, centre condition, w.w)
     for end in ([_leg_wu(leg, tip) for tip in (0, 1)] for leg in legs):
         partial = [(s0, c + s1, q + share) for s0, c, q in partial for t, s1, share in end if t == s0]

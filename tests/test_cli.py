@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -16,7 +17,7 @@ import plumbcalc.families
 import plumbcalc.lattice
 import plumbcalc.plumbing
 from plumbcalc.cli import COMMANDS, VERIFY_TASKS, main, parse_args
-from plumbcalc.families import FAMILY_IDS, VerificationReport
+from plumbcalc.families import FAMILY_IDS, VerificationReport, family_triple
 from plumbcalc.guards import GUARDS
 from plumbcalc.lattice import determinant, signature, wu_class
 from plumbcalc.lens import d_from_plumbing, lens_d_all
@@ -51,6 +52,20 @@ class TestDCommand:
     def test_not_coprime_exits_2(self, capsys):
         code, _, err = run(capsys, "d", "2", "3", "4")
         assert code == 2 and "coprime" in err
+
+    def test_json_certificates_are_pinned_by_digest(self, capsys):
+        """The SHA-256 of ``d P Q R --json``'s output, one line per triple in turn, over the benchmark's 180 pool
+        triples (by rank) and the twelve families at n = 1..30.  A change to any value or certificate shows here."""
+        pool = json.loads((Path(__file__).parent.parent / "bench" / "triples.json").read_text(encoding="utf-8"))["pool"]
+        triples = [e["triple"] for rank in sorted(pool, key=int) for e in pool[rank]]
+        assert len(triples) == 180
+        triples += [family_triple(fam, n).as_tuple() for fam in FAMILY_IDS for n in range(1, 31)]
+        digest = hashlib.sha256()
+        for triple in triples:
+            code, out, err = run(capsys, "d", *map(str, triple), "--json")
+            assert code == 0 and err == "", triple
+            digest.update(out.encode())
+        assert digest.hexdigest() == "4f48728a3fddd1f4f83398dd9bf8bf51845f7e23cb0ac1a3239834d26fb9e163"
 
     def test_scan_guard_exits_3_quickly(self, capsys, monkeypatch):
         # the guard is checked on the multiplicities before the plumbing (rank
@@ -188,8 +203,8 @@ class TestMubarCommand:
         eliminate, star = plumbcalc.plumbing._tree_eliminate, plumbcalc.plumbing.star_graph
         monkeypatch.setattr(plumbcalc.plumbing, "_tree_eliminate", lambda G: calls.append(G.rank) or eliminate(G))
         monkeypatch.setattr(plumbcalc.plumbing, "star_graph", lambda *args: built.append(args) or star(*args))
-        # mubar reads the star's legs and builds no tree; d builds the tree (rank 9) and eliminates it once
-        for argv, want, ranks in ((("mubar", "2", "3", "11"), "0", []), (("d", "2", "3", "11"), "2", [9])):
+        # mubar and d read the star's legs: neither builds a tree nor eliminates one
+        for argv, want, ranks in ((("mubar", "2", "3", "11"), "0", []), (("d", "2", "3", "11"), "2", [])):
             calls.clear()
             built.clear()
             code, out, _ = run(capsys, *argv)

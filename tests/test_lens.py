@@ -11,15 +11,16 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import accumulate, count, cycle, islice
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import mul, sub
 
 import pytest
 
 import plumbcalc.lens
 from plumbcalc.arith import NotCoprimeError, _hj_word
-from plumbcalc.lattice import _closest_point, _Enumerator, _negdef_unimodular, max_char_square
+from plumbcalc.lattice import _closest_point, _Enumerator, max_char_square
 from plumbcalc.families import FAMILY_IDS, family_triple, surgery_parameters, verify_conjecture
 from plumbcalc.guards import GUARDS, ScanGuardExceededError
 from plumbcalc.lens import (
@@ -28,6 +29,7 @@ from plumbcalc.lens import (
     SurgeryResult,
     d_brieskorn,
     d_from_plumbing,
+    d_star,
     d_surgery,
     lens_d,
     lens_d_all,
@@ -38,7 +40,6 @@ from plumbcalc.lens import (
     _descent_label,
     _descent_labels,
     _descent_table,
-    _certified,
     _step,
     _tau_min,
 )
@@ -48,6 +49,8 @@ from plumbcalc.plumbing import (
     PlumbingGraph,
     SeifertData,
     _leg_continuants,
+    _tree_eliminate,
+    brieskorn_star,
     chain_to_gram,
     graph_to_gram,
     mubar,
@@ -55,7 +58,6 @@ from plumbcalc.plumbing import (
     plumbing_to_seifert,
     seifert_to_plumbing,
     star_graph,
-    star_legs,
 )
 from plumbcalc.arith import hj_expand
 
@@ -554,13 +556,23 @@ def _random_triples(rng: random.Random, count: int, max_rank: int) -> list[tuple
     return sorted(found)
 
 
-def _seifert_sphere(alphas: tuple[int, ...]) -> PlumbingGraph:
-    """The negative-definite star of the Seifert homology sphere with
-    multiplicities ``alphas`` (pairwise coprime), euler number -1/prod(alphas)."""
+def _sphere_data(alphas: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """(e0, [(alpha_i, omega_i)]) of the Seifert homology sphere with multiplicities ``alphas``
+    (pairwise coprime), euler number -1/prod(alphas): legs -HJ(alpha_i/omega_i) at centre e0."""
     A = prod(alphas)
     omegas = [-pow(A // a, -1, a) % a for a in alphas]
-    e0 = -(1 + sum(w * (A // a) for a, w in zip(alphas, omegas))) // A
-    return seifert_to_plumbing(SeifertData(e0, tuple((a, -w) for a, w in zip(alphas, omegas))))
+    return -(1 + sum(w * (A // a) for a, w in zip(alphas, omegas))) // A, list(zip(alphas, omegas))
+
+
+def _seifert_sphere(alphas: tuple[int, ...]) -> PlumbingGraph:
+    """The negative-definite star of ``_sphere_data(alphas)``."""
+    e0, branches = _sphere_data(alphas)
+    return seifert_to_plumbing(SeifertData(e0, tuple((a, -w) for a, w in branches)))
+
+
+def _brieskorn_branches(T: BrieskornTriple) -> list[tuple[int, int]]:
+    """(alpha_i, omega_i) of Sigma(p, q, r)'s canonical star, from its legs' continuants."""
+    return [(m[0], m[1]) for m in map(_leg_continuants, brieskorn_star(T)[1])]
 
 
 def _tau_data(g: PlumbingGraph) -> tuple[int, list[tuple[int, int]]]:
@@ -576,7 +588,7 @@ def _full_length(branches: list[tuple[int, int]]) -> int:
     return max(1, len(branches) - 2) * prod(a for a, _ in branches)
 
 
-def _reference_tau_min(e0: int, branches: list[tuple[int, int]], length: int) -> tuple[int, int]:
+def _scan_from_zero(e0: int, branches: list[tuple[int, int]], length: int) -> tuple[int, int]:
     """(min tau(n), its first n) over 0 <= n <= length by the full scan from n = 0."""
     ceils = [
         accumulate(cycle([(-r * w) // a - (-(r + 1) * w) // a for r in range(a)]), initial=0)
@@ -584,6 +596,27 @@ def _reference_tau_min(e0: int, branches: list[tuple[int, int]], length: int) ->
     ]
     deltas = map(sub, count(1, -e0), map(sum, zip(*ceils)))
     return min(zip(islice(accumulate(deltas, initial=0), length + 1), count()))
+
+
+def _window(branches: list[tuple[int, int]]) -> tuple[int, int, int, list[list[int]]]:
+    """(lo, hi, b, tables) of the window ``_tau_min`` proves, as its docstring defines them."""
+    A = prod(a for a, _ in branches)
+    tables = [list(accumulate(((A // a) * (2 * (-m * w % a) - a + 1) for m in range(a - 1)), initial=0)) for a, w in branches]
+    b = 2 * A - 1 - sum(A - A // a for a, _ in branches)
+    v = max(0, -b // 2)
+    s = isqrt(b * b + 4 * (v * (v + b) - sum(T[v % len(T)] for T in tables) + sum(map(max, tables))))
+    return max(0, -((s + b) // 2)), (s - b) // 2, b, tables
+
+
+def _reference_tau_min(branches: list[tuple[int, int]]) -> tuple[int, int]:
+    """(min tau(n), its first n) by streaming every point of the window, where ``_tau_min`` reads the semigroup."""
+    lo, hi, b, tables = _window(branches)
+    quad = accumulate(count(2 * lo + 1 + b, 2), initial=lo * (lo + b))
+    scaled = reduce(partial(map, sub), (islice(cycle(T), lo % len(T), None) for T in tables), quad)
+    best, n_star = min(zip(islice(scaled, hi - lo + 1), count(lo)))
+    tau, rem = divmod(best, 2 * prod(a for a, _ in branches))
+    assert rem == 0
+    return tau, n_star
 
 
 def _coprime_sets(rng: random.Random, how_many: int, sizes: tuple[int, ...], top: int, max_product: int):
@@ -611,30 +644,73 @@ def _dedekind_sum(h: int, k: int) -> Fraction:
 
 
 def test_dedekind_sum_by_reciprocity_matches_its_definition():
-    def saw(x: Fraction) -> Fraction:
-        return x - x.numerator // x.denominator - Fraction(1, 2) if x.denominator != 1 else Fraction(0)
-
-    for k in range(1, 30):
-        for h in (h for h in range(2 * k) if gcd(h, k) == 1):
-            assert _dedekind_sum(h, k) == sum(saw(Fraction(i, k)) * saw(Fraction(h * i, k)) for i in range(1, k)), (h, k)
+    """Reciprocity against the defining sum, in integers: ((i/k)) = (2i - k)/2k for 0 < i < k, so 4k^2 s(h, k) =
+    sum_i (2i - k)(2 (hi mod k) - k), for every k < 500 at three seeded h prime to k (every h for k < 40)."""
+    rng = random.Random(2036)
+    for k in range(1, 500):
+        units = [h for h in range(2 * k) if gcd(h, k) == 1]
+        for h in units if k < 40 else rng.sample(units, min(3, len(units))):
+            want = sum((2 * i - k) * (2 * (h * i % k) - k) for i in range(1, k))
+            assert 4 * k * k * _dedekind_sum(h, k) == want, (h, k)
 
 
 def test_k_squared_matches_the_dedekind_sum_formula():
-    """K^2 + rank from the integer tree kernel, with K = G^-1 k and
-    k_v = -w_v - 2 as in d_from_plumbing, against Nemethi-Nicolaescu (Geom.
-    Topol. 6, 2002): K^2 + s = eps^2 e + e + 5 - 12 sum s(omega_i, alpha_i),
-    e = e0 + sum omega_i/alpha_i, eps = (2 - nu + sum 1/alpha_i)/e, on 250
-    seeded triples and 50 seeded four- and five-leg spheres."""
+    """``d_star`` reads K = G^-1 k, k_v = -w_v - 2, leg by leg; c - 2 x(n*) gives it back.  It equals the integer
+    tree kernel's solve, and K^2 + s the Nemethi-Nicolaescu formula (Geom. Topol. 6, 2002) K^2 + s = eps^2 e + e + 5
+    - 12 sum s(omega_i, alpha_i), e = e0 + sum omega_i/alpha_i, eps = (2 - nu + sum 1/alpha_i)/e, on 300 seeded
+    Brieskorn stars, 100 seeded four- and five-leg spheres and every family at n = 1..5."""
     rng = random.Random(2011)
-    cases = [negdef_plumbing(BrieskornTriple(*t)) for t in _coprime_sets(rng, 250, (3,), 200, 10**7)]
-    cases += [_seifert_sphere(t) for t in _coprime_sets(rng, 50, (4, 5), 20, 20000)]
-    for g in cases:
-        k = [-w - 2 for w in g.weights]
-        e0, branches = _tau_data(g)
+    stars = [brieskorn_star(BrieskornTriple(*t)) for t in _coprime_sets(rng, 300, (3,), 200, 10**7)]
+    stars += [brieskorn_star(family_triple(fam, n)) for fam in FAMILY_IDS for n in range(1, 6)]
+    for t in _coprime_sets(rng, 100, (4, 5), 20, 20000):
+        e0, branches = _sphere_data(t)
+        stars.append((e0, [[-c for c in _hj_word(a, w)] for a, w in branches]))
+    for e0, legs in stars:
+        G, conts = star_graph(e0, legs), [_leg_continuants(leg) for leg in legs]
+        branches = [(m[0], m[1]) for m in conts]
+        n_star = _tau_min(branches)[1]
+        x = [n_star] + [-(-n_star * mj // m[0]) for m in conts for mj in m[1:]]
+        K = [c - 2 * y for c, y in zip(d_star(e0, legs).vector, x)]
+        k = [-w - 2 for w in G.weights]
+        assert K == _tree_eliminate(G).solve(k), (e0, legs)
         e = e0 + sum(Fraction(w, a) for a, w in branches)
         eps = (2 - len(branches) + sum(Fraction(1, a) for a, _ in branches)) / e
         want = eps * eps * e + e + 5 - 12 * sum(_dedekind_sum(w, a) for a, w in branches)
-        assert sum(map(mul, k, _negdef_unimodular(g._elimination).solve(k))) + g.rank == want, branches
+        assert sum(map(mul, k, K)) + G.rank == want, (e0, legs)
+
+
+def test_semigroup_walk_matches_the_full_stream():
+    """``_tau_min`` evaluates 2A tau only on the semigroup and at hi; value and first minimizer equal the full stream
+    of its window on all twelve families at n = 1..30, 400 seeded triples, 200 seeded four- and five-leg spheres
+    and Sigma(49, 313, 993), whose 2-point window is shorter than its g0 = 15337.  Both ways of choosing the
+    bases run: the windows shorter than g0 take the classes that meet the window."""
+    rng = random.Random(2036)
+    cases = [_brieskorn_branches(family_triple(fam, n)) for fam in FAMILY_IDS for n in range(1, 31)]
+    cases += [_brieskorn_branches(BrieskornTriple(*t)) for t in _coprime_sets(rng, 400, (3,), 250, 10**6)]
+    cases += [_sphere_data(t)[1] for t in _coprime_sets(rng, 200, (4, 5), 30, 10**5)]
+    cases.append(_brieskorn_branches(BrieskornTriple(49, 313, 993)))
+    short = 0
+    for branches in cases:
+        assert _tau_min(branches) == _reference_tau_min(branches), branches
+        lo, hi = _window(branches)[:2]
+        short += hi - lo + 1 < prod(a for a, _ in branches) // max(a for a, _ in branches)
+    assert _window(cases[-1])[:2] == (7427419, 7427420) and 50 < short < len(cases) - 300, short
+
+
+def test_tau_rises_exactly_on_the_semigroup():
+    """Delta(n) = tau(n + 1) - tau(n) >= 1 exactly when n lies in S = <A/alpha_i> (a sieve over the generators),
+    for 0 <= n < 2A, on 200 seeded Seifert homology spheres with 1 to 5 legs."""
+    rng = random.Random(2037)
+    for alphas in _coprime_sets(rng, 200, (1, 2, 3, 4, 5), 16, 3000):
+        e0, branches = _sphere_data(alphas)
+        A = prod(alphas)
+        in_s = [True] + [False] * (2 * A)
+        for g in (A // a for a in alphas):
+            for n in range(g, 2 * A):
+                in_s[n] = in_s[n] or in_s[n - g]
+        for n in range(2 * A):
+            delta = 1 - e0 * n - sum(-(-n * w // a) for a, w in branches)
+            assert (delta >= 1) == in_s[n], (alphas, n)
 
 
 class TestDFromPlumbing:
@@ -657,19 +733,21 @@ class TestDFromPlumbing:
             assert not top <= 4 * (d - Fraction(1, 4))
 
     def test_d_brieskorn_scans_the_window_its_guard_computed(self, monkeypatch):
-        """One scan (guards, window and stream in ``_tau_min``) per call, done before the tree is built."""
+        """One scan (guards, window and walk in ``_tau_min``) per call, and no tree: the certificate is read off the
+        star's legs, with no graph and no elimination."""
         events = []
-        scan, build = plumbcalc.lens._tau_min, plumbcalc.plumbing.star_graph
+        scan, build, eliminate = plumbcalc.lens._tau_min, plumbcalc.plumbing.star_graph, plumbcalc.plumbing._tree_eliminate
         monkeypatch.setattr(plumbcalc.lens, "_tau_min", lambda branches: events.append("scan") or scan(branches))
         monkeypatch.setattr(plumbcalc.plumbing, "star_graph", lambda *args: events.append("tree") or build(*args))
+        monkeypatch.setattr(plumbcalc.plumbing, "_tree_eliminate", lambda G: events.append("elimination") or eliminate(G))
         for triple, d in [((2, 3, 5), 2), ((2, 3, 7), 0), ((101, 103, 10007), 10)]:
             events.clear()
             assert d_brieskorn(BrieskornTriple(*triple)).value == d
-            assert events == ["scan", "tree"], triple
+            assert events == ["scan"], triple
 
     def test_no_caller_supplies_the_window(self):
         """The scan owns its window: neither ``d_from_plumbing`` nor ``_tau_min`` takes one, and
-        ``d_brieskorn`` (scan on the Seifert branches first) agrees with ``d_from_plumbing`` on its tree,
+        ``d_brieskorn`` (on the star's legs) agrees with ``d_from_plumbing`` on its tree,
         value and vector, on 200 seeded triples with p + q + r < 400 and all twelve families at n = 1..8."""
         assert len(inspect.signature(d_from_plumbing).parameters) == 1
         assert len(inspect.signature(_tau_min).parameters) == 1
@@ -682,23 +760,22 @@ class TestDFromPlumbing:
         for T in triples:
             assert d_brieskorn(T) == d_from_plumbing(negdef_plumbing(T)), T
 
-    def test_certificate_recheck_refuses_a_wrong_tau_or_n(self):
-        """``_certified`` re-checks its vector: on Sigma(2, 3, 7) (min tau = 0 at n* = 0) a tau one too
-        large, or the minimizer moved to n* + 1, gives a d or a vector the tree refuses."""
-        G = negdef_plumbing(BrieskornTriple(2, 3, 7))
-        legs = star_legs(G)[1]
-        conts = [_leg_continuants([G.weights[v] for v in leg]) for leg in legs]
-        tau, n_star = _tau_min([(m[0], m[1]) for m in conts])
-        assert (tau, n_star) == (0, 0) and _certified(G, legs, conts, tau, n_star).value == 0
-        for args, d in [((tau + 1, n_star), -2), ((tau, n_star + 1), 0)]:
+    def test_certificate_recheck_refuses_a_wrong_tau_or_n(self, monkeypatch):
+        """``d_star`` re-checks its vector along each leg's edges: on Sigma(2, 3, 7) (min tau = 0 at n* = 0) a tau
+        one too large, or the minimizer moved to n* + 1, gives a d or a vector the re-check refuses."""
+        star = brieskorn_star(BrieskornTriple(2, 3, 7))
+        tau, n_star = _tau_min([(m[0], m[1]) for m in map(_leg_continuants, star[1])])
+        assert (tau, n_star) == (0, 0) and d_star(*star).value == 0
+        for wrong, d in [((tau + 1, n_star), -2), ((tau, n_star + 1), 0)]:
+            monkeypatch.setattr(plumbcalc.lens, "_tau_min", lambda branches: wrong)
             msg = f"the tau-window certificate of d = {d} fails its re-check"
             with pytest.raises(AssertionError, match=f"^{re.escape(msg)}$"):
-                _certified(G, legs, conts, *args)
+                d_star(*star)
 
     def test_tau_scan_refuses_a_minimum_off_2a(self):
         """Branches whose e0 + sum omega/alpha is not -1/A break the split: (3, 1), (4, 1), (5, 1) has
-        A = 60, and the window's minimum is no multiple of 2A."""
-        with pytest.raises(AssertionError, match=r"^2A tau\(3\) is not a multiple of 2A = 120$"):
+        A = 60, and the least value on the semigroup <20, 15, 12>, at n = 12, is no multiple of 2A."""
+        with pytest.raises(AssertionError, match=r"^2A tau\(12\) is not a multiple of 2A = 120$"):
             _tau_min([(3, 1), (4, 1), (5, 1)])
 
     def test_rank_guard(self):
@@ -712,6 +789,19 @@ class TestDFromPlumbing:
         assert d_brieskorn(BrieskornTriple(101, 103, 10007)).value == d_from_plumbing(
             negdef_plumbing(BrieskornTriple(101, 103, 10007))
         ).value
+
+    def test_small_stars_through_both_entries(self):
+        """The lone vertex -1 and the one-leg star (-1, [-2]) through ``d_star`` and ``d_from_plumbing``, and the two-leg
+        S^3 star (-1, [-2], [-3]) through ``d_star``: d = 0 with the vectors below.  ``d_from_plumbing`` reads that
+        star's path from its lowest-index end (``star_legs``), a leg with the weight -1, and refuses it."""
+        for center, legs, vector in [(-1, [], (1,)), (-1, [[-2]], (2, 1)), (-1, [[-2], [-3]], (4, 2, 1))]:
+            assert d_star(center, legs) == (0, vector)
+            if len(legs) < 2:
+                assert d_from_plumbing(star_graph(center, legs)) == (0, vector)
+        with pytest.raises(ValueError, match="^leg weight -1 is above -2$"):
+            d_from_plumbing(star_graph(-1, [[-2], [-3]]))
+        # c is put back in G's vertex order: the same star with its centre last
+        assert d_from_plumbing(PlumbingGraph((-2, -3, -7, -1), ((0, 3), (1, 3), (2, 3)))).vector == (-1, -1, -1, -2)
 
     def test_leg_weight_above_minus_two(self):
         with pytest.raises(ValueError, match="above -2"):
@@ -739,7 +829,7 @@ class TestDFromPlumbing:
         assert len({tuple(g.weights) + g.edges for g in cases}) == 501
         for g in cases:
             e0, branches = _tau_data(g)
-            assert _tau_min(branches) == _reference_tau_min(e0, branches, _full_length(branches)), branches
+            assert _tau_min(branches) == _scan_from_zero(e0, branches, _full_length(branches)), branches
         e0, branches = _tau_data(_seifert_sphere((3, 5, 7, 8, 13)))
         assert _tau_min(branches)[1] > 3 * 5 * 7 * 8 * 13
 

@@ -53,7 +53,7 @@ from plumbcalc.plumbing import (
     _tree_eliminate,
 )
 from plumbcalc.families import FAMILY_IDS, family_triple
-from plumbcalc.lens import LensSpace, SurgeryDescriptor, d_from_plumbing
+from plumbcalc.lens import LensSpace, SurgeryDescriptor, d_brieskorn, d_from_plumbing
 
 
 def brieskorn_rank(p: int, q: int, r: int) -> int:
@@ -399,6 +399,23 @@ class TestMuBar:
             rev = mubar(seifert_to_plumbing(rev_data))
             assert rev == -std
 
+    def test_a_wu_set_spans_no_edge(self):
+        """Each vertex of the Wu set has an even number of neighbours in it (G w == diag G mod 2), and a forest with
+        every degree even has no edge: on 1000 seeded odd-determinant trees no edge joins two vertices of the set,
+        so ``mubar``'s sum of the set's weights is the whole w^T Gram w, pinned here against the dense norm."""
+        rng, seen, spread = random.Random(36), 0, 0
+        while seen < 1000:
+            G = _random_tree(rng, rng.randint(1, 14), -6, 6)
+            elim = _tree_eliminate(G)
+            if elim.det % 2 == 0:
+                continue
+            seen += 1
+            w = _wu(elim, G.weights)
+            assert not any(w[a] and w[b] for a, b in G.edges), G
+            assert mubar(G) == Fraction(elim.inertia.sigma - graph_to_gram(G).norm(w), 8), G
+            spread += sum(w) >= 3
+        assert spread >= 300, spread
+
     def test_rohlin(self):
         assert rohlin(minus_e8_tree()) == 1
         assert rohlin(negdef_plumbing(BrieskornTriple(2, 3, 7))) == 1
@@ -483,11 +500,12 @@ class TestStarMubar:
 
 
 def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
-    """mu-bar (`mubar --graph` too), the spin bound, negdef_plumbing's check and
-    d run on the integer tree kernel: building a dense Gram matrix or running
-    the Fraction kernel fails the test, and the Fractions a call builds do not
-    grow with the rank.  negdef_plumbing, from the triple to its checked star,
-    builds no Fraction at all."""
+    """mu-bar (`mubar --graph` too), the spin bound and negdef_plumbing's check
+    run on the integer tree kernel, d (both entries) on the star's legs:
+    building a dense Gram matrix or running the Fraction kernel fails the test,
+    and the Fractions a call builds do not grow with the rank.
+    negdef_plumbing, from the triple to its checked star, builds no Fraction
+    at all."""
 
     def dense(*args, **kwargs):
         raise AssertionError("a dense Gram matrix was built")
@@ -515,6 +533,7 @@ def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
             "mubar": lambda: mubar(g),
             "ue_spin_bound": lambda: ue_spin_bound(g),
             "d_from_plumbing": lambda: d_from_plumbing(g),
+            "d_brieskorn": lambda: d_brieskorn(family_triple("v", n)),
         }
         g = negdef_plumbing(family_triple("v", n))
         for name, call in calls.items():
@@ -524,6 +543,8 @@ def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
     assert built["negdef_plumbing", 2] == built["negdef_plumbing", 100] == 0, built
     for name in ("mubar", "ue_spin_bound", "d_from_plumbing"):
         assert 0 < built[name, 2] == built[name, 100] < 30, built
+    # both d entries take the one path on the star's legs: the same few Fractions, for the value alone
+    assert built["d_brieskorn", 2] == built["d_brieskorn", 100] == built["d_from_plumbing", 2] <= 4, built
 
 
 def _random_tree(rng: random.Random, n: int, lo: int, hi: int) -> PlumbingGraph:

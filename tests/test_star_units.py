@@ -40,21 +40,22 @@ def test_unit_pairs_match_minimalize_on_random_stars():
     pairs, definite = Counter(), 0
     while definite < 300:
         legs = [[-rng.choice((2, 2, 2, 3, 4, 5, 7)) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(3, 4))]
-        G = star_graph(-rng.choice((1, 1, 2, 3, 4)), legs)
+        center = -rng.choice((1, 1, 2, 3, 4))
+        G = star_graph(center, legs)
         if G._elimination.inertia.sign != -1:
             with pytest.raises(NotNegativeDefiniteError):
-                star_unit_pairs(G)
+                star_unit_pairs(center, legs)
             continue
         definite += 1
-        k = star_unit_pairs(G)
+        k = star_unit_pairs(center, legs)
         assert k == minimalize(graph_to_gram(G)).minus_ones, G
         pairs[min(k, 2)] += 1
     assert min(pairs[0], pairs[1], pairs[2]) >= 5, pairs  # none, one and several pairs all occur
 
 
 def test_unit_pairs_of_small_lattices():
-    assert star_unit_pairs(star_graph(-1, [])) == 1
-    assert star_unit_pairs(star_graph(-2, [[-2] * 4, [-2] * 2, [-2]])) == 0  # -E8
-    assert star_unit_pairs(star_graph(-1, [[-2], [-3], [-7]])) == 4  # unimodular of rank 4, so -I_4
+    assert star_unit_pairs(-1, []) == 1
+    assert star_unit_pairs(-2, [[-2] * 4, [-2] * 2, [-2]]) == 0  # -E8
+    assert star_unit_pairs(-1, [[-2], [-3], [-7]]) == 4  # unimodular of rank 4, so -I_4
     with pytest.raises(NotNegativeDefiniteError):
-        star_unit_pairs(star_graph(-1, [[-2], [-2], [-2]]))
+        star_unit_pairs(-1, [[-2], [-2], [-2]])
