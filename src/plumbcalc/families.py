@@ -43,11 +43,12 @@ from .plumbing import (
     PlumbingGraph,
     SeifertData,
     SpinBound,
+    _leg_continuants,
+    _star_det,
     brieskorn_seifert,
     brieskorn_star,
     chain_to_gram,
     graph_to_gram,
-    negdef_plumbing,
     seifert_to_plumbing,
     star_graph,
     star_mubar,
@@ -503,9 +504,9 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
     reject a triple unless its legs are all even (every weight of -E8 is) with
     lengths summing to 7 (rank 8 = 1 + the leg lengths); an r sharing a factor
     with p or q reads 0.  Both conditions are necessary, so the list is the one
-    that testing every coprime triple gives.  ``negdef_plumbing`` proves each
-    survivor's star negative definite with |det| = 1, so at rank 8 it is -E8
-    exactly when every weight, the centre's too, is even (no Gram is built).
+    that testing every coprime triple gives.  ``_star_det`` proves each
+    survivor's ``brieskorn_star`` negative definite with |det| = 1, so at rank 8
+    it is -E8 exactly when every weight, the centre's too, is even (no graph).
     """
     guard("classify bound", bound)
     even = [[0] * a for a in range(bound + 1)]
@@ -522,6 +523,8 @@ def classify_e8_brieskorn(bound: int) -> list[tuple[int, int, int]]:
             for r in range(q + 1, bound + 1):
                 lr = even[r][p * q % r]
                 if lr and (lq := even[q][p * r % q]) and (lp := even[p][q * r % p]) and lp + lq + lr == 7:
-                    if all(w % 2 == 0 for w in negdef_plumbing(BrieskornTriple(p, q, r)).weights):
+                    center, legs = brieskorn_star(BrieskornTriple(p, q, r))
+                    _star_det(center, [_leg_continuants(leg) for leg in legs], unimodular=True)
+                    if center % 2 == 0 and all(w % 2 == 0 for leg in legs for w in leg):
                         out.append((p, q, r))
     return out

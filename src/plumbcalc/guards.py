@@ -18,12 +18,12 @@ class Guard(NamedTuple):
 
 
 GUARDS: dict[str, Guard] = {
-    # lens._tau_min, d's window, read on the semigroup only: (v) at n = 263, 1.99M points (12% read), 0.06-0.08 s;
-    # a window shorter than g0 reads each class that meets it, Sigma(2681, 3779, 6864): 1.18M of 1.88M, 0.76-0.83 s.
+    # lens._tau_min, d's window, read on the semigroup only: (v) at n = 263, 1.99M points (12% read), 0.05-0.06 s;
+    # a window shorter than g0 checks each point once, Sigma(2681, 3779, 6864): 0.94M of 1.88M, 0.25-0.28 s.
     "tau window": Guard("window points", 2_000_000),
     # plumbing.brieskorn_star (before a leg is expanded) and lens._tau_min: the sum bounds the star's rank
     # (rank <= sum) and the tau tables.  A unit costs d 10-14 window points (d 300 301 90299, rank 90600:
-    # 0.11-0.14 s in process); 2,000,000 // 15 is safe.
+    # 0.09-0.10 s in process); 2,000,000 // 15 is safe.
     "multiplicity sum": Guard("sum of multiplicities", 133_333),
     # lens._descent_table (p labels, one division each at the top level) and lens.d_surgery (labels in its
     # window).  lens_d_all(599999, 370820) takes 1.9-2.2 s, mostly its p Fractions (its table 0.46-0.50 s);
@@ -41,7 +41,7 @@ GUARDS: dict[str, Guard] = {
     # family members inside are (i) n = 1117, (ii) 644, (iii) 789, (iv) 790, each under 0.03 s.
     "leg tables": Guard("table entries and centres", 20_000_000),
     # families.classify_e8_brieskorn: about bound^3 / 6 triples, rejected by table reads unless the legs are
-    # all even with rank 8 (stars built: 14 at 45, 61 at 400); 0.6-1.0 s at the bound, 1.4-2.3 s at 500.
+    # all even with rank 8 (stars checked on their legs: 14 at 45, 61 at 400); 0.6-1.0 s at the bound, 1.4-2.3 s at 500.
     "classify bound": Guard("classification bound", 400),
     # lattice.isometric backtracks over the vectors of each norm, exponentially in the rank: -E8 + -I4
     # (rank 12) against itself takes 1.9 s, E8 0.01 s.

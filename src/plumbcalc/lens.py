@@ -58,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, compress, cycle, repeat
 from math import gcd, isqrt, prod
-from operator import index, mod, mul
+from operator import add, index, mod, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import Frozen, NotCoprimeError, _hj_word
@@ -316,46 +316,51 @@ def _tau_min(branches: list[tuple[int, int]]) -> tuple[int, int]:
 
     A = prod alpha_i and e0 + sum omega_i/alpha_i = -1/A split tau exactly: 2A tau(n) = n^2 + b n - sum T_i(n mod
     alpha_i), b = 2A - 1 - sum A (alpha_i - 1)/alpha_i, T_i (one table of alpha_i entries per leg) the partial sums of
-    the mean-zero period (A/alpha_i) (2 ((-m omega_i) mod alpha_i) - alpha_i + 1).  With U = 2A tau at the vertex, a
-    minimizer has (2n + b)^2 <= b^2 + 4 (U + sum max T_i): the window [lo, hi], W points.  Guarded by the multiplicity
-    sum (the tables' size), then W.
+    the mean-zero period, one multiply-add and one mod a step: T_i(m + 1) - T_i(m) = 2 g_i (m u_i mod alpha_i) + g_i
+    (1 - alpha_i), g_i = A/alpha_i, u_i = -omega_i mod alpha_i.  With U = 2A tau at the vertex, a minimizer has (2n +
+    b)^2 <= b^2 + 4 (U + sum max T_i): the window [lo, hi], W points.  Guarded by the multiplicity sum, then W.
 
-    tau(n + 1) - tau(n) = 1 + (n - N(n))/A, N(n) the least element of S = <g_i>, g_i = A/alpha_i, congruent to n
-    mod A: tau rises exactly on S (Can-Karakurt, Pacific J. Math. 267, 2014).  So 2A tau is read on S & [lo, hi] and
-    at hi only; flat steps back from the first least point, fewer than min(W, g_0) (S holds s + g_0 with s), reach
-    the first minimizer.  S is the rows base + t g_0, alpha_0 the largest multiplicity (1 if none), over the Apery set
-    of g_0: the bases sum_{i > 0} c_i g_i, 0 <= c_i < alpha_i, one in each class mod g_0, walked depth first with the
-    next largest alpha_1 last.  If W >= g_0, each base <= hi has a row point in the window (the first past lo is below
-    lo + g_0 <= hi + 1): at most |S & [lo, hi]| bases.  Else c_1 runs over the ceil(W/h) classes that meet the window
-    for each of the at most h = g_0/alpha_1 partial sums: at most W + h.  11-13% of W is read at the family tau limits.
-    The minimum is 2A min tau, or AssertionError.
+    tau(n + 1) - tau(n) = 1 + (n - N(n))/A, N(n) the least element of S = <g_i> congruent to n mod A: tau rises
+    exactly on S (Can-Karakurt, Pacific J. Math. 267, 2014).  So 2A tau is read on S & [lo, hi] and at hi only; flat
+    steps back from the first least point, fewer than min(W, g_0) (S holds s + g_0 with s), reach the first minimizer.
+    With alpha_0 >= alpha_1 the largest multiplicities (1 if none), S is the rows t + c_1 g_1 + j g_0, j >= 0, c_1 <
+    alpha_1, t <= hi the middle legs' partial sums (one per class mod h = g_0/alpha_1): the bases are the Apery set of
+    g_0.  If W >= g_0, each base <= hi has a row point in the window (the first past lo is below lo + g_0 <= hi + 1):
+    |S & [lo, hi]| points are read.  Else for each t, each window point n = t + M h is read once, in S exactly when
+    t + c_1 g_1 <= n, c_1 = M alpha_0^-1 mod alpha_1: W points.  11-13% of W is read at the family tau limits.
     """
     guard("multiplicity sum", sum(a for a, _ in branches))
     A = prod(a for a, _ in branches)
-    tables = [list(accumulate(((A // a) * (2 * (-m * w % a) - a + 1) for m in range(a - 1)), initial=0)) for a, w in branches]
+    steps = [(a, -w % a, 2 * (A // a), A // a * (1 - a)) for a, w in branches]  # (alpha_i, u_i, 2 g_i, g_i (1 - alpha_i))
+    tables = [list(accumulate((g2 * (m * u % a) + f for m in range(a - 1)), initial=0)) for a, u, g2, f in steps]
     b = 2 * A - 1 - sum(A - A // a for a, _ in branches)
     v = max(0, -b // 2)
     s = isqrt(b * b + 4 * (v * (v + b) - sum(T[v % len(T)] for T in tables) + sum(map(max, tables))))
     lo, hi = max(0, -((s + b) // 2)), (s - b) // 2
     W = hi - lo + 1
     guard("tau window", W)
-    *rest, T0 = sorted([[0], [0], *tables], key=len)  # T_0, and T_1 = rest[-1]: the largest alpha_0 and alpha_1
-    g0, h, inv = A // len(T0), A // len(T0) // len(rest[-1]), pow(len(T0), -1, len(rest[-1]))
+    *rest, T1, T0 = sorted([[0], [0], *tables], key=len)
+    a0, a1 = len(T0), len(T1)
+    g0, g1, h, inv = A // a0, A // a1, A // a0 // a1, pow(a0, -1, a1)
+    partials = [(0, 0)]  # (sum of c_i g_i over the middle legs so far, the T_i it reads)
+    for T in rest:
+        a, g = len(T), A // len(T)
+        partials = [(t + c * g, k + T[c * g % a]) for t, k in partials for c in range(min(a, (hi - t) // g + 1))]
     best, n_star = hi * (hi + b) - sum(T[hi % len(T)] for T in tables), hi
-    partials = [(0, 0, 0)]  # (sum of c_i g_i over rest[:i], the T_i it reads, i)
-    while partials:
-        t, k, i = partials.pop()
-        if i < len(rest):
-            T, g = rest[i], A // len(rest[i])
-            cs = range(min(len(T), (hi - t) // g + 1))
-            if W < g0 and i == len(rest) - 1:  # the c_1 with t + c_1 g_1 = lo + u mod g_0, u < W
-                cs = ((lo + u - t) // h * inv % len(T) for u in range((t - lo) % h, W, h))
-            partials += ((t + c * g, k + T[c * g % len(T)], i + 1) for c in cs)
+    for t, k in partials:
+        if W < g0:
+            for n in range(lo + (t - lo) % h, hi + 1, h):
+                if t + (n - t) // h * inv % a1 * g1 <= n:
+                    x = n * (n + b) - T0[n % a0] - T1[n % a1] - k
+                    if x < best or x == best and n < n_star:
+                        best, n_star = x, n
             continue
-        for n in range(t if t >= lo else lo + (t - lo) % g0, hi + 1, g0):
-            x = n * (n + b) - T0[n % len(T0)] - k
-            if x < best or x == best and n < n_star:
-                best, n_star = x, n
+        for base in range(t, min(t + a1 * g1, hi + 1), g1):
+            k1 = k + T1[base % a1]
+            for n in range(base if base >= lo else lo + (base - lo) % g0, hi + 1, g0):
+                x = n * (n + b) - T0[n % a0] - k1
+                if x < best or x == best and n < n_star:
+                    best, n_star = x, n
     while n_star > lo and (n_star - 1) * (n_star - 1 + b) - sum(T[(n_star - 1) % len(T)] for T in tables) == best:
         n_star -= 1
     tau, rem = divmod(best, 2 * A)
@@ -368,35 +373,38 @@ def d_star(center_weight: int, legs: Sequence[Sequence[int]]) -> DFromPlumbing:
     """d of a negative-definite star-shaped plumbed homology sphere from its centre weight e0 and legs (weights <= -2,
     read outward), with a characteristic c, (c, c) + s = 4d on its s vertices: the centre, then each leg outward.
 
-    Nemethi (Geom. Topol. 9, 2005): d = (K^2 + s)/4 - 2 min tau (``_tau_min``, split by |det| = 1, checked first),
-    K = G^{-1} k, k_v = -w_v - 2.  On a leg of continuants m_j (m_0 = alpha), row j gives K_j = (m_j K_{j-1} +
-    g_j)/m_{j-1}, g_j = sum_{i >= j} m_i (w_i + 2), and A times the centre's row K_0 = A (e0 + 2) + sum (A/alpha_i)
-    g_1; each division is checked.  c = K + 2x, x = n* at the centre and ceil(n* m_j/alpha) on a leg, re-checked on
-    the star's edges, proves d >= value (Ozsvath-Szabo, Adv. Math. 173, 2003, Thm 9.6); d <= value rests on
-    ``_tau_min``'s window.
+    Nemethi (Geom. Topol. 9, 2005): 4d = K^2 + s - 8 min tau (``_tau_min``, split by |det| = 1, checked first), in
+    integers, K = G^{-1} k, k_v = -w_v - 2, K^2 = -sum (w_v + 2) K_v.  A times the centre's row gives K_0 = A (e0 + 2)
+    + sum (A/alpha_i)(1 + omega_i - alpha_i); on a leg of continuants m_j (m_0 = alpha, m_1 = omega), L = K + 1 has
+    L_1 = (omega L_0 + 1)/alpha (rows 1..k telescoped), then L_{j+1} = -w_j L_j - L_{j-1} (row j) out to L_{k+1} = 1
+    (row k): one division and one end, checked.  c = K + 2x, x = n* at the centre and ceil(n* m_j/alpha) on a leg,
+    re-checked on the star's edges, proves d >= value (Ozsvath-Szabo, Adv. Math. 173, 2003, Thm 9.6); d <= value rests
+    on ``_tau_min``'s window.
     """
     conts = [_leg_continuants(leg) for leg in legs]
     A = _star_det(center_weight, conts, unimodular=True)[0]
     tau, n_star = _tau_min([(m[0], m[1]) for m in conts])
-    tails = [list(accumulate(map(mul, m[:0:-1], [w + 2 for w in reversed(leg)])))[::-1] for leg, m in zip(legs, conts)]
-    K0 = A * (center_weight + 2) + sum(A // m[0] * g[0] for m, g in zip(conts, tails))
-    K, c, gc = [K0], [K0 + 2 * n_star], [center_weight * (K0 + 2 * n_star)]  # gc = G c, filled in edge by edge
-    for leg, m, g in zip(legs, conts, tails):
-        prev = 0
-        for w, above, mj, gj in zip(leg, m, m[1:], g):
-            Kj, rem = divmod(mj * K[prev] + gj, above)
-            if rem:
-                raise AssertionError(f"K is not integral on the leg {list(leg)}")
-            K.append(Kj)
-            c.append(Kj - 2 * (n_star * mj // -m[0]))
-            gc[prev] += c[-1]
-            gc.append(w * c[-1] + c[prev])
-            prev = len(c) - 1
-    weights = [center_weight, *(w for leg in legs for w in leg)]
-    d = Fraction(len(c) - sum((w + 2) * a for w, a in zip(weights, K)), 4) - 2 * tau
-    if any((g - w) % 2 for g, w in zip(gc, weights)) or sum(map(mul, c, gc)) + len(c) != 4 * d:
-        raise AssertionError(f"the tau-window certificate of d = {d} fails its re-check")
-    return DFromPlumbing(d, tuple(c))
+    K0 = A * (center_weight + 2) + sum(A // m[0] * (1 + m[1] - m[0]) for m in conts)
+    weights, K, c, starts = [center_weight], [K0], [K0 + 2 * n_star], []
+    for leg, m in zip(legs, conts):
+        a, prev = m[0], K0 + 1
+        L, rem = divmod(m[1] * prev + 1, a)
+        starts.append(len(c))
+        for w, mj in zip(leg, m[1:]):
+            K.append(L - 1)
+            c.append(L - 1 - 2 * (n_star * mj // -a))
+            prev, L = L, -w * L - prev
+        if rem or L != 1:
+            raise AssertionError(f"K is not an integral solution on the leg {list(leg)}")
+        weights += leg
+    before, after = [sum(c[i] for i in starts), *c[:-1]], [*c[1:], 0]  # G c's edges: the centre meets each leg's first
+    for i in starts:
+        before[i], after[i - 1] = c[0], 0
+    gc = list(map(add, map(mul, weights, c), map(add, before, after)))
+    four_d = len(c) - sum(map(mul, weights, K)) - 2 * sum(K) - 8 * tau
+    if any(map(mod, map(sub, gc, weights), repeat(2))) or sum(map(mul, c, gc)) + len(c) != four_d:
+        raise AssertionError(f"the tau-window certificate of d = {Fraction(four_d, 4)} fails its re-check")
+    return DFromPlumbing(Fraction(four_d, 4), tuple(c))
 
 
 def d_from_plumbing(G: PlumbingGraph) -> DFromPlumbing:

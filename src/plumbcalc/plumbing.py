@@ -36,10 +36,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, prod
-from operator import index, mul
+from operator import index, mul, neg
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import Frozen, NotCoprimeError, NotExpandableError, _hj_word, cf_eval, mod_inverse
+from .arith import Frozen, NotCoprimeError, NotExpandableError, _hj_word, cf_eval
 from .guards import guard
 from .lattice import GramLattice, NotNegativeDefiniteError, NotUnimodularError, Signature, _negdef_unimodular, _wu
 
@@ -542,31 +542,30 @@ class BrieskornTriple(Frozen):
         return self.p * self.q * self.r
 
 
-def brieskorn_seifert(T: BrieskornTriple) -> SeifertData:
-    """The Seifert data of Sigma(p,q,r), euler number -1/pqr, normalized to
-    the window 0 < b < a; ``.negated().normalized()`` is its orientation
-    reversal, euler number +1/pqr.
+def _brieskorn_data(T: BrieskornTriple) -> tuple[int, list[tuple[int, int]]]:
+    """(e, branches) of Sigma(p,q,r)'s standard Seifert data, branches (a, (A/a)^{-1} mod a) sorted, A = pqr.
 
-    The standard branch residues p' = (qr)^{-1} mod p and cyclically lie in
-    that window (every a >= 2), so the branches are only sorted; e = (p'qr +
-    q'pr + r'pq - 1) / pqr is an exact integer.  Its remainder is the one
-    check: e - (p'/p + q'/q + r'/r) = -1/pqr, the euler number, by construction.
-    """
-    p, q, r = T.as_tuple()
-    pp = mod_inverse(q * r, p)
-    qp = mod_inverse(p * r, q)
-    rp = mod_inverse(p * q, r)
-    e, rem = divmod(pp * q * r + qp * p * r + rp * p * q - 1, p * q * r)
-    assert rem == 0
-    return SeifertData(e, tuple(sorted(((p, pp), (q, qp), (r, rp)))))
+    The residues lie in the window 0 < b < a (every a >= 2), and e = (sum b A/a - 1) / A is an exact integer.  Its
+    remainder is the one check: e - sum b/a = -1/A, the euler number, by construction."""
+    A = T.product()
+    branches = sorted((a, pow(A // a, -1, a)) for a in T.as_tuple())
+    e, rem = divmod(sum(A // a * b for a, b in branches) - 1, A)
+    assert rem == 0, T
+    return e, branches
+
+
+def brieskorn_seifert(T: BrieskornTriple) -> SeifertData:
+    """The Seifert data of Sigma(p,q,r) (``_brieskorn_data``), euler number -1/pqr, normalized to the window
+    0 < b < a; ``.negated().normalized()`` is its orientation reversal, euler number +1/pqr."""
+    return SeifertData(*_brieskorn_data(T))
 
 
 def brieskorn_star(T: BrieskornTriple) -> tuple[int, list[list[int]]]:
     """Centre weight e - 3 and legs -HJ(a/(a - b)) <= -2 (branch a/(b - a) < -1) of Sigma(p,q,r)'s canonical star,
     from the standard data (e, (a, b)), 0 < b < a; the multiplicity sum, which bounds the legs, is guarded first."""
     guard("multiplicity sum", sum(T.as_tuple()))
-    data = brieskorn_seifert(T)
-    return data.e - len(data.branches), [[-c for c in _hj_word(a, a - b)] for a, b in data.branches]
+    e, branches = _brieskorn_data(T)
+    return e - 3, [list(map(neg, _hj_word(a, a - b))) for a, b in branches]
 
 
 def negdef_plumbing(T: BrieskornTriple) -> PlumbingGraph:

@@ -399,9 +399,11 @@ class TestClassifyE8:
             assert classify_e8_brieskorn(bound) == [T for T in found if T[2] <= bound], bound
 
     def test_builds_few_stars(self, monkeypatch):
-        # the leg tables leave 14 stars to build at bound 45; testing every rank-8 triple builds 244
-        built = []
-        build = plumbcalc.families.negdef_plumbing
-        monkeypatch.setattr(plumbcalc.families, "negdef_plumbing", lambda T: built.append(T) or build(T))
+        # the leg tables leave 14 stars to check at bound 45, on their legs with no graph; testing every rank-8
+        # triple checks 244
+        built, graphs = [], []
+        build, graph = plumbcalc.families.brieskorn_star, plumbcalc.plumbing.star_graph
+        monkeypatch.setattr(plumbcalc.families, "brieskorn_star", lambda T: built.append(T) or build(T))
+        monkeypatch.setattr(plumbcalc.plumbing, "star_graph", lambda *args: graphs.append(args) or graph(*args))
         assert classify_e8_brieskorn(45) == [(2, 3, 5), (3, 4, 7)]
-        assert len(built) <= 20
+        assert len(built) <= 20 and not graphs

@@ -682,19 +682,29 @@ def test_k_squared_matches_the_dedekind_sum_formula():
 def test_semigroup_walk_matches_the_full_stream():
     """``_tau_min`` evaluates 2A tau only on the semigroup and at hi; value and first minimizer equal the full stream
     of its window on all twelve families at n = 1..30, 400 seeded triples, 200 seeded four- and five-leg spheres
-    and Sigma(49, 313, 993), whose 2-point window is shorter than its g0 = 15337.  Both ways of choosing the
-    bases run: the windows shorter than g0 take the classes that meet the window."""
+    and Sigma(49, 313, 993), whose 2-point window is shorter than its g0 = 15337.  Both walks run: the windows
+    shorter than g0 read each of their points once.  Sigma(155, 354, 881) (W = 43249 < g0 = 54870), Sigma(192, 205,
+    907) and 24 seeded triples below 1000 have such windows of 10^4 to 10^5 points, many read per partial sum."""
     rng = random.Random(2036)
     cases = [_brieskorn_branches(family_triple(fam, n)) for fam in FAMILY_IDS for n in range(1, 31)]
     cases += [_brieskorn_branches(BrieskornTriple(*t)) for t in _coprime_sets(rng, 400, (3,), 250, 10**6)]
     cases += [_sphere_data(t)[1] for t in _coprime_sets(rng, 200, (4, 5), 30, 10**5)]
+    long_short = [(155, 354, 881), (192, 205, 907)]
+    while len(long_short) < 26:
+        p, q, r = sorted(rng.sample(range(2, 1000), 3))
+        if gcd(p, q) == gcd(p, r) == gcd(q, r) == 1:
+            lo, hi = _window(_brieskorn_branches(BrieskornTriple(p, q, r)))[:2]
+            if 10**4 <= hi - lo + 1 <= 10**5 and hi - lo + 1 < p * q:
+                long_short.append((p, q, r))
+    assert _window(_brieskorn_branches(BrieskornTriple(155, 354, 881)))[:2] == (23896962, 23940210)
+    cases += [_brieskorn_branches(BrieskornTriple(*t)) for t in long_short]
     cases.append(_brieskorn_branches(BrieskornTriple(49, 313, 993)))
     short = 0
     for branches in cases:
         assert _tau_min(branches) == _reference_tau_min(branches), branches
         lo, hi = _window(branches)[:2]
         short += hi - lo + 1 < prod(a for a, _ in branches) // max(a for a, _ in branches)
-    assert _window(cases[-1])[:2] == (7427419, 7427420) and 50 < short < len(cases) - 300, short
+    assert _window(cases[-1])[:2] == (7427419, 7427420) and 76 < short < len(cases) - 300, short
 
 
 def test_tau_rises_exactly_on_the_semigroup():

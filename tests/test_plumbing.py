@@ -543,8 +543,8 @@ def test_plumbing_invariants_build_no_dense_gram(monkeypatch, capsys, tmp_path):
     assert built["negdef_plumbing", 2] == built["negdef_plumbing", 100] == 0, built
     for name in ("mubar", "ue_spin_bound", "d_from_plumbing"):
         assert 0 < built[name, 2] == built[name, 100] < 30, built
-    # both d entries take the one path on the star's legs: the same few Fractions, for the value alone
-    assert built["d_brieskorn", 2] == built["d_brieskorn", 100] == built["d_from_plumbing", 2] <= 4, built
+    # both d entries take the one path on the star's legs, in integers: one Fraction, the value
+    assert built["d_brieskorn", 2] == built["d_brieskorn", 100] == built["d_from_plumbing", 2] == 1, built
 
 
 def _random_tree(rng: random.Random, n: int, lo: int, hi: int) -> PlumbingGraph:
